@@ -130,14 +130,10 @@ def cmd_incidence(args) -> dict:
     return report
 
 
-def _real_complex_for(sheaf):
-    return spectral.real_sheaf_complex(sheaf)
-
-
 def cmd_spectrum(args) -> dict:
     text, raw = _read(args.document)
     sheaf = parse_sheaf(text)
-    rc = _real_complex_for(sheaf)
+    rc = spectral.real_sheaf_complex(sheaf)
     lap = spectral.laplacian(rc, args.degree, args.norm)
     bundle = spectral.eigendecompose(lap)
     report = _report_base("spectrum", raw)
@@ -155,7 +151,7 @@ def cmd_spectrum(args) -> dict:
 def cmd_diffuse(args) -> dict:
     text, raw = _read(args.document)
     sheaf = parse_sheaf(text)
-    rc = _real_complex_for(sheaf)
+    rc = spectral.real_sheaf_complex(sheaf)
     lap = spectral.laplacian(rc, args.degree, args.norm)
     if args.x0:
         x0_doc = parse_document(Path(args.x0).read_text())
@@ -278,7 +274,7 @@ def cli(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     command = args.subcommand
     try:
-        report = args.fn(args)
+        out = canonical_json(args.fn(args))
     except PosheafError as exc:
         error_report = {
             "command": command,
@@ -293,7 +289,7 @@ def cli(argv=None) -> int:
         }
         sys.stdout.write(canonical_json(error_report) + "\n")
         return 1
-    sys.stdout.write(canonical_json(report) + "\n")
+    sys.stdout.write(out + "\n")
     return 0
 
 

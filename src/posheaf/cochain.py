@@ -16,13 +16,13 @@ from .errors import (
 from .linalg import (
     AugChainComplex,
     FieldTag,
-    HomologyBasisResult,
     Matrix,
+    QQ,
+    RR,
     homology_basis,
     rank,
-    restrict,
 )
-from .poset import ChainSimplex, Poset, decode_simplicial_elements, order_complex
+from .poset import Poset, decode_simplicial_elements, order_complex
 from .sheaf import Sheaf
 
 ROOS = "roos"
@@ -47,8 +47,9 @@ class SummandTag:
 class CochainComplexInstance:
     """Graded tagged direct sum of stalk copies with per-degree differentials.
 
-    diffs[j] is the matrix of d_j : C^j -> C^{j+1}; d^2 = 0 is verified at
-    construction time.
+    diffs[j] is the matrix of d_j : C^j -> C^{j+1}; over exact fields d^2 = 0
+    is verified at construction time.  Over R it is left to ``realize``, whose
+    RealComplex checks it with a tolerance.
     """
 
     __slots__ = ("kind", "field", "degrees", "dims", "diffs", "sheaf")
@@ -62,7 +63,8 @@ class CochainComplexInstance:
         self.diffs = diffs
         self.sheaf = sheaf
         self._verify_shapes()
-        self._verify_d2()
+        if field.is_exact:
+            self._verify_d2()
 
     @property
     def top_degree(self) -> int:
@@ -210,9 +212,6 @@ class IncidenceData:
     generators: list[IncidenceGenerator]
     complex: AugChainComplex
 
-    def by_element(self, s: str) -> list[IncidenceGenerator]:
-        return [g for g in self.generators if g.owner == s]
-
     def incidence(self, g: IncidenceGenerator, h: IncidenceGenerator):
         """Coefficient of h in the boundary of g (both proper generators)."""
         return self.complex.matrix.data[h.gid + 1][g.gid + 1]
@@ -271,10 +270,13 @@ def minimal_incidence(p: Poset, field: FieldTag) -> IncidenceData:
 
 def minimal_complex(d: Sheaf, inc: IncidenceData) -> CochainComplexInstance:
     """Minimal honest complex: one stalk copy per incidence generator, with
-    differential blocks I(g2, g1) . D(owner(g1) < owner(g2))."""
+    differential blocks I(g2, g1) . D(owner(g1) < owner(g2)).
+
+    A sheaf over R takes incidence data over Q, whose scalars embed in R.
+    """
     if inc.poset != d.poset:
         raise PosetMismatch("incidence data was computed on a different poset")
-    if inc.field != d.field:
+    if inc.field != (QQ if d.field == RR else d.field):
         raise FieldMismatch("incidence data uses a different field")
     top = max((g.degree for g in inc.generators), default=-1)
     degrees: list[list[SummandTag]] = [[] for _ in range(top + 1)]

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 from .errors import ParseError, SchemaError
-from .linalg import FieldTag, Matrix, PRIME, QQ, RATIONALS, REALS, RR, prime_field
-from .poset import Poset, build_poset
+from .linalg import FieldTag, Matrix, PRIME, QQ, RATIONALS, RR, prime_field
+from .poset import build_poset
 from .sheaf import Sheaf, build_sheaf
 
 
@@ -45,14 +46,18 @@ def scalar_to_string(value, field: FieldTag) -> str:
 
 
 def scalar_from_string(text: str, field: FieldTag):
+    """Parse one map entry; real literals must be finite doubles."""
     try:
         if field.kind == RATIONALS:
             return Fraction(str(text))
         if field.kind == PRIME:
             return int(str(text), 10) % field.p
-        return float(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        value = float(text)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"maps: bad scalar literal {text!r}: {exc}") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"maps: real literal {text!r} is not a finite double")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +211,3 @@ def serialize_sheaf(s: Sheaf) -> str:
         },
     }
     return canonical_json(doc) + "\n"
-
-
-def poset_from_document(text: str) -> Poset:
-    doc = parse_document(text)
-    elements = _require(doc, "elements")
-    covers = _require(doc, "covers")
-    return build_poset(elements, [(c[0], c[1]) for c in covers])

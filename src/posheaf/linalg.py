@@ -145,9 +145,6 @@ class Matrix:
                 raise FieldMismatch("ragged rows")
         return cls(len(data), ncols, data, field)
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [row[:] for row in self.data], self.field)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
@@ -162,18 +159,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(not x for row in self.data for x in row)
-
-    def transpose(self) -> "Matrix":
-        t = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return Matrix(self.cols, self.rows, t, self.field)
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        add = self.field.add
-        data = [
-            [add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ]
-        return Matrix(self.rows, self.cols, data, self.field)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
@@ -304,22 +289,6 @@ def kernel_basis(m: Matrix) -> list[list]:
                 vec[pc] = f.neg(coef)
         basis.append(vec)
     return basis
-
-
-def solve_right(m: Matrix, target: list):
-    """One solution x of m @ x = target, or None when inconsistent."""
-    _require_exact(m.field, "solve_right")
-    f = m.field
-    aug = Matrix(
-        m.rows, m.cols + 1, [row[:] + [f.coerce(t)] for row, t in zip(m.data, target)], f
-    )
-    red, pivots, _ = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [f.zero()] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.data[r][m.cols]
-    return x
 
 
 def invert(m: Matrix) -> Matrix | None:
@@ -501,9 +470,3 @@ def restrict(c: AugChainComplex, keep: list[int]) -> AugChainComplex:
     degrees = [c.degrees[i] for i in keep]
     data = [[c.matrix.data[b][a] for a in keep] for b in keep]
     return AugChainComplex(labels, degrees, Matrix(len(keep), len(keep), data, c.field), c.field)
-
-
-def restrict_by_labels(c: AugChainComplex, labels) -> AugChainComplex:
-    wanted = set(labels)
-    keep = [i for i, lab in enumerate(c.labels) if lab in wanted]
-    return restrict(c, keep)

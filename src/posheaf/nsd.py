@@ -19,7 +19,8 @@ from .errors import (
 from .linalg import RR, Matrix
 from .poset import Poset
 from .sheaf import Sheaf, build_sheaf
-from .spectral import default_eta, jacobi_eigh
+from .spectral import (NORMALIZATIONS, default_eta, float_array, jacobi_eigh, laplacian,
+                       real_sheaf_complex)
 
 SEED_ENV = "POSHEAF_SEED"
 
@@ -40,11 +41,6 @@ def _graph_structure(p: Poset) -> tuple[list[str], list[tuple[str, str, str]]]:
     return vertices, edges
 
 
-def _real_map(s: Sheaf, a: str, b: str) -> np.ndarray:
-    m = s.edge_map[(a, b)]
-    return np.array([[float(v) for v in row] for row in m.data], dtype=float)
-
-
 def graph_coboundary(s: Sheaf) -> tuple[np.ndarray, list[str]]:
     """Vertex-to-edge coboundary with the alternating sign convention
     f_(u,e) x_u - f_(v,e) x_v; returns the matrix and the vertex layout."""
@@ -59,34 +55,18 @@ def graph_coboundary(s: Sheaf) -> tuple[np.ndarray, list[str]]:
     r = 0
     for (e, u, v) in edges:
         de = s.stalk(e)
-        d0[r:r + de, v_off[u]:v_off[u] + s.stalk(u)] = _real_map(s, u, e)
-        d0[r:r + de, v_off[v]:v_off[v] + s.stalk(v)] -= _real_map(s, v, e)
+        d0[r:r + de, v_off[u]:v_off[u] + s.stalk(u)] = float_array(s.edge_map[(u, e)])
+        d0[r:r + de, v_off[v]:v_off[v] + s.stalk(v)] -= float_array(s.edge_map[(v, e)])
         r += de
     return d0, vertices
 
 
-def graph_laplacian0(s: Sheaf, norm: str = "none") -> np.ndarray:
-    """Degree-0 sheaf Laplacian of a graph sheaf with the chosen normalization."""
-    from .spectral import _strong_normalize, _weak_normalize
-
-    d0, vertices = graph_coboundary(s)
-    mat = d0.T @ d0
-    mat = 0.5 * (mat + mat.T)
-    norm = norm.lower()
-    if norm == "none":
-        return mat
-    if norm == "weak":
-        return _weak_normalize(mat)
-    if norm == "strong":
-        blocks = [s.stalk(v) for v in vertices]
-        return _strong_normalize(mat, blocks)
-    raise ShapeMismatch(f"unknown normalization {norm!r}")
-
-
 def sheaf_diffusion_op(s: Sheaf, eta: float | None = None,
                        norm: str = "none") -> np.ndarray:
-    """Generator of discrete heat diffusion: the dense matrix I - 2*eta*L_0."""
-    mat = graph_laplacian0(s, norm)
+    """Generator of discrete heat diffusion: the dense matrix I - 2*eta*L_0,
+    with L_0 the degree-0 Laplacian of the sheaf's minimal complex."""
+    _graph_structure(s.poset)  # NSD is defined on graph posets only
+    mat = laplacian(real_sheaf_complex(s), 0, norm).matrix
     if eta is None:
         eigenvalues, _ = jacobi_eigh(mat)
         eta = default_eta(float(eigenvalues[-1]) if eigenvalues.size else 0.0)
@@ -123,6 +103,8 @@ class NsdLayer:
             raise ShapeMismatch(f"W1 must be {self.d}x{self.d}")
         if self.w2.ndim != 2:
             raise ShapeMismatch("W2 must be a matrix")
+        if not isinstance(self.norm, str) or self.norm.lower() not in NORMALIZATIONS:
+            raise ShapeMismatch(f"unknown normalization {self.norm!r}")
 
 
 def nsd_forward(layer: NsdLayer, features: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from .errors import (
     UnknownElement,
     UnknownVertex,
 )
-from .linalg import AugChainComplex, FieldTag, Matrix, homology_basis
+from .linalg import FieldTag
 
 
 class RedundantCoversWarning(UserWarning):
@@ -296,50 +296,6 @@ def order_complex(p: Poset) -> list[list[ChainSimplex]]:
     return groups
 
 
-def simplicial_chain_complex(groups: list[list[ChainSimplex]], field: FieldTag,
-                             augmented: bool = True) -> AugChainComplex:
-    """Augmented simplicial chain complex of an order complex (or any list of
-    simplices closed under faces), with alternating-sign boundaries.
-    """
-    labels: list = []
-    degrees: list[int] = []
-    if augmented:
-        labels.append("@")
-        degrees.append(-1)
-    position: dict[tuple[str, ...], int] = {}
-    for dim, simplices in enumerate(groups):
-        for sx in simplices:
-            position[sx.elements] = len(labels)
-            labels.append(sx.elements)
-            degrees.append(dim)
-    n = len(labels)
-    m = Matrix.zeros(n, n, field)
-    one = field.one()
-    for dim, simplices in enumerate(groups):
-        for sx in simplices:
-            col = position[sx.elements]
-            if dim == 0:
-                if augmented:
-                    m.data[0][col] = one
-                continue
-            sign = one
-            for i in range(dim + 1):
-                face = sx.elements[:i] + sx.elements[i + 1:]
-                m.data[position[face]][col] = sign if i % 2 == 0 else field.neg(sign)
-    return AugChainComplex(labels, degrees, m, field)
-
-
-def reduced_betti_numbers(p: Poset, field: FieldTag) -> dict[int, int]:
-    """Reduced field Betti numbers of the order complex of p, indexed from -1.
-
-    The empty poset has reduced homology of the (-1)-sphere: betti[-1] = 1.
-    """
-    groups = order_complex(p)
-    complex_ = simplicial_chain_complex(groups, field, augmented=True)
-    dims = homology_basis(complex_).dims_by_degree()
-    return {d: k for d, k in sorted(dims.items())}
-
-
 @dataclass(frozen=True)
 class PosetClassification:
     """Gradedness plus the homology-sphere structure of every strict down-set."""
@@ -369,33 +325,25 @@ def _grading(p: Poset) -> dict[str, int] | None:
     return {p.elements[i]: next(iter(v)) for i, v in lengths.items()}
 
 
-def _sphere_dimension(betti: dict[int, int]) -> int | None:
-    """d such that the reduced Betti numbers are those of S^(d-1), else None."""
-    nonzero = {k: v for k, v in betti.items() if v}
-    if len(nonzero) != 1:
-        return None
-    (deg, count), = nonzero.items()
-    if count != 1:
-        return None
-    return deg + 1
-
-
 def classify(p: Poset, field: FieldTag) -> PosetClassification:
     """Grading search plus the field-homology sphere test on all strict down-sets.
+
+    The incidence-matrix algorithm gives each element one generator per
+    reduced-homology class of its strict down-set, one degree up.  So the
+    strict down-set of s is a homology (d-1)-sphere exactly when s owns a
+    single generator, and d is that generator's degree.
 
     Field homology only: posets whose down-sets carry torsion may be classified
     differently than with integral coefficients.
     """
+    from .cochain import minimal_incidence
+
     rank = _grading(p)
-    cell_dims: dict[str, int] = {}
-    morse = True
-    for s in p.elements:
-        betti = reduced_betti_numbers(down_set(p, s, strict=True), field)
-        d = _sphere_dimension(betti)
-        if d is None:
-            morse = False
-            break
-        cell_dims[s] = d
+    owned: dict[str, list[int]] = {s: [] for s in p.elements}
+    for g in minimal_incidence(p, field).generators:
+        owned[g.owner].append(g.degree)
+    morse = all(len(degrees) == 1 for degrees in owned.values())
+    cell_dims = {s: owned[s][0] for s in p.elements} if morse else None
     homology_cell = (
         morse
         and rank is not None
@@ -406,7 +354,7 @@ def classify(p: Poset, field: FieldTag) -> PosetClassification:
         rank=rank,
         homology_cell=homology_cell,
         morse_cell=morse,
-        cell_dims=cell_dims if morse else None,
+        cell_dims=cell_dims,
     )
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -22,12 +21,13 @@ from .errors import (
     TraceTooShort,
     UnstableStepSize,
 )
-from .linalg import RATIONALS, REALS
-from .cochain import CochainComplexInstance, SummandTag
+from .linalg import QQ, RATIONALS, REALS, Matrix
+from .cochain import CochainComplexInstance, SummandTag, minimal_complex, minimal_incidence
 from .sheaf import Sheaf, stalk_layout
 
 D2_RESIDUAL_TOL = 1e-10
 ZERO_EIG_FLOOR = 1e-12
+NORMALIZATIONS = ("none", "weak", "strong")
 
 
 class RealComplex:
@@ -74,23 +74,19 @@ def _max_abs(a: np.ndarray) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def float_array(m: Matrix) -> np.ndarray:
+    """Dense float64 copy of a rational or real matrix."""
+    try:
+        return np.array(m.data, dtype=float).reshape(m.rows, m.cols)
+    except OverflowError as exc:
+        raise OverflowOnConvert(str(exc)) from exc
+
+
 def realize(c: CochainComplexInstance) -> RealComplex:
-    """Entrywise exact-to-double conversion of a rational cochain complex."""
-    if c.field.kind != RATIONALS:
-        raise FieldMismatch(f"realize expects a rational complex, got {c.field}")
-    diffs = []
-    for m in c.diffs:
-        out = np.zeros((m.rows, m.cols))
-        for i in range(m.rows):
-            for j in range(m.cols):
-                v = m.data[i][j]
-                if v:
-                    try:
-                        out[i, j] = float(v)
-                    except OverflowError as exc:
-                        raise OverflowOnConvert(str(exc)) from exc
-        diffs.append(out)
-    return RealComplex(c.kind, c.degrees, c.dims, diffs)
+    """Float64 copy of a cochain complex over Q (converted entrywise) or R."""
+    if c.field.kind not in (RATIONALS, REALS):
+        raise FieldMismatch(f"realize expects a rational or real complex, got {c.field}")
+    return RealComplex(c.kind, c.degrees, c.dims, [float_array(m) for m in c.diffs])
 
 
 @dataclass
@@ -114,11 +110,14 @@ def laplacian(rc: RealComplex, j: int, norm: str = "none") -> Laplacian:
     if not (0 <= j <= rc.top_degree):
         raise DegreeOutOfRange(f"degree {j} outside 0..{rc.top_degree}")
     up = rc.diff(j)
-    mat = up.T @ up
-    if j > 0:
-        down = rc.diff(j - 1)
-        mat = mat + down @ down.T
-    mat = 0.5 * (mat + mat.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mat = up.T @ up
+        if j > 0:
+            down = rc.diff(j - 1)
+            mat = mat + down @ down.T
+        mat = 0.5 * (mat + mat.T)
+    if not np.all(np.isfinite(mat)):
+        raise OverflowOnConvert(f"degree-{j} Laplacian has non-finite entries")
     norm = norm.lower()
     if norm == "none":
         out = mat
@@ -380,11 +379,6 @@ def _as_real_sheaf_vectors(h: Sheaf, x) -> dict[str, np.ndarray]:
     return {e: x[offsets[e]: offsets[e] + h.stalk(e)] for e in layout}
 
 
-def _real_map(h: Sheaf, a: str, b: str) -> np.ndarray:
-    m = h.edge_map[(a, b)]
-    return np.array([[float(v) for v in row] for row in m.data], dtype=float)
-
-
 def _check_two_layer(h: Sheaf):
     """Every cover must run from a minimal element straight to a maximal one."""
     p = h.poset
@@ -412,7 +406,7 @@ def hypergraph_energy_forms(h: Sheaf, x) -> tuple[float, float]:
         members = p.covered_by(b)
         if not members:
             continue
-        images = [_real_map(h, a, b) @ vectors[a] for a in members]
+        images = [float_array(h.edge_map[(a, b)]) @ vectors[a] for a in members]
         xb = vectors[b]
         for img in images:
             diff = xb - img
@@ -438,67 +432,21 @@ def hyperedge_barycenters(h: Sheaf, x) -> np.ndarray:
         members = h.poset.covered_by(b)
         if not members:
             continue
-        images = [_real_map(h, a, b) @ vectors[a] for a in members]
+        images = [float_array(h.edge_map[(a, b)]) @ vectors[a] for a in members]
         out[offsets[b]: offsets[b] + h.stalk(b)] = sum(images) / len(images)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Direct real complexes for sheaves that never pass through exact arithmetic.
+# The minimal complex of a sheaf over Q or R, realized.
 # ---------------------------------------------------------------------------
 
 def real_sheaf_complex(sheaf: Sheaf, inc=None) -> RealComplex:
     """Minimal-construction RealComplex for a sheaf over Q or R.
 
     The incidence data depends only on the poset, so it is computed over the
-    rationals and realized; the sheaf's structure maps may already be floats.
+    rationals; the sheaf's structure maps may already be floats.
     """
-    from .cochain import minimal_complex, minimal_incidence
-    from .linalg import QQ
-
-    if sheaf.field.kind == RATIONALS:
-        if inc is None:
-            inc = minimal_incidence(sheaf.poset, sheaf.field)
-        return realize(minimal_complex(sheaf, inc))
-    if sheaf.field.kind != REALS:
-        raise FieldMismatch(f"cannot realize a sheaf over {sheaf.field}")
     if inc is None:
         inc = minimal_incidence(sheaf.poset, QQ)
-    top = max((g.degree for g in inc.generators), default=-1)
-    degrees: list[list[SummandTag]] = [[] for _ in range(top + 1)]
-    dims: list[list[int]] = [[] for _ in range(top + 1)]
-    slot: dict[int, int] = {}
-    for g in inc.generators:
-        slot[g.gid] = len(degrees[g.degree])
-        degrees[g.degree].append(SummandTag(g.owner, slot[g.gid], gid=g.gid))
-        dims[g.degree].append(sheaf.stalk(g.owner))
-    gens_by_degree: dict[int, list] = {}
-    for g in inc.generators:
-        gens_by_degree.setdefault(g.degree, []).append(g)
-    diffs = []
-    for j in range(top):
-        col_off = np.cumsum([0] + dims[j]).tolist()
-        row_off = np.cumsum([0] + dims[j + 1]).tolist()
-        m = np.zeros((row_off[-1], col_off[-1]))
-        for g2 in gens_by_degree.get(j + 1, ()):
-            for g1 in gens_by_degree.get(j, ()):
-                scalar = inc.incidence(g2, g1)
-                if not scalar:
-                    continue
-                block = _real_composed_map(sheaf, g1.owner, g2.owner)
-                r0, c0 = row_off[slot[g2.gid]], col_off[slot[g1.gid]]
-                m[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = (
-                    float(Fraction(scalar)) * block
-                )
-        diffs.append(m)
-    return RealComplex("minimal", degrees, dims, diffs)
-
-
-def _real_composed_map(sheaf: Sheaf, s: str, t: str) -> np.ndarray:
-    if s == t:
-        return np.eye(sheaf.stalk(s))
-    path = sheaf.canonical_path(s, t)
-    m = _real_map(sheaf, path[0], path[1])
-    for a, b in zip(path[1:], path[2:]):
-        m = _real_map(sheaf, a, b) @ m
-    return m
+    return realize(minimal_complex(sheaf, inc))

@@ -8,6 +8,7 @@ import numpy as np
 from helpers import seeded_rng
 import pytest
 
+from posheaf import cli as cli_module
 from posheaf.cli import cli
 from posheaf.errors import ParseError, SchemaError
 from posheaf.io import (
@@ -18,7 +19,7 @@ from posheaf.io import (
     serialize_sheaf,
 )
 from posheaf.linalg import QQ, RR, prime_field
-from posheaf.sheaf import constant_sheaf, mobius_sheaf, path_poset
+from posheaf.sheaf import constant_sheaf, cycle_poset, mobius_sheaf, path_poset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -38,6 +39,12 @@ def test_scalar_literals_roundtrip():
     f5 = prime_field(5)
     assert scalar_to_string(scalar_from_string("7", f5), f5) == "2"
     assert scalar_from_string("0.25", RR) == 0.25
+
+
+def test_scalar_from_string_rejects_non_finite_reals():
+    for literal in ("nan", "inf", "-inf", "Infinity", "1e400", None):
+        with pytest.raises(SchemaError):
+            scalar_from_string(literal, RR)
 
 
 def test_canonical_json_floats_17g():
@@ -219,3 +226,57 @@ def test_prime_field_document_roundtrip(tmp_path):
     code, report, _ = _run(["sections", str(path)])
     assert code == 0
     assert report["sections"]["dim"] == 1
+
+
+def _real_cycle_document(tmp_path, literal: str) -> str:
+    """Constant real sheaf on C4 with one map entry replaced by the literal."""
+    doc = json.loads(serialize_sheaf(constant_sheaf(cycle_poset(4), 1, QQ)))
+    doc["field"] = "R"
+    doc["maps"] = {k: ["1.0" for _ in v] for k, v in doc["maps"].items()}
+    doc["maps"][sorted(doc["maps"])[0]] = [literal]
+    path = tmp_path / "real.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _nsd_params(tmp_path, norm="weak") -> str:
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(
+        {"X": [[1.0]] * 4, "W1": [[1.0]], "W2": [[1.0]], "eta": 0.1, "norm": norm}
+    ))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "diffuse", "nsd-forward"])
+@pytest.mark.parametrize("literal, code", [
+    ("1e200", "OverflowOnConvert"),
+    ("nan", "SchemaError"),
+    ("inf", "SchemaError"),
+    ("-inf", "SchemaError"),
+    ("1e400", "SchemaError"),
+])
+def test_cli_non_finite_real_documents_report_one_error(tmp_path, command, literal, code):
+    argv = [command, _real_cycle_document(tmp_path, literal)]
+    if command == "nsd-forward":
+        argv.append(_nsd_params(tmp_path))
+    status, _, text = _run(argv)
+    assert status == 1
+    lines = text.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["code"] == code
+
+
+@pytest.mark.parametrize("norm", ["bogus", 3])
+def test_cli_nsd_forward_unknown_norm(tmp_path, norm):
+    doc = str(GOLDEN / "cycle4_constant.json")
+    status, report, _ = _run(["nsd-forward", doc, _nsd_params(tmp_path, norm)])
+    assert status == 1
+    assert report["error"]["code"] == "ShapeMismatch"
+
+
+def test_cli_unserializable_report_is_an_error_report(monkeypatch):
+    monkeypatch.setattr(cli_module, "cmd_validate", lambda args: {"x": float("inf")})
+    status, report, text = _run(["validate", str(GOLDEN / "path_constant.json")])
+    assert status == 1
+    assert len(text.splitlines()) == 1
+    assert report["error"]["code"] == "SchemaError"

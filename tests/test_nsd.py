@@ -10,13 +10,12 @@ from posheaf.nsd import (
     NsdLayer,
     finite_difference_gradient,
     gcn_forward_oracle,
-    graph_laplacian0,
     learn_sheaf,
     nsd_forward,
     nsd_stack,
     sheaf_diffusion_op,
 )
-from posheaf.spectral import jacobi_eigh
+from posheaf.spectral import jacobi_eigh, laplacian, real_sheaf_complex
 
 from helpers import random_graph_poset, seeded_rng
 
@@ -39,7 +38,7 @@ def test_diffusion_op_matches_graph_laplacian():
     for _ in range(10):
         p, n, edges = _random_graph_with_edges(rng)
         s = constant_sheaf(p, 1, QQ)
-        lap = graph_laplacian0(s, "none")
+        lap = laplacian(real_sheaf_complex(s), 0, "none").matrix
         # independent dense assembly: degree matrix minus adjacency
         vertices = [e for e in p.topo_order if not p.covered_by(e)]
         index = {v: i for i, v in enumerate(vertices)}
@@ -66,7 +65,7 @@ def test_diffusion_op_fixes_harmonic_states():
 def test_diffusion_op_eigenvalues_shift():
     s = constant_sheaf(cycle_poset(6), 1, QQ)
     eta = 0.07
-    lap = graph_laplacian0(s, "none")
+    lap = laplacian(real_sheaf_complex(s), 0, "none").matrix
     op = sheaf_diffusion_op(s, eta, "none")
     lam, _ = jacobi_eigh(lap)
     mu, _ = jacobi_eigh(op)
@@ -112,6 +111,8 @@ def test_nsd_forward_shape_checks():
         nsd_forward(layer, np.ones((5, 2)))
     with pytest.raises(ShapeMismatch):
         NsdLayer(s, np.eye(3), np.eye(2))
+    with pytest.raises(ShapeMismatch):
+        NsdLayer(s, np.eye(1), np.eye(2), norm="bogus")
 
 
 def test_nsd_layer_rejects_non_uniform_stalks():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posheaf.errors import CycleDetected, DuplicateElement, EmptyHyperedge, UnknownElement, UnknownVertex
-from posheaf.linalg import QQ
+from posheaf.linalg import QQ, prime_field
 from posheaf.poset import (
     RedundantCoversWarning,
     build_poset,
@@ -19,7 +19,7 @@ from posheaf.poset import (
     transitive_reduction,
 )
 
-from helpers import brute_force_chains, random_dag_poset, seeded_rng
+from helpers import brute_force_chains, random_dag_poset, reduced_betti_oracle, seeded_rng
 
 
 def test_build_path_graph_poset():
@@ -239,6 +239,24 @@ def test_classify_simplicial_posets_are_homology_cell():
         assert result.homology_cell
         assert result.morse_cell  # monotone consistency
         assert result.rank == {e: e.count(",") for e in p.elements}
+
+
+def test_classify_matches_down_set_betti_oracle():
+    # The oracle's Betti numbers are rational; these down-sets (at most eight
+    # elements) are too small to carry torsion, so F_2 gives the same answer.
+    rng = seeded_rng(41)
+    for _ in range(200):
+        p = random_dag_poset(rng)
+        sphere_dims = {}
+        for s in p.elements:
+            betti = reduced_betti_oracle(down_set(p, s))
+            if list(betti.values()) == [1]:
+                sphere_dims[s] = next(iter(betti)) + 1
+        morse = len(sphere_dims) == len(p)
+        for field in (QQ, prime_field(2)):
+            result = classify(p, field)
+            assert result.morse_cell == morse
+            assert result.cell_dims == (sphere_dims if morse else None)
 
 
 def test_hypergraph_to_poset_shapes():

@@ -65,6 +65,20 @@ def test_realize_rejects_non_rational():
         realize(roos_complex(s))
 
 
+def test_real_sheaf_complex_over_r_matches_q():
+    rng = seeded_rng(57)
+    for _ in range(40):
+        s = random_compositional_sheaf(random_dag_poset(rng), rng)
+        maps = {edge: Matrix.from_rows(m.data, RR) for edge, m in s.edge_map.items()}
+        exact = real_sheaf_complex(s)
+        real = real_sheaf_complex(build_sheaf(s.poset, s.stalk_dim, maps, RR))
+        assert real.degrees == exact.degrees and real.dims == exact.dims
+        assert len(real.diffs) == len(exact.diffs)
+        for a, b in zip(exact.diffs, real.diffs):
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-12
+
+
 def test_jacobi_on_diagonal_and_zero():
     vals, vecs = jacobi_eigh(np.diag([3.0, 1.0, 2.0]))
     assert np.allclose(vals, [1.0, 2.0, 3.0])
