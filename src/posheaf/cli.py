@@ -8,6 +8,7 @@ error (with an error report), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -48,6 +49,33 @@ def _report_base(command: str, raw: bytes) -> dict:
 
 def _float_list(values) -> list[float]:
     return [float(v) for v in values]
+
+
+def _is_finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the double range
+        return False
+
+
+def _numeric_array(doc: dict, key: str) -> np.ndarray:
+    """doc[key] as a float array: nested lists of one shape holding finite
+    numbers, or a SchemaError naming the key."""
+    if key not in doc:
+        raise SchemaError(f"missing key {key!r}")
+    stack = [doc[key]]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif not _is_finite_number(item):
+            raise SchemaError(f"{key}: {item!r} is not a finite number")
+    try:
+        return np.array(doc[key], dtype=float)
+    except ValueError:
+        raise SchemaError(f"{key}: ragged array") from None
 
 
 def cmd_validate(args) -> dict:
@@ -115,17 +143,21 @@ def cmd_betti(args) -> dict:
 def cmd_incidence(args) -> dict:
     sheaf, raw = _load_exact_sheaf(args.document, "incidence")
     inc = cochain.minimal_incidence(sheaf.poset, sheaf.field)
+    # dense augmented matrix over ["@"] + generators: entry (h, g) is the
+    # coefficient of h in the boundary of g
+    n = len(inc.generators) + 1
+    matrix = [[scalar_to_string(sheaf.field.zero(), sheaf.field)] * n for _ in range(n)]
+    for g in inc.generators:
+        for h, value in inc.columns[g.gid].items():
+            matrix[h + 1][g.gid + 1] = scalar_to_string(value, sheaf.field)
     report = _report_base("incidence", raw)
     report["incidence"] = {
         "generators": [
             {"id": g.gid, "degree": g.degree, "owner": g.owner}
             for g in inc.generators
         ],
-        "labels": list(inc.complex.labels),
-        "matrix": [
-            [scalar_to_string(v, sheaf.field) for v in row]
-            for row in inc.complex.matrix.data
-        ],
+        "labels": ["@"] + [f"g{g.gid}" for g in inc.generators],
+        "matrix": matrix,
     }
     return report
 
@@ -154,8 +186,7 @@ def cmd_diffuse(args) -> dict:
     rc = spectral.real_sheaf_complex(sheaf)
     lap = spectral.laplacian(rc, args.degree, args.norm)
     if args.x0:
-        x0_doc = parse_document(Path(args.x0).read_text())
-        x0 = np.asarray(x0_doc.get("x0"), dtype=float)
+        x0 = _numeric_array(parse_document(Path(args.x0).read_text()), "x0")
     else:
         x0 = np.ones(lap.size)
     cfg = spectral.DiffusionConfig(eta=args.eta, steps=args.steps, mode=args.mode)
@@ -180,17 +211,12 @@ def cmd_nsd_forward(args) -> dict:
     text, raw = _read(args.document)
     sheaf = parse_sheaf(text)
     params = parse_document(Path(args.params).read_text())
-    for key in ("X", "W1", "W2"):
-        if key not in params:
-            raise SchemaError(f"missing key {key!r}")
-    layer = nsd.NsdLayer(
-        sheaf,
-        np.asarray(params["W1"], dtype=float),
-        np.asarray(params["W2"], dtype=float),
-        eta=params.get("eta"),
-        norm=params.get("norm", "weak"),
-    )
-    out = nsd.nsd_forward(layer, np.asarray(params["X"], dtype=float))
+    x, w1, w2 = (_numeric_array(params, key) for key in ("X", "W1", "W2"))
+    eta = params.get("eta")
+    if eta is not None and not _is_finite_number(eta):
+        raise SchemaError(f"eta: {eta!r} is not a finite number")
+    layer = nsd.NsdLayer(sheaf, w1, w2, eta=eta, norm=params.get("norm", "weak"))
+    out = nsd.nsd_forward(layer, x)
     report = _report_base("nsd-forward", raw)
     report["output"] = [[float(v) for v in row] for row in out]
     return report

@@ -1,6 +1,11 @@
 """The three interchangeable cochain-complex constructions (Roos, cellular on
 simplicial posets, minimal via the incidence-matrix algorithm), cohomology,
 Betti numbers, and multiplicity accounting.
+
+Every complex here is graded and stored per degree: a cochain complex as its
+differential blocks d_j : C^j -> C^{j+1}, and the incidence data as one sparse
+boundary column per generator.  Cohomology and the incidence algorithm hand
+those blocks to ``linalg.homology_basis`` as they are.
 """
 
 from __future__ import annotations
@@ -14,11 +19,11 @@ from .errors import (
     PosetMismatch,
 )
 from .linalg import (
-    AugChainComplex,
     FieldTag,
     Matrix,
     QQ,
     RR,
+    check_d_squared,
     homology_basis,
     rank,
 )
@@ -64,7 +69,7 @@ class CochainComplexInstance:
         self.sheaf = sheaf
         self._verify_shapes()
         if field.is_exact:
-            self._verify_d2()
+            check_d_squared(diffs)
 
     @property
     def top_degree(self) -> int:
@@ -79,11 +84,6 @@ class CochainComplexInstance:
         for j, d in enumerate(self.diffs):
             if d.cols != self.degree_dim(j) or d.rows != self.degree_dim(j + 1):
                 raise NotAComplex(f"differential d_{j} has inconsistent shape")
-
-    def _verify_d2(self):
-        for j in range(len(self.diffs) - 1):
-            if not (self.diffs[j + 1] @ self.diffs[j]).is_zero():
-                raise NotAComplex(f"d_{j + 1} . d_{j} != 0")
 
     def __repr__(self) -> str:
         shape = "+".join(str(self.degree_dim(j)) for j in range(self.top_degree + 1))
@@ -197,75 +197,77 @@ class IncidenceGenerator:
     owner: str
 
 
+AUGMENTATION = -1  # key of the augmentation generator "@" in boundary columns
+
+
 @dataclass
 class IncidenceData:
     """Output of the incidence-matrix algorithm: generators stitched to poset
-    elements plus the augmented incidence matrix.
+    elements, each with its sparse boundary column.
 
-    The matrix is indexed by ["@"] + generator ids; entry (row h, column g)
-    holds the coefficient of h in the boundary of g.  The data depends only on
-    the poset and field, and is reusable across sheaves.
+    ``columns[g.gid]`` maps the gid of a generator h, or ``AUGMENTATION`` for
+    the augmentation generator "@" in degree -1, to the nonzero coefficient of
+    h in the boundary of g.  The data depends only on the poset and field, and
+    is reusable across sheaves.
     """
 
     poset: Poset
     field: FieldTag
     generators: list[IncidenceGenerator]
-    complex: AugChainComplex
+    columns: list[dict[int, object]]
 
     def incidence(self, g: IncidenceGenerator, h: IncidenceGenerator):
         """Coefficient of h in the boundary of g (both proper generators)."""
-        return self.complex.matrix.data[h.gid + 1][g.gid + 1]
+        return self.columns[g.gid].get(h.gid, self.field.zero())
 
 
 def minimal_incidence(p: Poset, field: FieldTag) -> IncidenceData:
     """Incidence matrix computation.
 
-    Walk the poset in topological order; for each element, restrict the
-    accumulated augmented complex to the generators owned by its strict
-    down-set (plus the augmentation generator), compute a homology basis, and
-    create one new generator per class, one degree up, whose incidence column
-    is the representative chain.
+    Walk the poset in topological order.  For each element, take the
+    augmented chain complex spanned by "@" and the generators owned by its
+    strict down-set, as boundary blocks per degree read off the sparse
+    columns; compute a homology basis; and create one new generator per class,
+    one degree up, whose boundary column is the representative chain.
     """
     if not field.is_exact:
         raise FieldMismatch("minimal_incidence needs an exact field")
-    labels: list = ["@"]
-    degrees: list[int] = [-1]
-    columns: list[dict[int, object]] = [{}]
-    owners: list[str | None] = [None]
+    degrees: list[int] = []
+    owners: list[str] = []
+    columns: list[dict[int, object]] = []
     owned: dict[str, list[int]] = {}
     for s in p.topo_order:
-        below = p.strict_lower(s)
-        keep = [0] + sorted(pos for t in below for pos in owned.get(t, ()))
-        sub_matrix = Matrix.zeros(len(keep), len(keep), field)
-        keep_index = {pos: i for i, pos in enumerate(keep)}
-        for i, pos in enumerate(keep):
-            for row_pos, value in columns[pos].items():
-                sub_matrix.data[keep_index[row_pos]][i] = value
-        sub = AugChainComplex(
-            [labels[pos] for pos in keep],
-            [degrees[pos] for pos in keep],
-            sub_matrix,
-            field,
-        )
-        result = homology_basis(sub)
+        kept = sorted(gid for t in p.strict_lower(s) for gid in owned[t])
+        top = max((degrees[gid] for gid in kept), default=-1)
+        # by_degree[j + 1] lists the kept generators of degree j
+        by_degree: list[list[int]] = [[AUGMENTATION]] + [[] for _ in range(top + 1)]
+        for gid in kept:
+            by_degree[degrees[gid] + 1].append(gid)
+        index = {gid: i for gens in by_degree for i, gid in enumerate(gens)}
+        # boundary blocks degree j -> j - 1 from the top down: the chain
+        # complex read as a cochain complex in degree -j
+        blocks = []
+        for j in range(top, -1, -1):
+            cols = by_degree[j + 1]
+            block = Matrix.zeros(len(by_degree[j]), len(cols), field)
+            for c, gid in enumerate(cols):
+                for row, value in columns[gid].items():
+                    block.data[index[row]][c] = value
+            blocks.append(block)
+        reps = homology_basis(blocks, [len(gens) for gens in reversed(by_degree)], field)
         owned[s] = []
-        for deg, rc in zip(result.degrees, result.rc):
-            gid = len(labels)
-            labels.append(f"g{gid - 1}")
-            degrees.append(deg + 1)
-            columns.append({keep[local]: value for local, value in rc.items()})
-            owners.append(s)
-            owned[s].append(gid)
-    n = len(labels)
-    matrix = Matrix.zeros(n, n, field)
-    for col, entries in enumerate(columns):
-        for row, value in entries.items():
-            matrix.data[row][col] = value
-    complex_ = AugChainComplex(labels, degrees, matrix, field)
+        for j, gens in enumerate(by_degree):
+            # classes in degree j - 1 become generators of degree j
+            for vec in reps[top + 1 - j]:
+                owned[s].append(len(degrees))
+                degrees.append(j)
+                owners.append(s)
+                columns.append({gens[i]: x for i, x in enumerate(vec) if x})
     generators = [
-        IncidenceGenerator(pos - 1, degrees[pos], owners[pos]) for pos in range(1, n)
+        IncidenceGenerator(gid, deg, owner)
+        for gid, (deg, owner) in enumerate(zip(degrees, owners))
     ]
-    return IncidenceData(p, field, generators, complex_)
+    return IncidenceData(p, field, generators, columns)
 
 
 def minimal_complex(d: Sheaf, inc: IncidenceData) -> CochainComplexInstance:
@@ -281,70 +283,32 @@ def minimal_complex(d: Sheaf, inc: IncidenceData) -> CochainComplexInstance:
     top = max((g.degree for g in inc.generators), default=-1)
     degrees: list[list[SummandTag]] = [[] for _ in range(top + 1)]
     dims: list[list[int]] = [[] for _ in range(top + 1)]
-    slot: dict[int, tuple[int, int]] = {}
     for g in inc.generators:
-        j = g.degree
-        slot[g.gid] = (j, len(degrees[j]))
-        degrees[j].append(SummandTag(g.owner, len(degrees[j]), gid=g.gid))
-        dims[j].append(d.stalk(g.owner))
-    diffs = []
-    gens_by_degree: dict[int, list[IncidenceGenerator]] = {}
-    for g in inc.generators:
-        gens_by_degree.setdefault(g.degree, []).append(g)
-    for j in range(top):
-        col_off = _block_offsets(dims[j])
-        row_off = _block_offsets(dims[j + 1])
-        m = Matrix.zeros(row_off[-1], col_off[-1], d.field)
-        for g2 in gens_by_degree.get(j + 1, ()):
-            for g1 in gens_by_degree.get(j, ()):
-                scalar = inc.incidence(g2, g1)
-                if not scalar:
-                    continue
-                block = d.map(g1.owner, g2.owner)
-                _write_block(m, row_off[slot[g2.gid][1]], col_off[slot[g1.gid][1]],
-                             block, scalar, d.field)
-        diffs.append(m)
+        degrees[g.degree].append(SummandTag(g.owner, len(degrees[g.degree]), gid=g.gid))
+        dims[g.degree].append(d.stalk(g.owner))
+    offsets = [_block_offsets(dims_j) for dims_j in dims]
+    slot = {tag.gid: tag.copy for tags in degrees for tag in tags}
+    diffs = [Matrix.zeros(offsets[j + 1][-1], offsets[j][-1], d.field) for j in range(top)]
+    for g2 in inc.generators:
+        for gid1, scalar in inc.columns[g2.gid].items():
+            if gid1 == AUGMENTATION:
+                continue
+            g1 = inc.generators[gid1]
+            j = g1.degree
+            _write_block(diffs[j], offsets[j + 1][slot[g2.gid]], offsets[j][slot[gid1]],
+                         d.map(g1.owner, g2.owner), scalar, d.field)
     return CochainComplexInstance(MINIMAL, d.field, degrees, dims, diffs, d)
 
 
 def cohomology(c: CochainComplexInstance) -> list[tuple[int, list[list]]]:
     """Per-degree Betti numbers with representative cochains.
 
-    Implemented by handing the differential to the homology solver with the
-    grading reversed, so representatives genuinely lie in ker d_j.
+    The differentials ``c.diffs`` go to ``homology_basis`` as they are, so the
+    representatives of degree j lie in ker d_j and are independent modulo
+    im d_{j-1}; each is a vector over the summands of C^j.
     """
-    top = c.top_degree
-    labels = []
-    degrees = []
-    spans = []
-    for j in range(top + 1):
-        start = len(labels)
-        for i in range(c.degree_dim(j)):
-            labels.append((j, i))
-            degrees.append(top - j)
-        spans.append((start, len(labels)))
-    n = len(labels)
-    m = Matrix.zeros(n, n, c.field)
-    for j, diff in enumerate(c.diffs):
-        r0 = spans[j + 1][0]
-        c0 = spans[j][0]
-        for i in range(diff.rows):
-            for k in range(diff.cols):
-                if diff.data[i][k]:
-                    m.data[r0 + i][c0 + k] = diff.data[i][k]
-    result = homology_basis(AugChainComplex(labels, degrees, m, c.field))
-    out: list[tuple[int, list[list]]] = []
-    for j in range(top + 1):
-        reps = []
-        for deg, rc in zip(result.degrees, result.rc):
-            if top - deg != j:
-                continue
-            vec = [c.field.zero()] * c.degree_dim(j)
-            for pos, value in rc.items():
-                vec[pos - spans[j][0]] = value
-            reps.append(vec)
-        out.append((len(reps), reps))
-    return out
+    dims = [c.degree_dim(j) for j in range(c.top_degree + 1)]
+    return [(len(reps), reps) for reps in homology_basis(c.diffs, dims, c.field)]
 
 
 def betti_numbers(c: CochainComplexInstance) -> list[int]:

@@ -39,14 +39,6 @@ class NotAComplex(PosheafError):
     pass
 
 
-class DegreeViolation(PosheafError):
-    pass
-
-
-class NotClosedUnderDifferential(PosheafError):
-    pass
-
-
 # sheaves
 class ShapeMismatch(PosheafError):
     pass

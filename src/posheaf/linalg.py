@@ -1,5 +1,5 @@
 """Exact field arithmetic, dense matrices, Gaussian elimination, and the
-homology-basis solver for augmented chain complexes.
+homology-basis solver for graded complexes given by per-degree blocks.
 
 Scalars are ``fractions.Fraction`` over the rationals, plain ``int`` residues
 in [0, p) over a prime field, and ``float`` over the (approximate) reals.
@@ -9,36 +9,38 @@ the spectral layer can share the matrix container.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DegreeViolation,
-    FieldMismatch,
-    NotAComplex,
-    NotClosedUnderDifferential,
-)
+from .errors import FieldMismatch, NotAComplex
 
 RATIONALS = "Q"
 PRIME = "Fp"
 REALS = "R"
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; the bases 2, 3, 5, 7 decide every
+    n < 3,215,031,751, which covers the moduli below 2^31."""
+    if n < 2:
         return False
-    for q in _SMALL_PRIMES:
-        if p == q:
-            return True
-        if p % q == 0:
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-    d = 41
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
     return True
 
 
@@ -308,71 +310,15 @@ def invert(m: Matrix) -> Matrix | None:
 
 
 # ---------------------------------------------------------------------------
-# Augmented chain complexes and the homology-basis solver.
+# Graded complexes and the homology-basis solver.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AugChainComplex:
-    """A finite chain complex given by homogeneous generators and one square
-    differential matrix.
-
-    ``matrix.data[b][a]`` holds the coefficient of generator ``b`` in the
-    boundary of generator ``a`` (column = input, row = output).  Degrees live
-    in {-1} union the nonnegative integers; the boundary lowers degree by one.
-    """
-
-    labels: list
-    degrees: list[int]
-    matrix: Matrix
-    field: FieldTag
-
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(self.degrees) != n or self.matrix.rows != n or self.matrix.cols != n:
-            raise FieldMismatch("generator count and matrix size disagree")
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def positions_of_degree(self, j: int) -> list[int]:
-        return [i for i, d in enumerate(self.degrees) if d == j]
-
-    def validate(self):
-        """Check the degree rule and the d^2 = 0 contract."""
-        for a in range(self.size):
-            col_deg = self.degrees[a]
-            for b in range(self.size):
-                if self.matrix.data[b][a] and self.degrees[b] != col_deg - 1:
-                    raise DegreeViolation(
-                        f"entry ({self.labels[b]!r}, {self.labels[a]!r}) violates the grading"
-                    )
-        square = self.matrix @ self.matrix
-        if not square.is_zero():
-            raise NotAComplex("differential does not square to zero")
-
-
-@dataclass
-class HomologyBasisResult:
-    """Homology generators with degrees and sparse representative chains.
-
-    ``rc[i]`` maps a generator position in the source complex to its nonzero
-    coefficient in the i-th representative cycle.
-    """
-
-    degrees: list[int]
-    rc: list[dict]
-    field: FieldTag = dc_field(default=QQ)
-
-    @property
-    def size(self) -> int:
-        return len(self.degrees)
-
-    def dims_by_degree(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for d in self.degrees:
-            out[d] = out.get(d, 0) + 1
-        return out
+def check_d_squared(diffs: list[Matrix]):
+    """Raise NotAComplex unless each composite of consecutive differentials
+    vanishes; diffs[j] maps degree j to degree j + 1."""
+    for j in range(len(diffs) - 1):
+        if not (diffs[j + 1] @ diffs[j]).is_zero():
+            raise NotAComplex(f"d_{j + 1} . d_{j} != 0")
 
 
 def _reduce_against(vec: list, reducers: list[tuple[int, list]], f: FieldTag) -> list:
@@ -398,75 +344,47 @@ def _normalized_reducer(vec: list, f: FieldTag) -> tuple[int, list] | None:
     return None
 
 
-def homology_basis(c: AugChainComplex) -> HomologyBasisResult:
-    """Representative cycles for a basis of homology, degree by degree.
+def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> list[list[list]]:
+    """Representatives of a homology basis of a graded complex, degree by degree.
 
-    Representatives follow the sparsity heuristic: kernel vectors are taken in
-    RREF free-variable form and reduced modulo an RREF basis of the boundary
-    image; the reduced vectors are kept verbatim.
+    Degree i of the complex has dimension dims[i], and diffs[i] is the
+    differential from degree i to degree i + 1 (rows index degree i + 1).  A
+    chain complex, whose boundary lowers degree, enters with its grading
+    negated.  The result holds, per degree, vectors of length dims[i]: kernel
+    vectors in RREF free-variable form, reduced modulo an RREF basis of the
+    incoming image, and kept verbatim when independent of that image and of
+    the representatives kept before them.
     """
-    _require_exact(c.field, "homology_basis")
-    c.validate()
-    f = c.field
-    degs_present = sorted(set(c.degrees))
-    out_degrees: list[int] = []
-    out_rc: list[dict] = []
-    for j in degs_present:
-        pos_j = c.positions_of_degree(j)
-        pos_below = c.positions_of_degree(j - 1)
-        pos_above = c.positions_of_degree(j + 1)
-        nj = len(pos_j)
-        if nj == 0:
-            continue
-        # kernel of the boundary leaving degree j
-        if pos_below:
-            block = Matrix(
-                len(pos_below),
-                nj,
-                [[c.matrix.data[b][a] for a in pos_j] for b in pos_below],
-                f,
-            )
-            kernel = kernel_basis(block)
+    _require_exact(field, "homology_basis")
+    if len(diffs) != max(len(dims) - 1, 0) or any(
+        d.field != field or d.cols != dims[i] or d.rows != dims[i + 1]
+        for i, d in enumerate(diffs)
+    ):
+        raise NotAComplex("differentials do not match the degree dimensions")
+    check_d_squared(diffs)
+    out: list[list[list]] = []
+    for i, n in enumerate(dims):
+        if i < len(diffs):
+            kernel = kernel_basis(diffs[i])
         else:
-            kernel = [list(row) for row in Matrix.identity(nj, f).data]
+            kernel = [list(row) for row in Matrix.identity(n, field).data]
+        reps: list[list] = []
+        out.append(reps)
         if not kernel:
             continue
-        # RREF basis of the boundary image entering degree j
-        image_rows = []
-        for a in pos_above:
-            col = [c.matrix.data[b][a] for b in pos_j]
-            if any(col):
-                image_rows.append(col)
         reducers: list[tuple[int, list]] = []
-        if image_rows:
-            red, pivots, rk = rref(Matrix(len(image_rows), nj, image_rows, f))
-            reducers = [(pc, red.data[r]) for r, pc in enumerate(pivots)]
+        if i > 0:
+            image_rows = [list(col) for col in zip(*diffs[i - 1].data) if any(col)]
+            if image_rows:
+                red, pivots, _ = rref(Matrix(len(image_rows), n, image_rows, field))
+                reducers = [(pc, red.data[r]) for r, pc in enumerate(pivots)]
         workspace = list(reducers)
         for kvec in kernel:
-            candidate = _reduce_against(kvec, reducers, f)
-            residue = _reduce_against(candidate, workspace, f)
-            norm = _normalized_reducer(residue, f)
+            candidate = _reduce_against(kvec, reducers, field)
+            residue = _reduce_against(candidate, workspace, field)
+            norm = _normalized_reducer(residue, field)
             if norm is None:
                 continue
             workspace.append(norm)
-            out_degrees.append(j)
-            out_rc.append({pos_j[i]: x for i, x in enumerate(candidate) if x})
-    return HomologyBasisResult(out_degrees, out_rc, f)
-
-
-def restrict(c: AugChainComplex, keep: list[int]) -> AugChainComplex:
-    """Restriction of the complex to the generators at the given positions.
-
-    The differential must preserve the span of the kept generators.
-    """
-    keep_set = set(keep)
-    for a in keep:
-        for b in range(c.size):
-            if b not in keep_set and c.matrix.data[b][a]:
-                raise NotClosedUnderDifferential(
-                    f"boundary of {c.labels[a]!r} leaves the selected span at {c.labels[b]!r}"
-                )
-    labels = [c.labels[i] for i in keep]
-    degrees = [c.degrees[i] for i in keep]
-    data = [[c.matrix.data[b][a] for a in keep] for b in keep]
-    return AugChainComplex(labels, degrees, Matrix(len(keep), len(keep), data, c.field), c.field)
+            reps.append(candidate)
+    return out

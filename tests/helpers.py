@@ -109,6 +109,17 @@ def reduced_betti_oracle(p: Poset) -> dict[int, int]:
     return betti
 
 
+def trial_division_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def union_find_components(n_vertices: int, edges: list[tuple[int, int]]) -> int:
     parent = list(range(n_vertices))
 

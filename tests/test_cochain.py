@@ -1,13 +1,20 @@
+import io
+import json
+import math
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from posheaf.cli import cli
 from posheaf.errors import FieldMismatch, NotSimplicialPoset, PosetMismatch
-from posheaf.linalg import QQ
+from posheaf.io import scalar_from_string, serialize_sheaf
+from posheaf.linalg import QQ, prime_field
 from posheaf.cochain import (
     betti,
     betti_numbers,
+    build_complex,
     cellular_complex,
     cohomology,
     minimal_complex,
@@ -27,6 +34,7 @@ from posheaf.sheaf import (
 )
 
 from helpers import (
+    bareiss_rank,
     seeded_rng,
     random_compositional_sheaf,
     random_dag_poset,
@@ -221,6 +229,69 @@ def test_cohomology_representatives_are_cocycles():
                 if j < len(c.diffs):
                     image = c.diffs[j].apply(rep)
                     assert all(not x for x in image)
+
+
+def _integer_rows(rows):
+    """Scale each rational row by its common denominator (rank is unchanged)."""
+    out = []
+    for row in rows:
+        den = math.lcm(*(Fraction(x).denominator for x in row)) if row else 1
+        out.append([int(Fraction(x) * den) for x in row])
+    return out
+
+
+def test_cohomology_representatives_are_a_basis_modulo_coboundaries():
+    # rank([im d_{j-1}; reps_j]) = rank(im d_{j-1}) + b_j, by Bareiss ranks
+    rng = seeded_rng(30)
+    for trial in range(30):
+        if trial % 2:
+            p = random_simplicial_poset(rng)
+            methods = ("roos", "cellular", "minimal")
+        else:
+            p = random_dag_poset(rng, max_elements=7)
+            methods = ("roos", "minimal")
+        s = random_compositional_sheaf(p, rng)
+        for method in methods:
+            c = build_complex(s, method)
+            result = cohomology(c)
+            assert [b for b, _ in result] == betti_numbers(c)
+            for j, (b, reps) in enumerate(result):
+                assert len(reps) == b
+                image = [list(col) for col in zip(*c.diffs[j - 1].data)] if j else []
+                rank_image = bareiss_rank(_integer_rows(image))
+                assert bareiss_rank(_integer_rows(image + reps)) == rank_image + b
+                if j < len(c.diffs):
+                    for rep in reps:
+                        assert all(not x for x in c.diffs[j].apply(rep))
+
+
+def test_incidence_report_obeys_degree_rule_and_squares_to_zero(tmp_path):
+    rng = seeded_rng(31)
+    path = tmp_path / "doc.json"
+    for field in (QQ, prime_field(2)):
+        for _ in range(100):
+            p = random_dag_poset(rng, max_elements=8)
+            path.write_text(serialize_sheaf(constant_sheaf(p, 1, field)))
+            buffer = io.StringIO()
+            with redirect_stdout(buffer):
+                assert cli(["incidence", str(path)]) == 0
+            report = json.loads(buffer.getvalue())["incidence"]
+            gens = report["generators"]
+            assert report["labels"] == ["@"] + [f"g{g['id']}" for g in gens]
+            degree = [-1] + [g["degree"] for g in gens]
+            owner = [None] + [g["owner"] for g in gens]
+            m = [[scalar_from_string(x, field) for x in row] for row in report["matrix"]]
+            n = len(m)
+            for col in range(1, n):
+                below = set(p.strict_lower(owner[col]))
+                for row in range(n):
+                    if m[row][col]:
+                        assert degree[row] == degree[col] - 1
+                        assert row == 0 or owner[row] in below
+            for row in range(n):
+                for col in range(n):
+                    total = sum(m[row][k] * m[k][col] for k in range(n))
+                    assert (total % field.p if field.p else total) == 0
 
 
 def test_betti_dispatch_examples():

@@ -1,5 +1,6 @@
 import io
 import json
+import runpy
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -280,3 +281,58 @@ def test_cli_unserializable_report_is_an_error_report(monkeypatch):
     assert status == 1
     assert len(text.splitlines()) == 1
     assert report["error"]["code"] == "SchemaError"
+
+
+_GOOD_PARAMS = {"X": [[1.0]] * 4, "W1": [[1.0]], "W2": [[1.0]]}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("nsd-forward", {**_GOOD_PARAMS, "X": [[1.0], [1.0, 2.0], [1.0], [1.0]]}),
+    ("nsd-forward", {**_GOOD_PARAMS, "W1": [["a"]]}),
+    ("nsd-forward", {**_GOOD_PARAMS, "W2": [[True]]}),
+    ("nsd-forward", {**_GOOD_PARAMS, "W2": [[10 ** 400]]}),
+    ("nsd-forward", {**_GOOD_PARAMS, "X": [[float("nan")]] * 4}),
+    ("nsd-forward", {**_GOOD_PARAMS, "X": "1.0"}),
+    ("nsd-forward", {"X": [[1.0]] * 4, "W1": [[1.0]]}),
+    ("nsd-forward", {**_GOOD_PARAMS, "eta": [1]}),
+    ("nsd-forward", {**_GOOD_PARAMS, "eta": "0.1"}),
+    ("nsd-forward", {**_GOOD_PARAMS, "eta": float("inf")}),
+    ("diffuse", {"x0": ["a", 1.0, 1.0, 1.0]}),
+    ("diffuse", {"x0": [[1.0], [1.0, 1.0], 1.0, 1.0]}),
+    ("diffuse", {"x0": [None] * 4}),
+    ("diffuse", {}),
+])
+def test_cli_bad_params_and_state_files_report_one_schema_error(tmp_path, command, payload):
+    doc = str(GOLDEN / "cycle4_constant.json")
+    path = tmp_path / "side.json"
+    path.write_text(json.dumps(payload))
+    argv = [command, doc, str(path)] if command == "nsd-forward" else [command, doc, "--x0", str(path)]
+    status, _, text = _run(argv)
+    assert status == 1
+    lines = text.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["code"] == "SchemaError"
+
+
+def test_cli_valid_x0_and_integer_eta_still_run(tmp_path):
+    doc = str(GOLDEN / "cycle4_constant.json")
+    x0 = tmp_path / "x0.json"
+    x0.write_text(json.dumps({"x0": [1, 0, 0, 0]}))
+    status, report, _ = _run(["diffuse", doc, "--x0", str(x0)])
+    assert status == 0 and report["trace"]["steps"] == 100
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({**_GOOD_PARAMS, "eta": 0, "norm": "none"}))
+    status, report, _ = _run(["nsd-forward", doc, str(params)])
+    assert status == 0 and np.array(report["output"]).shape == (4, 1)
+
+
+def test_golden_documents_regenerate_byte_identically():
+    # run_path does not run the script as __main__, so nothing is written
+    tool = runpy.run_path(str(GOLDEN.parent.parent / "tools" / "make_goldens.py"))
+    documents, commands = tool["DOCUMENTS"], tool["COMMANDS"]
+    committed = {p.name[:-len(".report.json")] for p in GOLDEN.glob("*.report.json")}
+    assert set(documents) == set(commands) == committed
+    for name, sheaf in documents.items():
+        assert serialize_sheaf(sheaf) == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+        report = json.loads((GOLDEN / f"{name}.report.json").read_text(encoding="utf-8"))
+        assert commands[name][0] == report["command"]

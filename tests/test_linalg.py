@@ -2,26 +2,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import seeded_rng
+from helpers import seeded_rng, trial_division_is_prime
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posheaf.errors import (
-    DegreeViolation,
-    FieldMismatch,
-    NotAComplex,
-    NotClosedUnderDifferential,
-)
+from posheaf.errors import FieldMismatch, NotAComplex
 from posheaf.linalg import (
-    AugChainComplex,
     Matrix,
     QQ,
     RR,
+    _is_prime,
     homology_basis,
     kernel_basis,
     prime_field,
-    restrict,
     rref,
 )
 
@@ -81,170 +75,116 @@ def test_prime_field_division_roundtrip(seed):
                 assert f.div(f.mul(a, b), b) == a
 
 
-def _diag_complex():
-    # three generators, zero differential, degrees 0,0,1
-    m = Matrix.zeros(3, 3, QQ)
-    return AugChainComplex(["a", "b", "c"], [0, 0, 1], m, QQ)
+def test_is_prime_matches_trial_division_below_20000():
+    assert [n for n in range(20000) if _is_prime(n)] == [
+        n for n in range(20000) if trial_division_is_prime(n)
+    ]
+
+
+@pytest.mark.parametrize("n, expected", [
+    (2047, False),  # strong pseudoprime to base 2
+    (1373653, False),  # strong pseudoprime to bases 2, 3
+    (25326001, False),  # strong pseudoprime to bases 2, 3, 5
+    (2147483641, False),
+    (2147483645, False),
+    (2147483629, True),
+    (2147483647, True),  # 2^31 - 1
+])
+def test_is_prime_near_the_strong_pseudoprimes_and_2_31(n, expected):
+    assert _is_prime(n) is expected
+    assert trial_division_is_prime(n) is expected
 
 
 def test_homology_of_zero_differential():
-    result = homology_basis(_diag_complex())
-    assert sorted(result.degrees) == [0, 0, 1]
-    assert [sorted(rc.items()) for rc in result.rc] == [[(0, 1)], [(1, 1)], [(2, 1)]]
+    # dimensions 2 and 1 with the zero map between them
+    reps = homology_basis([Matrix.zeros(1, 2, QQ)], [2, 1], QQ)
+    assert reps == [[[1, 0], [0, 1]], [[1]]]
 
 
 def test_augmented_point_has_no_reduced_homology():
-    m = Matrix.zeros(2, 2, QQ)
-    m.data[0][1] = Fraction(1)  # boundary of the vertex hits the augmentation
-    c = AugChainComplex(["@", "v"], [-1, 0], m, QQ)
-    assert homology_basis(c).size == 0
+    # chain complex v -> @ read in negated degrees: C^0 = <v>, C^1 = <@>
+    reps = homology_basis([Matrix.from_rows([[1]], QQ)], [1, 1], QQ)
+    assert reps == [[], []]
 
 
-def _triangle_boundary_complex(field=QQ):
-    # augmented simplicial chain complex of the triangle boundary
-    labels = ["@", "1", "2", "3", "12", "13", "23"]
-    degrees = [-1, 0, 0, 0, 1, 1, 1]
-    m = Matrix.zeros(7, 7, field)
-    one = field.one()
-    for v in (1, 2, 3):
-        m.data[0][v] = one
-    faces = {4: (1, 2), 5: (1, 3), 6: (2, 3)}
-    for col, (i, j) in faces.items():
-        m.data[j][col] = one
-        m.data[i][col] = field.neg(one)
-    return AugChainComplex(labels, degrees, m, field)
+def _triangle_boundary_blocks(field=QQ):
+    """Augmented chain complex of the triangle boundary in negated degrees:
+    edges 12, 13, 23 -> vertices 1, 2, 3 -> "@"."""
+    one, neg = field.one(), field.neg(field.one())
+    boundary = Matrix.zeros(3, 3, field)
+    for col, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        boundary.data[i][col] = neg
+        boundary.data[j][col] = one
+    augmentation = Matrix(1, 3, [[one, one, one]], field)
+    return [boundary, augmentation], [3, 3, 1]
 
 
 def test_triangle_boundary_single_degree_one_class():
     # oracle: rank d1 = 2, dim C1 = 3, so reduced betti_1 = 1
-    result = homology_basis(_triangle_boundary_complex())
-    assert result.degrees == [1]
-    rep = result.rc[0]
-    assert set(rep) <= {4, 5, 6}
-    # representative is a genuine cycle
-    c = _triangle_boundary_complex()
-    vec = [c.field.zero()] * 7
-    for k, v in rep.items():
-        vec[k] = v
-    assert all(not x for x in c.matrix.apply(vec))
+    diffs, dims = _triangle_boundary_blocks()
+    reps = homology_basis(diffs, dims, QQ)
+    assert [len(r) for r in reps] == [1, 0, 0]
+    # the representative is a genuine cycle
+    assert all(not x for x in diffs[0].apply(reps[0][0]))
+
+
+def test_path_and_isolated_vertex_one_reduced_degree_zero_class():
+    # the triangle boundary without edges 13 and 23: one vertex is isolated
+    (boundary, augmentation), _ = _triangle_boundary_blocks()
+    edge = Matrix(3, 1, [row[:1] for row in boundary.data], QQ)
+    reps = homology_basis([edge, augmentation], [1, 3, 1], QQ)
+    assert [len(r) for r in reps] == [0, 1, 0]
 
 
 def test_homology_validates_d_squared():
-    m = Matrix.zeros(3, 3, QQ)
-    m.data[0][1] = Fraction(1)
-    m.data[1][2] = Fraction(1)  # d^2 != 0
-    c = AugChainComplex(["x", "y", "z"], [0, 1, 2], m, QQ)
+    one = Matrix.from_rows([[1]], QQ)
     with pytest.raises(NotAComplex):
-        homology_basis(c)
+        homology_basis([one, one], [1, 1, 1], QQ)
 
 
 def test_homology_validates_degrees():
-    m = Matrix.zeros(2, 2, QQ)
-    m.data[0][1] = Fraction(1)
-    c = AugChainComplex(["x", "y"], [0, 2], m, QQ)
-    with pytest.raises(DegreeViolation):
-        homology_basis(c)
+    # the blocks must match the degree dimensions and count
+    with pytest.raises(NotAComplex):
+        homology_basis([Matrix.zeros(1, 2, QQ)], [2, 2], QQ)
+    with pytest.raises(NotAComplex):
+        homology_basis([], [1, 1], QQ)
 
 
-def test_restrict_full_and_augmentation():
-    c = _triangle_boundary_complex()
-    full = restrict(c, list(range(7)))
-    assert full.matrix == c.matrix
-    aug_only = restrict(c, [0])
-    assert aug_only.degrees == [-1]
-    assert aug_only.matrix.is_zero()
-
-
-def test_restrict_one_edge_three_vertices():
-    c = _triangle_boundary_complex()
-    sub = restrict(c, [0, 1, 2, 3, 4])  # drop edges 13, 23
-    result = homology_basis(sub)
-    # one vertex disconnected: reduced betti_0 = 1
-    assert result.degrees == [0]
-
-
-def test_restrict_requires_closure():
-    c = _triangle_boundary_complex()
-    with pytest.raises(NotClosedUnderDifferential):
-        restrict(c, [0, 4])  # edge without its endpoints
-
-
-def test_restrict_composes():
-    c = _triangle_boundary_complex()
-    outer = restrict(c, [0, 1, 2, 3, 4])
-    inner_direct = restrict(c, [0, 1, 2])
-    inner_nested = restrict(outer, [0, 1, 2])
-    assert inner_direct.matrix == inner_nested.matrix
-    assert inner_direct.degrees == inner_nested.degrees
-
-
-def _random_nilpotent_complex(rng: np.random.Generator) -> AugChainComplex:
-    """Random graded complex with d^2 = 0: degree blocks with d built as a
-    product B*A where A*B = 0 is enforced by zero padding."""
-    sizes = [int(rng.integers(1, 4)) for _ in range(3)]
-    n = sum(sizes)
-    degrees = []
-    for d, size in enumerate(sizes):
-        degrees.extend([d] * size)
-    m = Matrix.zeros(n, n, QQ)
-    # fill d_1 : deg1 -> deg0 freely
-    off0, off1, off2 = 0, sizes[0], sizes[0] + sizes[1]
-    d1 = [[Fraction(int(rng.integers(-2, 3))) for _ in range(sizes[1])]
-          for _ in range(sizes[0])]
-    for i in range(sizes[0]):
-        for j in range(sizes[1]):
-            m.data[off0 + i][off1 + j] = d1[i][j]
-    # d_2 columns must lie in ker d_1
-    k = kernel_basis(Matrix(sizes[0], sizes[1], d1, QQ))
-    for j in range(sizes[2]):
-        if not k:
+def _random_graded_complex(rng: np.random.Generator):
+    """Random three-degree complex d1 . d0 = 0: d0 is free, and every row of d1
+    is a random combination of the left null vectors of d0."""
+    dims = [int(rng.integers(1, 4)) for _ in range(3)]
+    d0 = Matrix(dims[1], dims[0],
+                [[Fraction(int(rng.integers(-2, 3))) for _ in range(dims[0])]
+                 for _ in range(dims[1])], QQ)
+    left_null = kernel_basis(Matrix(dims[0], dims[1], [list(c) for c in zip(*d0.data)], QQ))
+    d1 = Matrix.zeros(dims[2], dims[1], QQ)
+    for i in range(dims[2]):
+        if not left_null:
             break
-        coeffs = [Fraction(int(rng.integers(-2, 3))) for _ in k]
-        col = [sum((c * vec[i] for c, vec in zip(coeffs, k)), Fraction(0))
-               for i in range(sizes[1])]
-        for i in range(sizes[1]):
-            m.data[off1 + i][off2 + j] = col[i]
-    return AugChainComplex(list(range(n)), degrees, m, QQ)
+        coeffs = [Fraction(int(rng.integers(-2, 3))) for _ in left_null]
+        d1.data[i] = [sum((c * vec[k] for c, vec in zip(coeffs, left_null)), Fraction(0))
+                      for k in range(dims[1])]
+    return [d0, d1], dims
 
 
 def test_homology_dimensions_match_rank_nullity():
     rng = seeded_rng(17)
     for _ in range(300):
-        c = _random_nilpotent_complex(rng)
-        result = homology_basis(c)
-        dims = result.dims_by_degree()
-        # independent rank count per degree via rref
-        for d in sorted(set(c.degrees)):
-            pos = c.positions_of_degree(d)
-            below = c.positions_of_degree(d - 1)
-            above = c.positions_of_degree(d + 1)
-            if below:
-                block = Matrix(
-                    len(below), len(pos),
-                    [[c.matrix.data[b][a] for a in pos] for b in below], QQ
-                )
-                rank_out = rref(block)[2]
-            else:
-                rank_out = 0
-            if above:
-                block = Matrix(
-                    len(pos), len(above),
-                    [[c.matrix.data[b][a] for a in above] for b in pos], QQ
-                )
-                rank_in = rref(block)[2]
-            else:
-                rank_in = 0
-            expected = len(pos) - rank_out - rank_in
-            assert dims.get(d, 0) == expected
+        diffs, dims = _random_graded_complex(rng)
+        reps = homology_basis(diffs, dims, QQ)
+        ranks = [rref(d)[2] for d in diffs]
+        for i, n in enumerate(dims):
+            rank_out = ranks[i] if i < len(ranks) else 0
+            rank_in = ranks[i - 1] if i > 0 else 0
+            assert len(reps[i]) == n - rank_out - rank_in
 
 
 def test_representatives_are_exact_cycles():
     rng = seeded_rng(29)
     for _ in range(50):
-        c = _random_nilpotent_complex(rng)
-        result = homology_basis(c)
-        for rc in result.rc:
-            vec = [QQ.zero()] * c.size
-            for k, v in rc.items():
-                vec[k] = v
-            assert all(not x for x in c.matrix.apply(vec))
+        diffs, dims = _random_graded_complex(rng)
+        reps = homology_basis(diffs, dims, QQ)
+        for i, d in enumerate(diffs):
+            for rep in reps[i]:
+                assert all(not x for x in d.apply(rep))

@@ -1,10 +1,8 @@
 """Pinned cohomology representatives and incidence columns.
 
-The literals below were captured from the dense square-matrix solver that
-preceded the graded one.  Representatives follow the RREF free-variable
-convention and an element's generators are created in increasing degree, so
-any change to either shows here as a literal mismatch, not only as a Betti
-number change.
+Representatives follow the RREF free-variable convention, and an element's
+generators are created in increasing degree.  A change to either shows here
+as a literal mismatch even when every Betti number still agrees.
 """
 
 import io
