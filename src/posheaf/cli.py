@@ -225,11 +225,11 @@ def cmd_nsd_forward(args) -> dict:
 def cmd_learn(args) -> dict:
     text, raw = _read(args.document)
     sheaf = parse_sheaf(text)
-    signals_doc = parse_document(Path(args.signals).read_text())
-    if "signals" not in signals_doc:
-        raise SchemaError("missing key 'signals'")
+    signals = _numeric_array(parse_document(Path(args.signals).read_text()), "signals")
+    if signals.size and signals.ndim != 2:  # [] is the learner's EmptySignalSet
+        raise SchemaError("signals: must be an array of signal vectors")
     cfg = nsd.LearnConfig(lr=args.lr, iters=args.iters, d=args.d, seed=args.seed)
-    result = nsd.learn_sheaf(sheaf.poset, signals_doc["signals"], cfg)
+    result = nsd.learn_sheaf(sheaf.poset, signals, cfg)
     report = _report_base("learn", raw)
     learned = result.sheaf
     report["learn"] = {

@@ -1,5 +1,10 @@
-"""Exact field arithmetic, dense matrices, Gaussian elimination, and the
-homology-basis solver for graded complexes given by per-degree blocks.
+"""Exact field arithmetic, dense matrices, sparse Gaussian elimination, and
+the homology-basis solver for graded complexes given by per-degree blocks.
+
+Matrices are stored dense.  ``rref``, through which ``rank``, ``kernel_basis``,
+``invert`` and ``homology_basis`` all eliminate, works on sparse rows
+({column: value} over the nonzeros): a forward pass, then back-substitution
+from the last pivot to the first.
 
 Scalars are ``fractions.Fraction`` over the rationals, plain ``int`` residues
 in [0, p) over a prime field, and ``float`` over the (approximate) reals.
@@ -17,6 +22,7 @@ from .errors import FieldMismatch, NotAComplex
 RATIONALS = "Q"
 PRIME = "Fp"
 REALS = "R"
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
 
 
 def _is_prime(n: int) -> bool:
@@ -65,17 +71,30 @@ class FieldTag:
         return self.kind != REALS
 
     def zero(self):
-        return 0.0 if self.kind == REALS else (Fraction(0) if self.kind == RATIONALS else 0)
+        return 0.0 if self.kind == REALS else (_Q_ZERO if self.kind == RATIONALS else 0)
 
     def one(self):
-        return 1.0 if self.kind == REALS else (Fraction(1) if self.kind == RATIONALS else 1)
+        return 1.0 if self.kind == REALS else (_Q_ONE if self.kind == RATIONALS else 1)
 
     def coerce(self, value):
-        """Normalize an int/str/Fraction/float into this field's scalar type."""
+        """Normalize an int/str/Fraction/float into this field's scalar type.
+
+        Over F_p a rational n/d maps to n * d^-1 mod p; a denominator that p
+        divides, a float that is not an integer, or a value that is not a
+        rational number raises FieldMismatch.
+        """
         if self.kind == RATIONALS:
             return Fraction(value)
         if self.kind == PRIME:
-            return int(value) % self.p
+            if isinstance(value, float) and not value.is_integer():
+                raise FieldMismatch(f"{value!r} is not an integer")
+            try:
+                q = Fraction(value)
+            except (TypeError, ValueError) as exc:
+                raise FieldMismatch(f"{value!r} is not a rational number: {exc}") from None
+            if q.denominator % self.p == 0:
+                raise FieldMismatch(f"{value!r} has no residue mod {self.p}")
+            return q.numerator * pow(q.denominator, -1, self.p) % self.p
         return float(value)
 
     def add(self, a, b):
@@ -159,9 +178,6 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
 
-    def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
-
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
         sub = self.field.sub
@@ -219,50 +235,74 @@ class Matrix:
             raise FieldMismatch("shape mismatch")
 
 
+def _nonzeros(row) -> dict:
+    """A dense row as a sparse row: {column: value} over its nonzero entries."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _dense(row: dict, n: int, zero) -> list:
+    out = [zero] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _add_multiple(row: dict, c, other: dict, f: FieldTag):
+    """row += c * other on sparse rows, in place; entries that cancel are
+    removed, so a sparse row never stores a zero."""
+    add, mul = f.add, f.mul
+    for j, x in other.items():
+        v = add(row[j], mul(c, x)) if j in row else mul(c, x)
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
+def _with_lead_one(row: dict, lead: int, f: FieldTag) -> dict:
+    """The sparse row scaled so that its entry in column lead is 1."""
+    pv = row[lead]
+    one = f.one()
+    if pv == one:
+        return row
+    inv, mul = f.div(one, pv), f.mul
+    return {j: mul(inv, x) for j, x in row.items()}
+
+
 def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     """Reduced row echelon form of an exact-field matrix.
 
     Returns (reduced matrix, pivot column indices in increasing order, rank).
+
+    Two passes on sparse rows.  Forward: each row in turn has its leading
+    entry cancelled by the pivot row owning that column until it vanishes or
+    leads in a new column, whose pivot row it becomes, scaled to lead with 1.
+    Back-substitution: from the last pivot row to the first, clear a row's
+    entries in later pivot columns with the rows already fully reduced; they
+    vanish in every other pivot column, so each subtraction changes free
+    columns only, and on a cycle's coboundary each row meets O(1) others.
+    Row operations keep the row space, which has exactly one reduced row
+    echelon form, so the result equals dense Gauss-Jordan's entry for entry.
     """
     _require_exact(m.field, "rref")
     f = m.field
-    sub, mul, div = f.sub, f.mul, f.div
-    a = [row[:] for row in m.data]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if a[i][c]:
-                pivot_row = i
+    zero = f.zero()
+    owner: dict[int, dict] = {}
+    for row in map(_nonzeros, m.data):
+        while row:
+            lead = min(row)
+            if lead not in owner:
+                owner[lead] = _with_lead_one(row, lead, f)
                 break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-        pv = a[r][c]
-        if pv != f.one():
-            inv_row = a[r]
-            for j in range(c, ncols):
-                if inv_row[j]:
-                    inv_row[j] = div(inv_row[j], pv)
-        prow = a[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            factor = a[i][c]
-            if factor:
-                row = a[i]
-                for j in range(c, ncols):
-                    pj = prow[j]
-                    if pj:
-                        row[j] = sub(row[j], mul(factor, pj))
-        pivots.append(c)
-        r += 1
-    return Matrix(nrows, ncols, a, f), pivots, len(pivots)
+            _add_multiple(row, f.neg(row[lead]), owner[lead], f)
+    pivots = sorted(owner)
+    for pc in reversed(pivots):
+        row = owner[pc]
+        for j in [j for j in row if j != pc and j in owner]:
+            _add_multiple(row, f.neg(row[j]), owner[j], f)
+    data = [_dense(owner[pc], m.cols, zero) for pc in pivots]
+    data += [[zero] * m.cols for _ in range(m.rows - len(pivots))]
+    return Matrix(m.rows, m.cols, data, f), pivots, len(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -315,33 +355,28 @@ def invert(m: Matrix) -> Matrix | None:
 
 def check_d_squared(diffs: list[Matrix]):
     """Raise NotAComplex unless each composite of consecutive differentials
-    vanishes; diffs[j] maps degree j to degree j + 1."""
+    vanishes; diffs[j] maps degree j to degree j + 1.  The products are formed
+    on sparse rows."""
     for j in range(len(diffs) - 1):
-        if not (diffs[j + 1] @ diffs[j]).is_zero():
-            raise NotAComplex(f"d_{j + 1} . d_{j} != 0")
+        f = diffs[j].field
+        inner = [_nonzeros(row) for row in diffs[j].data]
+        for row in diffs[j + 1].data:
+            product: dict = {}
+            for k, a in _nonzeros(row).items():
+                _add_multiple(product, a, inner[k], f)
+            if product:
+                raise NotAComplex(f"d_{j + 1} . d_{j} != 0")
 
 
-def _reduce_against(vec: list, reducers: list[tuple[int, list]], f: FieldTag) -> list:
-    """Eliminate vec against rows with known pivot columns (leading entry 1)."""
-    sub, mul = f.sub, f.mul
-    out = vec[:]
+def _reduce_against(vec: dict, reducers: list[tuple[int, dict]], f: FieldTag) -> dict:
+    """Eliminate a sparse vector, in order, against sparse rows with known
+    pivot columns (leading entry 1)."""
+    out = dict(vec)
     for pc, row in reducers:
-        c = out[pc]
-        if c:
-            for j, rj in enumerate(row):
-                if rj:
-                    out[j] = sub(out[j], mul(c, rj))
+        c = out.get(pc)
+        if c is not None:
+            _add_multiple(out, f.neg(c), row, f)
     return out
-
-
-def _normalized_reducer(vec: list, f: FieldTag) -> tuple[int, list] | None:
-    for j, x in enumerate(vec):
-        if x:
-            if x == f.one():
-                return j, vec
-            inv = f.div(f.one(), x)
-            return j, [f.mul(inv, y) for y in vec]
-    return None
 
 
 def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> list[list[list]]:
@@ -365,26 +400,27 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
     out: list[list[list]] = []
     for i, n in enumerate(dims):
         if i < len(diffs):
-            kernel = kernel_basis(diffs[i])
+            kernel = [_nonzeros(vec) for vec in kernel_basis(diffs[i])]
         else:
-            kernel = [list(row) for row in Matrix.identity(n, field).data]
+            kernel = [{k: field.one()} for k in range(n)]
         reps: list[list] = []
         out.append(reps)
         if not kernel:
             continue
-        reducers: list[tuple[int, list]] = []
+        reducers: list[tuple[int, dict]] = []
         if i > 0:
             image_rows = [list(col) for col in zip(*diffs[i - 1].data) if any(col)]
             if image_rows:
                 red, pivots, _ = rref(Matrix(len(image_rows), n, image_rows, field))
-                reducers = [(pc, red.data[r]) for r, pc in enumerate(pivots)]
-        workspace = list(reducers)
+                reducers = [(pc, _nonzeros(red.data[r])) for r, pc in enumerate(pivots)]
+        # rows of `kept` vanish at the image pivots, as every candidate does
+        kept: list[tuple[int, dict]] = []
         for kvec in kernel:
             candidate = _reduce_against(kvec, reducers, field)
-            residue = _reduce_against(candidate, workspace, field)
-            norm = _normalized_reducer(residue, field)
-            if norm is None:
+            residue = _reduce_against(candidate, kept, field)
+            if not residue:
                 continue
-            workspace.append(norm)
-            reps.append(candidate)
+            lead = min(residue)
+            kept.append((lead, _with_lead_one(residue, lead, field)))
+            reps.append(_dense(candidate, n, field.zero()))
     return out

@@ -12,14 +12,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from posheaf.linalg import Matrix, QQ
+from posheaf.linalg import PRIME, Matrix, QQ
 from posheaf.poset import (
     Poset,
     RedundantCoversWarning,
     build_poset,
     simplicial_complex_poset,
 )
-from posheaf.sheaf import Sheaf, build_sheaf
+from posheaf.sheaf import Sheaf, build_sheaf, cycle_poset
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -107,6 +107,49 @@ def reduced_betti_oracle(p: Poset) -> dict[int, int]:
         if betti_d:
             betti[d] = betti_d
     return betti
+
+
+def dense_rref_oracle(m: Matrix) -> tuple[Matrix, list[int], int]:
+    """Dense column-by-column Gauss-Jordan elimination: the reduced row
+    echelon form, pivot columns and rank that ``linalg.rref`` must reproduce."""
+    f = m.field
+    sub, mul, div = f.sub, f.mul, f.div
+    a = [row[:] for row in m.data]
+    nrows, ncols = m.rows, m.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pivot_row = None
+        for i in range(r, nrows):
+            if a[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
+        pv = a[r][c]
+        if pv != f.one():
+            inv_row = a[r]
+            for j in range(c, ncols):
+                if inv_row[j]:
+                    inv_row[j] = div(inv_row[j], pv)
+        prow = a[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            factor = a[i][c]
+            if factor:
+                row = a[i]
+                for j in range(c, ncols):
+                    pj = prow[j]
+                    if pj:
+                        row[j] = sub(row[j], mul(factor, pj))
+        pivots.append(c)
+        r += 1
+    return Matrix(nrows, ncols, a, f), pivots, len(pivots)
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -232,6 +275,10 @@ def gauge_connection_sheaf(p: Poset, rng: np.random.Generator, field=QQ) -> Shea
     u_s; transitively compositional by construction."""
     units = {e: Fraction(_SCALAR_POOL[int(rng.integers(0, len(_SCALAR_POOL)))])
              for e in p.elements}
+    if field.kind == PRIME:
+        # a unit of Q that p divides is no unit of F_p; same draws, so the
+        # rational sheaves do not change
+        units = {e: u if u.numerator % field.p else Fraction(1) for e, u in units.items()}
     stalks = {e: 1 for e in p.elements}
     maps = {
         (a, b): Matrix.from_rows([[units[b] / units[a]]], field)
@@ -255,6 +302,32 @@ def random_compositional_sheaf(p: Poset, rng: np.random.Generator, field=QQ) -> 
         s = elements[int(rng.integers(0, len(elements)))]
         pieces.append(dirac_sheaf(p, s, 1, field))
     return sheaf_direct_sum(pieces)
+
+
+def _unimodular2(rng: np.random.Generator) -> tuple[list[list[int]], list[list[int]]]:
+    """Random 2x2 integer matrix of determinant 1 and its integer inverse."""
+    g = np.eye(2, dtype=int)
+    for _ in range(2):
+        step = np.eye(2, dtype=int)
+        step[(0, 1) if rng.random() < 0.5 else (1, 0)] = int(rng.choice([-2, -1, 1, 2]))
+        g = g @ step
+    (a, b), (c, d) = g.tolist()
+    return [[a, b], [c, d]], [[d, -b], [-c, a]]
+
+
+def twisted_cycle_sheaf(n: int, rng: np.random.Generator, field=QQ,
+                        monodromy=((2, 1), (1, 1))) -> Sheaf:
+    """C_n with 2-dim stalks and maps g_e T g_v^-1 for random integer gauges
+    g of determinant 1, where T = I except the monodromy on v0 < e{n-1}.
+    Its minimal complex has the cyclic block-bidiagonal coboundary d_0."""
+    p = cycle_poset(n)
+    gauge = {e: _unimodular2(rng) for e in p.elements}
+    maps = {}
+    for (v, e) in p.hasse_edges():
+        twist = monodromy if (v, e) == ("v0", f"e{n - 1}") else ((1, 0), (0, 1))
+        m = np.array(gauge[e][0]) @ np.array(twist) @ np.array(gauge[v][1])
+        maps[(v, e)] = Matrix.from_rows(m.tolist(), field)
+    return build_sheaf(p, {e: 2 for e in p.elements}, maps, field)
 
 
 def random_monotone_map(rng: np.random.Generator, source: Poset,

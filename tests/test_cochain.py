@@ -22,8 +22,14 @@ from posheaf.cochain import (
     multiplicities,
     roos_complex,
 )
-from posheaf.poset import build_poset, hypergraph_to_poset, simplicial_complex_poset
+from posheaf.poset import (
+    build_poset,
+    decode_simplicial_elements,
+    hypergraph_to_poset,
+    simplicial_complex_poset,
+)
 from posheaf.sheaf import (
+    check_compositionality,
     constant_sheaf,
     cycle_poset,
     dirac_sheaf,
@@ -421,3 +427,22 @@ def test_roos_requires_exact_field():
     s = build_sheaf(p, {e: 1 for e in p.elements}, maps, RR)
     with pytest.raises(FieldMismatch):
         roos_complex(s)
+
+
+def test_constructions_agree_over_f3_on_sheaves_with_rational_gauges():
+    # Gauge ratios such as 1/2 must map to their residues mod 3.  Seed 0 is
+    # the case where 1/2 became 0, the maps stopped composing and the Roos
+    # complex raised NotAComplex; plain generators keep it that case.
+    f3 = prime_field(3)
+    for seed in range(21):
+        rng = np.random.default_rng(seed)
+        if seed % 2 == 0:
+            p = random_dag_poset(rng, max_elements=7)
+        else:
+            p = random_simplicial_poset(rng)
+        s = random_compositional_sheaf(p, rng, f3)
+        assert check_compositionality(s) == []
+        roos = betti(s, "roos")
+        assert same_betti(roos, betti(s, "minimal"))
+        if decode_simplicial_elements(p) is not None:
+            assert same_betti(roos, betti(s, "cellular"))

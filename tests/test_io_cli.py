@@ -1,13 +1,17 @@
+import copy
 import io
 import json
 import runpy
-from contextlib import redirect_stdout
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 
 from helpers import seeded_rng
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posheaf import cli as cli_module
 from posheaf.cli import cli
@@ -301,12 +305,20 @@ _GOOD_PARAMS = {"X": [[1.0]] * 4, "W1": [[1.0]], "W2": [[1.0]]}
     ("diffuse", {"x0": [[1.0], [1.0, 1.0], 1.0, 1.0]}),
     ("diffuse", {"x0": [None] * 4}),
     ("diffuse", {}),
+    ("learn", {"signals": [[1.0, "x", 1.0, -1.0]]}),
+    ("learn", {"signals": [[1.0, -1.0], [1.0]]}),
+    ("learn", {"signals": 5.0}),
+    ("learn", {"signals": [1.0, -1.0, 1.0, -1.0]}),
+    ("learn", {}),
 ])
 def test_cli_bad_params_and_state_files_report_one_schema_error(tmp_path, command, payload):
     doc = str(GOLDEN / "cycle4_constant.json")
     path = tmp_path / "side.json"
     path.write_text(json.dumps(payload))
-    argv = [command, doc, str(path)] if command == "nsd-forward" else [command, doc, "--x0", str(path)]
+    argv = {
+        "nsd-forward": [command, doc, str(path)],
+        "learn": [command, doc, str(path), "--iters", "2"],
+    }.get(command, [command, doc, "--x0", str(path)])
     status, _, text = _run(argv)
     assert status == 1
     lines = text.splitlines()
@@ -336,3 +348,128 @@ def test_golden_documents_regenerate_byte_identically():
         assert serialize_sheaf(sheaf) == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
         report = json.loads((GOLDEN / f"{name}.report.json").read_text(encoding="utf-8"))
         assert commands[name][0] == report["command"]
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli(argv)
+    return code, out.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Property test of the CLI contract on mutated golden documents.
+# ---------------------------------------------------------------------------
+
+_BIG = "__1e400__"  # replaced by the bare literal 1e400 in the document text
+# integers stay small: an unbounded stalk dimension would allocate, not fail
+_SWAP_VALUES = [None, True, False, 0, -1, 2, 2.5, "", "x", "R", "Fp:3", "Fp:4", "v0",
+                "a<b", [], {}, [1], ["1", "2"], {"a": 1}, float("nan"), float("inf"),
+                float("-inf"), _BIG]
+_NON_FINITE = [float("nan"), float("inf"), float("-inf"), _BIG, "nan", "inf", "1e400"]
+_SIDE_FILES = {
+    "params": {"X": [[1.0]] * 4, "W1": [[1.0]], "W2": [[1.0]], "eta": 0.1, "norm": "weak"},
+    "signals": {"signals": [[1.0, -1.0, 1.0, -1.0]]},
+    "x0": {"x0": [1.0, 0.0, 0.0, 0.0]},
+}
+_ARGVS = [
+    ["validate", "{doc}"],
+    ["classify", "{doc}"],
+    ["sections", "{doc}"],
+    ["betti", "{doc}", "--method", "roos"],
+    ["betti", "{doc}", "--method", "cellular"],
+    ["betti", "{doc}", "--method", "minimal"],
+    ["incidence", "{doc}"],
+    ["spectrum", "{doc}", "--norm", "weak"],
+    ["diffuse", "{doc}", "--steps", "5", "--x0", "{x0}"],
+    ["nsd-forward", "{doc}", "{params}"],
+    ["learn", "{doc}", "{signals}", "--iters", "2", "--seed", "0"],
+]
+
+
+def _nodes(obj, path=()):
+    yield path, obj
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _nodes(value, path + (i,))
+
+
+def _replace(root, path, value):
+    if not path:
+        return value
+    parent = root
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return root
+
+
+def _mutate(data, doc):
+    """One mutation: a deleted key, a swapped type, a truncated map or array,
+    an unknown field, or a non-finite literal."""
+    kind = data.draw(st.sampled_from(["delete", "swap", "truncate", "unknown", "non-finite"]))
+    nodes = list(_nodes(doc))
+    if kind == "delete" or kind == "unknown":
+        dicts = [(path, node) for path, node in nodes if isinstance(node, dict)]
+        if not dicts:
+            return doc
+        path, node = data.draw(st.sampled_from(dicts))
+        if kind == "delete" and node:
+            del node[data.draw(st.sampled_from(sorted(node)))]
+        elif kind == "unknown":
+            node[data.draw(st.sampled_from(["unknown", "v9", "v0<e9", "extra"]))] = (
+                copy.deepcopy(data.draw(st.sampled_from(_SWAP_VALUES))))
+        return doc
+    if kind == "truncate":
+        sized = [(path, node) for path, node in nodes if isinstance(node, (dict, list)) and node]
+        if not sized:
+            return doc
+        path, node = data.draw(st.sampled_from(sized))
+        keep = data.draw(st.integers(0, len(node) - 1))
+        if isinstance(node, dict):
+            truncated = dict(list(node.items())[:keep])
+        else:
+            truncated = node[:keep]
+        return _replace(doc, path, truncated)
+    path, _ = data.draw(st.sampled_from(nodes))
+    pool = _SWAP_VALUES if kind == "swap" else _NON_FINITE
+    return _replace(doc, path, copy.deepcopy(data.draw(st.sampled_from(pool))))
+
+
+def _document_text(doc) -> str:
+    return json.dumps(doc).replace(json.dumps(_BIG), "1e400")
+
+
+_GOLDEN_DOCUMENTS = sorted(p for p in GOLDEN.glob("*.json") if not p.name.endswith(".report.json"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_cli_contract_holds_on_mutated_golden_documents(data):
+    # Every subcommand exits 0, 1 or 2, and on 0 or 1 prints exactly one JSON
+    # line: a report, or an error report with a code.
+    argv = data.draw(st.sampled_from(_ARGVS))
+    texts = {"doc": data.draw(st.sampled_from(_GOLDEN_DOCUMENTS)).read_text()}
+    texts.update({name: json.dumps(body) for name, body in _SIDE_FILES.items()})
+    target = data.draw(st.sampled_from(["doc"] + [a[1:-1] for a in argv[2:] if a[:1] == "{"]))
+    doc = json.loads(texts[target])
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(data, doc)
+    texts[target] = _document_text(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = str(Path(tmp) / f"{name}.json")
+            Path(paths[name]).write_text(text)
+        code, out = _run_quietly([a.format(**paths) for a in argv])
+    assert code in (0, 1, 2)
+    if code in (0, 1):
+        assert out.endswith("\n") and out.count("\n") == 1
+        report = json.loads(out)
+        assert report["command"] == argv[0]
+        assert ("error" in report) == (code == 1)
+        if code == 1:
+            assert report["error"]["code"]

@@ -2,18 +2,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import seeded_rng, trial_division_is_prime
+from helpers import dense_rref_oracle, seeded_rng, trial_division_is_prime, twisted_cycle_sheaf
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from posheaf import linalg
+from posheaf.cochain import build_complex
 from posheaf.errors import FieldMismatch, NotAComplex
 from posheaf.linalg import (
+    FieldTag,
     Matrix,
     QQ,
     RR,
     _is_prime,
     homology_basis,
+    invert,
     kernel_basis,
     prime_field,
     rref,
@@ -48,6 +52,94 @@ def test_rref_proportional_rows():
 def test_rref_rejects_reals():
     with pytest.raises(FieldMismatch):
         rref(Matrix.from_rows([[1.0]], RR))
+
+
+_Q_ENTRIES = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2),
+              Fraction(-2, 3), Fraction(5)]
+_EDGE_SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (1, 12), (12, 1), (2, 12), (12, 2)]
+_MONODROMIES = [((2, 1), (1, 1)), ((1, 0), (0, 1)), ((1, 1), (0, 1))]
+
+
+def _random_matrix(rng: np.random.Generator, field, rows: int, cols: int) -> Matrix:
+    """Random matrix with density in [0.05, 1]; about a third of them get a
+    row that combines two others, so rank deficiency is common."""
+    density = 0.05 + 0.95 * rng.random()
+
+    def entry():
+        if field == QQ:
+            return _Q_ENTRIES[int(rng.integers(0, len(_Q_ENTRIES)))]
+        return int(rng.integers(1, field.p))
+
+    data = [[entry() if rng.random() < density else field.zero() for _ in range(cols)]
+            for _ in range(rows)]
+    if rows >= 3 and rng.random() < 0.35:
+        i, j, k = (int(x) for x in rng.choice(rows, 3, replace=False))
+        c = entry()
+        data[k] = [field.add(a, field.mul(c, b)) for a, b in zip(data[i], data[j])]
+    return Matrix(rows, cols, data, field)
+
+
+def _oracle_cases() -> list[Matrix]:
+    rng = seeded_rng(43)
+    cases = []
+    for field in (QQ, F2, prime_field(3), prime_field(2**31 - 1)):
+        shapes = _EDGE_SHAPES + [(int(rng.integers(0, 13)), int(rng.integers(0, 13)))
+                                 for _ in range(120)]
+        cases += [_random_matrix(rng, field, r, c) for r, c in shapes]
+        for n in (5, 40):
+            for mono in _MONODROMIES:
+                sheaf = twisted_cycle_sheaf(n, rng, field, mono)
+                cases.append(build_complex(sheaf, "minimal").diffs[0])
+    return cases
+
+
+def test_rref_kernel_and_inverse_match_the_dense_oracle(monkeypatch):
+    cases = _oracle_cases()
+    assert len(cases) >= 500
+    for m in cases:
+        red, pivots, rk = rref(m)
+        want_red, want_pivots, want_rk = dense_rref_oracle(m)
+        assert red == want_red
+        assert (pivots, rk) == (want_pivots, want_rk)
+    got = [(kernel_basis(m), invert(m)) for m in cases]
+    monkeypatch.setattr(linalg, "rref", dense_rref_oracle)
+    assert got == [(kernel_basis(m), invert(m)) for m in cases]
+
+
+def test_rref_work_on_a_twisted_cycle_grows_linearly(monkeypatch):
+    # Counts field multiplications, not seconds.  Four times the cycle costs
+    # about 4x the work in the sparse elimination and about 16x in a dense
+    # column-by-column loop.
+    field = prime_field(2**31 - 1)
+    d0 = {n: build_complex(twisted_cycle_sheaf(n, seeded_rng(n), field), "minimal").diffs[0]
+          for n in (40, 160)}
+    calls = [0]
+    mul = FieldTag.mul
+
+    def counting_mul(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FieldTag, "mul", counting_mul)
+    work = {}
+    for n, m in d0.items():
+        calls[0] = 0
+        rref(m)
+        work[n] = calls[0]
+    assert 0 < work[160] <= 6 * work[40]
+
+
+def test_prime_field_coerce_maps_rationals_to_residues():
+    f3 = prime_field(3)
+    assert f3.coerce(Fraction(1, 2)) == 2
+    assert f3.coerce(Fraction(-1, 2)) == 1
+    assert f3.coerce("1/2") == 2
+    assert f3.coerce(-1) == 2
+    assert f3.coerce(4.0) == 1
+    for value in (Fraction(1, 3), Fraction(2, 6), "5/9", 0.5, float("nan"), float("inf"),
+                  "x", None):
+        with pytest.raises(FieldMismatch):
+            f3.coerce(value)
 
 
 def test_kernel_consensus_equation():
