@@ -12,11 +12,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from posheaf.linalg import PRIME, Matrix, QQ
+from posheaf.linalg import PRIME, Matrix, QQ, RR
 from posheaf.poset import (
     Poset,
     RedundantCoversWarning,
     build_poset,
+    decode_simplicial_elements,
     simplicial_complex_poset,
 )
 from posheaf.sheaf import Sheaf, build_sheaf, cycle_poset
@@ -150,6 +151,63 @@ def dense_rref_oracle(m: Matrix) -> tuple[Matrix, list[int], int]:
         pivots.append(c)
         r += 1
     return Matrix(nrows, ncols, a, f), pivots, len(pivots)
+
+
+def _write_block(target: list[list], r0: int, c0: int, block: Matrix, scalar, field,
+                 accumulate: bool = False):
+    for i, brow in enumerate(block.data):
+        trow = target[r0 + i]
+        for j, v in enumerate(brow):
+            if not v:
+                continue
+            v = field.mul(scalar, v)
+            trow[c0 + j] = field.add(trow[c0 + j], v) if accumulate else v
+
+
+def dense_diffs_reference(c) -> list[list[list]]:
+    """The differentials of a Roos, cellular or minimal complex, assembled the
+    way the constructions did while matrices were stored dense: stalk-map
+    blocks written into zero-filled rows (accumulated for Roos, written for
+    the others).  The layout (summand tags and dimensions) is read off c."""
+    from posheaf.cochain import minimal_incidence
+
+    s, f = c.sheaf, c.field
+    one, minus_one = f.one(), f.coerce(-1)
+    out = []
+    for j in range(len(c.diffs)):
+        col_off, row_off = ([0] + list(itertools.accumulate(c.dims[k])) for k in (j, j + 1))
+        data = [[f.zero()] * col_off[-1] for _ in range(row_off[-1])]
+        tags = c.degrees[j + 1]
+        if c.kind == "roos":
+            copy = {tag.chain: tag.copy for tag in c.degrees[j]}
+            for tag in tags:
+                sigma = tag.chain
+                for i in range(len(sigma)):
+                    tau = sigma[:i] + sigma[i + 1:]
+                    _write_block(data, row_off[tag.copy], col_off[copy[tau]],
+                                 s.map(tau[-1], sigma[-1]), one if i % 2 == 0 else minus_one,
+                                 f, accumulate=True)
+        elif c.kind == "cellular":
+            decoded = decode_simplicial_elements(s.poset)
+            by_set = {decoded[e]: e for e in s.poset.elements}
+            copy = {decoded[tag.element]: tag.copy for tag in c.degrees[j]}
+            for tag in tags:
+                sigma = decoded[tag.element]
+                for i in range(len(sigma)):
+                    tau = sigma[:i] + sigma[i + 1:]
+                    _write_block(data, row_off[tag.copy], col_off[copy[tau]],
+                                 s.map(by_set[tau], tag.element),
+                                 one if i % 2 == 0 else minus_one, f)
+        else:
+            inc = minimal_incidence(s.poset, QQ if f == RR else f)
+            copy = {tag.gid: tag.copy for tag in c.degrees[j]}
+            for tag in tags:
+                for gid, scalar in inc.columns[tag.gid].items():
+                    if gid in copy:
+                        _write_block(data, row_off[tag.copy], col_off[copy[gid]],
+                                     s.map(inc.generators[gid].owner, tag.element), scalar, f)
+        out.append(data)
+    return out
 
 
 def trial_division_is_prime(n: int) -> bool:

@@ -41,6 +41,7 @@ from posheaf.sheaf import (
 
 from helpers import (
     bareiss_rank,
+    dense_diffs_reference,
     seeded_rng,
     random_compositional_sheaf,
     random_dag_poset,
@@ -446,3 +447,26 @@ def test_constructions_agree_over_f3_on_sheaves_with_rational_gauges():
         assert same_betti(roos, betti(s, "minimal"))
         if decode_simplicial_elements(p) is not None:
             assert same_betti(roos, betti(s, "cellular"))
+
+
+def test_assembled_differentials_match_the_dense_reference():
+    # Every stored entry of every differential, against blocks written into
+    # dense zero-filled rows: the pinned sheaves, then random DAG and
+    # simplicial sheaves over Q and F_3.
+    from test_pinned_representatives import CASES
+
+    sheaves = [make() for make in CASES.values()]
+    for seed in range(30):
+        rng = np.random.default_rng(1000 + seed)
+        p = random_dag_poset(rng, max_elements=7) if seed % 2 else random_simplicial_poset(rng)
+        sheaves.append(random_compositional_sheaf(p, rng, QQ if seed % 3 else prime_field(3)))
+    checked = 0
+    for s in sheaves:
+        methods = ["roos", "minimal"]
+        if decode_simplicial_elements(s.poset) is not None:
+            methods.append("cellular")
+        for method in methods:
+            c = build_complex(s, method)
+            assert [d.data for d in c.diffs] == dense_diffs_reference(c), method
+            checked += len(c.diffs)
+    assert checked >= 60
