@@ -244,6 +244,20 @@ def cmd_learn(args) -> dict:
     return report
 
 
+def _checked(parse, ok, what: str):
+    """An argparse type: parse the text, then require ok(value)."""
+    def convert(text: str):
+        if not ok(value := parse(text)):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return convert
+
+
+_COUNT = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "a positive integer")
+_POSITIVE_FINITE = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="posheaf",
@@ -275,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=0)
     p.add_argument("--norm", choices=["none", "weak", "strong"], default="none")
     p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=_COUNT, default=100)
     p.add_argument("--mode", choices=["discrete", "continuous"], default="discrete")
     p.add_argument("--x0", default=None, help="JSON file with an initial state")
 
@@ -284,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("learn", cmd_learn, help="learn edge maps from smooth signals")
     p.add_argument("signals", help="JSON file with a 'signals' array")
-    p.add_argument("--lr", type=float, default=0.2)
-    p.add_argument("--iters", type=int, default=60)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--lr", type=_POSITIVE_FINITE, default=0.2)
+    p.add_argument("--iters", type=_COUNT, default=60)
+    p.add_argument("--d", type=_POSITIVE_INT, default=1)
     p.add_argument("--seed", type=int, default=None)
 
     return parser

@@ -11,6 +11,7 @@ those blocks to ``linalg.homology_basis`` as they are.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import (
     FieldMismatch,
@@ -90,32 +91,6 @@ class CochainComplexInstance:
         return f"CochainComplexInstance({self.kind}, dims {shape})"
 
 
-def _block_offsets(dims: list[int]) -> list[int]:
-    out = [0]
-    for d in dims:
-        out.append(out[-1] + d)
-    return out
-
-
-def _write_block(target: Matrix, r0: int, c0: int, block: Matrix, scalar=None,
-                 field: FieldTag | None = None, accumulate: bool = False):
-    mul = field.mul if field else None
-    add = field.add if field else None
-    for i in range(block.rows):
-        trow = target.data[r0 + i]
-        brow = block.data[i]
-        for j in range(block.cols):
-            v = brow[j]
-            if not v:
-                continue
-            if scalar is not None:
-                v = mul(scalar, v)
-            if accumulate:
-                trow[c0 + j] = add(trow[c0 + j], v)
-            else:
-                trow[c0 + j] = v
-
-
 def roos_complex(d: Sheaf) -> CochainComplexInstance:
     """Chain-indexed honest complex: C^j = sum over j-chains t of D(t_max),
     with alternating face signs and structure maps between chain maxima."""
@@ -134,8 +109,8 @@ def roos_complex(d: Sheaf) -> CochainComplexInstance:
         dims.append([d.stalk(tag.element) for tag in tags])
     diffs = []
     for j in range(len(groups) - 1):
-        col_off = _block_offsets(dims[j])
-        row_off = _block_offsets(dims[j + 1])
+        col_off = list(accumulate(dims[j], initial=0))
+        row_off = list(accumulate(dims[j + 1], initial=0))
         m = Matrix.zeros(row_off[-1], col_off[-1], d.field)
         for k, chain in enumerate(groups[j + 1]):
             sigma = chain.elements
@@ -144,8 +119,7 @@ def roos_complex(d: Sheaf) -> CochainComplexInstance:
                 _, col_k = position[tau]
                 block = d.map(tau[-1], sigma[-1])
                 sign = d.field.one() if i % 2 == 0 else d.field.coerce(-1)
-                _write_block(m, row_off[k], col_off[col_k], block, sign, d.field,
-                             accumulate=True)
+                m.add_block(row_off[k], col_off[col_k], block, sign)
         diffs.append(m)
     if len(groups) == 1:
         diffs = []
@@ -175,8 +149,8 @@ def cellular_complex(d: Sheaf) -> CochainComplexInstance:
         dims[j].append(d.stalk(e))
     diffs = []
     for j in range(top):
-        col_off = _block_offsets(dims[j])
-        row_off = _block_offsets(dims[j + 1])
+        col_off = list(accumulate(dims[j], initial=0))
+        row_off = list(accumulate(dims[j + 1], initial=0))
         m = Matrix.zeros(row_off[-1], col_off[-1], d.field)
         for tag in degrees[j + 1]:
             sigma = decoded[tag.element]
@@ -185,7 +159,7 @@ def cellular_complex(d: Sheaf) -> CochainComplexInstance:
                 _, col_k = position[tau]
                 block = d.map(by_set[tau], tag.element)
                 sign = d.field.one() if i % 2 == 0 else d.field.coerce(-1)
-                _write_block(m, row_off[tag.copy], col_off[col_k], block, sign, d.field)
+                m.add_block(row_off[tag.copy], col_off[col_k], block, sign)
         diffs.append(m)
     return CochainComplexInstance(CELLULAR, d.field, degrees, dims, diffs, d)
 
@@ -246,14 +220,13 @@ def minimal_incidence(p: Poset, field: FieldTag) -> IncidenceData:
         index = {gid: i for gens in by_degree for i, gid in enumerate(gens)}
         # boundary blocks degree j -> j - 1 from the top down: the chain
         # complex read as a cochain complex in degree -j
-        blocks = []
-        for j in range(top, -1, -1):
-            cols = by_degree[j + 1]
-            block = Matrix.zeros(len(by_degree[j]), len(cols), field)
-            for c, gid in enumerate(cols):
-                for row, value in columns[gid].items():
-                    block.data[index[row]][c] = value
-            blocks.append(block)
+        blocks = [
+            Matrix.from_columns(len(by_degree[j]), [
+                {index[row]: value for row, value in columns[gid].items()}
+                for gid in by_degree[j + 1]
+            ], field)
+            for j in range(top, -1, -1)
+        ]
         reps = homology_basis(blocks, [len(gens) for gens in reversed(by_degree)], field)
         owned[s] = []
         for j, gens in enumerate(by_degree):
@@ -286,7 +259,7 @@ def minimal_complex(d: Sheaf, inc: IncidenceData) -> CochainComplexInstance:
     for g in inc.generators:
         degrees[g.degree].append(SummandTag(g.owner, len(degrees[g.degree]), gid=g.gid))
         dims[g.degree].append(d.stalk(g.owner))
-    offsets = [_block_offsets(dims_j) for dims_j in dims]
+    offsets = [list(accumulate(dims_j, initial=0)) for dims_j in dims]
     slot = {tag.gid: tag.copy for tags in degrees for tag in tags}
     diffs = [Matrix.zeros(offsets[j + 1][-1], offsets[j][-1], d.field) for j in range(top)]
     for g2 in inc.generators:
@@ -295,8 +268,8 @@ def minimal_complex(d: Sheaf, inc: IncidenceData) -> CochainComplexInstance:
                 continue
             g1 = inc.generators[gid1]
             j = g1.degree
-            _write_block(diffs[j], offsets[j + 1][slot[g2.gid]], offsets[j][slot[gid1]],
-                         d.map(g1.owner, g2.owner), scalar, d.field)
+            diffs[j].add_block(offsets[j + 1][slot[g2.gid]], offsets[j][slot[gid1]],
+                               d.map(g1.owner, g2.owner), scalar)
     return CochainComplexInstance(MINIMAL, d.field, degrees, dims, diffs, d)
 
 

@@ -1,10 +1,13 @@
-"""Exact field arithmetic, dense matrices, sparse Gaussian elimination, and
-the homology-basis solver for graded complexes given by per-degree blocks.
+"""Exact field arithmetic, sparse matrices, Gaussian elimination, and the
+homology-basis solver for graded complexes given by per-degree blocks.
 
-Matrices are stored dense.  ``rref``, through which ``rank``, ``kernel_basis``,
-``invert`` and ``homology_basis`` all eliminate, works on sparse rows
-({column: value} over the nonzeros): a forward pass, then back-substitution
-from the last pivot to the first.
+A matrix is stored as sparse rows: row i is a dict {column: value} over its
+nonzero entries, and no stored value is ever zero.  Every routine here reads
+and writes that storage directly.  ``rref``, through which ``rank``,
+``kernel_basis``, ``invert`` and ``homology_basis`` all eliminate, runs a
+forward pass and then back-substitution from the last pivot to the first.
+Dense rows exist only at the edges: the constructor takes them, and
+``Matrix.data`` returns a fresh dense copy for rendering and conversion.
 
 Scalars are ``fractions.Fraction`` over the rationals, plain ``int`` residues
 in [0, p) over a prime field, and ``float`` over the (approximate) reals.
@@ -134,28 +137,35 @@ def _require_exact(field: FieldTag, what: str):
 
 
 class Matrix:
-    """Dense matrix over a FieldTag, stored as a list of row lists."""
+    """Matrix over a FieldTag, stored as sparse rows that never hold a zero.
 
-    __slots__ = ("rows", "cols", "data", "field")
+    ``Matrix(rows, cols, data, field)`` and ``from_rows`` take dense rows;
+    ``data`` is a dense copy, so writing into it changes nothing.
+    """
+
+    __slots__ = ("rows", "cols", "field", "_entries")
 
     def __init__(self, rows: int, cols: int, data, field: FieldTag):
         self.rows = rows
         self.cols = cols
-        self.data = data
         self.field = field
+        self._entries = [{j: x for j, x in enumerate(row) if x} for row in data]
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries: list[dict], field: FieldTag) -> "Matrix":
+        """A matrix that takes ownership of sparse rows holding no zero."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.field, m._entries = rows, cols, field, entries
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field: FieldTag) -> "Matrix":
-        z = field.zero()
-        return cls(rows, cols, [[z] * cols for _ in range(rows)], field)
+        return cls._of(rows, cols, [{} for _ in range(rows)], field)
 
     @classmethod
     def identity(cls, n: int, field: FieldTag) -> "Matrix":
-        m = cls.zeros(n, n, field)
         one = field.one()
-        for i in range(n):
-            m.data[i][i] = one
-        return m
+        return cls._of(n, n, [{i: one} for i in range(n)], field)
 
     @classmethod
     def from_rows(cls, rows, field: FieldTag) -> "Matrix":
@@ -166,84 +176,89 @@ class Matrix:
                 raise FieldMismatch("ragged rows")
         return cls(len(data), ncols, data, field)
 
+    @classmethod
+    def from_columns(cls, rows: int, columns: list[dict], field: FieldTag) -> "Matrix":
+        """The matrix whose column c has the nonzero entries columns[c], a
+        dict {row: value}."""
+        return cls._of(rows, len(columns), _transpose(columns, rows), field)
+
+    @property
+    def data(self) -> list[list]:
+        """A fresh dense copy, as a list of row lists."""
+        zero = self.field.zero()
+        out = []
+        for row in self._entries:
+            dense = [zero] * self.cols
+            for j, x in row.items():
+                dense[j] = x
+            out.append(dense)
+        return out
+
+    def nonzeros(self):
+        """The stored entries as (row, column, value) triples."""
+        for i, row in enumerate(self._entries):
+            for j, x in row.items():
+                yield i, j, x
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.field == other.field
-            and self.data == other.data
-        )
+        return isinstance(other, Matrix) and (
+            (self.rows, self.cols, self.field, self._entries)
+            == (other.rows, other.cols, other.field, other._entries))
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols} over {self.field})"
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        sub = self.field.sub
-        data = [
-            [sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-        ]
-        return Matrix(self.rows, self.cols, data, self.field)
+        if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
+            raise FieldMismatch("difference of matrices with different fields or shapes")
+        out = Matrix._of(self.rows, self.cols, [dict(row) for row in self._entries], self.field)
+        out.add_block(0, 0, other, self.field.coerce(-1))
+        return out
 
     def scale(self, c) -> "Matrix":
         mul = self.field.mul
         c = self.field.coerce(c)
-        return Matrix(
-            self.rows, self.cols, [[mul(c, x) for x in row] for row in self.data], self.field
-        )
+        entries = [{j: v for j, x in row.items() if (v := mul(c, x))} for row in self._entries]
+        return Matrix._of(self.rows, self.cols, entries, self.field)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if self.field != other.field:
+        """Row i of the product accumulates a_ik * (row k of other) in
+        increasing k, the order in which a dense loop sums them."""
+        f = self.field
+        if f != other.field:
             raise FieldMismatch("matrix product across different fields")
         if self.cols != other.rows:
             raise FieldMismatch(
                 f"shape mismatch in product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        out = Matrix.zeros(self.rows, other.cols, self.field)
-        add, mul = self.field.add, self.field.mul
-        bdata = other.data
-        for i, arow in enumerate(self.data):
-            orow = out.data[i]
-            for k, a in enumerate(arow):
-                if not a:
-                    continue
-                brow = bdata[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        orow[j] = add(orow[j], mul(a, b))
-        return out
+        inner = other._entries
+        entries = []
+        for arow in self._entries:
+            row: dict = {}
+            for k in sorted(arow):
+                _add_multiple(row, arow[k], inner[k], f)
+            entries.append(row)
+        return Matrix._of(self.rows, other.cols, entries, f)
+
+    def add_block(self, r0: int, c0: int, block: "Matrix", scalar=None):
+        """Add scalar * block (scalar 1 by default) in place, with the block's
+        top left corner at (r0, c0)."""
+        c = self.field.one() if scalar is None else scalar
+        for brow, row in zip(block._entries, self._entries[r0:r0 + block.rows]):
+            _add_multiple(row, c, {c0 + j: x for j, x in brow.items()}, self.field)
 
     def apply(self, vec):
         """Matrix-vector product; vec is a plain list of scalars."""
-        if len(vec) != self.cols:
-            raise FieldMismatch("vector length does not match column count")
-        add, mul = self.field.add, self.field.mul
-        out = [self.field.zero()] * self.rows
-        for i, row in enumerate(self.data):
-            acc = out[i]
-            for j, a in enumerate(row):
-                if a and vec[j]:
-                    acc = add(acc, mul(a, vec[j]))
-            out[i] = acc
-        return out
-
-    def _check_same_shape(self, other: "Matrix"):
-        if self.field != other.field:
-            raise FieldMismatch("mixed fields")
-        if self.rows != other.rows or self.cols != other.cols:
-            raise FieldMismatch("shape mismatch")
+        column = Matrix(len(vec), 1, [[x] for x in vec], self.field)
+        return [x for x, in (self @ column).data]
 
 
-def _nonzeros(row) -> dict:
-    """A dense row as a sparse row: {column: value} over its nonzero entries."""
-    return {j: x for j, x in enumerate(row) if x}
-
-
-def _dense(row: dict, n: int, zero) -> list:
-    out = [zero] * n
-    for j, x in row.items():
-        out[j] = x
+def _transpose(entries: list[dict], n: int) -> list[dict]:
+    """Sparse rows of the transpose of sparse rows with n columns."""
+    out: list[dict] = [{} for _ in range(n)]
+    for i, row in enumerate(entries):
+        for j, x in row.items():
+            out[j][i] = x
     return out
 
 
@@ -272,23 +287,26 @@ def _with_lead_one(row: dict, lead: int, f: FieldTag) -> dict:
 def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     """Reduced row echelon form of an exact-field matrix.
 
-    Returns (reduced matrix, pivot column indices in increasing order, rank).
+    Returns (reduced matrix, pivot column indices in increasing order, rank);
+    row r of the reduced matrix is the pivot row of pivots[r], and the rows
+    after the rank are empty.
 
-    Two passes on sparse rows.  Forward: each row in turn has its leading
-    entry cancelled by the pivot row owning that column until it vanishes or
-    leads in a new column, whose pivot row it becomes, scaled to lead with 1.
-    Back-substitution: from the last pivot row to the first, clear a row's
-    entries in later pivot columns with the rows already fully reduced; they
-    vanish in every other pivot column, so each subtraction changes free
-    columns only, and on a cycle's coboundary each row meets O(1) others.
-    Row operations keep the row space, which has exactly one reduced row
-    echelon form, so the result equals dense Gauss-Jordan's entry for entry.
+    Two passes on copies of the sparse rows.  Forward: each row in turn has
+    its leading entry cancelled by the pivot row owning that column until it
+    vanishes or leads in a new column, whose pivot row it becomes, scaled to
+    lead with 1.  Back-substitution: from the last pivot row to the first,
+    clear a row's entries in later pivot columns with the rows already fully
+    reduced; they vanish in every other pivot column, so each subtraction
+    changes free columns only, and on a cycle's coboundary each row meets O(1)
+    others.  Row operations keep the row space, which has exactly one reduced
+    row echelon form, so the result equals dense Gauss-Jordan's entry for
+    entry.
     """
     _require_exact(m.field, "rref")
     f = m.field
-    zero = f.zero()
     owner: dict[int, dict] = {}
-    for row in map(_nonzeros, m.data):
+    for row in m._entries:
+        row = dict(row)
         while row:
             lead = min(row)
             if lead not in owner:
@@ -300,37 +318,36 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
         row = owner[pc]
         for j in [j for j in row if j != pc and j in owner]:
             _add_multiple(row, f.neg(row[j]), owner[j], f)
-    data = [_dense(owner[pc], m.cols, zero) for pc in pivots]
-    data += [[zero] * m.cols for _ in range(m.rows - len(pivots))]
-    return Matrix(m.rows, m.cols, data, f), pivots, len(pivots)
+    entries = [owner[pc] for pc in pivots] + [{} for _ in range(m.rows - len(pivots))]
+    return Matrix._of(m.rows, m.cols, entries, f), pivots, len(pivots)
 
 
 def rank(m: Matrix) -> int:
     return rref(m)[2]
 
 
-def kernel_basis(m: Matrix) -> list[list]:
-    """Basis of the right null space, one vector per non-pivot column.
-
-    Each basis vector has entry 1 at its free column; the pivot coordinates are
-    filled by back-substitution from the RREF.
-    """
-    _require_exact(m.field, "kernel_basis")
+def _kernel_entries(m: Matrix) -> list[dict]:
+    """Sparse basis of the right null space, one vector per non-pivot column:
+    entry 1 at its free column and minus the pivot rows' entries there."""
     f = m.field
     red, pivots, _ = rref(m)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        vec = [f.zero()] * m.cols
-        vec[free] = f.one()
-        for r, pc in enumerate(pivots):
-            coef = red.data[r][free]
-            if coef:
-                vec[pc] = f.neg(coef)
-        basis.append(vec)
-    return basis
+    one = f.one()
+    basis = {free: {free: one} for free in range(m.cols)}
+    for pc in pivots:
+        del basis[pc]
+    for pc, row in zip(pivots, red._entries):
+        for j, x in row.items():
+            if j != pc:
+                basis[j][pc] = f.neg(x)
+    return list(basis.values())
+
+
+def kernel_basis(m: Matrix) -> list[list]:
+    """Basis of the right null space as dense vectors, one per non-pivot
+    column in increasing order, in RREF free-variable form."""
+    _require_exact(m.field, "kernel_basis")
+    basis = _kernel_entries(m)
+    return Matrix._of(len(basis), m.cols, basis, m.field).data
 
 
 def invert(m: Matrix) -> Matrix | None:
@@ -338,15 +355,13 @@ def invert(m: Matrix) -> Matrix | None:
     _require_exact(m.field, "invert")
     if m.rows != m.cols:
         return None
-    n = m.rows
-    f = m.field
-    aug = Matrix(n, 2 * n, [row[:] + ident_row for row, ident_row in
-                            zip(m.data, Matrix.identity(n, f).data)], f)
+    n, f = m.rows, m.field
+    aug = Matrix._of(n, 2 * n, [{**row, n + i: f.one()} for i, row in enumerate(m._entries)], f)
     red, pivots, rk = rref(aug)
     if rk < n or pivots[:n] != list(range(n)):
         return None
-    inv_rows = [red.data[i][n:] for i in range(n)]
-    return Matrix(n, n, inv_rows, f)
+    inverse = [{j - n: x for j, x in row.items() if j >= n} for row in red._entries]
+    return Matrix._of(n, n, inverse, f)
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +370,10 @@ def invert(m: Matrix) -> Matrix | None:
 
 def check_d_squared(diffs: list[Matrix]):
     """Raise NotAComplex unless each composite of consecutive differentials
-    vanishes; diffs[j] maps degree j to degree j + 1.  The products are formed
-    on sparse rows."""
+    vanishes; diffs[j] maps degree j to degree j + 1."""
     for j in range(len(diffs) - 1):
-        f = diffs[j].field
-        inner = [_nonzeros(row) for row in diffs[j].data]
-        for row in diffs[j + 1].data:
-            product: dict = {}
-            for k, a in _nonzeros(row).items():
-                _add_multiple(product, a, inner[k], f)
-            if product:
-                raise NotAComplex(f"d_{j + 1} . d_{j} != 0")
+        if any((diffs[j + 1] @ diffs[j])._entries):
+            raise NotAComplex(f"d_{j + 1} . d_{j} != 0")
 
 
 def _reduce_against(vec: dict, reducers: list[tuple[int, dict]], f: FieldTag) -> dict:
@@ -385,10 +393,11 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
     Degree i of the complex has dimension dims[i], and diffs[i] is the
     differential from degree i to degree i + 1 (rows index degree i + 1).  A
     chain complex, whose boundary lowers degree, enters with its grading
-    negated.  The result holds, per degree, vectors of length dims[i]: kernel
-    vectors in RREF free-variable form, reduced modulo an RREF basis of the
-    incoming image, and kept verbatim when independent of that image and of
-    the representatives kept before them.
+    negated.  The result holds, per degree, dense vectors of length dims[i]:
+    kernel vectors in RREF free-variable form, reduced modulo an RREF basis
+    of the incoming image (the nonzero columns of diffs[i - 1]), and kept
+    verbatim when independent of that image and of the representatives kept
+    before them.
     """
     _require_exact(field, "homology_basis")
     if len(diffs) != max(len(dims) - 1, 0) or any(
@@ -400,27 +409,27 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
     out: list[list[list]] = []
     for i, n in enumerate(dims):
         if i < len(diffs):
-            kernel = [_nonzeros(vec) for vec in kernel_basis(diffs[i])]
+            kernel = _kernel_entries(diffs[i])
         else:
             kernel = [{k: field.one()} for k in range(n)]
-        reps: list[list] = []
-        out.append(reps)
-        if not kernel:
-            continue
-        reducers: list[tuple[int, dict]] = []
-        if i > 0:
-            image_rows = [list(col) for col in zip(*diffs[i - 1].data) if any(col)]
-            if image_rows:
-                red, pivots, _ = rref(Matrix(len(image_rows), n, image_rows, field))
-                reducers = [(pc, _nonzeros(red.data[r])) for r, pc in enumerate(pivots)]
-        # rows of `kept` vanish at the image pivots, as every candidate does
-        kept: list[tuple[int, dict]] = []
-        for kvec in kernel:
-            candidate = _reduce_against(kvec, reducers, field)
-            residue = _reduce_against(candidate, kept, field)
-            if not residue:
-                continue
-            lead = min(residue)
-            kept.append((lead, _with_lead_one(residue, lead, field)))
-            reps.append(_dense(candidate, n, field.zero()))
+        reps: list[dict] = []
+        if kernel:
+            reducers: list[tuple[int, dict]] = []
+            if i > 0:
+                d = diffs[i - 1]
+                image = [col for col in _transpose(d._entries, d.cols) if col]
+                if image:
+                    red, pivots, _ = rref(Matrix._of(len(image), n, image, field))
+                    reducers = list(zip(pivots, red._entries))
+            # rows of `kept` vanish at the image pivots, as every candidate does
+            kept: list[tuple[int, dict]] = []
+            for kvec in kernel:
+                candidate = _reduce_against(kvec, reducers, field)
+                residue = _reduce_against(candidate, kept, field)
+                if not residue:
+                    continue
+                lead = min(residue)
+                kept.append((lead, _with_lead_one(residue, lead, field)))
+                reps.append(candidate)
+        out.append(Matrix._of(len(reps), n, reps, field).data)
     return out

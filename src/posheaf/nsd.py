@@ -277,6 +277,8 @@ def learn_sheaf(p: Poset, signals, cfg: LearnConfig | None = None) -> LearnResul
     signals = [np.asarray(sig, dtype=float) for sig in signals]
     if not signals:
         raise EmptySignalSet("need at least one signal")
+    if cfg.d < 1:
+        raise DimensionMismatch(f"stalk dimension {cfg.d} is below 1")
     rng = np.random.default_rng(_resolve_seed(cfg.seed))
     params = _EdgeParams(p, cfg.d, rng)
     vertices, _ = _graph_structure(p)

@@ -119,9 +119,6 @@ class Poset:
     def leq(self, a: str, b: str) -> bool:
         return a == b or self.lt(a, b)
 
-    def strict_upper(self, s: str) -> set[str]:
-        return {self.elements[i] for i in self._up[self.index(s)]}
-
     def strict_lower(self, s: str) -> set[str]:
         return {self.elements[i] for i in self._down[self.index(s)]}
 

@@ -151,7 +151,7 @@ def _all_saturated_paths(p: Poset, s: str, t: str) -> list[list[str]]:
 
 
 def _frobenius_sq(m: Matrix) -> float:
-    return float(sum(float(x) * float(x) for row in m.data for x in row))
+    return float(sum(float(x) * float(x) for _, _, x in sorted(m.nonzeros())))
 
 
 def check_compositionality(d: Sheaf) -> list[CompositionalityViolation]:
@@ -303,17 +303,12 @@ def global_sections_bruteforce(d: Sheaf) -> SectionSpace:
     layout, offsets, total = stalk_layout(d)
     rows = sum(d.stalk(b) for (_, b) in d.poset.hasse_edges())
     system = Matrix.zeros(rows, total, d.field)
+    minus_one = d.field.coerce(-1)
     r = 0
-    one = d.field.one()
     for (a, b) in d.poset.hasse_edges():
         m = d.edge_map[(a, b)]
-        ca, cb = offsets[a], offsets[b]
-        for i in range(m.rows):
-            row = system.data[r + i]
-            for j in range(m.cols):
-                if m.data[i][j]:
-                    row[ca + j] = m.data[i][j]
-            row[cb + i] = d.field.neg(one)
+        system.add_block(r, offsets[a], m)
+        system.add_block(r, offsets[b], Matrix.identity(m.rows, d.field), minus_one)
         r += m.rows
     basis = kernel_basis(system)
     return SectionSpace(layout, offsets, basis, len(basis))

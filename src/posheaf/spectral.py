@@ -76,10 +76,13 @@ def _max_abs(a: np.ndarray) -> float:
 
 def float_array(m: Matrix) -> np.ndarray:
     """Dense float64 copy of a rational or real matrix."""
+    out = np.zeros((m.rows, m.cols))
     try:
-        return np.array(m.data, dtype=float).reshape(m.rows, m.cols)
+        for i, j, x in m.nonzeros():
+            out[i, j] = x
     except OverflowError as exc:
         raise OverflowOnConvert(str(exc)) from exc
+    return out
 
 
 def realize(c: CochainComplexInstance) -> RealComplex:
@@ -302,8 +305,8 @@ def heat_diffusion(l: Laplacian, x0, cfg: DiffusionConfig | None = None) -> Diff
     mode = cfg.mode.lower()
     if mode not in ("discrete", "continuous"):
         raise UnstableStepSize(f"unknown diffusion mode {cfg.mode!r}")
-    if eta <= 0:
-        raise UnstableStepSize("step size must be positive")
+    if not 0 < eta < math.inf:
+        raise UnstableStepSize(f"step size {eta} is not positive and finite")
     if mode == "discrete" and spectrum.lam_max > 0 and eta >= 1.0 / spectrum.lam_max:
         raise UnstableStepSize(
             f"eta={eta} is not below 1/lambda_max={1.0 / spectrum.lam_max}"

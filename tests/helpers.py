@@ -315,16 +315,15 @@ def sheaf_direct_sum(pieces: list[Sheaf]) -> Sheaf:
     maps = {}
     for (a, b) in p.hasse_edges():
         rows, cols = stalks[b], stalks[a]
-        m = Matrix.zeros(rows, cols, field)
+        data = [[field.zero()] * cols for _ in range(rows)]
         r0 = c0 = 0
         for piece in pieces:
             block = piece.edge_map[(a, b)]
-            for i in range(block.rows):
-                for j in range(block.cols):
-                    m.data[r0 + i][c0 + j] = block.data[i][j]
+            for i, row in enumerate(block.data):
+                data[r0 + i][c0:c0 + block.cols] = row
             r0 += block.rows
             c0 += block.cols
-        maps[(a, b)] = m
+        maps[(a, b)] = Matrix(rows, cols, data, field)
     return build_sheaf(p, stalks, maps, field)
 
 

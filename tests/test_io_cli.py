@@ -326,6 +326,38 @@ def test_cli_bad_params_and_state_files_report_one_schema_error(tmp_path, comman
     assert json.loads(lines[0])["error"]["code"] == "SchemaError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["learn", "--d", "0"],
+    ["learn", "--d", "-1"],
+    ["learn", "--lr", "nan"],
+    ["learn", "--lr", "inf"],
+    ["learn", "--lr", "0"],
+    ["learn", "--lr", "-1"],
+    ["learn", "--iters", "-1"],
+    ["diffuse", "--steps", "-1"],
+])
+def test_cli_out_of_range_flags_are_usage_errors(tmp_path, argv):
+    # learn --d 0 on an empty signal used to end in an IndexError traceback
+    signals = tmp_path / "s.json"
+    signals.write_text(json.dumps({"signals": [[]]}))
+    doc = str(GOLDEN / "cycle4_constant.json")
+    files = [doc, str(signals)] if argv[0] == "learn" else [doc]
+    code, text = _run_quietly(argv[:1] + files + argv[1:])
+    assert code == 2 and text == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ["--eta", "nan"],
+    ["--eta", "nan", "--mode", "continuous"],
+    ["--eta", "inf", "--mode", "continuous"],
+    ["--eta", "inf"],
+    ["--eta=-0.5"],
+])
+def test_cli_diffuse_rejects_non_finite_step_sizes_at_the_diffusion_stage(flags):
+    code, report, _ = _run(["diffuse", str(GOLDEN / "cycle4_constant.json")] + flags)
+    assert code == 1 and report["error"]["code"] == "UnstableStepSize"
+
+
 def test_cli_valid_x0_and_integer_eta_still_run(tmp_path):
     doc = str(GOLDEN / "cycle4_constant.json")
     x0 = tmp_path / "x0.json"

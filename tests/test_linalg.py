@@ -106,6 +106,41 @@ def test_rref_kernel_and_inverse_match_the_dense_oracle(monkeypatch):
     assert got == [(kernel_basis(m), invert(m)) for m in cases]
 
 
+def _stored(m: Matrix) -> list:
+    return [x for row in m._entries for x in row.values()]
+
+
+def test_cancelling_operations_store_no_zero():
+    for field in (QQ, F2, prime_field(3), prime_field(2**31 - 1), RR):
+        m = Matrix.from_rows([[1, 2, 0], [0, 3, 1]], field)
+        assert _stored(m - m) == [] and (m - m) == Matrix.zeros(2, 3, field)
+        assert _stored(m.scale(0)) == []
+        row, column = Matrix.from_rows([[1, 1]], field), Matrix.from_rows([[1], [-1]], field)
+        assert _stored(row @ column) == []
+        total = Matrix.zeros(3, 4, field)
+        total.add_block(1, 1, m)
+        total.add_block(1, 1, m, field.coerce(-1))
+        assert _stored(total) == [] and total == Matrix.zeros(3, 4, field)
+        partial = Matrix.from_rows([[0, 2, 0, 5]], field)
+        partial.add_block(0, 1, Matrix.from_rows([[-2, 1]], field))
+        assert partial.data == Matrix.from_rows([[0, 0, 1, 5]], field).data
+        assert len(_stored(partial)) == 2
+    for m in _oracle_cases():
+        assert all(x for x in _stored(rref(m)[0]))
+
+
+def test_dense_rows_round_trip_and_the_data_view_is_a_copy():
+    rng = seeded_rng(7)
+    cases = [_random_matrix(rng, field, 4, 5) for field in (QQ, prime_field(3))]
+    cases.append(Matrix.from_rows(rng.standard_normal((3, 4)).round(1).tolist(), RR))
+    cases.append(Matrix.from_rows([[0.0, -0.0, 1.5]], RR))
+    for m in cases:
+        assert Matrix(m.rows, m.cols, m.data, m.field) == m
+        view = m.data
+        view[0][0] = m.field.coerce(7)
+        assert m.data != view and Matrix(m.rows, m.cols, m.data, m.field) == m
+
+
 def test_rref_work_on_a_twisted_cycle_grows_linearly(monkeypatch):
     # Counts field multiplications, not seconds.  Four times the cycle costs
     # about 4x the work in the sparse elimination and about 16x in a dense
@@ -203,10 +238,11 @@ def _triangle_boundary_blocks(field=QQ):
     """Augmented chain complex of the triangle boundary in negated degrees:
     edges 12, 13, 23 -> vertices 1, 2, 3 -> "@"."""
     one, neg = field.one(), field.neg(field.one())
-    boundary = Matrix.zeros(3, 3, field)
+    data = [[field.zero()] * 3 for _ in range(3)]
     for col, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
-        boundary.data[i][col] = neg
-        boundary.data[j][col] = one
+        data[i][col] = neg
+        data[j][col] = one
+    boundary = Matrix(3, 3, data, field)
     augmentation = Matrix(1, 3, [[one, one, one]], field)
     return [boundary, augmentation], [3, 3, 1]
 
@@ -250,14 +286,14 @@ def _random_graded_complex(rng: np.random.Generator):
                 [[Fraction(int(rng.integers(-2, 3))) for _ in range(dims[0])]
                  for _ in range(dims[1])], QQ)
     left_null = kernel_basis(Matrix(dims[0], dims[1], [list(c) for c in zip(*d0.data)], QQ))
-    d1 = Matrix.zeros(dims[2], dims[1], QQ)
+    rows = [[Fraction(0)] * dims[1] for _ in range(dims[2])]
     for i in range(dims[2]):
         if not left_null:
             break
         coeffs = [Fraction(int(rng.integers(-2, 3))) for _ in left_null]
-        d1.data[i] = [sum((c * vec[k] for c, vec in zip(coeffs, left_null)), Fraction(0))
-                      for k in range(dims[1])]
-    return [d0, d1], dims
+        rows[i] = [sum((c * vec[k] for c, vec in zip(coeffs, left_null)), Fraction(0))
+                   for k in range(dims[1])]
+    return [d0, Matrix(dims[2], dims[1], rows, QQ)], dims
 
 
 def test_homology_dimensions_match_rank_nullity():

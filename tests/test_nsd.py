@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from posheaf.errors import EmptySignalSet, NotTwoLayer, ShapeMismatch
+from posheaf.errors import DimensionMismatch, EmptySignalSet, NotTwoLayer, ShapeMismatch
 from posheaf.linalg import Matrix, QQ, RR
 from posheaf.poset import build_poset, hypergraph_to_poset
 from posheaf.sheaf import build_sheaf, constant_sheaf, cycle_poset, path_poset
@@ -171,6 +171,9 @@ def test_learn_rejects_empty_and_misshapen():
         learn_sheaf(path_poset(2), [], LearnConfig())
     with pytest.raises(Exception):
         learn_sheaf(path_poset(2), [np.zeros(5)], LearnConfig())
+    for d in (0, -1):
+        with pytest.raises(DimensionMismatch):
+            learn_sheaf(path_poset(2), [np.zeros(0)], LearnConfig(d=d))
 
 
 def test_learn_single_edge_analytic_minimum():

@@ -1,9 +1,15 @@
 """The traced benchmark run wraps posheaf functions by name, so every name it
-lists must still resolve, or ``perfbench/run.py --trace 1`` breaks."""
+lists must still resolve, or ``perfbench/run.py --trace 1`` breaks; and its
+counters read matrices through ``rows``, ``cols`` and ``data`` only, so those
+must keep reporting what the matrices store."""
 
 import importlib
 import runpy
+from collections import Counter
 from pathlib import Path
+
+from helpers import seeded_rng, twisted_cycle_sheaf
+from posheaf.cochain import build_complex
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -15,3 +21,20 @@ def test_traced_benchmark_targets_resolve():
     for module_name, fn_name, _, _ in targets:
         module = importlib.import_module(f"posheaf.{module_name}")
         assert callable(getattr(module, fn_name, None)), f"posheaf.{module_name}.{fn_name}"
+
+
+def test_traced_counters_report_stored_nonzeros_and_shapes():
+    spans = runpy.run_path(str(SPANS))
+    c = build_complex(twisted_cycle_sheaf(40, seeded_rng(3)), "minimal")
+    stored = [sum(len(row) for row in m._entries) for m in c.diffs]
+    assert stored[0] > 0
+    counts = Counter()
+    spans["_count_complex"](counts, (), c)
+    assert counts["cochain.cells"] == sum(len(tags) for tags in c.degrees)
+    assert counts["cochain.diff_nnz"] == sum(stored)
+    for m, nnz in zip(c.diffs, stored):
+        counts = Counter()
+        spans["_count_rref"](counts, (m,), None)
+        assert counts["linalg.rref_calls"] == 1
+        assert counts["linalg.rref_entries"] == m.rows * m.cols == 80 * 80
+        assert counts["linalg.rref_nnz"] == nnz

@@ -254,6 +254,10 @@ def test_heat_diffusion_validates_step_size():
     lap = laplacian(_real_minimal(s), 0, "none")
     with pytest.raises(UnstableStepSize):
         heat_diffusion(lap, [1.0, 0.0], DiffusionConfig(eta=0.6, steps=5))
+    for mode in ("discrete", "continuous"):
+        for eta in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(UnstableStepSize):
+                heat_diffusion(lap, [1.0, 0.0], DiffusionConfig(eta=eta, steps=5, mode=mode))
 
 
 def test_continuous_mode_matches_matrix_exponential():
