@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=_POSITIVE_FINITE, default=0.2)
     p.add_argument("--iters", type=_COUNT, default=60)
     p.add_argument("--d", type=_POSITIVE_INT, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_COUNT, default=None)
 
     return parser
 

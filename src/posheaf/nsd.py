@@ -237,7 +237,7 @@ class _EdgeParams:
         maps = {}
         for k, (a, b) in enumerate(self.pairs):
             block = self.theta[k * dd:(k + 1) * dd].reshape(self.d, self.d)
-            maps[(a, b)] = Matrix.from_rows(block.tolist(), RR)
+            maps[(a, b)] = Matrix(self.d, self.d, block.tolist(), RR)
         return build_sheaf(self.poset, stalks, maps, RR)
 
 

@@ -334,6 +334,7 @@ def test_cli_bad_params_and_state_files_report_one_schema_error(tmp_path, comman
     ["learn", "--lr", "0"],
     ["learn", "--lr", "-1"],
     ["learn", "--iters", "-1"],
+    ["learn", "--seed", "-1"],
     ["diffuse", "--steps", "-1"],
 ])
 def test_cli_out_of_range_flags_are_usage_errors(tmp_path, argv):
