@@ -406,30 +406,31 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
     ):
         raise NotAComplex("differentials do not match the degree dimensions")
     check_d_squared(diffs)
-    out: list[list[list]] = []
+    out: list[list[dict]] = []
     for i, n in enumerate(dims):
         if i < len(diffs):
             kernel = _kernel_entries(diffs[i])
         else:
             kernel = [{k: field.one()} for k in range(n)]
         reps: list[dict] = []
-        if kernel:
-            reducers: list[tuple[int, dict]] = []
-            if i > 0:
-                d = diffs[i - 1]
-                image = [col for col in _transpose(d._entries, d.cols) if col]
-                if image:
-                    red, pivots, _ = rref(Matrix._of(len(image), n, image, field))
-                    reducers = list(zip(pivots, red._entries))
-            # rows of `kept` vanish at the image pivots, as every candidate does
-            kept: list[tuple[int, dict]] = []
-            for kvec in kernel:
-                candidate = _reduce_against(kvec, reducers, field)
-                residue = _reduce_against(candidate, kept, field)
-                if not residue:
-                    continue
-                lead = min(residue)
-                kept.append((lead, _with_lead_one(residue, lead, field)))
-                reps.append(candidate)
-        out.append(Matrix._of(len(reps), n, reps, field).data)
-    return out
+        out.append(reps)
+        if not kernel:
+            continue
+        reducers: list[tuple[int, dict]] = []
+        if i > 0:
+            d = diffs[i - 1]
+            image = [col for col in _transpose(d._entries, d.cols) if col]
+            if image:
+                red, pivots, _ = rref(Matrix._of(len(image), n, image, field))
+                reducers = list(zip(pivots, red._entries))
+        # rows of `kept` vanish at the image pivots, as every candidate does
+        kept: list[tuple[int, dict]] = []
+        for kvec in kernel:
+            candidate = _reduce_against(kvec, reducers, field)
+            residue = _reduce_against(candidate, kept, field)
+            if not residue:
+                continue
+            lead = min(residue)
+            kept.append((lead, _with_lead_one(residue, lead, field)))
+            reps.append(candidate)
+    return [Matrix._of(len(reps), n, reps, field).data for reps, n in zip(out, dims)]
