@@ -151,6 +151,7 @@ def _all_saturated_paths(p: Poset, s: str, t: str) -> list[list[str]]:
 
 
 def _frobenius_sq(m: Matrix) -> float:
+    # sorted: the row-major order of a dense sum, so the float result is too
     return float(sum(float(x) * float(x) for _, _, x in sorted(m.nonzeros())))
 
 

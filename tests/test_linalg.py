@@ -129,6 +129,17 @@ def test_cancelling_operations_store_no_zero():
         assert all(x for x in _stored(rref(m)[0]))
 
 
+def test_real_products_sum_in_increasing_inner_index():
+    # Float sums depend on their order.  Stored in the order 2, 0, 1, the
+    # row must still be summed as 1e16 + 1 - 1e16 = 0.0, as a dense loop does.
+    row = Matrix.zeros(1, 3, RR)
+    for j, x in ((2, -1e16), (0, 1e16), (1, 1.0)):
+        row.add_block(0, j, Matrix.from_rows([[x]], RR))
+    ones = Matrix.from_rows([[1.0]] * 3, RR)
+    dense = sum((a * b for a, (b,) in zip(row.data[0], ones.data)), 0.0)
+    assert (row @ ones).data == [[dense]] == [[0.0]]
+
+
 def test_dense_rows_round_trip_and_the_data_view_is_a_copy():
     rng = seeded_rng(7)
     cases = [_random_matrix(rng, field, 4, 5) for field in (QQ, prime_field(3))]

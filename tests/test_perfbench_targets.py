@@ -4,12 +4,20 @@ counters read matrices through ``rows``, ``cols`` and ``data`` only, so those
 must keep reporting what the matrices store."""
 
 import importlib
+import itertools
 import runpy
 from collections import Counter
 from pathlib import Path
 
-from helpers import seeded_rng, twisted_cycle_sheaf
-from posheaf.cochain import build_complex
+import numpy as np
+import pytest
+
+from helpers import random_compositional_sheaf, random_dag_poset, seeded_rng, twisted_cycle_sheaf
+from posheaf import linalg
+from posheaf.cochain import betti_numbers, build_complex, cohomology
+from posheaf.linalg import QQ, prime_field
+from posheaf.poset import simplicial_complex_poset
+from posheaf.sheaf import constant_sheaf
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -38,3 +46,31 @@ def test_traced_counters_report_stored_nonzeros_and_shapes():
         assert counts["linalg.rref_calls"] == 1
         assert counts["linalg.rref_entries"] == m.rows * m.cols == 80 * 80
         assert counts["linalg.rref_nnz"] == nnz
+
+
+def _dag59():
+    rng = np.random.default_rng(59)
+    return random_compositional_sheaf(random_dag_poset(rng, max_elements=7), rng)
+
+
+_SIMPLEX6 = [list(c) for k in (1, 2, 3) for c in itertools.combinations("123456", k)]
+
+
+# (sheaf, construction) -> (rref calls, sum of rows * cols over rref inputs) of
+# build + cohomology + betti; captured while matrices were stored dense
+@pytest.mark.parametrize("make, method, calls, entries", [
+    (lambda: twisted_cycle_sheaf(20, np.random.default_rng(5)), "minimal", 43, 4880),
+    (lambda: twisted_cycle_sheaf(20, np.random.default_rng(5), prime_field(7)), "roos", 3, 19200),
+    (lambda: constant_sheaf(simplicial_complex_poset(_SIMPLEX6), 1, QQ), "minimal", 116, 1710),
+    (lambda: constant_sheaf(simplicial_complex_poset(_SIMPLEX6), 1, QQ), "roos", 6, 72450),
+    (_dag59, "minimal", 14, 86),
+])
+def test_elimination_work_matches_the_traced_counts(monkeypatch, make, method, calls, entries):
+    # linalg.rref_calls and linalg.rref_entries count exactly this; an rref
+    # input with extra empty rows (say, unfiltered image columns) moves them
+    rref, seen = linalg.rref, []
+    monkeypatch.setattr(linalg, "rref", lambda m: seen.append(m.rows * m.cols) or rref(m))
+    c = build_complex(make(), method)
+    cohomology(c)
+    betti_numbers(c)
+    assert (len(seen), sum(seen)) == (calls, entries)
