@@ -19,7 +19,7 @@ from .errors import (
 from .linalg import RR, Matrix
 from .poset import Poset
 from .sheaf import Sheaf, build_sheaf
-from .spectral import (NORMALIZATIONS, default_eta, float_array, jacobi_eigh, laplacian,
+from .spectral import (NORMALIZATIONS, default_eta, eigendecompose, float_array, laplacian,
                        real_sheaf_complex)
 
 SEED_ENV = "POSHEAF_SEED"
@@ -66,13 +66,12 @@ def sheaf_diffusion_op(s: Sheaf, eta: float | None = None,
     """Generator of discrete heat diffusion: the dense matrix I - 2*eta*L_0,
     with L_0 the degree-0 Laplacian of the sheaf's minimal complex."""
     _graph_structure(s.poset)  # NSD is defined on graph posets only
-    mat = laplacian(real_sheaf_complex(s), 0, norm).matrix
+    lap = laplacian(real_sheaf_complex(s), 0, norm)
     if eta is None:
-        eigenvalues, _ = jacobi_eigh(mat)
-        eta = default_eta(float(eigenvalues[-1]) if eigenvalues.size else 0.0)
+        eta = default_eta(eigendecompose(lap).lam_max)
     if eta < 0:
         raise DimensionMismatch("step size must be nonnegative")
-    return np.eye(mat.shape[0]) - 2.0 * eta * mat
+    return np.eye(lap.size) - 2.0 * eta * lap.matrix
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

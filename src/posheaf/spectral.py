@@ -1,6 +1,11 @@
 """Real-valued Laplacians of all orders on any cochain construction, weak and
-strong normalization, a cyclic-Jacobi symmetric eigensolver, Dirichlet
-energies, and heat diffusion with convergence-rate estimation.
+strong normalization, Dirichlet energies, and heat diffusion with
+convergence-rate estimation.
+
+Every eigensolve runs through LAPACK (``np.linalg.eigh``) in ``_eigh``.  The
+pure-Python cyclic-Jacobi solver ``jacobi_eigh`` stays as the reference the
+tests hold LAPACK to; both return ascending eigenvalues and the same sign
+convention on the eigenvectors.
 """
 
 from __future__ import annotations
@@ -152,7 +157,7 @@ def _strong_normalize(mat: np.ndarray, blocks: list[int]) -> np.ndarray:
         if size == 0:
             continue
         block = mat[offset:offset + size, offset:offset + size]
-        eigenvalues, vectors = jacobi_eigh(block)
+        eigenvalues, vectors = _eigh(block)
         q[offset:offset + size, offset:offset + size] = vectors
         top = float(eigenvalues[-1]) if eigenvalues.size else 0.0
         threshold = max(ZERO_EIG_FLOOR, ZERO_EIG_FLOOR * top)
@@ -164,12 +169,28 @@ def _strong_normalize(mat: np.ndarray, blocks: list[int]) -> np.ndarray:
     return rotated * np.outer(half, half)
 
 
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK eigensolve of a real symmetric matrix: ascending eigenvalues and
+    orthonormal eigenvector columns, each signed so that its largest-magnitude
+    entry is positive, as in ``jacobi_eigh``."""
+    try:
+        eigenvalues, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigensolve failed: {exc}") from exc
+    if vectors.size:
+        columns = np.arange(vectors.shape[1])
+        lead = np.argmax(np.abs(vectors), axis=0)
+        vectors = vectors * np.where(vectors[lead, columns] < 0, -1.0, 1.0)
+    return eigenvalues, vectors
+
+
 def jacobi_eigh(a: np.ndarray, tol: float = 1e-10,
                 max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi rotations for a real symmetric matrix.
 
     Returns ascending eigenvalues and the matrix whose columns are the
     corresponding orthonormal eigenvectors (deterministic sign convention).
+    The product path uses ``_eigh``; this solver is its test reference.
     """
     n = a.shape[0]
     if n == 0:
@@ -241,7 +262,7 @@ class SpectralBundle:
 
 
 def eigendecompose(l: Laplacian, tol: float = 1e-8) -> SpectralBundle:
-    eigenvalues, vectors = jacobi_eigh(l.matrix)
+    eigenvalues, vectors = _eigh(l.matrix)
     lam_max = float(eigenvalues[-1]) if eigenvalues.size else 0.0
     threshold = max(tol * lam_max, ZERO_EIG_FLOOR)
     harmonic = int(np.sum(eigenvalues < threshold))

@@ -404,3 +404,74 @@ def random_monotone_map(rng: np.random.Generator, source: Poset,
             return {t: anchor for t in source.elements}
         assignment[s] = candidates[int(rng.integers(0, len(candidates)))]
     return assignment
+
+
+def _rational_rotation(rng: np.random.Generator) -> list[list[Fraction]]:
+    """Exact orthogonal 2x2 matrix from a Pythagorean parametrization, a
+    rotation or a reflection with equal odds."""
+    a, b = (int(x) for x in rng.integers(1, 7, size=2))
+    c = Fraction(a * a - b * b, a * a + b * b)
+    s = Fraction(2 * a * b, a * a + b * b)
+    if rng.random() < 0.5:
+        return [[c, -s], [s, c]]
+    return [[c, s], [s, -c]]
+
+
+def _rational_frame(rng: np.random.Generator) -> list[list[Fraction]]:
+    """Exact orthogonal matrix times diag(a, b), a != b drawn from 1/2 .. 2:
+    invertible, with condition number at most 4."""
+    a, b = (Fraction(int(k), 2) for k in rng.choice([1, 2, 3, 4], size=2, replace=False))
+    return _product2(_rational_rotation(rng), [[a, Fraction(0)], [Fraction(0), b]])
+
+
+def _inverse2(m):
+    (a, b), (c, d) = m
+    det = a * d - b * c
+    return [[d / det, -b / det], [-c / det, a / det]]
+
+
+def _product2(x, y):
+    return [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+
+def graph_sheaf_twins(n: int, kind: str, rng: np.random.Generator) -> tuple[Sheaf, Sheaf]:
+    """A sheaf with 2-dim stalks on the cycle C_n plus n // 2 chords, over Q,
+    and its float copy over R.
+
+    kind "gauss": independent maps with Gaussian entries rounded to eighths
+    (b0 = 0).  kind "gauge": F_(v,e) = R_e R_v^T for exact rational orthogonal
+    frames R (b0 = 2, every stalk block of L_0 a multiple of I).  kind
+    "frame": F_(v,e) = G_e G_v^-1 for invertible rational frames G (b0 = 2,
+    stalk blocks with distinct eigenvalues in general).
+    """
+    chords = []
+    seen = {frozenset((i, (i + 1) % n)) for i in range(n)}
+    while len(chords) < n // 2:
+        a, b = (int(x) for x in rng.choice(n, size=2, replace=False))
+        if frozenset((a, b)) not in seen:
+            seen.add(frozenset((a, b)))
+            chords.append((min(a, b), max(a, b)))
+    ends = [(i, (i + 1) % n) for i in range(n)] + chords
+    vertices = [f"v{i}" for i in range(n)]
+    edges = [f"e{k}" for k in range(len(ends))]
+    covers = [(vertices[a], e) for e, pair in zip(edges, ends) for a in pair]
+    p = build_poset(vertices + edges, covers)
+    frames: dict[str, list[list[Fraction]]] = {}
+    if kind != "gauss":
+        draw = _rational_rotation if kind == "gauge" else _rational_frame
+        frames = {x: draw(rng) for x in vertices + edges}
+    maps = {}
+    for (v, e) in covers:
+        if kind == "gauss":
+            m = [[Fraction(round(8 * float(x)), 8) for x in row]
+                 for row in rng.standard_normal((2, 2))]
+        elif kind == "gauge":
+            m = _product2(frames[e], [list(col) for col in zip(*frames[v])])
+        else:
+            m = _product2(frames[e], _inverse2(frames[v]))
+        maps[(v, e)] = m
+    stalks = {x: 2 for x in vertices + edges}
+    exact = build_sheaf(p, stalks, {k: Matrix.from_rows(m, QQ) for k, m in maps.items()}, QQ)
+    real = build_sheaf(p, stalks, {k: Matrix.from_rows([[float(x) for x in row] for row in m], RR)
+                                   for k, m in maps.items()}, RR)
+    return exact, real

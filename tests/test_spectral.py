@@ -12,8 +12,10 @@ from posheaf.errors import (
     TraceTooShort,
     UnstableStepSize,
 )
+from posheaf import spectral
 from posheaf.linalg import Matrix, QQ, RR
 from posheaf.cochain import (
+    betti,
     betti_numbers,
     minimal_complex,
     minimal_incidence,
@@ -28,6 +30,7 @@ from posheaf.sheaf import (
     path_poset,
 )
 from posheaf.spectral import (
+    NORMALIZATIONS,
     DiffusionConfig,
     convergence_rate,
     default_eta,
@@ -43,7 +46,7 @@ from posheaf.spectral import (
     realize,
 )
 
-from helpers import random_compositional_sheaf, random_dag_poset, seeded_rng
+from helpers import graph_sheaf_twins, random_compositional_sheaf, random_dag_poset, seeded_rng
 
 
 def _real_minimal(sheaf):
@@ -100,6 +103,68 @@ def test_jacobi_matches_numpy_on_random_symmetric():
         for i in range(n):
             res = a @ vecs[:, i] - vals[i] * vecs[:, i]
             assert np.linalg.norm(res) <= 1e-8 * max(1.0, abs(vals[-1]))
+
+
+def _distinct_stalk_block_eigenvalues(lap: np.ndarray, blocks: list[int]) -> bool:
+    offset = 0
+    for size in blocks:
+        lam = np.linalg.eigvalsh(lap[offset:offset + size, offset:offset + size])
+        if np.any(np.diff(lam) <= 1e-6 * max(abs(lam[-1]), 1.0)):
+            return False
+        offset += size
+    return True
+
+
+# the frame rung stops at 40 vertices: a 160 x 160 Jacobi solve takes seconds
+@pytest.mark.parametrize("n, kind", [
+    (n, kind) for n in (10, 20, 40, 80) for kind in ("gauss", "gauge")
+] + [(n, "frame") for n in (10, 20, 40)])
+def test_lapack_eigensolves_match_jacobi_on_graph_sheaves(monkeypatch, n, kind):
+    exact, real = graph_sheaf_twins(n, kind, seeded_rng(600 + n))
+    b0 = betti(exact, "minimal")[0]
+    rc = real_sheaf_complex(real)
+    x0 = np.ones(rc.degree_dim(0))
+    no_steps = DiffusionConfig(steps=0)
+
+    def solve(norm):
+        lap = laplacian(rc, 0, norm)
+        return lap, eigendecompose(lap), heat_diffusion(lap, x0, no_steps).limit
+
+    lapack = {norm: solve(norm) for norm in NORMALIZATIONS}
+    cache = {}
+
+    def jacobi_once(a):
+        # heat_diffusion solves the Laplacian eigendecompose just solved
+        key = a.tobytes()
+        if key not in cache:
+            cache[key] = jacobi_eigh(a)
+        return cache[key]
+
+    monkeypatch.setattr(spectral, "_eigh", jacobi_once)
+    none_matrix = lapack["none"][0].matrix
+    distinct = _distinct_stalk_block_eigenvalues(none_matrix, rc.dims[0])
+    assert distinct == (kind != "gauge")
+    for norm in NORMALIZATIONS:
+        _, bundle, limit = lapack[norm]
+        _, ref_bundle, ref_limit = solve(norm)
+        assert bundle.harmonic_dim == ref_bundle.harmonic_dim == b0
+        tol = 1e-12 * ref_bundle.lam_max
+        assert np.max(np.abs(bundle.eigenvalues - ref_bundle.eigenvalues)) <= tol
+        if norm != "strong" or distinct:
+            assert np.max(np.abs(limit - ref_limit)) <= 1e-10
+
+
+def test_eigensolve_signs_follow_jacobi():
+    rng = seeded_rng(2)
+    for n in (1, 2, 5, 9):
+        a = rng.standard_normal((n, n))
+        a = a + a.T
+        vals, vecs = spectral._eigh(a)
+        ref_vals, ref_vecs = jacobi_eigh(a)
+        assert np.allclose(vals, ref_vals, atol=1e-9)
+        assert np.allclose(vecs, ref_vecs, atol=1e-8)
+    vals, vecs = spectral._eigh(np.zeros((0, 0)))
+    assert vals.shape == (0,) and vecs.shape == (0, 0)
 
 
 def test_laplacian_cycle_matches_graph_laplacian():
