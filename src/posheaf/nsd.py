@@ -14,6 +14,7 @@ from .errors import (
     DimensionMismatch,
     EmptySignalSet,
     NotTwoLayer,
+    SchemaError,
     ShapeMismatch,
 )
 from .linalg import RR, Matrix
@@ -182,7 +183,6 @@ class LearnConfig:
     iters: int = 100
     d: int = 1
     seed: int | None = None
-    fd_step: float = 1e-6
     max_halvings: int = 20
 
 
@@ -196,48 +196,15 @@ def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
     env = os.environ.get(SEED_ENV)
-    return int(env) if env else 0
-
-
-class _EdgeParams:
-    """Flat parameter vector over all edge maps of a graph sheaf with stalk
-    dimension d on vertices and edges.
-
-    The initial draw is left unprojected on purpose: projecting a d=1 draw
-    collapses it onto {-1, +1} and a symmetric gradient could never separate
-    the two maps of an edge afterwards.  Projection happens after each
-    accepted descent step instead.
-    """
-
-    def __init__(self, p: Poset, d: int, rng: np.random.Generator):
-        self.poset = p
-        self.d = d
-        vertices, edges = _graph_structure(p)
-        self.pairs = []
-        for (e, u, v) in edges:
-            self.pairs.append((u, e))
-            self.pairs.append((v, e))
-        self.theta = rng.standard_normal(len(self.pairs) * d * d)
-
-    def _project(self):
-        """Scale every edge map to unit Frobenius norm."""
-        dd = self.d * self.d
-        for k in range(len(self.pairs)):
-            block = self.theta[k * dd:(k + 1) * dd]
-            norm = float(np.linalg.norm(block))
-            if norm > 0:
-                block /= norm
-            else:
-                block[0] = 1.0
-
-    def to_sheaf(self) -> Sheaf:
-        dd = self.d * self.d
-        stalks = {e: self.d for e in self.poset.elements}
-        maps = {}
-        for k, (a, b) in enumerate(self.pairs):
-            block = self.theta[k * dd:(k + 1) * dd].reshape(self.d, self.d)
-            maps[(a, b)] = Matrix(self.d, self.d, block.tolist(), RR)
-        return build_sheaf(self.poset, stalks, maps, RR)
+    if not env:
+        return 0
+    try:
+        value = int(env)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise SchemaError(f"{SEED_ENV}={env!r} is not a nonnegative integer")
+    return value
 
 
 def finite_difference_gradient(fn, x: np.ndarray, h_scale: float = 1e-6) -> np.ndarray:
@@ -255,22 +222,63 @@ def finite_difference_gradient(fn, x: np.ndarray, h_scale: float = 1e-6) -> np.n
     return grad
 
 
-def _signals_loss(params: _EdgeParams, signals: list[np.ndarray]) -> float:
-    d0, _ = graph_coboundary(params.to_sheaf())
-    total = 0.0
+def _endpoint_signals(p: Poset, signals: list[np.ndarray],
+                      d: int) -> tuple[list[tuple[str, str, str]], np.ndarray, np.ndarray]:
+    """The edges (e, u, v) of a graph poset and, for signals on its vertex
+    stalks of dimension d, the arrays xu[s, k] = x_(s,u) and xv[s, k] = x_(s,v)
+    over the k-th edge."""
+    vertices, edges = _graph_structure(p)
+    expected = d * len(vertices)
     for sig in signals:
-        image = d0 @ sig
-        total += float(image @ image)
-    return total
+        if sig.shape != (expected,):
+            raise DimensionMismatch(
+                f"signal has shape {sig.shape}, expected ({expected},)"
+            )
+    x = np.stack(signals).reshape(len(signals), len(vertices), d)
+    position = {v: i for i, v in enumerate(vertices)}
+    xu = x[:, [position[u] for (_, u, _) in edges]]
+    xv = x[:, [position[v] for (_, _, v) in edges]]
+    return edges, xu, xv
+
+
+def _residuals(theta: np.ndarray, xu: np.ndarray, xv: np.ndarray) -> np.ndarray:
+    """r[s, e] = A_e x_(s,u) - B_e x_(s,v): edge e's block of d_0 x_s, for
+    theta[e] = (A_e, B_e) = (F_(u,e), F_(v,e)) and x_(s,u) = xu[s, e]."""
+    return (np.einsum("eij,sej->sei", theta[:, 0], xu)
+            - np.einsum("eij,sej->sei", theta[:, 1], xv))
+
+
+def _loss_gradient(r: np.ndarray, xu: np.ndarray, xv: np.ndarray) -> np.ndarray:
+    """Gradient in theta of sum ||r||^2: 2 sum_s r x_u^T for A_e and
+    -2 sum_s r x_v^T for B_e."""
+    return np.stack((2.0 * np.einsum("sei,sej->eij", r, xu),
+                     -2.0 * np.einsum("sei,sej->eij", r, xv)), axis=1)
+
+
+def _project(theta: np.ndarray) -> np.ndarray:
+    """Scale every edge map to unit Frobenius norm; a zero map becomes the
+    matrix unit E_11."""
+    norms = np.sqrt(np.sum(theta * theta, axis=(2, 3), keepdims=True))
+    out = theta / np.where(norms > 0, norms, 1.0)
+    out[..., 0, 0] += norms[..., 0, 0] == 0
+    return out
 
 
 def learn_sheaf(p: Poset, signals, cfg: LearnConfig | None = None) -> LearnResult:
-    """Finite-difference gradient descent on all edge-map entries, with a
-    per-edge unit-Frobenius-norm projection after each step.
+    """Gradient descent on all edge-map entries with the closed-form gradient
+    of the smoothness loss sum_s ||d_0 x_s||^2, and a per-edge
+    unit-Frobenius-norm projection after each step.
 
-    Steps that would increase the smoothness loss halve the learning rate (up
-    to cfg.max_halvings); the recorded history contains accepted losses only
-    and is non-increasing by construction.
+    The parameters form an (edges, 2, d, d) tensor theta[e] = (F_(u,e),
+    F_(v,e)) in the edge order of the graph poset; the sheaf is built once,
+    from the final parameters.  Steps that would increase the loss halve the
+    learning rate (up to cfg.max_halvings); the recorded history contains
+    accepted losses only and is non-increasing by construction.
+
+    The initial draw is left unprojected on purpose: projecting a d=1 draw
+    collapses it onto {-1, +1} and a symmetric gradient could never separate
+    the two maps of an edge afterwards.  The accepted-loss bookkeeping lives on
+    the projected states; the raw draw only seeds the first step.
     """
     cfg = cfg or LearnConfig()
     signals = [np.asarray(sig, dtype=float) for sig in signals]
@@ -278,60 +286,37 @@ def learn_sheaf(p: Poset, signals, cfg: LearnConfig | None = None) -> LearnResul
         raise EmptySignalSet("need at least one signal")
     if cfg.d < 1:
         raise DimensionMismatch(f"stalk dimension {cfg.d} is below 1")
+    d = cfg.d
     rng = np.random.default_rng(_resolve_seed(cfg.seed))
-    params = _EdgeParams(p, cfg.d, rng)
-    vertices, _ = _graph_structure(p)
-    expected = cfg.d * len(vertices)
-    for sig in signals:
-        if sig.shape != (expected,):
-            raise DimensionMismatch(
-                f"signal has shape {sig.shape}, expected ({expected},)"
-            )
-
-    def loss_at(theta: np.ndarray) -> float:
-        saved = params.theta
-        params.theta = theta.copy()
-        value = _signals_loss(params, signals)
-        params.theta = saved
-        return value
-
-    def projected(theta: np.ndarray) -> np.ndarray:
-        saved = params.theta
-        params.theta = theta.copy()
-        params._project()
-        out = params.theta
-        params.theta = saved
-        return out
-
-    # the accepted-loss bookkeeping lives on the unit-normalized states; the
-    # raw draw only seeds the first gradient so that projection cannot lock
-    # d=1 sign pairs before the descent even starts
-    current = loss_at(projected(params.theta))
+    edges, xu, xv = _endpoint_signals(p, signals, d)
+    theta = rng.standard_normal((len(edges), 2, d, d))
+    r = _residuals(theta, xu, xv)
+    current = float(np.sum(_residuals(_project(theta), xu, xv) ** 2))
     history = [current]
     for _ in range(cfg.iters):
         if current <= 1e-18:
             break
-        grad = finite_difference_gradient(loss_at, params.theta, cfg.fd_step)
-        grad_sq = float(grad @ grad)
+        grad = _loss_gradient(r, xu, xv)
+        grad_sq = float(np.sum(grad * grad))
         if grad_sq <= 1e-30:
             break
-        lr = cfg.lr * loss_at(params.theta) / grad_sq
-        accepted = False
-        halvings = 0
-        while halvings <= cfg.max_halvings:
-            candidate = projected(params.theta - lr * grad)
-            new_loss = loss_at(candidate)
+        lr = cfg.lr * float(np.sum(r * r)) / grad_sq
+        for _ in range(cfg.max_halvings + 1):
+            candidate = _project(theta - lr * grad)
+            r_candidate = _residuals(candidate, xu, xv)
+            new_loss = float(np.sum(r_candidate * r_candidate))
             if new_loss < current:
-                params.theta = candidate
-                current = new_loss
+                theta, r, current = candidate, r_candidate, new_loss
                 history.append(current)
-                accepted = True
                 break
             lr *= 0.5
-            halvings += 1
-        if not accepted:
+        else:
             break
-    if history[0] <= 1e-18:
-        params._project()
+    if len(history) == 1:
+        theta = _project(theta)
     assert all(b <= a for a, b in zip(history, history[1:])), "loss history regressed"
-    return LearnResult(params.to_sheaf(), history)
+    maps = {}
+    for (e, u, v), (a, b) in zip(edges, theta):
+        maps[(u, e)] = Matrix(d, d, a.tolist(), RR)
+        maps[(v, e)] = Matrix(d, d, b.tolist(), RR)
+    return LearnResult(build_sheaf(p, {e: d for e in p.elements}, maps, RR), history)

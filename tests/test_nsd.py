@@ -5,10 +5,12 @@ from posheaf.errors import DimensionMismatch, EmptySignalSet, NotTwoLayer, Shape
 from posheaf.linalg import Matrix, QQ, RR
 from posheaf.poset import build_poset, hypergraph_to_poset
 from posheaf.sheaf import build_sheaf, constant_sheaf, cycle_poset, path_poset
+from posheaf import nsd
 from posheaf.nsd import (
     LearnConfig,
     NsdLayer,
     finite_difference_gradient,
+    graph_coboundary,
     gcn_forward_oracle,
     learn_sheaf,
     nsd_forward,
@@ -249,6 +251,46 @@ def test_learn_recovers_planted_sheaf():
         initial, final = _planted_rotation_trial(trial)
         assert initial > 0
         assert final <= 1e-4 * initial
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_closed_form_loss_and_gradient_match_the_coboundary_oracles(d):
+    rng = seeded_rng(40 + d)
+    for _ in range(5):
+        p, n, _ = _random_graph_with_edges(rng, max_vertices=6)
+        signals = [rng.standard_normal(n * d) for _ in range(3)]
+        edges, xu, xv = nsd._endpoint_signals(p, signals, d)
+        shape = (len(edges), 2, d, d)
+
+        def oracle_loss(flat):
+            # the loss through a sheaf built from the parameters, as the
+            # finite-difference learner computed it
+            theta = flat.reshape(shape)
+            maps = {}
+            for (e, u, v), (a, b) in zip(edges, theta):
+                maps[(u, e)] = Matrix(d, d, a.tolist(), RR)
+                maps[(v, e)] = Matrix(d, d, b.tolist(), RR)
+            d0, _ = graph_coboundary(build_sheaf(p, {x: d for x in p.elements}, maps, RR))
+            return sum(float((d0 @ sig) @ (d0 @ sig)) for sig in signals)
+
+        theta = rng.standard_normal(shape)
+        r = nsd._residuals(theta, xu, xv)
+        loss = float(np.sum(r * r))
+        expected = oracle_loss(theta.ravel())
+        assert abs(loss - expected) <= 1e-12 * expected
+        grad = nsd._loss_gradient(r, xu, xv).ravel()
+        fd = finite_difference_gradient(oracle_loss, theta.ravel())
+        assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(fd)
+
+
+def test_projection_gives_unit_maps_and_replaces_zero_maps():
+    rng = seeded_rng(11)
+    theta = rng.standard_normal((4, 2, 3, 3))
+    theta[1, 0] = 0.0
+    out = nsd._project(theta)
+    assert np.allclose(np.sum(out * out, axis=(2, 3)), 1.0, atol=1e-14)
+    assert np.array_equal(out[1, 0], np.eye(3)[:, :1] @ np.eye(3)[:1])
+    assert np.allclose(out[0, 1], theta[0, 1] / np.linalg.norm(theta[0, 1]))
 
 
 def test_finite_difference_gradient_on_quadratic():
