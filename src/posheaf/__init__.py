@@ -56,7 +56,6 @@ from .spectral import (
 from .nsd import (
     LearnConfig,
     NsdLayer,
-    gcn_forward_oracle,
     learn_sheaf,
     nsd_forward,
     nsd_stack,

@@ -247,11 +247,6 @@ class Matrix:
         for brow, row in zip(block._entries, self._entries[r0:r0 + block.rows]):
             _add_multiple(row, c, {c0 + j: x for j, x in brow.items()}, self.field)
 
-    def apply(self, vec):
-        """Matrix-vector product; vec is a plain list of scalars."""
-        column = Matrix(len(vec), 1, [[x] for x in vec], self.field)
-        return [x for x, in (self @ column).data]
-
 
 def _transpose(entries: list[dict], n: int) -> list[dict]:
     """Sparse rows of the transpose of sparse rows with n columns."""

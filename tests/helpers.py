@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from posheaf.errors import NotTwoLayer, ShapeMismatch
 from posheaf.linalg import PRIME, Matrix, QQ, RR
 from posheaf.poset import (
     Poset,
@@ -208,6 +209,54 @@ def dense_diffs_reference(c) -> list[list[list]]:
                                      s.map(inc.generators[gid].owner, tag.element), scalar, f)
         out.append(data)
     return out
+
+
+def matrix_apply(m: Matrix, vec: list) -> list:
+    """m times the column vector vec, a plain list of scalars of m's field."""
+    column = Matrix(len(vec), 1, [[x] for x in vec], m.field)
+    return [x for x, in (m @ column).data]
+
+
+def gcn_forward_oracle(p: Poset, features: np.ndarray, w2: np.ndarray,
+                       eta: float | None = None, norm: str = "weak") -> np.ndarray:
+    """Independent graph-convolution layer: sigma((I - 2*eta*L) X W2) with the
+    graph Laplacian assembled directly from adjacency and degrees.
+
+    Shares no code with the sheaf path.
+    """
+    vertices = [e for e in p.topo_order if not p.covered_by(e)]
+    index = {v: i for i, v in enumerate(vertices)}
+    n = len(vertices)
+    adjacency = np.zeros((n, n))
+    for e in p.topo_order:
+        if e in index:
+            continue
+        ends = p.covered_by(e)
+        if len(ends) != 2:
+            raise NotTwoLayer(f"element {e!r} is not a graph edge")
+        i, j = index[ends[0]], index[ends[1]]
+        adjacency[i, j] += 1.0
+        adjacency[j, i] += 1.0
+    degrees = adjacency.sum(axis=1)
+    lap = np.diag(degrees) - adjacency
+    norm = norm.lower()
+    if norm in ("weak", "strong"):
+        # for 1x1 stalk blocks the stalk-wise normalization equals the
+        # coordinate-wise one
+        k = np.where(degrees != 0.0, 1.0 / np.where(degrees != 0.0, degrees, 1.0), 1.0)
+        half = np.sqrt(k)
+        lap = lap * np.outer(half, half)
+    elif norm != "none":
+        raise ShapeMismatch(f"unknown normalization {norm!r}")
+    lap = 0.5 * (lap + lap.T)
+    if eta is None:
+        lam_max = float(np.linalg.eigvalsh(lap)[-1]) if n else 0.0
+        eta = 0.5 / lam_max if lam_max > 0 else 0.5
+    x = np.asarray(features, dtype=float)
+    if x.ndim != 2 or x.shape[0] != n:
+        raise ShapeMismatch(f"features must have {n} rows")
+    operator = np.eye(n) - 2.0 * eta * lap
+    return 1.0 / (1.0 + np.exp(-(operator @ x @ np.asarray(w2, dtype=float))))
 
 
 def trial_division_is_prime(n: int) -> bool:

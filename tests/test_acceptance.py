@@ -47,9 +47,10 @@ from posheaf.spectral import (
     laplacian,
     realize,
 )
-from posheaf.nsd import NsdLayer, finite_difference_gradient, gcn_forward_oracle, nsd_forward
+from posheaf.nsd import NsdLayer, finite_difference_gradient, nsd_forward
 
 from helpers import (
+    gcn_forward_oracle,
     seeded_rng,
     random_compositional_sheaf,
     random_dag_poset,

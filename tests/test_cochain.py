@@ -42,6 +42,7 @@ from posheaf.sheaf import (
 from helpers import (
     bareiss_rank,
     dense_diffs_reference,
+    matrix_apply,
     seeded_rng,
     random_compositional_sheaf,
     random_dag_poset,
@@ -234,7 +235,7 @@ def test_cohomology_representatives_are_cocycles():
             assert len(reps) == b
             for rep in reps:
                 if j < len(c.diffs):
-                    image = c.diffs[j].apply(rep)
+                    image = matrix_apply(c.diffs[j], rep)
                     assert all(not x for x in image)
 
 
@@ -269,7 +270,7 @@ def test_cohomology_representatives_are_a_basis_modulo_coboundaries():
                 assert bareiss_rank(_integer_rows(image + reps)) == rank_image + b
                 if j < len(c.diffs):
                     for rep in reps:
-                        assert all(not x for x in c.diffs[j].apply(rep))
+                        assert all(not x for x in matrix_apply(c.diffs[j], rep))
 
 
 def test_incidence_report_obeys_degree_rule_and_squares_to_zero(tmp_path):

@@ -371,6 +371,55 @@ def test_cli_valid_x0_and_integer_eta_still_run(tmp_path):
     assert status == 0 and np.array(report["output"]).shape == (4, 1)
 
 
+def _learn_argv(tmp_path, *flags) -> list[str]:
+    signals = tmp_path / "signals.json"
+    signals.write_text(json.dumps({"signals": [[1.0, -1.0, 1.0, -1.0]]}))
+    return ["learn", str(GOLDEN / "cycle4_constant.json"), str(signals), "--iters", "5",
+            *flags]
+
+
+@pytest.mark.parametrize("value", ["x", "-1", "1.5"])
+def test_cli_learn_reports_a_bad_seed_variable(monkeypatch, tmp_path, value):
+    # these used to end in a ValueError traceback
+    monkeypatch.setenv("POSHEAF_SEED", value)
+    status, report, text = _run(_learn_argv(tmp_path))
+    assert status == 1 and len(text.splitlines()) == 1
+    assert report["error"]["code"] == "SchemaError"
+    assert "POSHEAF_SEED" in report["error"]["message"]
+
+
+def test_cli_learn_takes_its_default_seed_from_the_environment(monkeypatch, tmp_path):
+    monkeypatch.delenv("POSHEAF_SEED", raising=False)
+    _, _, seed0 = _run(_learn_argv(tmp_path, "--seed", "0"))
+    _, _, seed3 = _run(_learn_argv(tmp_path, "--seed", "3"))
+    assert seed0 != seed3
+    monkeypatch.setenv("POSHEAF_SEED", "")
+    assert _run(_learn_argv(tmp_path))[2] == seed0
+    monkeypatch.setenv("POSHEAF_SEED", "3")
+    assert _run(_learn_argv(tmp_path))[2] == seed3
+
+
+@pytest.mark.parametrize("command, params", [
+    ("spectrum", None),
+    ("diffuse", None),
+    ("nsd-forward", _GOOD_PARAMS),
+    ("nsd-forward", {**_GOOD_PARAMS, "eta": 0.1, "norm": "strong"}),
+])
+def test_cli_lapack_failure_is_a_no_convergence_report(monkeypatch, tmp_path, command, params):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    argv = [command, str(GOLDEN / "cycle4_constant.json")]
+    if params is not None:
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        argv.append(str(path))
+    status, report, text = _run(argv)
+    assert status == 1 and len(text.splitlines()) == 1
+    assert report["error"]["code"] == "NoConvergence"
+
+
 def test_golden_documents_regenerate_byte_identically():
     # run_path does not run the script as __main__, so nothing is written
     tool = runpy.run_path(str(GOLDEN.parent.parent / "tools" / "make_goldens.py"))

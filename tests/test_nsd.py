@@ -11,7 +11,6 @@ from posheaf.nsd import (
     NsdLayer,
     finite_difference_gradient,
     graph_coboundary,
-    gcn_forward_oracle,
     learn_sheaf,
     nsd_forward,
     nsd_stack,
@@ -19,7 +18,7 @@ from posheaf.nsd import (
 )
 from posheaf.spectral import jacobi_eigh, laplacian, real_sheaf_complex
 
-from helpers import random_graph_poset, seeded_rng
+from helpers import gcn_forward_oracle, random_graph_poset, seeded_rng
 
 
 def _random_graph_with_edges(rng, max_vertices=8):
@@ -88,6 +87,23 @@ def test_nsd_forward_matches_gcn_oracle_randomized():
             ours = nsd_forward(layer, x)
             oracle = gcn_forward_oracle(p, x, w2, eta=eta, norm=norm)
             assert np.max(np.abs(ours - oracle)) <= 1e-12
+
+
+def test_nsd_forward_mixes_each_vertex_stalk_by_w1():
+    rng = seeded_rng(4)
+    for d in (2, 3):
+        p, n, _ = _random_graph_with_edges(rng)
+        maps = {edge: Matrix.from_rows(rng.standard_normal((d, d)).tolist(), RR)
+                for edge in p.hasse_edges()}
+        s = build_sheaf(p, {e: d for e in p.elements}, maps, RR)
+        x = rng.standard_normal((n * d, 3))
+        w1 = rng.standard_normal((d, d))
+        w2 = rng.standard_normal((3, 2))
+        for eta, norm in ((None, "weak"), (0.05, "none"), (None, "strong")):
+            layer = NsdLayer(s, w1, w2, eta=eta, norm=norm)
+            op = sheaf_diffusion_op(s, eta, norm)
+            expected = 1.0 / (1.0 + np.exp(-(op @ np.kron(np.eye(n), w1) @ x @ w2)))
+            assert np.max(np.abs(nsd_forward(layer, x) - expected)) <= 1e-12
 
 
 def test_nsd_forward_zero_w2_gives_half():
