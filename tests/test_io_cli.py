@@ -420,6 +420,39 @@ def test_cli_lapack_failure_is_a_no_convergence_report(monkeypatch, tmp_path, co
     assert report["error"]["code"] == "NoConvergence"
 
 
+def _suspended_circle_document(tmp_path, field: str, **maps: str) -> str:
+    """x, y < u, v < t with 1-dimensional stalks; every map is 1 unless given
+    (keyword ``x_u`` is the map x<u)."""
+    covers = [("x", "u"), ("x", "v"), ("y", "u"), ("y", "v"), ("u", "t"), ("v", "t")]
+    doc = {
+        "field": field,
+        "elements": ["x", "y", "u", "v", "t"],
+        "covers": [list(c) for c in covers],
+        "stalks": {e: 1 for e in "xyuvt"},
+        "maps": {f"{a}<{b}": [maps.get(f"{a}_{b}", "1")] for a, b in covers},
+    }
+    path = tmp_path / f"suspension_{field}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("maps, real_code", [
+    ({"v_t": "2"}, "FieldMismatch"),
+    ({"x_u": "0.30000000000000004", "x_v": "0.3"}, None),
+])
+def test_cli_spectrum_checks_d_squared_with_a_tolerance_over_r_and_exactly_over_q(
+        tmp_path, maps, real_code):
+    status, report, text = _run(["spectrum", _suspended_circle_document(tmp_path, "R", **maps)])
+    if real_code is None:
+        assert status == 0 and report["spectrum"]["harmonic_dim"] == 1
+    else:
+        assert status == 1 and len(text.splitlines()) == 1
+        assert report["error"] == {
+            "code": real_code, "message": "d_1 . d_0 residual exceeds tolerance"}
+    status, report, _ = _run(["spectrum", _suspended_circle_document(tmp_path, "Q", **maps)])
+    assert status == 1 and report["error"]["code"] == "NotAComplex"
+
+
 def test_golden_documents_regenerate_byte_identically():
     # run_path does not run the script as __main__, so nothing is written
     tool = runpy.run_path(str(GOLDEN.parent.parent / "tools" / "make_goldens.py"))
