@@ -51,7 +51,6 @@ from .spectral import (
     heat_diffusion,
     hypergraph_energy_forms,
     laplacian,
-    realize,
 )
 from .nsd import (
     LearnConfig,

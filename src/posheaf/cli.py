@@ -165,8 +165,7 @@ def cmd_incidence(args) -> dict:
 def cmd_spectrum(args) -> dict:
     text, raw = _read(args.document)
     sheaf = parse_sheaf(text)
-    rc = spectral.real_sheaf_complex(sheaf)
-    lap = spectral.laplacian(rc, args.degree, args.norm)
+    lap = spectral.laplacian(spectral.real_sheaf_complex(sheaf), args.degree, args.norm)
     bundle = spectral.eigendecompose(lap)
     report = _report_base("spectrum", raw)
     report["spectrum"] = {
@@ -183,8 +182,7 @@ def cmd_spectrum(args) -> dict:
 def cmd_diffuse(args) -> dict:
     text, raw = _read(args.document)
     sheaf = parse_sheaf(text)
-    rc = spectral.real_sheaf_complex(sheaf)
-    lap = spectral.laplacian(rc, args.degree, args.norm)
+    lap = spectral.laplacian(spectral.real_sheaf_complex(sheaf), args.degree, args.norm)
     if args.x0:
         x0 = _numeric_array(parse_document(Path(args.x0).read_text()), "x0")
     else:

@@ -4,8 +4,12 @@ Betti numbers, and multiplicity accounting.
 
 Every complex here is graded and stored per degree: a cochain complex as its
 differential blocks d_j : C^j -> C^{j+1}, and the incidence data as one sparse
-boundary column per generator.  Cohomology and the incidence algorithm hand
-those blocks to ``linalg.homology_basis`` as they are.
+boundary column per generator.  ``CochainComplexInstance`` is the one graded
+complex type, over Q, F_p and R alike; its constructor is where d^2 = 0 is
+checked, through ``linalg.check_d_squared``.  All three constructions build it
+through ``_assemble`` from a list of summands per degree and a list of faces.
+Cohomology and the incidence algorithm hand the blocks to
+``linalg.homology_basis`` as they are.
 """
 
 from __future__ import annotations
@@ -53,9 +57,10 @@ class SummandTag:
 class CochainComplexInstance:
     """Graded tagged direct sum of stalk copies with per-degree differentials.
 
-    diffs[j] is the matrix of d_j : C^j -> C^{j+1}; over exact fields d^2 = 0
-    is verified at construction time.  Over R it is left to ``realize``, whose
-    RealComplex checks it with a tolerance.
+    diffs[j] is the matrix of d_j : C^j -> C^{j+1}.  This is the one graded
+    complex type, over every field: construction checks the shapes and runs
+    ``check_d_squared`` (exact over Q and F_p, with a tolerance over R), and
+    the spectral layer reads the differentials of a Q or R complex directly.
     """
 
     __slots__ = ("kind", "field", "degrees", "dims", "diffs", "sheaf")
@@ -69,8 +74,7 @@ class CochainComplexInstance:
         self.diffs = diffs
         self.sheaf = sheaf
         self._verify_shapes()
-        if field.is_exact:
-            check_d_squared(diffs)
+        check_d_squared(diffs)
 
     @property
     def top_degree(self) -> int:
@@ -91,39 +95,44 @@ class CochainComplexInstance:
         return f"CochainComplexInstance({self.kind}, dims {shape})"
 
 
+def _assemble(kind: str, d: Sheaf, degrees: list[list[SummandTag]],
+              faces) -> CochainComplexInstance:
+    """The complex with summands degrees[j] in degree j, one stalk copy each.
+
+    Each face (j, row, col, scalar) adds scalar . D(col.element <= row.element)
+    to the block of d_j at row summand row.copy and column summand col.copy.
+    """
+    dims = [[d.stalk(tag.element) for tag in tags] for tags in degrees]
+    offsets = [list(accumulate(dims_j, initial=0)) for dims_j in dims]
+    diffs = [Matrix.zeros(offsets[j + 1][-1], offsets[j][-1], d.field)
+             for j in range(len(degrees) - 1)]
+    for j, row, col, scalar in faces:
+        diffs[j].add_block(offsets[j + 1][row.copy], offsets[j][col.copy],
+                           d.map(col.element, row.element), scalar)
+    return CochainComplexInstance(kind, d.field, degrees, dims, diffs, d)
+
+
+def _alternating_faces(field: FieldTag, degrees: list[list[SummandTag]], simplex):
+    """Faces of the alternating boundary: a summand spanning the simplex
+    ``simplex(tag)`` meets the summand of the face without vertex i with
+    sign (-1)^i."""
+    tag_of = {simplex(tag): tag for tags in degrees for tag in tags}
+    signs = (field.one(), field.coerce(-1))
+    for j, tags in enumerate(degrees[1:]):
+        for row in tags:
+            sigma = simplex(row)
+            for i in range(len(sigma)):
+                yield j, row, tag_of[sigma[:i] + sigma[i + 1:]], signs[i % 2]
+
+
 def roos_complex(d: Sheaf) -> CochainComplexInstance:
     """Chain-indexed honest complex: C^j = sum over j-chains t of D(t_max),
     with alternating face signs and structure maps between chain maxima."""
     if not d.field.is_exact:
         raise FieldMismatch("roos_complex needs an exact field")
-    groups = order_complex(d.poset)
-    degrees: list[list[SummandTag]] = []
-    dims: list[list[int]] = []
-    position: dict[tuple[str, ...], tuple[int, int]] = {}
-    for j, chains in enumerate(groups):
-        tags = []
-        for k, chain in enumerate(chains):
-            position[chain.elements] = (j, k)
-            tags.append(SummandTag(chain.top, k, chain=chain.elements))
-        degrees.append(tags)
-        dims.append([d.stalk(tag.element) for tag in tags])
-    diffs = []
-    for j in range(len(groups) - 1):
-        col_off = list(accumulate(dims[j], initial=0))
-        row_off = list(accumulate(dims[j + 1], initial=0))
-        m = Matrix.zeros(row_off[-1], col_off[-1], d.field)
-        for k, chain in enumerate(groups[j + 1]):
-            sigma = chain.elements
-            for i in range(len(sigma)):
-                tau = sigma[:i] + sigma[i + 1:]
-                _, col_k = position[tau]
-                block = d.map(tau[-1], sigma[-1])
-                sign = d.field.one() if i % 2 == 0 else d.field.coerce(-1)
-                m.add_block(row_off[k], col_off[col_k], block, sign)
-        diffs.append(m)
-    if len(groups) == 1:
-        diffs = []
-    return CochainComplexInstance(ROOS, d.field, degrees, dims, diffs, d)
+    degrees = [[SummandTag(chain.top, k, chain=chain.elements) for k, chain in enumerate(chains)]
+               for chains in order_complex(d.poset)]
+    return _assemble(ROOS, d, degrees, _alternating_faces(d.field, degrees, lambda t: t.chain))
 
 
 def cellular_complex(d: Sheaf) -> CochainComplexInstance:
@@ -138,30 +147,11 @@ def cellular_complex(d: Sheaf) -> CochainComplexInstance:
         )
     top = max((len(v) - 1 for v in decoded.values()), default=-1)
     degrees: list[list[SummandTag]] = [[] for _ in range(top + 1)]
-    dims: list[list[int]] = [[] for _ in range(top + 1)]
-    position: dict[tuple[str, ...], tuple[int, int]] = {}
-    ordered = sorted(d.poset.elements, key=lambda e: (len(decoded[e]), decoded[e]))
-    by_set = {decoded[e]: e for e in d.poset.elements}
-    for e in ordered:
-        j = len(decoded[e]) - 1
-        position[decoded[e]] = (j, len(degrees[j]))
-        degrees[j].append(SummandTag(e, len(degrees[j])))
-        dims[j].append(d.stalk(e))
-    diffs = []
-    for j in range(top):
-        col_off = list(accumulate(dims[j], initial=0))
-        row_off = list(accumulate(dims[j + 1], initial=0))
-        m = Matrix.zeros(row_off[-1], col_off[-1], d.field)
-        for tag in degrees[j + 1]:
-            sigma = decoded[tag.element]
-            for i in range(len(sigma)):
-                tau = sigma[:i] + sigma[i + 1:]
-                _, col_k = position[tau]
-                block = d.map(by_set[tau], tag.element)
-                sign = d.field.one() if i % 2 == 0 else d.field.coerce(-1)
-                m.add_block(row_off[tag.copy], col_off[col_k], block, sign)
-        diffs.append(m)
-    return CochainComplexInstance(CELLULAR, d.field, degrees, dims, diffs, d)
+    for e in sorted(d.poset.elements, key=lambda e: (len(decoded[e]), decoded[e])):
+        tags = degrees[len(decoded[e]) - 1]
+        tags.append(SummandTag(e, len(tags)))
+    faces = _alternating_faces(d.field, degrees, lambda t: decoded[t.element])
+    return _assemble(CELLULAR, d, degrees, faces)
 
 
 @dataclass(frozen=True)
@@ -235,7 +225,7 @@ def minimal_incidence(p: Poset, field: FieldTag) -> IncidenceData:
                 owned[s].append(len(degrees))
                 degrees.append(j)
                 owners.append(s)
-                columns.append({gens[i]: x for i, x in enumerate(vec) if x})
+                columns.append({gens[i]: x for i, x in vec.items()})
     generators = [
         IncidenceGenerator(gid, deg, owner)
         for gid, (deg, owner) in enumerate(zip(degrees, owners))
@@ -255,22 +245,13 @@ def minimal_complex(d: Sheaf, inc: IncidenceData) -> CochainComplexInstance:
         raise FieldMismatch("incidence data uses a different field")
     top = max((g.degree for g in inc.generators), default=-1)
     degrees: list[list[SummandTag]] = [[] for _ in range(top + 1)]
-    dims: list[list[int]] = [[] for _ in range(top + 1)]
     for g in inc.generators:
         degrees[g.degree].append(SummandTag(g.owner, len(degrees[g.degree]), gid=g.gid))
-        dims[g.degree].append(d.stalk(g.owner))
-    offsets = [list(accumulate(dims_j, initial=0)) for dims_j in dims]
-    slot = {tag.gid: tag.copy for tags in degrees for tag in tags}
-    diffs = [Matrix.zeros(offsets[j + 1][-1], offsets[j][-1], d.field) for j in range(top)]
-    for g2 in inc.generators:
-        for gid1, scalar in inc.columns[g2.gid].items():
-            if gid1 == AUGMENTATION:
-                continue
-            g1 = inc.generators[gid1]
-            j = g1.degree
-            diffs[j].add_block(offsets[j + 1][slot[g2.gid]], offsets[j][slot[gid1]],
-                               d.map(g1.owner, g2.owner), scalar)
-    return CochainComplexInstance(MINIMAL, d.field, degrees, dims, diffs, d)
+    tag_of = {tag.gid: tag for tags in degrees for tag in tags}
+    faces = ((inc.generators[gid1].degree, tag_of[g2.gid], tag_of[gid1], scalar)
+             for g2 in inc.generators
+             for gid1, scalar in inc.columns[g2.gid].items() if gid1 != AUGMENTATION)
+    return _assemble(MINIMAL, d, degrees, faces)
 
 
 def cohomology(c: CochainComplexInstance) -> list[tuple[int, list[list]]]:
@@ -281,7 +262,9 @@ def cohomology(c: CochainComplexInstance) -> list[tuple[int, list[list]]]:
     im d_{j-1}; each is a vector over the summands of C^j.
     """
     dims = [c.degree_dim(j) for j in range(c.top_degree + 1)]
-    return [(len(reps), reps) for reps in homology_basis(c.diffs, dims, c.field)]
+    zero = c.field.zero()
+    return [(len(reps), [[vec.get(i, zero) for i in range(n)] for vec in reps])
+            for reps, n in zip(homology_basis(c.diffs, dims, c.field), dims)]
 
 
 def betti_numbers(c: CochainComplexInstance) -> list[int]:
@@ -297,23 +280,20 @@ def betti_numbers(c: CochainComplexInstance) -> list[int]:
     return out
 
 
-def build_complex(d: Sheaf, method: str,
-                  inc: IncidenceData | None = None) -> CochainComplexInstance:
+def build_complex(d: Sheaf, method: str) -> CochainComplexInstance:
     method = method.lower()
     if method == ROOS:
         return roos_complex(d)
     if method == CELLULAR:
         return cellular_complex(d)
     if method == MINIMAL:
-        if inc is None:
-            inc = minimal_incidence(d.poset, d.field)
-        return minimal_complex(d, inc)
+        return minimal_complex(d, minimal_incidence(d.poset, d.field))
     raise FieldMismatch(f"unknown construction {method!r}")
 
 
-def betti(d: Sheaf, method: str, inc: IncidenceData | None = None) -> list[int]:
+def betti(d: Sheaf, method: str) -> list[int]:
     """Dispatch wrapper over the chosen construction."""
-    return betti_numbers(build_complex(d, method, inc))
+    return betti_numbers(build_complex(d, method))
 
 
 @dataclass(frozen=True)

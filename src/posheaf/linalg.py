@@ -11,8 +11,9 @@ Dense rows exist only at the edges: the constructor takes them, and
 
 Scalars are ``fractions.Fraction`` over the rationals, plain ``int`` residues
 in [0, p) over a prime field, and ``float`` over the (approximate) reals.
-The reals are rejected by every elimination routine here; they only exist so
-the spectral layer can share the matrix container.
+The reals are rejected by every elimination routine here.  ``check_d_squared``
+is the one test that consecutive differentials compose to zero, for every
+field: exactly over Q and F_p, within a relative tolerance over R.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import FieldMismatch, NotAComplex
 RATIONALS = "Q"
 PRIME = "Fp"
 REALS = "R"
+D2_RESIDUAL_TOL = 1e-10
 _Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
 
 
@@ -364,11 +366,26 @@ def invert(m: Matrix) -> Matrix | None:
 # ---------------------------------------------------------------------------
 
 def check_d_squared(diffs: list[Matrix]):
-    """Raise NotAComplex unless each composite of consecutive differentials
-    vanishes; diffs[j] maps degree j to degree j + 1."""
+    """Check that each composite d_{j+1} . d_j vanishes; diffs[j] maps degree
+    j to degree j + 1.
+
+    Over Q and F_p the composite must be zero (else NotAComplex).  Over R its
+    largest entry must stay within D2_RESIDUAL_TOL * (1 + max|d_{j+1}| max|d_j|)
+    (else FieldMismatch).
+    """
     for j in range(len(diffs) - 1):
-        if any((diffs[j + 1] @ diffs[j])._entries):
-            raise NotAComplex(f"d_{j + 1} . d_{j} != 0")
+        a, b = diffs[j + 1], diffs[j]
+        residual = (a @ b)._entries
+        if a.field.is_exact:
+            if any(residual):
+                raise NotAComplex(f"d_{j + 1} . d_{j} != 0")
+        elif _max_abs(residual) > D2_RESIDUAL_TOL * (
+                1.0 + _max_abs(a._entries) * _max_abs(b._entries)):
+            raise FieldMismatch(f"d_{j + 1} . d_{j} residual exceeds tolerance")
+
+
+def _max_abs(entries: list[dict]) -> float:
+    return max((abs(x) for row in entries for x in row.values()), default=0.0)
 
 
 def _reduce_against(vec: dict, reducers: list[tuple[int, dict]], f: FieldTag) -> dict:
@@ -382,17 +399,17 @@ def _reduce_against(vec: dict, reducers: list[tuple[int, dict]], f: FieldTag) ->
     return out
 
 
-def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> list[list[list]]:
+def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> list[list[dict]]:
     """Representatives of a homology basis of a graded complex, degree by degree.
 
     Degree i of the complex has dimension dims[i], and diffs[i] is the
     differential from degree i to degree i + 1 (rows index degree i + 1).  A
     chain complex, whose boundary lowers degree, enters with its grading
-    negated.  The result holds, per degree, dense vectors of length dims[i]:
-    kernel vectors in RREF free-variable form, reduced modulo an RREF basis
-    of the incoming image (the nonzero columns of diffs[i - 1]), and kept
-    verbatim when independent of that image and of the representatives kept
-    before them.
+    negated.  The result holds, per degree, sparse vectors {index: value} with
+    indices below dims[i]: kernel vectors in RREF free-variable form, reduced
+    modulo an RREF basis of the incoming image (the nonzero columns of
+    diffs[i - 1]), and kept verbatim when independent of that image and of
+    the representatives kept before them.
     """
     _require_exact(field, "homology_basis")
     if len(diffs) != max(len(dims) - 1, 0) or any(
@@ -428,4 +445,4 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
             lead = min(residue)
             kept.append((lead, _with_lead_one(residue, lead, field)))
             reps.append(candidate)
-    return [Matrix._of(len(reps), n, reps, field).data for reps, n in zip(out, dims)]
+    return out

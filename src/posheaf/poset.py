@@ -205,24 +205,10 @@ def build_poset(elements, covers) -> Poset:
 def transitive_reduction(pairs) -> set[tuple[str, str]]:
     """Minimal edge set whose transitive closure equals the closure of the input."""
     pairs = [(str(a), str(b)) for a, b in pairs]
-    names: list[str] = []
-    seen: set[str] = set()
-    for a, b in pairs:
-        for x in (a, b):
-            if x not in seen:
-                seen.add(x)
-                names.append(x)
-    index = {e: i for i, e in enumerate(names)}
-    n = len(names)
-    succ: list[set[int]] = [set() for _ in range(n)]
-    for a, b in pairs:
-        if a == b:
-            raise CycleDetected(f"reflexive pair ({a!r}, {b!r})")
-        succ[index[a]].add(index[b])
-    topo = _toposort_indices(n, succ)
-    up = _closure_from_succ(n, succ, topo)
-    reduced = _reduce_succ(n, up)
-    return {(names[a], names[b]) for a in range(n) for b in reduced[a]}
+    names = dict.fromkeys(x for pair in pairs for x in pair)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RedundantCoversWarning)
+        return set(build_poset(names, pairs).covers)
 
 
 def topological_sort(p: Poset) -> list[str]:

@@ -2,6 +2,10 @@
 strong normalization, Dirichlet energies, and heat diffusion with
 convergence-rate estimation.
 
+``laplacian`` and ``dirichlet_energy`` take a ``cochain.CochainComplexInstance``
+over Q or R, whose constructor has already checked d^2 = 0, and convert to
+float64 only the differentials they read.
+
 Every eigensolve runs through LAPACK (``np.linalg.eigh``) in ``_eigh``.  The
 pure-Python cyclic-Jacobi solver ``jacobi_eigh`` stays as the reference the
 tests hold LAPACK to; both return ascending eigenvalues and the same sign
@@ -27,56 +31,11 @@ from .errors import (
     UnstableStepSize,
 )
 from .linalg import QQ, RATIONALS, REALS, Matrix
-from .cochain import CochainComplexInstance, SummandTag, minimal_complex, minimal_incidence
+from .cochain import CochainComplexInstance, minimal_complex, minimal_incidence
 from .sheaf import Sheaf, stalk_layout
 
-D2_RESIDUAL_TOL = 1e-10
 ZERO_EIG_FLOOR = 1e-12
 NORMALIZATIONS = ("none", "weak", "strong")
-
-
-class RealComplex:
-    """Float64 shadow of a cochain complex: per-degree summand tags, summand
-    dimensions (the block boundaries used by strong normalization), and dense
-    differentials."""
-
-    __slots__ = ("kind", "degrees", "dims", "diffs")
-
-    def __init__(self, kind: str, degrees: list[list[SummandTag]],
-                 dims: list[list[int]], diffs: list[np.ndarray]):
-        self.kind = kind
-        self.degrees = degrees
-        self.dims = dims
-        self.diffs = diffs
-        self._check_residual()
-
-    @property
-    def top_degree(self) -> int:
-        return len(self.degrees) - 1
-
-    def degree_dim(self, j: int) -> int:
-        if 0 <= j <= self.top_degree:
-            return sum(self.dims[j])
-        return 0
-
-    def diff(self, j: int) -> np.ndarray:
-        if 0 <= j < len(self.diffs):
-            return self.diffs[j]
-        return np.zeros((self.degree_dim(j + 1), self.degree_dim(j)))
-
-    def _check_residual(self):
-        for j in range(len(self.diffs) - 1):
-            a, b = self.diffs[j + 1], self.diffs[j]
-            if a.size and b.size:
-                bound = D2_RESIDUAL_TOL * (
-                    1.0 + _max_abs(a) * _max_abs(b)
-                )
-                if _max_abs(a @ b) > bound:
-                    raise FieldMismatch(f"d_{j+1} . d_{j} residual exceeds tolerance")
-
-
-def _max_abs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
 
 
 def float_array(m: Matrix) -> np.ndarray:
@@ -90,11 +49,14 @@ def float_array(m: Matrix) -> np.ndarray:
     return out
 
 
-def realize(c: CochainComplexInstance) -> RealComplex:
-    """Float64 copy of a cochain complex over Q (converted entrywise) or R."""
+def _real_diff(c: CochainComplexInstance, j: int) -> np.ndarray:
+    """d_j of a complex over Q or R as a float64 array; the zero map where the
+    complex has no d_j."""
     if c.field.kind not in (RATIONALS, REALS):
-        raise FieldMismatch(f"realize expects a rational or real complex, got {c.field}")
-    return RealComplex(c.kind, c.degrees, c.dims, [float_array(m) for m in c.diffs])
+        raise FieldMismatch(f"expected a rational or real complex, got {c.field}")
+    if 0 <= j < len(c.diffs):
+        return float_array(c.diffs[j])
+    return np.zeros((c.degree_dim(j + 1), c.degree_dim(j)))
 
 
 @dataclass
@@ -113,15 +75,16 @@ class Laplacian:
         return self.matrix.shape[0]
 
 
-def laplacian(rc: RealComplex, j: int, norm: str = "none") -> Laplacian:
-    """Degree-j Laplacian d_j^T d_j + d_{j-1} d_{j-1}^T, optionally normalized."""
-    if not (0 <= j <= rc.top_degree):
-        raise DegreeOutOfRange(f"degree {j} outside 0..{rc.top_degree}")
-    up = rc.diff(j)
+def laplacian(c: CochainComplexInstance, j: int, norm: str = "none") -> Laplacian:
+    """Degree-j Laplacian d_j^T d_j + d_{j-1} d_{j-1}^T of a complex over Q or
+    R, optionally normalized; only d_j and d_{j-1} are converted to floats."""
+    up = _real_diff(c, j)
+    if not (0 <= j <= c.top_degree):
+        raise DegreeOutOfRange(f"degree {j} outside 0..{c.top_degree}")
     with np.errstate(over="ignore", invalid="ignore"):
         mat = up.T @ up
         if j > 0:
-            down = rc.diff(j - 1)
+            down = _real_diff(c, j - 1)
             mat = mat + down @ down.T
         mat = 0.5 * (mat + mat.T)
     if not np.all(np.isfinite(mat)):
@@ -132,11 +95,11 @@ def laplacian(rc: RealComplex, j: int, norm: str = "none") -> Laplacian:
     elif norm == "weak":
         out = _weak_normalize(mat)
     elif norm == "strong":
-        out = _strong_normalize(mat, rc.dims[j])
+        out = _strong_normalize(mat, c.dims[j])
     else:
         raise FieldMismatch(f"unknown normalization {norm!r}")
     out = 0.5 * (out + out.T)
-    return Laplacian(j, out, norm, list(rc.dims[j]), provenance=rc.kind)
+    return Laplacian(j, out, norm, list(c.dims[j]), provenance=c.kind)
 
 
 def _weak_normalize(mat: np.ndarray) -> np.ndarray:
@@ -197,7 +160,7 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-10,
         return np.zeros(0), np.zeros((0, 0))
     work = a.astype(float).copy()
     vectors = np.eye(n)
-    scale = max(_max_abs(work), ZERO_EIG_FLOOR)
+    scale = max(float(np.max(np.abs(work))), ZERO_EIG_FLOOR)
     converged = False
     for _ in range(max_sweeps):
         off = 0.0
@@ -277,14 +240,15 @@ def harmonic_dim(l: Laplacian, tol: float = 1e-8) -> int:
     return eigendecompose(l, tol).harmonic_dim
 
 
-def dirichlet_energy(rc: RealComplex, x) -> float:
-    """||d_0 x||^2 for a 0-cochain x."""
+def dirichlet_energy(c: CochainComplexInstance, x) -> float:
+    """||d_0 x||^2 for a 0-cochain x of a complex over Q or R."""
+    d0 = _real_diff(c, 0)
     x = np.asarray(x, dtype=float)
-    if x.shape != (rc.degree_dim(0),):
+    if x.shape != (c.degree_dim(0),):
         raise DimensionMismatch(
-            f"0-cochain has length {x.shape}, expected ({rc.degree_dim(0)},)"
+            f"0-cochain has length {x.shape}, expected ({c.degree_dim(0)},)"
         )
-    image = rc.diff(0) @ x
+    image = d0 @ x
     return float(image @ image)
 
 
@@ -314,8 +278,11 @@ def heat_diffusion(l: Laplacian, x0, cfg: DiffusionConfig | None = None) -> Diff
     """Gradient flow of the quadratic energy of a Laplacian.
 
     Discrete mode iterates x -> x - 2*eta*L x; continuous-spectral mode
-    evaluates exp(-2 eta L t) x0 at unit-spaced times.  The stored limit is the
-    orthogonal projection of x0 onto the harmonic subspace.
+    evaluates exp(-2 eta L t) x0 at unit-spaced times, with the eigenvalues
+    that rounding leaves below zero taken as zero.  eta multiplies L (or the
+    eigenvalues) before the exact scaling by 2, so a huge eta against a zero
+    Laplacian gives 0, not inf * 0.  The stored limit is the orthogonal
+    projection of x0 onto the harmonic subspace.
     """
     cfg = cfg or DiffusionConfig()
     x0 = np.asarray(x0, dtype=float)
@@ -336,15 +303,17 @@ def heat_diffusion(l: Laplacian, x0, cfg: DiffusionConfig | None = None) -> Diff
     coords = spectrum.eigenvectors.T @ x0
     states = [x0]
     if mode == "discrete":
-        operator = np.eye(l.size) - 2.0 * eta * l.matrix
+        operator = np.eye(l.size) - 2.0 * (eta * l.matrix)
         x = x0
         for _ in range(cfg.steps):
             x = operator @ x
             states.append(x)
     else:
-        for k in range(1, cfg.steps + 1):
-            decay = np.exp(-2.0 * eta * spectrum.eigenvalues * float(k))
-            states.append(spectrum.eigenvectors @ (decay * coords))
+        with np.errstate(over="ignore"):  # an infinite rate decays to exp(-inf) = 0
+            rates = eta * np.maximum(spectrum.eigenvalues, 0.0)
+            for k in range(1, cfg.steps + 1):
+                decay = np.exp(-2.0 * rates * float(k))
+                states.append(spectrum.eigenvectors @ (decay * coords))
     energies = [float(x @ (l.matrix @ x)) for x in states]
     distances = [float(np.linalg.norm(x - limit)) for x in states]
     return DiffusionTrace(states, energies, distances, eta, mode, limit)
@@ -462,15 +431,13 @@ def hyperedge_barycenters(h: Sheaf, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The minimal complex of a sheaf over Q or R, realized.
+# The minimal complex of a sheaf over Q or R.
 # ---------------------------------------------------------------------------
 
-def real_sheaf_complex(sheaf: Sheaf, inc=None) -> RealComplex:
-    """Minimal-construction RealComplex for a sheaf over Q or R.
+def real_sheaf_complex(sheaf: Sheaf) -> CochainComplexInstance:
+    """Minimal complex of a sheaf over Q or R.
 
     The incidence data depends only on the poset, so it is computed over the
     rationals; the sheaf's structure maps may already be floats.
     """
-    if inc is None:
-        inc = minimal_incidence(sheaf.poset, QQ)
-    return realize(minimal_complex(sheaf, inc))
+    return minimal_complex(sheaf, minimal_incidence(sheaf.poset, QQ))

@@ -45,7 +45,6 @@ from posheaf.spectral import (
     hyperedge_barycenters,
     hypergraph_energy_forms,
     laplacian,
-    realize,
 )
 from posheaf.nsd import NsdLayer, finite_difference_gradient, nsd_forward
 
@@ -122,8 +121,8 @@ def test_criterion_04_cycle_spectrum():
     ok = True
     for n in range(3, 13):
         s = constant_sheaf(cycle_poset(n), 1, QQ)
-        rc = realize(minimal_complex(s, minimal_incidence(s.poset, QQ)))
-        bundle = eigendecompose(laplacian(rc, 0, "none"))
+        c = minimal_complex(s, minimal_incidence(s.poset, QQ))
+        bundle = eigendecompose(laplacian(c, 0, "none"))
         expected = sorted(2 - 2 * math.cos(2 * math.pi * k / n) for k in range(n))
         ok = ok and max(
             abs(a - b) for a, b in zip(bundle.eigenvalues, expected)
@@ -199,9 +198,8 @@ def test_criterion_08_hodge_consistency():
         s = random_compositional_sheaf(p, rng)
         exact = minimal_complex(s, minimal_incidence(p, QQ))
         vec = betti_numbers(exact)
-        rc = realize(exact)
-        for j in range(rc.top_degree + 1):
-            lap = laplacian(rc, j, "none")
+        for j in range(exact.top_degree + 1):
+            lap = laplacian(exact, j, "none")
             ok = ok and harmonic_dim(lap, 1e-8) == vec[j]
     _report(8, "hodge-consistency", ok)
 
@@ -213,12 +211,12 @@ def test_criterion_09_normalization_kernel_invariance():
     while checked < 50:
         p = random_dag_poset(rng, max_elements=8)
         s = random_compositional_sheaf(p, rng)
-        rc = realize(minimal_complex(s, minimal_incidence(p, QQ)))
-        for j in range(rc.top_degree + 1):
-            if rc.degree_dim(j) == 0:
+        c = minimal_complex(s, minimal_incidence(p, QQ))
+        for j in range(c.top_degree + 1):
+            if c.degree_dim(j) == 0:
                 continue
             dims = {
-                norm: harmonic_dim(laplacian(rc, j, norm), 1e-8)
+                norm: harmonic_dim(laplacian(c, j, norm), 1e-8)
                 for norm in ("none", "weak", "strong")
             }
             ok = ok and len(set(dims.values())) == 1
@@ -232,9 +230,7 @@ def test_criterion_10_convergence_rate():
     eta = 0.02
     for n in range(4, 9):
         s = constant_sheaf(cycle_poset(n), 1, QQ)
-        lap = laplacian(
-            realize(minimal_complex(s, minimal_incidence(s.poset, QQ))), 0, "none"
-        )
+        lap = laplacian(minimal_complex(s, minimal_incidence(s.poset, QQ)), 0, "none")
         bundle = eigendecompose(lap)
         x0 = rng.standard_normal(n)
         trace = heat_diffusion(lap, x0, DiffusionConfig(eta=eta, steps=200))
@@ -317,12 +313,12 @@ def test_criterion_13_euler_identity():
 def test_criterion_14_gradient_check():
     rng = seeded_rng(114)
     s = random_compositional_sheaf(random_dag_poset(rng, max_elements=8), rng)
-    rc = realize(minimal_complex(s, minimal_incidence(s.poset, QQ)))
-    lap = laplacian(rc, 0, "none")
+    c = minimal_complex(s, minimal_incidence(s.poset, QQ))
+    lap = laplacian(c, 0, "none")
     ok = lap.size > 0
     for _ in range(20):
         x = rng.standard_normal(lap.size)
-        grad = finite_difference_gradient(lambda y: dirichlet_energy(rc, y), x)
+        grad = finite_difference_gradient(lambda y: dirichlet_energy(c, y), x)
         analytic = 2.0 * (lap.matrix @ x)
         scale = max(1.0, float(np.linalg.norm(analytic)))
         ok = ok and float(np.linalg.norm(grad - analytic)) <= 1e-5 * scale

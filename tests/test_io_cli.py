@@ -359,6 +359,28 @@ def test_cli_diffuse_rejects_non_finite_step_sizes_at_the_diffusion_stage(flags)
     assert code == 1 and report["error"]["code"] == "UnstableStepSize"
 
 
+@pytest.mark.parametrize("document, eta, mode", [
+    ("cycle4", "1e15", "continuous"),
+    ("cycle4", "1e300", "continuous"),
+    ("cycle4", "1e308", "continuous"),
+    ("point", "1e308", "continuous"),
+    ("point", "1e308", "discrete"),
+])
+def test_cli_diffuse_with_a_huge_step_size_does_not_grow(tmp_path, document, eta, mode):
+    # rounding leaves zero eigenvalues of cycle4 slightly negative, and the
+    # point's Laplacian is the 1 x 1 zero matrix
+    path = GOLDEN / "cycle4_constant.json"
+    if document == "point":
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(
+            {"field": "R", "elements": ["a"], "covers": [], "stalks": {"a": 1}, "maps": {}}))
+    status, report, text = _run(["diffuse", str(path), "--eta", eta, "--mode", mode])
+    assert status == 0 and len(text.splitlines()) == 1
+    trace = report["trace"]
+    assert trace["energies_last"] <= trace["energies_first"]
+    assert trace["distance_last"] <= trace["distance_first"]
+
+
 def test_cli_valid_x0_and_integer_eta_still_run(tmp_path):
     doc = str(GOLDEN / "cycle4_constant.json")
     x0 = tmp_path / "x0.json"
