@@ -1,8 +1,11 @@
 """Command-line interface.
 
 Every subcommand reads a sheaf document, runs one pipeline stage, and prints a
-deterministic JSON run report on stdout.  Exit codes: 0 success, 1 domain
-error (with an error report), 2 usage error.
+deterministic JSON run report on stdout: ``command``, then ``inputs_digest``
+(the SHA-256 of the document bytes), then the fields of that subcommand.  The
+document and the side files (``--x0``, the ``nsd-forward`` params and the
+``learn`` signals) are all read as UTF-8.  Exit codes: 0 success, 1 domain
+error (with an error report of ``command`` and ``error``), 2 usage error.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cochain, nsd, spectral
-from .errors import FieldMismatch, PosheafError, SchemaError
+from .errors import FieldMismatch, ParseError, PosheafError, SchemaError
 from .io import (
     canonical_json,
     field_to_string,
@@ -31,20 +34,16 @@ EXACT_COMMANDS = {"validate", "classify", "sections", "betti", "incidence"}
 
 
 def _read(path: str) -> tuple[str, bytes]:
+    """A file's text, decoded as UTF-8, and its bytes."""
     raw = Path(path).read_bytes()
-    return raw.decode("utf-8"), raw
+    try:
+        return raw.decode("utf-8"), raw
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text at byte {exc.start}: {exc.reason}") from None
 
 
-def _load_exact_sheaf(path: str, command: str):
-    text, raw = _read(path)
-    sheaf = parse_sheaf(text)
-    if command in EXACT_COMMANDS and not sheaf.field.is_exact:
-        raise FieldMismatch(f"{command} requires an exact field, got R")
-    return sheaf, raw
-
-
-def _report_base(command: str, raw: bytes) -> dict:
-    return {"command": command, "inputs_digest": inputs_digest(raw)}
+def _side_document(path: str) -> dict:
+    return parse_document(_read(path)[0])
 
 
 def _float_list(values) -> list[float]:
@@ -78,30 +77,27 @@ def _numeric_array(doc: dict, key: str) -> np.ndarray:
         raise SchemaError(f"{key}: ragged array") from None
 
 
-def cmd_validate(args) -> dict:
-    sheaf, raw = _load_exact_sheaf(args.document, "validate")
+def cmd_validate(sheaf, args) -> dict:
     violations = check_compositionality(sheaf)
-    report = _report_base("validate", raw)
-    report["ok"] = not violations
-    report["violations"] = [
-        {
-            "source": v.source,
-            "target": v.target,
-            "path_a": list(v.path_a),
-            "path_b": list(v.path_b),
-            "deviation_sq": v.deviation_sq,
-        }
-        for v in violations
-    ]
-    report["noncommutativity"] = float(sum(v.deviation_sq for v in violations))
-    return report
+    return {
+        "ok": not violations,
+        "violations": [
+            {
+                "source": v.source,
+                "target": v.target,
+                "path_a": list(v.path_a),
+                "path_b": list(v.path_b),
+                "deviation_sq": v.deviation_sq,
+            }
+            for v in violations
+        ],
+        "noncommutativity": float(sum(v.deviation_sq for v in violations)),
+    }
 
 
-def cmd_classify(args) -> dict:
-    sheaf, raw = _load_exact_sheaf(args.document, "classify")
+def cmd_classify(sheaf, args) -> dict:
     result = classify(sheaf.poset, sheaf.field)
-    report = _report_base("classify", raw)
-    report["classification"] = {
+    return {"classification": {
         "graded": result.graded,
         "rank": (
             {e: result.rank[e] for e in sheaf.poset.elements} if result.rank else None
@@ -113,35 +109,25 @@ def cmd_classify(args) -> dict:
             if result.cell_dims
             else None
         ),
-    }
-    return report
+    }}
 
 
-def cmd_sections(args) -> dict:
-    sheaf, raw = _load_exact_sheaf(args.document, "sections")
+def cmd_sections(sheaf, args) -> dict:
     space = global_sections_bruteforce(sheaf)
-    report = _report_base("sections", raw)
-    report["sections"] = {
+    return {"sections": {
         "dim": space.dim,
         "layout": list(space.layout),
         "basis": [
             [scalar_to_string(v, sheaf.field) for v in vec] for vec in space.basis
         ],
-    }
-    return report
+    }}
 
 
-def cmd_betti(args) -> dict:
-    sheaf, raw = _load_exact_sheaf(args.document, "betti")
-    vector = cochain.betti(sheaf, args.method)
-    report = _report_base("betti", raw)
-    report["method"] = args.method
-    report["betti"] = vector
-    return report
+def cmd_betti(sheaf, args) -> dict:
+    return {"method": args.method, "betti": cochain.betti(sheaf, args.method)}
 
 
-def cmd_incidence(args) -> dict:
-    sheaf, raw = _load_exact_sheaf(args.document, "incidence")
+def cmd_incidence(sheaf, args) -> dict:
     inc = cochain.minimal_incidence(sheaf.poset, sheaf.field)
     # dense augmented matrix over ["@"] + generators: entry (h, g) is the
     # coefficient of h in the boundary of g
@@ -150,47 +136,38 @@ def cmd_incidence(args) -> dict:
     for g in inc.generators:
         for h, value in inc.columns[g.gid].items():
             matrix[h + 1][g.gid + 1] = scalar_to_string(value, sheaf.field)
-    report = _report_base("incidence", raw)
-    report["incidence"] = {
+    return {"incidence": {
         "generators": [
             {"id": g.gid, "degree": g.degree, "owner": g.owner}
             for g in inc.generators
         ],
         "labels": ["@"] + [f"g{g.gid}" for g in inc.generators],
         "matrix": matrix,
-    }
-    return report
+    }}
 
 
-def cmd_spectrum(args) -> dict:
-    text, raw = _read(args.document)
-    sheaf = parse_sheaf(text)
-    lap = spectral.laplacian(spectral.real_sheaf_complex(sheaf), args.degree, args.norm)
-    bundle = spectral.eigendecompose(lap)
-    report = _report_base("spectrum", raw)
-    report["spectrum"] = {
+def _laplacian(sheaf, args) -> spectral.Laplacian:
+    return spectral.laplacian(spectral.real_sheaf_complex(sheaf), args.degree, args.norm)
+
+
+def cmd_spectrum(sheaf, args) -> dict:
+    bundle = spectral.eigendecompose(_laplacian(sheaf, args))
+    return {"spectrum": {
         "degree": args.degree,
         "normalization": args.norm,
         "eigenvalues": _float_list(bundle.eigenvalues),
         "lambda_min": bundle.lam_min,
         "lambda_max": bundle.lam_max,
         "harmonic_dim": bundle.harmonic_dim,
-    }
-    return report
+    }}
 
 
-def cmd_diffuse(args) -> dict:
-    text, raw = _read(args.document)
-    sheaf = parse_sheaf(text)
-    lap = spectral.laplacian(spectral.real_sheaf_complex(sheaf), args.degree, args.norm)
-    if args.x0:
-        x0 = _numeric_array(parse_document(Path(args.x0).read_text()), "x0")
-    else:
-        x0 = np.ones(lap.size)
+def cmd_diffuse(sheaf, args) -> dict:
+    lap = _laplacian(sheaf, args)
+    x0 = _numeric_array(_side_document(args.x0), "x0") if args.x0 else np.ones(lap.size)
     cfg = spectral.DiffusionConfig(eta=args.eta, steps=args.steps, mode=args.mode)
     trace = spectral.heat_diffusion(lap, x0, cfg)
-    report = _report_base("diffuse", raw)
-    report["trace"] = {
+    return {"trace": {
         "degree": args.degree,
         "normalization": args.norm,
         "eta": trace.eta,
@@ -201,36 +178,27 @@ def cmd_diffuse(args) -> dict:
         "distance_first": trace.distances[0],
         "distance_last": trace.distances[-1],
         "limit": _float_list(trace.limit),
-    }
-    return report
+    }}
 
 
-def cmd_nsd_forward(args) -> dict:
-    text, raw = _read(args.document)
-    sheaf = parse_sheaf(text)
-    params = parse_document(Path(args.params).read_text())
+def cmd_nsd_forward(sheaf, args) -> dict:
+    params = _side_document(args.params)
     x, w1, w2 = (_numeric_array(params, key) for key in ("X", "W1", "W2"))
     eta = params.get("eta")
     if eta is not None and not _is_finite_number(eta):
         raise SchemaError(f"eta: {eta!r} is not a finite number")
     layer = nsd.NsdLayer(sheaf, w1, w2, eta=eta, norm=params.get("norm", "weak"))
-    out = nsd.nsd_forward(layer, x)
-    report = _report_base("nsd-forward", raw)
-    report["output"] = [[float(v) for v in row] for row in out]
-    return report
+    return {"output": [[float(v) for v in row] for row in nsd.nsd_forward(layer, x)]}
 
 
-def cmd_learn(args) -> dict:
-    text, raw = _read(args.document)
-    sheaf = parse_sheaf(text)
-    signals = _numeric_array(parse_document(Path(args.signals).read_text()), "signals")
+def cmd_learn(sheaf, args) -> dict:
+    signals = _numeric_array(_side_document(args.signals), "signals")
     if signals.size and signals.ndim != 2:  # [] is the learner's EmptySignalSet
         raise SchemaError("signals: must be an array of signal vectors")
     cfg = nsd.LearnConfig(lr=args.lr, iters=args.iters, d=args.d, seed=args.seed)
     result = nsd.learn_sheaf(sheaf.poset, signals, cfg)
-    report = _report_base("learn", raw)
     learned = result.sheaf
-    report["learn"] = {
+    return {"learn": {
         "d": args.d,
         "loss_history": _float_list(result.loss_history),
         "field": field_to_string(learned.field),
@@ -238,8 +206,7 @@ def cmd_learn(args) -> dict:
             f"{a}<{b}": [float(v) for row in learned.edge_map[(a, b)].data for v in row]
             for (a, b) in sorted(learned.edge_map, key=lambda ab: f"{ab[0]}<{ab[1]}")
         },
-    }
-    return report
+    }}
 
 
 def _checked(parse, ok, what: str):
@@ -312,23 +279,18 @@ def cli(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     command = args.subcommand
     try:
-        out = canonical_json(args.fn(args))
-    except PosheafError as exc:
-        error_report = {
-            "command": command,
-            "error": {"code": exc.code, "message": str(exc)},
-        }
-        sys.stdout.write(canonical_json(error_report) + "\n")
-        return 1
-    except OSError as exc:
-        error_report = {
-            "command": command,
-            "error": {"code": "IOError", "message": str(exc)},
-        }
-        sys.stdout.write(canonical_json(error_report) + "\n")
-        return 1
+        text, raw = _read(args.document)
+        sheaf = parse_sheaf(text)
+        if command in EXACT_COMMANDS and not sheaf.field.is_exact:
+            raise FieldMismatch(f"{command} requires an exact field, got R")
+        frame = {"command": command, "inputs_digest": inputs_digest(raw)}
+        out, status = canonical_json(frame | args.fn(sheaf, args)), 0
+    except (PosheafError, OSError) as exc:
+        code = exc.code if isinstance(exc, PosheafError) else "IOError"
+        error = {"code": code, "message": str(exc)}
+        out, status = canonical_json({"command": command, "error": error}), 1
     sys.stdout.write(out + "\n")
-    return 0
+    return status
 
 
 def main():

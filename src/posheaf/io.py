@@ -125,6 +125,8 @@ def parse_document(text: str) -> dict:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nest too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")
     return doc

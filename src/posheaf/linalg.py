@@ -369,9 +369,9 @@ def check_d_squared(diffs: list[Matrix]):
     """Check that each composite d_{j+1} . d_j vanishes; diffs[j] maps degree
     j to degree j + 1.
 
-    Over Q and F_p the composite must be zero (else NotAComplex).  Over R its
-    largest entry must stay within D2_RESIDUAL_TOL * (1 + max|d_{j+1}| max|d_j|)
-    (else FieldMismatch).
+    Over Q and F_p the composite must be zero.  Over R its largest entry must
+    stay within D2_RESIDUAL_TOL * (1 + max|d_{j+1}| max|d_j|).  Either failure
+    is NotAComplex.
     """
     for j in range(len(diffs) - 1):
         a, b = diffs[j + 1], diffs[j]
@@ -381,7 +381,7 @@ def check_d_squared(diffs: list[Matrix]):
                 raise NotAComplex(f"d_{j + 1} . d_{j} != 0")
         elif _max_abs(residual) > D2_RESIDUAL_TOL * (
                 1.0 + _max_abs(a._entries) * _max_abs(b._entries)):
-            raise FieldMismatch(f"d_{j + 1} . d_{j} residual exceeds tolerance")
+            raise NotAComplex(f"d_{j + 1} . d_{j} residual exceeds tolerance")
 
 
 def _max_abs(entries: list[dict]) -> float:

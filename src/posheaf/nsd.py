@@ -29,6 +29,7 @@ from .spectral import (NORMALIZATIONS, default_eta, eigendecompose, float_array,
                        real_sheaf_complex)
 
 SEED_ENV = "POSHEAF_SEED"
+MAX_HALVINGS = 20  # learning-rate halvings tried before the learner stops
 
 
 def _graph_structure(p: Poset) -> tuple[list[str], list[tuple[str, str, str]]]:
@@ -146,7 +147,6 @@ class LearnConfig:
     iters: int = 100
     d: int = 1
     seed: int | None = None
-    max_halvings: int = 20
 
 
 @dataclass
@@ -235,7 +235,7 @@ def learn_sheaf(p: Poset, signals, cfg: LearnConfig | None = None) -> LearnResul
     The parameters form an (edges, 2, d, d) tensor theta[e] = (F_(u,e),
     F_(v,e)) in the edge order of the graph poset; the sheaf is built once,
     from the final parameters.  Steps that would increase the loss halve the
-    learning rate (up to cfg.max_halvings); the recorded history contains
+    learning rate (up to MAX_HALVINGS times); the recorded history contains
     accepted losses only and is non-increasing by construction.
 
     The initial draw is left unprojected on purpose: projecting a d=1 draw
@@ -264,7 +264,7 @@ def learn_sheaf(p: Poset, signals, cfg: LearnConfig | None = None) -> LearnResul
         if grad_sq <= 1e-30:
             break
         lr = cfg.lr * float(np.sum(r * r)) / grad_sq
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             candidate = _project(theta - lr * grad)
             r_candidate = _residuals(candidate, xu, xv)
             new_loss = float(np.sum(r_candidate * r_candidate))

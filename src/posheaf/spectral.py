@@ -35,6 +35,7 @@ from .cochain import CochainComplexInstance, minimal_complex, minimal_incidence
 from .sheaf import Sheaf, stalk_layout
 
 ZERO_EIG_FLOOR = 1e-12
+HARMONIC_TOL = 1e-8  # eigenvalues below HARMONIC_TOL * lambda_max count as zero
 NORMALIZATIONS = ("none", "weak", "strong")
 
 
@@ -61,14 +62,9 @@ def _real_diff(c: CochainComplexInstance, j: int) -> np.ndarray:
 
 @dataclass
 class Laplacian:
-    """Symmetric Laplacian of one degree, with the summand block sizes used by
-    the stalk-wise normalization and a provenance note."""
+    """Symmetric Laplacian of one degree."""
 
-    degree: int
     matrix: np.ndarray
-    normalization: str
-    blocks: list[int]
-    provenance: str = ""
 
     @property
     def size(self) -> int:
@@ -99,7 +95,7 @@ def laplacian(c: CochainComplexInstance, j: int, norm: str = "none") -> Laplacia
     else:
         raise FieldMismatch(f"unknown normalization {norm!r}")
     out = 0.5 * (out + out.T)
-    return Laplacian(j, out, norm, list(c.dims[j]), provenance=c.kind)
+    return Laplacian(out)
 
 
 def _weak_normalize(mat: np.ndarray) -> np.ndarray:
@@ -217,27 +213,26 @@ class SpectralBundle:
     lam_min: float | None
     lam_max: float
     harmonic_dim: int
-    tol: float
 
     def harmonic_projector(self) -> np.ndarray:
         h = self.eigenvectors[:, : self.harmonic_dim]
         return h @ h.T
 
 
-def eigendecompose(l: Laplacian, tol: float = 1e-8) -> SpectralBundle:
+def eigendecompose(l: Laplacian) -> SpectralBundle:
     eigenvalues, vectors = _eigh(l.matrix)
     lam_max = float(eigenvalues[-1]) if eigenvalues.size else 0.0
-    threshold = max(tol * lam_max, ZERO_EIG_FLOOR)
+    threshold = max(HARMONIC_TOL * lam_max, ZERO_EIG_FLOOR)
     harmonic = int(np.sum(eigenvalues < threshold))
     positive = eigenvalues[eigenvalues >= threshold]
     lam_min = float(positive[0]) if positive.size else None
-    return SpectralBundle(eigenvalues, vectors, lam_min, lam_max, harmonic, tol)
+    return SpectralBundle(eigenvalues, vectors, lam_min, lam_max, harmonic)
 
 
-def harmonic_dim(l: Laplacian, tol: float = 1e-8) -> int:
+def harmonic_dim(l: Laplacian) -> int:
     """Count of near-zero eigenvalues; equals the exact Betti number of the
     originating complex in that degree."""
-    return eigendecompose(l, tol).harmonic_dim
+    return eigendecompose(l).harmonic_dim
 
 
 def dirichlet_energy(c: CochainComplexInstance, x) -> float:

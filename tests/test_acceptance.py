@@ -200,7 +200,7 @@ def test_criterion_08_hodge_consistency():
         vec = betti_numbers(exact)
         for j in range(exact.top_degree + 1):
             lap = laplacian(exact, j, "none")
-            ok = ok and harmonic_dim(lap, 1e-8) == vec[j]
+            ok = ok and harmonic_dim(lap) == vec[j]
     _report(8, "hodge-consistency", ok)
 
 
@@ -216,7 +216,7 @@ def test_criterion_09_normalization_kernel_invariance():
             if c.degree_dim(j) == 0:
                 continue
             dims = {
-                norm: harmonic_dim(laplacian(c, j, norm), 1e-8)
+                norm: harmonic_dim(laplacian(c, j, norm))
                 for norm in ("none", "weak", "strong")
             }
             ok = ok and len(set(dims.values())) == 1

@@ -1,7 +1,10 @@
 import copy
 import io
 import json
+import os
 import runpy
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -280,7 +283,7 @@ def test_cli_nsd_forward_unknown_norm(tmp_path, norm):
 
 
 def test_cli_unserializable_report_is_an_error_report(monkeypatch):
-    monkeypatch.setattr(cli_module, "cmd_validate", lambda args: {"x": float("inf")})
+    monkeypatch.setattr(cli_module, "cmd_validate", lambda sheaf, args: {"x": float("inf")})
     status, report, text = _run(["validate", str(GOLDEN / "path_constant.json")])
     assert status == 1
     assert len(text.splitlines()) == 1
@@ -324,6 +327,38 @@ def test_cli_bad_params_and_state_files_report_one_schema_error(tmp_path, comman
     lines = text.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["code"] == "SchemaError"
+
+
+_UNREADABLE = {"not-utf8": b"\xff\xfe{}", "deep": b"[" * 100_000}
+
+
+@pytest.mark.parametrize("content", _UNREADABLE.values(), ids=_UNREADABLE.keys())
+@pytest.mark.parametrize("target", ["document", "x0", "params", "signals"])
+def test_cli_undecodable_or_deeply_nested_files_are_parse_errors(tmp_path, target, content):
+    # each case used to end in a UnicodeDecodeError or RecursionError traceback
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    doc = str(GOLDEN / "cycle4_constant.json")
+    argv = {
+        "document": ["betti", str(bad)],
+        "x0": ["diffuse", doc, "--x0", str(bad)],
+        "params": ["nsd-forward", doc, str(bad)],
+        "signals": ["learn", doc, str(bad), "--iters", "2"],
+    }[target]
+    status, report, text = _run(argv)
+    assert status == 1 and len(text.splitlines()) == 1
+    assert report == {"command": argv[0], "error": report["error"]}
+    assert report["error"]["code"] == "ParseError"
+
+
+def test_cli_module_reports_an_undecodable_document_without_a_traceback(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(_UNREADABLE["not-utf8"])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "posheaf.cli", "betti", str(bad)],
+                          capture_output=True, env=env, timeout=60)
+    assert done.returncode == 1 and done.stderr == b""
+    assert json.loads(done.stdout)["error"]["code"] == "ParseError"
 
 
 @pytest.mark.parametrize("argv", [
@@ -459,7 +494,7 @@ def _suspended_circle_document(tmp_path, field: str, **maps: str) -> str:
 
 
 @pytest.mark.parametrize("maps, real_code", [
-    ({"v_t": "2"}, "FieldMismatch"),
+    ({"v_t": "2"}, "NotAComplex"),
     ({"x_u": "0.30000000000000004", "x_v": "0.3"}, None),
 ])
 def test_cli_spectrum_checks_d_squared_with_a_tolerance_over_r_and_exactly_over_q(
@@ -581,14 +616,36 @@ def _document_text(doc) -> str:
 
 
 _GOLDEN_DOCUMENTS = sorted(p for p in GOLDEN.glob("*.json") if not p.name.endswith(".report.json"))
+# the flags of each subcommand, and the values a mutated flag may take; no
+# value parses as a count above 2, so no mutated --steps or --iters runs long
+_FLAGS = {
+    "betti": ["--method"],
+    "spectrum": ["--degree", "--norm"],
+    "diffuse": ["--degree", "--norm", "--eta", "--steps", "--mode", "--x0"],
+    "learn": ["--lr", "--iters", "--d", "--seed"],
+}
+_FLAG_VALUES = ["-1", "0", "2", "3.5", "1e308", "nan", "inf", "", "abc", "strong", "minimal"]
+
+
+def _mutate_flags(data, argv):
+    """Sometimes replace the value of one flag of the subcommand, or append it."""
+    flags = _FLAGS.get(argv[0])
+    if not flags or not data.draw(st.booleans()):
+        return argv
+    flag = data.draw(st.sampled_from(flags))
+    value = data.draw(st.sampled_from(_FLAG_VALUES))
+    if flag in argv and data.draw(st.booleans()):
+        i = argv.index(flag)
+        return argv[:i + 1] + [value] + argv[i + 2:]
+    return argv + [flag, value]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_cli_contract_holds_on_mutated_golden_documents(data):
-    # Every subcommand exits 0, 1 or 2, and on 0 or 1 prints exactly one JSON
-    # line: a report, or an error report with a code.
-    argv = data.draw(st.sampled_from(_ARGVS))
+    # Every subcommand exits 0, 1 or 2; on 0 or 1 it prints exactly one JSON
+    # line, a report or an error report with a code, and on 2 nothing.
+    argv = _mutate_flags(data, data.draw(st.sampled_from(_ARGVS)))
     texts = {"doc": data.draw(st.sampled_from(_GOLDEN_DOCUMENTS)).read_text()}
     texts.update({name: json.dumps(body) for name, body in _SIDE_FILES.items()})
     target = data.draw(st.sampled_from(["doc"] + [a[1:-1] for a in argv[2:] if a[:1] == "{"]))
@@ -603,7 +660,9 @@ def test_cli_contract_holds_on_mutated_golden_documents(data):
             Path(paths[name]).write_text(text)
         code, out = _run_quietly([a.format(**paths) for a in argv])
     assert code in (0, 1, 2)
-    if code in (0, 1):
+    if code == 2:
+        assert out == ""
+    else:
         assert out.endswith("\n") and out.count("\n") == 1
         report = json.loads(out)
         assert report["command"] == argv[0]

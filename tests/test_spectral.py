@@ -226,7 +226,7 @@ def test_harmonic_dims_equal_betti_all_constructions():
             vec = betti_numbers(exact)
             for j in range(exact.top_degree + 1):
                 lap = laplacian(exact, j, "none")
-                assert harmonic_dim(lap, 1e-8) == vec[j]
+                assert harmonic_dim(lap) == vec[j]
 
 
 def test_normalization_preserves_harmonic_dim():
@@ -239,7 +239,7 @@ def test_normalization_preserves_harmonic_dim():
             if rc.degree_dim(j) == 0:
                 continue
             dims = {
-                norm: harmonic_dim(laplacian(rc, j, norm), 1e-8)
+                norm: harmonic_dim(laplacian(rc, j, norm))
                 for norm in ("none", "weak", "strong")
             }
             assert len(set(dims.values())) == 1
