@@ -193,6 +193,13 @@ def minimal_incidence(p: Poset, field: FieldTag) -> IncidenceData:
     strict down-set, as boundary blocks per degree read off the sparse
     columns; compute a homology basis; and create one new generator per class,
     one degree up, whose boundary column is the representative chain.
+
+    Many elements share one down-set complex (every edge of a graph, every
+    face of a simplex of one dimension).  ``homology_basis`` is a function of
+    its blocks alone, so within one call its representatives are kept in a
+    local dict keyed by the per-degree sizes and the relabelled columns of
+    every block, each column's items in insertion order; an element whose key
+    was seen reuses them, and the dict is dropped when the call returns.
     """
     if not field.is_exact:
         raise FieldMismatch("minimal_incidence needs an exact field")
@@ -200,6 +207,7 @@ def minimal_incidence(p: Poset, field: FieldTag) -> IncidenceData:
     owners: list[str] = []
     columns: list[dict[int, object]] = []
     owned: dict[str, list[int]] = {}
+    memo: dict[tuple, list[list[dict]]] = {}
     for s in p.topo_order:
         kept = sorted(gid for t in p.strict_lower(s) for gid in owned[t])
         top = max((degrees[gid] for gid in kept), default=-1)
@@ -210,14 +218,18 @@ def minimal_incidence(p: Poset, field: FieldTag) -> IncidenceData:
         index = {gid: i for gens in by_degree for i, gid in enumerate(gens)}
         # boundary blocks degree j -> j - 1 from the top down: the chain
         # complex read as a cochain complex in degree -j
-        blocks = [
-            Matrix.from_columns(len(by_degree[j]), [
-                {index[row]: value for row, value in columns[gid].items()}
-                for gid in by_degree[j + 1]
-            ], field)
+        blocks = tuple(
+            tuple(tuple((index[row], value) for row, value in columns[gid].items())
+                  for gid in by_degree[j + 1])
             for j in range(top, -1, -1)
-        ]
-        reps = homology_basis(blocks, [len(gens) for gens in reversed(by_degree)], field)
+        )
+        dims = [len(gens) for gens in reversed(by_degree)]
+        key = (tuple(dims), blocks)
+        reps = memo.get(key)
+        if reps is None:
+            reps = memo[key] = homology_basis(
+                [Matrix.from_columns(rows, [dict(col) for col in block], field)
+                 for rows, block in zip(dims[1:], blocks)], dims, field)
         owned[s] = []
         for j, gens in enumerate(by_degree):
             # classes in degree j - 1 become generators of degree j
@@ -237,7 +249,9 @@ def minimal_complex(d: Sheaf, inc: IncidenceData) -> CochainComplexInstance:
     """Minimal honest complex: one stalk copy per incidence generator, with
     differential blocks I(g2, g1) . D(owner(g1) < owner(g2)).
 
-    A sheaf over R takes incidence data over Q, whose scalars embed in R.
+    A sheaf over R takes incidence data over Q, whose scalars embed in R: each
+    face gets its scalar as a float once, and since Fraction * float is
+    float(Fraction) * float, every entry is the one the Fraction would give.
     """
     if inc.poset != d.poset:
         raise PosetMismatch("incidence data was computed on a different poset")
@@ -248,7 +262,9 @@ def minimal_complex(d: Sheaf, inc: IncidenceData) -> CochainComplexInstance:
     for g in inc.generators:
         degrees[g.degree].append(SummandTag(g.owner, len(degrees[g.degree]), gid=g.gid))
     tag_of = {tag.gid: tag for tags in degrees for tag in tags}
-    faces = ((inc.generators[gid1].degree, tag_of[g2.gid], tag_of[gid1], scalar)
+    real = d.field == RR
+    faces = ((inc.generators[gid1].degree, tag_of[g2.gid], tag_of[gid1],
+              float(scalar) if real else scalar)
              for g2 in inc.generators
              for gid1, scalar in inc.columns[g2.gid].items() if gid1 != AUGMENTATION)
     return _assemble(MINIMAL, d, degrees, faces)

@@ -220,7 +220,14 @@ def _loss_gradient(r: np.ndarray, xu: np.ndarray, xv: np.ndarray) -> np.ndarray:
 
 def _project(theta: np.ndarray) -> np.ndarray:
     """Scale every edge map to unit Frobenius norm; a zero map becomes the
-    matrix unit E_11."""
+    matrix unit E_11.
+
+    Each map is first divided by the power of two at its largest absolute
+    entry, so its squares can neither overflow nor all underflow.  A power of
+    two scales exactly: wherever the plain squares and their sum stay normal
+    floats, the result is the same bit for bit."""
+    _, exponent = np.frexp(abs(theta).max(axis=(2, 3), keepdims=True))
+    theta = np.ldexp(theta, -exponent)
     norms = np.sqrt(np.sum(theta * theta, axis=(2, 3), keepdims=True))
     out = theta / np.where(norms > 0, norms, 1.0)
     out[..., 0, 0] += norms[..., 0, 0] == 0
@@ -234,9 +241,10 @@ def learn_sheaf(p: Poset, signals, cfg: LearnConfig | None = None) -> LearnResul
 
     The parameters form an (edges, 2, d, d) tensor theta[e] = (F_(u,e),
     F_(v,e)) in the edge order of the graph poset; the sheaf is built once,
-    from the final parameters.  Steps that would increase the loss halve the
-    learning rate (up to MAX_HALVINGS times); the recorded history contains
-    accepted losses only and is non-increasing by construction.
+    from the final parameters.  Steps that would increase the loss, or whose
+    parameters overflow, halve the learning rate (up to MAX_HALVINGS times);
+    the recorded history contains accepted losses only and is non-increasing
+    by construction.
 
     The initial draw is left unprojected on purpose: projecting a d=1 draw
     collapses it onto {-1, +1} and a symmetric gradient could never separate
@@ -265,9 +273,12 @@ def learn_sheaf(p: Poset, signals, cfg: LearnConfig | None = None) -> LearnResul
             break
         lr = cfg.lr * float(np.sum(r * r)) / grad_sq
         for _ in range(MAX_HALVINGS + 1):
-            candidate = _project(theta - lr * grad)
-            r_candidate = _residuals(candidate, xu, xv)
-            new_loss = float(np.sum(r_candidate * r_candidate))
+            # a step too large for floats leaves non-finite entries and a nan
+            # loss, which the comparison rejects as it does a loss increase
+            with np.errstate(over="ignore", invalid="ignore"):
+                candidate = _project(theta - lr * grad)
+                r_candidate = _residuals(candidate, xu, xv)
+                new_loss = float(np.sum(r_candidate * r_candidate))
             if new_loss < current:
                 theta, r, current = candidate, r_candidate, new_loss
                 history.append(current)

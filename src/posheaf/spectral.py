@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -40,11 +41,14 @@ NORMALIZATIONS = ("none", "weak", "strong")
 
 
 def float_array(m: Matrix) -> np.ndarray:
-    """Dense float64 copy of a rational or real matrix."""
+    """Dense float64 copy of a rational or real matrix, written by one indexed
+    assignment from the row, column and value arrays of its sparse rows."""
     out = np.zeros((m.rows, m.cols))
+    entries = m._entries
+    i = np.repeat(np.arange(m.rows), [len(row) for row in entries])
+    j = np.fromiter(chain.from_iterable(entries), np.intp, len(i))
     try:
-        for i, j, x in m.nonzeros():
-            out[i, j] = x
+        out[i, j] = np.fromiter(chain.from_iterable(map(dict.values, entries)), float, len(i))
     except OverflowError as exc:
         raise OverflowOnConvert(str(exc)) from exc
     return out

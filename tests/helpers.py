@@ -211,6 +211,44 @@ def dense_diffs_reference(c) -> list[list[list]]:
     return out
 
 
+def incidence_reference(p: Poset, field) -> tuple[list, list[dict]]:
+    """Generators and boundary columns of the incidence algorithm with one
+    ``homology_basis`` call per element and no memo, as ``minimal_incidence``
+    ran before it kept the homology of repeated down-set complexes."""
+    from posheaf.cochain import AUGMENTATION, IncidenceGenerator
+    from posheaf.linalg import homology_basis
+
+    degrees: list[int] = []
+    owners: list[str] = []
+    columns: list[dict] = []
+    owned: dict[str, list[int]] = {}
+    for s in p.topo_order:
+        kept = sorted(gid for t in p.strict_lower(s) for gid in owned[t])
+        top = max((degrees[gid] for gid in kept), default=-1)
+        by_degree: list[list[int]] = [[AUGMENTATION]] + [[] for _ in range(top + 1)]
+        for gid in kept:
+            by_degree[degrees[gid] + 1].append(gid)
+        index = {gid: i for gens in by_degree for i, gid in enumerate(gens)}
+        blocks = [
+            Matrix.from_columns(len(by_degree[j]), [
+                {index[row]: value for row, value in columns[gid].items()}
+                for gid in by_degree[j + 1]
+            ], field)
+            for j in range(top, -1, -1)
+        ]
+        reps = homology_basis(blocks, [len(gens) for gens in reversed(by_degree)], field)
+        owned[s] = []
+        for j, gens in enumerate(by_degree):
+            for vec in reps[top + 1 - j]:
+                owned[s].append(len(degrees))
+                degrees.append(j)
+                owners.append(s)
+                columns.append({gens[i]: x for i, x in vec.items()})
+    generators = [IncidenceGenerator(gid, deg, owner)
+                  for gid, (deg, owner) in enumerate(zip(degrees, owners))]
+    return generators, columns
+
+
 def matrix_apply(m: Matrix, vec: list) -> list:
     """m times the column vector vec, a plain list of scalars of m's field."""
     column = Matrix(len(vec), 1, [[x] for x in vec], m.field)

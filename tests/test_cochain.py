@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 from contextlib import redirect_stdout
@@ -42,6 +43,8 @@ from posheaf.sheaf import (
 from helpers import (
     bareiss_rank,
     dense_diffs_reference,
+    graph_sheaf_twins,
+    incidence_reference,
     matrix_apply,
     seeded_rng,
     random_compositional_sheaf,
@@ -471,3 +474,46 @@ def test_assembled_differentials_match_the_dense_reference():
             assert [d.data for d in c.diffs] == dense_diffs_reference(c), method
             checked += len(c.diffs)
     assert checked >= 60
+
+
+def _typed_columns(columns):
+    return [[(gid, type(x), x) for gid, x in col.items()] for col in columns]
+
+
+def test_minimal_incidence_matches_the_reference_without_a_memo():
+    # generators, columns and each column's insertion order, against one
+    # homology_basis call per element
+    cases = []
+    for seed in range(50):
+        p = random_dag_poset(np.random.default_rng(2000 + seed), max_elements=8)
+        cases += [(p, QQ), (p, prime_field(3))]
+    cases += [(cycle_poset(n), QQ) for n in range(3, 13)]
+    cases += [(simplicial_complex_poset([list(c) for k in (1, 2, 3)
+                                         for c in itertools.combinations(range(n), k)]), QQ)
+              for n in range(4, 8)]
+    cases += [(graph_sheaf_twins(n, "gauss", seeded_rng(n))[0].poset, QQ) for n in (10, 20, 30)]
+    # t1 over a triangle and t2 over a digon with a tail: their down-sets have
+    # the same sizes per degree and different boundaries
+    edges = {"ab": "ab", "bc": "bc", "ac": "ac", "de": "de", "de2": "de", "ef": "ef"}
+    covers = [(v, e) for e, ends in edges.items() for v in ends]
+    covers += [(e, "t1") for e in ("ab", "bc", "ac")] + [(e, "t2") for e in ("de", "de2", "ef")]
+    cases.append((build_poset(list("abcdef") + list(edges) + ["t1", "t2"], covers), QQ))
+    for p, field in cases:
+        inc = minimal_incidence(p, field)
+        generators, columns = incidence_reference(p, field)
+        assert inc.generators == generators
+        assert _typed_columns(inc.columns) == _typed_columns(columns)
+
+
+def test_minimal_incidence_computes_each_cycle_down_set_homology_once(monkeypatch):
+    import posheaf.cochain as cochain_module
+
+    calls = []
+    homology_basis = cochain_module.homology_basis
+    monkeypatch.setattr(cochain_module, "homology_basis",
+                        lambda *args: calls.append(args) or homology_basis(*args))
+    for n in range(3, 13):
+        calls.clear()
+        minimal_incidence(cycle_poset(n), QQ)
+        # once for the empty down-set of the vertices, once for an edge's two vertices
+        assert [dims for _, dims, _ in calls] == [[1], [2, 1]]

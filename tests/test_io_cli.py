@@ -218,6 +218,34 @@ def test_cli_nsd_forward_and_learn(tmp_path):
     assert all(b <= a for a, b in zip(history, history[1:]))
 
 
+@pytest.mark.parametrize("lr", ["1e300", "1e308"])
+def test_cli_learn_rejects_steps_too_large_for_floats(tmp_path, lr):
+    # the step used to overflow in the projection, which then sent every
+    # edge map to zero (loss 0) and printed a RuntimeWarning
+    signals_path = tmp_path / "signals.json"
+    signals_path.write_text(json.dumps({"signals": [[1, -1, 1, -1]]}))
+    argv = [sys.executable, "-m", "posheaf.cli", "learn", str(GOLDEN / "cycle4_constant.json"),
+            str(signals_path), "--lr", lr, "--iters", "2", "--seed", "0"]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    learned = json.loads(done.stdout)["learn"]
+    assert all(any(float(x) for x in entries) for entries in learned["maps"].values())
+    history = learned["loss_history"]
+    assert all(b <= a for a, b in zip(history, history[1:]))
+
+
+def test_cli_huge_rational_entry_is_an_overflow_report(tmp_path):
+    doc = json.loads(serialize_sheaf(constant_sheaf(cycle_poset(4), 1, QQ)))
+    doc["maps"][sorted(doc["maps"])[0]] = [str(10 ** 400)]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    status, report, text = _run(["spectrum", str(path)])
+    assert status == 1
+    assert len(text.splitlines()) == 1
+    assert report["error"]["code"] == "OverflowOnConvert"
+
+
 def test_cli_reports_are_deterministic():
     doc = str(GOLDEN / "cycle4_constant.json")
     _, _, first = _run(["spectrum", "--degree", "0", doc])

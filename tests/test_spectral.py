@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from posheaf.errors import (
 from posheaf import spectral
 from posheaf.linalg import Matrix, QQ, RR
 from posheaf.cochain import (
+    AUGMENTATION,
     betti,
     betti_numbers,
     minimal_complex,
@@ -51,6 +53,52 @@ from helpers import graph_sheaf_twins, random_compositional_sheaf, random_dag_po
 
 def _real_minimal(sheaf):
     return minimal_complex(sheaf, minimal_incidence(sheaf.poset, sheaf.field))
+
+
+def _fraction_scalar_diffs(c):
+    """The differentials of a minimal complex over R assembled with add_block
+    and each incidence scalar left a Fraction."""
+    s = c.sheaf
+    inc = minimal_incidence(s.poset, QQ)
+    offsets = [list(accumulate(dims, initial=0)) for dims in c.dims]
+    place = {tag.gid: (j, tag.copy) for j, tags in enumerate(c.degrees) for tag in tags}
+    diffs = [Matrix.zeros(offsets[j + 1][-1], offsets[j][-1], RR) for j in range(len(c.diffs))]
+    for g2 in inc.generators:
+        _, row = place[g2.gid]
+        for gid1, scalar in inc.columns[g2.gid].items():
+            if gid1 != AUGMENTATION:
+                j, col = place[gid1]
+                diffs[j].add_block(offsets[j + 1][row], offsets[j][col],
+                                   s.map(inc.generators[gid1].owner, g2.owner), scalar)
+    return diffs
+
+
+@pytest.mark.parametrize("n", [10, 20, 30])
+@pytest.mark.parametrize("kind", ["gauss", "gauge"])
+def test_real_minimal_complex_is_bit_identical_to_fraction_scalar_assembly(n, kind):
+    _, real = graph_sheaf_twins(n, kind, seeded_rng(700 + n))
+    c = real_sheaf_complex(real)
+    reference = _fraction_scalar_diffs(c)
+    assert len(c.diffs) == len(reference) == 1
+    for d, ref in zip(c.diffs, reference):
+        assert (d.rows, d.cols) == (ref.rows, ref.cols)
+        # float.hex fails on anything but a Python float and tells every bit apart
+        assert [(i, j, x.hex()) for i, j, x in d.nonzeros()] == \
+            [(i, j, x.hex()) for i, j, x in ref.nonzeros()]
+
+
+def test_float_array_equals_the_entrywise_loop():
+    # the Q and R differentials of graph sheaves, and an empty matrix
+    mats = [Matrix.zeros(3, 0, QQ), Matrix.zeros(0, 2, RR), Matrix.zeros(2, 3, QQ)]
+    for n, kind in [(10, "gauss"), (20, "frame")]:
+        mats += [real_sheaf_complex(s).diffs[0] for s in graph_sheaf_twins(n, kind, seeded_rng(n))]
+    for m in mats:
+        expected = np.zeros((m.rows, m.cols))
+        for i, j, x in m.nonzeros():
+            expected[i, j] = x
+        got = float_array(m)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 def test_float_array_of_a_roos_differential():
