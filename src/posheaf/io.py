@@ -48,6 +48,8 @@ def scalar_to_string(value, field: FieldTag) -> str:
 def scalar_from_string(text: str, field: FieldTag):
     """Parse one map entry; real literals must be finite doubles."""
     try:
+        if isinstance(text, bool):
+            raise TypeError("a boolean is not a scalar")
         if field.kind == RATIONALS:
             return Fraction(str(text))
         if field.kind == PRIME:
@@ -150,9 +152,10 @@ def parse_sheaf(text: str) -> Sheaf:
             raise SchemaError(f"elements: bad identifier {e!r}")
     covers = _require(doc, "covers")
     if not isinstance(covers, list) or not all(
-        isinstance(c, list) and len(c) == 2 for c in covers
+        isinstance(c, list) and len(c) == 2 and all(isinstance(x, str) for x in c)
+        for c in covers
     ):
-        raise SchemaError("covers: must be an array of [a, b] pairs")
+        raise SchemaError("covers: must be an array of [a, b] string pairs")
     poset = build_poset(elements, [(c[0], c[1]) for c in covers])
     stalks_doc = _require(doc, "stalks")
     if not isinstance(stalks_doc, dict):
@@ -162,7 +165,7 @@ def parse_sheaf(text: str) -> Sheaf:
         if e not in stalks_doc:
             raise SchemaError(f"stalks: missing {e}")
         dim = stalks_doc[e]
-        if not isinstance(dim, int) or dim < 0:
+        if type(dim) is not int or dim < 0:  # JSON true is an int to isinstance
             raise SchemaError(f"stalks: bad dimension for {e}")
         stalks[e] = dim
     for key in stalks_doc:

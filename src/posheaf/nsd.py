@@ -30,6 +30,7 @@ from .spectral import (NORMALIZATIONS, default_eta, eigendecompose, float_array,
 
 SEED_ENV = "POSHEAF_SEED"
 MAX_HALVINGS = 20  # learning-rate halvings tried before the learner stops
+FD_STEP = 1e-6  # relative step of finite_difference_gradient
 
 
 def _graph_structure(p: Poset) -> tuple[list[str], list[tuple[str, str, str]]]:
@@ -170,12 +171,12 @@ def _resolve_seed(seed: int | None) -> int:
     return value
 
 
-def finite_difference_gradient(fn, x: np.ndarray, h_scale: float = 1e-6) -> np.ndarray:
-    """Central finite differences with per-coordinate step h_scale*(1+|x_i|)."""
+def finite_difference_gradient(fn, x: np.ndarray) -> np.ndarray:
+    """Central finite differences with per-coordinate step FD_STEP*(1+|x_i|)."""
     x = np.asarray(x, dtype=float)
     grad = np.zeros_like(x)
     for i in range(x.size):
-        h = h_scale * (1.0 + abs(x[i]))
+        h = FD_STEP * (1.0 + abs(x[i]))
         bumped = x.copy()
         bumped[i] = x[i] + h
         up = fn(bumped)

@@ -45,31 +45,6 @@ def _toposort_indices(n: int, succ: list[set[int]]) -> list[int]:
     return order
 
 
-def _closure_from_succ(n: int, succ: list[set[int]], topo: list[int]) -> list[set[int]]:
-    """up[i] = set of j with i < j, accumulated in reverse topological order."""
-    up: list[set[int]] = [set() for _ in range(n)]
-    for a in reversed(topo):
-        acc: set[int] = set()
-        for b in succ[a]:
-            acc.add(b)
-            acc |= up[b]
-        up[a] = acc
-    for i in range(n):
-        if i in up[i]:
-            raise CycleDetected("relation is not irreflexive")
-    return up
-
-
-def _reduce_succ(n: int, up: list[set[int]]) -> list[set[int]]:
-    """Transitive reduction: keep i->j only when no intermediate k has i<k<j."""
-    reduced: list[set[int]] = [set() for _ in range(n)]
-    for a in range(n):
-        for b in up[a]:
-            if not any(b in up[k] for k in up[a] if k != b):
-                reduced[a].add(b)
-    return reduced
-
-
 class Poset:
     """Immutable finite poset.  Elements are opaque strings; all internal
     indexing uses dense integer handles in declaration order.
@@ -164,8 +139,11 @@ class Poset:
 def build_poset(elements, covers) -> Poset:
     """Validate and build a poset from element identifiers and cover pairs.
 
-    Redundant (transitive) covers are reduced with a RedundantCoversWarning;
-    cycles, unknown endpoints and duplicate identifiers are errors.
+    One reverse topological pass builds the strict up-sets and the Hasse
+    covers: a successor b of a is a cover unless b lies in the up-set of
+    another successor of a.  Redundant (transitive) pairs are dropped with a
+    RedundantCoversWarning; cycles, unknown endpoints and duplicate
+    identifiers are errors.
     """
     elements = tuple(str(e) for e in elements)
     seen = set()
@@ -186,8 +164,13 @@ def build_poset(elements, covers) -> Poset:
             raise CycleDetected(f"reflexive cover ({a!r}, {b!r})")
         succ[index[a]].add(index[b])
     topo = _toposort_indices(n, succ)
-    up = _closure_from_succ(n, succ, topo)
-    reduced = _reduce_succ(n, up)
+    up: list[set[int]] = [set() for _ in range(n)]
+    reduced: list[set[int]] = [set() for _ in range(n)]
+    for a in reversed(topo):
+        # b is never in its own up-set: the order is acyclic
+        beyond = set().union(*(up[b] for b in succ[a]))
+        up[a] = succ[a] | beyond
+        reduced[a] = succ[a] - beyond
     if reduced != succ:
         warnings.warn(
             "input covers contained transitive edges; stored their reduction",
@@ -216,13 +199,9 @@ def topological_sort(p: Poset) -> list[str]:
     return list(p.topo_order)
 
 
-def down_set(p: Poset, s: str, strict: bool = True) -> Poset:
-    """Induced subposet on the elements below s (strictly, or weakly)."""
-    i = p.index(s)
-    keep = {p.elements[j] for j in p._down[i]}
-    if not strict:
-        keep.add(s)
-    return induced_subposet(p, keep)
+def down_set(p: Poset, s: str) -> Poset:
+    """Induced subposet on the elements strictly below s."""
+    return induced_subposet(p, p.strict_lower(s))
 
 
 def induced_subposet(p: Poset, keep) -> Poset:
@@ -256,26 +235,27 @@ class ChainSimplex:
 def order_complex(p: Poset) -> list[list[ChainSimplex]]:
     """All nonempty chains of p grouped by dimension.
 
-    Within each dimension, chains are listed in lexicographic order of their
-    topo_order positions.
+    Each element's strict up-set is listed once, in topo order, and chains
+    grow from those lists; so within each dimension, chains are listed in
+    lexicographic order of their topo_order positions.
     """
-    topo = list(p.topo_order)
+    topo = p.topo_order
+    position = {p.index(e): k for k, e in enumerate(topo)}
+    above = [sorted(position[j] for j in p._up[p.index(e)]) for e in topo]
     groups: list[list[ChainSimplex]] = []
 
-    def extend(chain: list[str]):
+    def extend(chain: list[int]):
         dim = len(chain) - 1
-        while len(groups) <= dim:
+        if len(groups) == dim:
             groups.append([])
-        groups[dim].append(ChainSimplex(tuple(chain)))
-        last = chain[-1]
-        for t in topo:
-            if p.lt(last, t):
-                chain.append(t)
-                extend(chain)
-                chain.pop()
+        groups[dim].append(ChainSimplex(tuple(topo[k] for k in chain)))
+        for k in above[chain[-1]]:
+            chain.append(k)
+            extend(chain)
+            chain.pop()
 
-    for s in topo:
-        extend([s])
+    for k in range(len(topo)):
+        extend([k])
     return groups
 
 
@@ -341,8 +321,10 @@ def classify(p: Poset, field: FieldTag) -> PosetClassification:
     )
 
 
-def hypergraph_to_poset(vertices, hyperedges, edge_names=None) -> Poset:
-    """Two-layer poset V ⊔ H with v < h iff v belongs to the hyperedge h."""
+def hypergraph_to_poset(vertices, hyperedges) -> Poset:
+    """Two-layer poset V ⊔ H with v < h iff v belongs to the hyperedge h.
+
+    Hyperedge k is named h{k}, prefixed with underscores past any vertex name."""
     vertices = [str(v) for v in vertices]
     vertex_set = set(vertices)
     names = []
@@ -354,12 +336,9 @@ def hypergraph_to_poset(vertices, hyperedges, edge_names=None) -> Poset:
         for v in members:
             if v not in vertex_set:
                 raise UnknownVertex(f"hyperedge #{k} mentions unknown vertex {v!r}")
-        if edge_names is not None:
-            name = str(edge_names[k])
-        else:
-            name = f"h{k}"
-            while name in vertex_set:
-                name = "_" + name
+        name = f"h{k}"
+        while name in vertex_set:
+            name = "_" + name
         names.append(name)
         covers.extend((v, name) for v in dict.fromkeys(members))
     return build_poset(vertices + names, covers)

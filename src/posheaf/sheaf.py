@@ -1,8 +1,10 @@
 """Sheaves (diagrams of finite-dimensional vector spaces) on finite posets.
 
-Structure maps are stored on Hasse edges only; the map for a general relation
-s < t is composed along the canonical saturated path (lexicographically least
-in topo order).  check_compositionality certifies path-independence.
+Structure maps are stored on Hasse edges only (``edge_map``), and a cover's map
+is its edge map.  The map for a general relation s < t is composed along the
+canonical path: the first one _saturated_paths yields, which is the
+lexicographically least in topo order.  check_compositionality compares the
+compositions along all saturated paths, from the same enumerator.
 """
 
 from __future__ import annotations
@@ -36,46 +38,28 @@ class Sheaf:
         self.field = field
         self.stalk_dim = dict(stalk_dim)
         self.edge_map = dict(edge_map)
-        self._path_cache: dict[tuple[str, str], Matrix] = {}
+        # a cover's only saturated path is the cover itself
+        self._path_cache: dict[tuple[str, str], Matrix] = dict(self.edge_map)
 
     def stalk(self, s: str) -> int:
         if s not in self.stalk_dim:
             raise UnknownElement(f"element {s!r} has no stalk")
         return self.stalk_dim[s]
 
-    def canonical_path(self, s: str, t: str) -> list[str]:
-        """Saturated Hasse path from s to t that is lexicographically least in
-        topo-order positions; requires s < t."""
-        if not self.poset.lt(s, t):
-            raise NotAPath(f"{s!r} is not strictly below {t!r}")
-        path = [s]
-        current = s
-        while current != t:
-            step = None
-            for nxt in self.poset.covers_of(current):
-                if nxt == t or self.poset.lt(nxt, t):
-                    step = nxt
-                    break
-            path.append(step)
-            current = step
-        return path
-
     def map(self, s: str, t: str) -> Matrix:
-        """Structure map for s <= t, composed along the canonical path."""
+        """Structure map for s <= t, composed along the canonical path: the
+        first saturated path, the lexicographically least in topo order."""
         if s == t:
             return Matrix.identity(self.stalk(s), self.field)
-        key = (s, t)
-        cached = self._path_cache.get(key)
-        if cached is not None:
-            return cached
-        path = self.canonical_path(s, t)
-        m = self.edge_map[(path[0], path[1])]
-        for a, b in zip(path[1:], path[2:]):
-            m = self.edge_map[(a, b)] @ m
-        self._path_cache[key] = m
+        m = self._path_cache.get((s, t))
+        if m is None:
+            if not self.poset.lt(s, t):
+                raise NotAPath(f"{s!r} is not strictly below {t!r}")
+            path = next(_saturated_paths(self.poset, s, t))
+            m = self._path_cache[(s, t)] = self.compose_along(path)
         return m
 
-    def compose_along(self, path: list[str]) -> Matrix:
+    def compose_along(self, path) -> Matrix:
         """Composition of edge maps along an explicit saturated ascending path."""
         m = Matrix.identity(self.stalk(path[0]), self.field)
         for a, b in zip(path, path[1:]):
@@ -132,22 +116,24 @@ class CompositionalityViolation:
         yield from (self.source, self.target, self.path_a, self.path_b)
 
 
-def _all_saturated_paths(p: Poset, s: str, t: str) -> list[list[str]]:
-    paths = []
+def _saturated_paths(p: Poset, s: str, t: str):
+    """Every saturated path s = x_0 < x_1 < ... < x_k = t, each step a Hasse
+    cover, depth first with covers in topo order: lexicographically in topo
+    positions, so the first path is the canonical one."""
+    path = [s]
 
-    def extend(path):
+    def extend():
         last = path[-1]
         if last == t:
-            paths.append(path[:])
+            yield tuple(path)
             return
         for nxt in p.covers_of(last):
             if nxt == t or p.lt(nxt, t):
                 path.append(nxt)
-                extend(path)
+                yield from extend()
                 path.pop()
 
-    extend([s])
-    return paths
+    return extend()
 
 
 def _frobenius_sq(m: Matrix) -> float:
@@ -167,10 +153,10 @@ def check_compositionality(d: Sheaf) -> list[CompositionalityViolation]:
         for t in p.topo_order:
             if not p.lt(s, t):
                 continue
-            paths = _all_saturated_paths(p, s, t)
+            paths = list(_saturated_paths(p, s, t))
             if len(paths) < 2:
                 continue
-            composed = [(tuple(path), d.compose_along(path)) for path in paths]
+            composed = [(path, d.compose_along(path)) for path in paths]
             for i in range(len(composed)):
                 for j in range(i + 1, len(composed)):
                     pa, ma = composed[i]

@@ -37,6 +37,8 @@ from .sheaf import Sheaf, stalk_layout
 
 ZERO_EIG_FLOOR = 1e-12
 HARMONIC_TOL = 1e-8  # eigenvalues below HARMONIC_TOL * lambda_max count as zero
+JACOBI_TOL = 1e-10  # Jacobi stops once the off-diagonal max is below JACOBI_TOL * scale
+JACOBI_MAX_SWEEPS = 100
 NORMALIZATIONS = ("none", "weak", "strong")
 
 
@@ -147,8 +149,7 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, vectors
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-10,
-                max_sweeps: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic Jacobi rotations for a real symmetric matrix.
 
     Returns ascending eigenvalues and the matrix whose columns are the
@@ -162,11 +163,11 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-10,
     vectors = np.eye(n)
     scale = max(float(np.max(np.abs(work))), ZERO_EIG_FLOOR)
     converged = False
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = 0.0
         for p in range(n - 1):
             off = max(off, float(np.max(np.abs(work[p, p + 1:]))))
-        if off <= tol * scale:
+        if off <= JACOBI_TOL * scale:
             converged = True
             break
         for p in range(n - 1):
@@ -194,7 +195,7 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-10,
                 rot_q = s * vectors[:, p] + c * vectors[:, q]
                 vectors[:, p], vectors[:, q] = rot_p, rot_q
     if not converged:
-        raise NoConvergence(f"Jacobi sweeps did not converge within {max_sweeps}")
+        raise NoConvergence(f"Jacobi sweeps did not converge within {JACOBI_MAX_SWEEPS}")
     eigenvalues = np.diag(work).copy()
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]

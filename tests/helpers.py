@@ -5,6 +5,7 @@ that deliberately avoid the library's own elimination code.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import warnings
@@ -249,6 +250,49 @@ def incidence_reference(p: Poset, field) -> tuple[list, list[dict]]:
     return generators, columns
 
 
+def saturated_paths_reference(p: Poset) -> dict[tuple[str, str], list[tuple[str, ...]]]:
+    """The saturated paths of every pair s < t, found by filtering all chains
+    for those whose steps are all Hasse covers; each list is lexicographic in
+    topo positions, so its first path is the canonical one."""
+    covers = set(p.hasse_edges())
+    position = {e: k for k, e in enumerate(p.topo_order)}
+    paths: dict[tuple[str, str], list[tuple[str, ...]]] = {}
+    for chain in sorted(brute_force_chains(p), key=lambda c: [position[e] for e in c]):
+        if len(chain) > 1 and all(step in covers for step in zip(chain, chain[1:])):
+            paths.setdefault((chain[0], chain[-1]), []).append(chain)
+    return paths
+
+
+def dense_compose(d: Sheaf, path) -> list[list]:
+    """The edge maps along path multiplied as dense row-by-column sums."""
+    f = d.field
+    n = d.stalk(path[0])
+    m = [[f.one() if i == j else f.zero() for j in range(n)] for i in range(n)]
+    for a, b in zip(path, path[1:]):
+        e = d.edge_map[(a, b)].data
+        m = [[functools.reduce(f.add, (f.mul(e[i][k], m[k][j]) for k in range(len(m))),
+                               f.zero())
+              for j in range(n)] for i in range(d.stalk(b))]
+    return m
+
+
+def compositionality_reference(d: Sheaf) -> list[tuple]:
+    """(source, target, path_a, path_b, deviation_sq) for every two saturated
+    paths whose dense compositions differ, pairs in topo order; the deviation
+    is the sum of the squared entries of the difference, in row-major order."""
+    f = d.field
+    paths = saturated_paths_reference(d.poset)
+    out = []
+    for s in d.poset.topo_order:
+        for t in d.poset.topo_order:
+            composed = [(path, dense_compose(d, path)) for path in paths.get((s, t), [])]
+            for (pa, ma), (pb, mb) in itertools.combinations(composed, 2):
+                if ma != mb:
+                    diff = [float(f.sub(x, y)) for ra, rb in zip(ma, mb) for x, y in zip(ra, rb)]
+                    out.append((s, t, pa, pb, sum(z * z for z in diff)))
+    return out
+
+
 def matrix_apply(m: Matrix, vec: list) -> list:
     """m times the column vector vec, a plain list of scalars of m's field."""
     column = Matrix(len(vec), 1, [[x] for x in vec], m.field)
@@ -392,6 +436,21 @@ def random_simplicial_poset(rng: np.random.Generator, max_vertices: int = 5) -> 
 
 
 _SCALAR_POOL = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3]
+
+
+def random_sheaf(p: Poset, rng: np.random.Generator, field=QQ) -> Sheaf:
+    """Stalk dimensions 0 to 2 (mostly nonzero) and edge maps with entries
+    from the scalar pool and zero: in general not compositional."""
+    pool = [0] + _SCALAR_POOL
+    stalks = {e: (0, 1, 2, 2)[int(rng.integers(0, 4))] for e in p.elements}
+    maps = {
+        (a, b): Matrix(stalks[b], stalks[a], [
+            [field.coerce(pool[int(rng.integers(0, len(pool)))]) for _ in range(stalks[a])]
+            for _ in range(stalks[b])
+        ], field)
+        for (a, b) in p.hasse_edges()
+    }
+    return build_sheaf(p, stalks, maps, field)
 
 
 def sheaf_direct_sum(pieces: list[Sheaf]) -> Sheaf:

@@ -195,7 +195,7 @@ def test_minimal_complex_dirac_probes_down_sets():
             vec = betti_numbers(minimal_complex(sheaf, inc))
             from posheaf.poset import down_set
 
-            oracle = reduced_betti_oracle(down_set(p, s, strict=True))
+            oracle = reduced_betti_oracle(down_set(p, s))
             for k, b in enumerate(vec):
                 assert b == oracle.get(k - 1, 0)
 
@@ -368,7 +368,7 @@ def test_multiplicities_minimal_equal_down_set_betti():
         s = constant_sheaf(p, 1, QQ)
         stats = multiplicities(minimal_complex(s, minimal_incidence(p, QQ)))
         for e in p.elements:
-            oracle = reduced_betti_oracle(down_set(p, e, strict=True))
+            oracle = reduced_betti_oracle(down_set(p, e))
             for k in range(5):
                 assert stats.mu(e, k) == oracle.get(k - 1, 0)
 
@@ -387,7 +387,7 @@ def test_multiplicity_lower_bound_and_complexity_ordering():
             "minimal": multiplicities(minimal_complex(s, inc)),
         }
         for e in p.elements:
-            oracle = reduced_betti_oracle(down_set(p, e, strict=True))
+            oracle = reduced_betti_oracle(down_set(p, e))
             for k in range(4):
                 bound = oracle.get(k - 1, 0)
                 for name, st in stats.items():
@@ -408,7 +408,7 @@ def test_euler_identity_for_dirac_sheaves():
         p = random_dag_poset(rng, max_elements=8)
         inc = minimal_incidence(p, QQ)
         for e in p.elements:
-            oracle = reduced_betti_oracle(down_set(p, e, strict=True))
+            oracle = reduced_betti_oracle(down_set(p, e))
             # sum over k >= 0 of (-1)^k beta~_{k-1} re-indexed by d = k - 1
             betti_sum = sum((-1) ** (d + 1) * b for d, b in oracle.items())
             for build in (

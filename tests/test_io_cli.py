@@ -102,6 +102,24 @@ def test_parse_schema_errors():
         parse_sheaf(json.dumps(broken))
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("betti", {"field": "Q", "elements": ["a"], "covers": [],
+               "stalks": {"a": True}, "maps": {}}),
+    ("validate", {"field": "R", "elements": ["a", "b"], "covers": [["a", "b"]],
+                  "stalks": {"a": 1, "b": 1}, "maps": {"a<b": [True]}}),
+    ("betti", {"field": "Q", "elements": ["1", "2"], "covers": [[1, 2]],
+               "stalks": {"1": 1, "2": 1}, "maps": {"1<2": ["1"]}}),
+])
+def test_cli_rejects_json_values_of_the_wrong_type(tmp_path, command, doc):
+    # a boolean stalk dimension or map entry, and a number as a cover endpoint
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    status, report, text = _run([command, str(path)])
+    assert status == 1
+    assert len(text.splitlines()) == 1
+    assert report["error"]["code"] == "SchemaError"
+
+
 def test_cli_usage_errors_exit_two():
     assert cli([]) == 2
     code, _, _ = _run(["betti", "--method", "nonsense", str(GOLDEN / "mobius_c4.json")])

@@ -120,7 +120,11 @@ def test_reduction_preserves_closure(data):
                 stack.extend(adj[v])
         return out
 
-    assert closure(reduced) == closure(set(pairs))
+    full = closure(set(pairs))
+    assert closure(reduced) == full
+    # minimal: no kept pair (a, c) has an intermediate b with a < b < c
+    middles = {x for e in pairs for x in e}
+    assert not any((a, b) in full and (b, c) in full for a, c in reduced for b in middles)
 
 
 def test_topological_sort_examples():
@@ -145,14 +149,14 @@ def test_topological_sort_respects_closure_randomized():
 
 def test_down_set_of_edge_is_antichain():
     p = simplicial_complex_poset([["1", "2"]])
-    sub = down_set(p, "1,2", strict=True)
+    sub = down_set(p, "1,2")
     assert set(sub.elements) == {"1", "2"}
     assert sub.covers == ()
 
 
 def test_down_set_of_minimal_is_empty():
     p = build_poset(["a", "b"], [("a", "b")])
-    assert len(down_set(p, "a", strict=True)) == 0
+    assert len(down_set(p, "a")) == 0
 
 
 def test_down_set_example_from_named_covers():
@@ -160,7 +164,7 @@ def test_down_set_example_from_named_covers():
         ["1", "2", "3", "a", "b"],
         [("1", "a"), ("2", "a"), ("2", "b"), ("3", "b")],
     )
-    sub = down_set(p, "b", strict=True)
+    sub = down_set(p, "b")
     assert set(sub.elements) == {"2", "3"}
     assert sub.covers == ()
 
@@ -168,7 +172,7 @@ def test_down_set_example_from_named_covers():
 def test_down_set_unknown_element():
     p = build_poset(["a"], [])
     with pytest.raises(UnknownElement):
-        down_set(p, "zz", strict=True)
+        down_set(p, "zz")
 
 
 def test_order_complex_antichain_and_chain():
@@ -199,6 +203,12 @@ def test_order_complex_matches_brute_force_enumeration():
         assert found == set(brute_force_chains(p))
         # each listed once
         assert sum(len(g) for g in groups) == len(found)
+        # grouped by dimension, each group lexicographic in topo positions
+        position = {e: k for k, e in enumerate(p.topo_order)}
+        for dim, group in enumerate(groups):
+            keys = [[position[e] for e in c.elements] for c in group]
+            assert all(len(key) == dim + 1 for key in keys)
+            assert keys == sorted(keys)
 
 
 def test_classify_triangle_boundary_is_cell_poset():

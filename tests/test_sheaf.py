@@ -30,11 +30,15 @@ from posheaf.sheaf import (
 )
 
 from helpers import (
+    compositionality_reference,
+    dense_compose,
     seeded_rng,
     random_compositional_sheaf,
     random_dag_poset,
     random_graph_poset,
     random_monotone_map,
+    random_sheaf,
+    saturated_paths_reference,
     union_find_components,
 )
 
@@ -107,6 +111,22 @@ def test_compositionality_two_violations_on_triangle():
         ("3", "1,2,3"),
     }
     assert all(v.deviation_sq > 0 for v in violations)
+
+
+def test_maps_and_violations_match_brute_force_path_references():
+    rng = seeded_rng(67)
+    violations = 0
+    for field in (QQ, prime_field(7)):
+        for _ in range(40):
+            p = random_dag_poset(rng, max_elements=8, chain_cap=200, edge_prob=0.5)
+            s = random_sheaf(p, rng, field)
+            for (a, b), paths in saturated_paths_reference(p).items():
+                assert s.map(a, b).data == dense_compose(s, paths[0])
+            expected = compositionality_reference(s)
+            assert [(v.source, v.target, v.path_a, v.path_b, v.deviation_sq)
+                    for v in check_compositionality(s)] == expected
+            violations += len(expected)
+    assert violations > 0
 
 
 def test_constant_sheaf_sections_cycle_and_components():
