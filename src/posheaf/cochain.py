@@ -19,7 +19,6 @@ from itertools import accumulate
 
 from .errors import (
     FieldMismatch,
-    NotAComplex,
     NotSimplicialPoset,
     PosetMismatch,
 )
@@ -58,9 +57,10 @@ class CochainComplexInstance:
     """Graded tagged direct sum of stalk copies with per-degree differentials.
 
     diffs[j] is the matrix of d_j : C^j -> C^{j+1}.  This is the one graded
-    complex type, over every field: construction checks the shapes and runs
-    ``check_d_squared`` (exact over Q and F_p, with a tolerance over R), and
-    the spectral layer reads the differentials of a Q or R complex directly.
+    complex type, over every field.  ``_assemble`` sizes each block from the
+    summand dimensions, and construction runs ``check_d_squared`` (exact over
+    Q and F_p, with a tolerance over R).  The spectral layer reads the
+    differentials of a Q or R complex directly.
     """
 
     __slots__ = ("kind", "field", "degrees", "dims", "diffs", "sheaf")
@@ -73,7 +73,6 @@ class CochainComplexInstance:
         self.dims = dims
         self.diffs = diffs
         self.sheaf = sheaf
-        self._verify_shapes()
         check_d_squared(diffs)
 
     @property
@@ -84,11 +83,6 @@ class CochainComplexInstance:
         if 0 <= j <= self.top_degree:
             return sum(self.dims[j])
         return 0
-
-    def _verify_shapes(self):
-        for j, d in enumerate(self.diffs):
-            if d.cols != self.degree_dim(j) or d.rows != self.degree_dim(j + 1):
-                raise NotAComplex(f"differential d_{j} has inconsistent shape")
 
     def __repr__(self) -> str:
         shape = "+".join(str(self.degree_dim(j)) for j in range(self.top_degree + 1))

@@ -190,7 +190,7 @@ def parse_sheaf(text: str) -> Sheaf:
         scalars = [scalar_from_string(x, field) for x in entries]
         data = [scalars[r * cols:(r + 1) * cols] for r in range(rows)]
         maps[(a, b)] = Matrix(rows, cols, data, field)
-    for (a, b) in hasse:
+    for (a, b) in poset.hasse_edges():
         if (a, b) not in maps:
             raise SchemaError(f"maps: missing {a}<{b}")
     return build_sheaf(poset, stalks, maps, field)

@@ -1,6 +1,10 @@
 """Finite posets stored by their Hasse diagrams: construction, down-sets,
 order complexes, gradings, and the cell-like classification used by the
 one-shot cohomology machinery.
+
+Order questions are answered from the covers, in their stored declaration
+order, and from strict up-sets listed in topo order: no walk visits all element
+pairs or follows a hashed set's order, so results ignore the hash seed.
 """
 
 from __future__ import annotations
@@ -96,6 +100,10 @@ class Poset:
 
     def strict_lower(self, s: str) -> set[str]:
         return {self.elements[i] for i in self._down[self.index(s)]}
+
+    def strict_upper(self, s: str) -> list[str]:
+        """Elements strictly above s, in topo order."""
+        return sorted((self.elements[j] for j in self._up[self.index(s)]), key=self._topo_pos.get)
 
     def covers_of(self, s: str) -> list[str]:
         """Elements covering s, in topo order."""
@@ -205,12 +213,11 @@ def down_set(p: Poset, s: str) -> Poset:
 
 
 def induced_subposet(p: Poset, keep) -> Poset:
-    """Subposet on a subset of elements; covers are re-reduced from the closure."""
-    keep = set(keep)
-    for e in keep:
-        p.index(e)
-    elements = [e for e in p.elements if e in keep]
-    pairs = [(a, b) for (a, b) in p.closure_pairs() if a in keep and b in keep]
+    """Subposet on a subset of elements; covers are re-reduced from the
+    up-sets of the kept elements."""
+    keep = {p.index(e) for e in keep}
+    elements = [e for i, e in enumerate(p.elements) if i in keep]
+    pairs = [(p.elements[a], p.elements[b]) for a in keep for b in p._up[a] & keep]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RedundantCoversWarning)
         return build_poset(elements, pairs)
@@ -240,8 +247,7 @@ def order_complex(p: Poset) -> list[list[ChainSimplex]]:
     lexicographic order of their topo_order positions.
     """
     topo = p.topo_order
-    position = {p.index(e): k for k, e in enumerate(topo)}
-    above = [sorted(position[j] for j in p._up[p.index(e)]) for e in topo]
+    above = [[p.topo_position(u) for u in p.strict_upper(e)] for e in topo]
     groups: list[list[ChainSimplex]] = []
 
     def extend(chain: list[int]):
@@ -377,7 +383,8 @@ def simplicial_complex_poset(simplices) -> Poset:
 def decode_simplicial_elements(p: Poset) -> dict[str, tuple[str, ...]] | None:
     """Map each element to its vertex tuple when the poset encodes a simplicial
     complex (strict order = strict inclusion, faces all present); else None.
-    """
+    With all faces present, that holds exactly when the covers are the
+    (codimension-one face, simplex) pairs."""
     decoded: dict[str, tuple[str, ...]] = {}
     sets_seen = set()
     for e in p.elements:
@@ -389,15 +396,12 @@ def decode_simplicial_elements(p: Poset) -> dict[str, tuple[str, ...]] | None:
         sets_seen.add(parts)
         decoded[e] = parts
     by_set = {v: k for k, v in decoded.items()}
+    faces = set()
     for e, parts in decoded.items():
         if len(parts) > 1:
             for i in range(len(parts)):
-                if parts[:i] + parts[i + 1:] not in by_set:
+                face = by_set.get(parts[:i] + parts[i + 1:])
+                if face is None:
                     return None
-    closure = p.closure_pairs()
-    for a in p.elements:
-        for b in p.elements:
-            inclusion = set(decoded[a]) < set(decoded[b])
-            if inclusion != ((a, b) in closure):
-                return None
-    return decoded
+                faces.add((face, e))
+    return decoded if faces == set(p.covers) else None

@@ -5,6 +5,9 @@ is its edge map.  The map for a general relation s < t is composed along the
 canonical path: the first one _saturated_paths yields, which is the
 lexicographically least in topo order.  check_compositionality compares the
 compositions along all saturated paths, from the same enumerator.
+Order questions are answered from the covers, in declaration order, and from
+up-sets in topo order, so a missing map or a non-monotone pullback is reported
+at its first cover.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def build_sheaf(p: Poset, stalks: dict[str, int],
                 f"expected {stalk_dim[b]}x{stalk_dim[a]}"
             )
         edge_map[(a, b)] = m
-    for edge in hasse:
+    for edge in p.hasse_edges():
         if edge not in edge_map:
             raise MissingEdgeMap(f"maps: missing {edge[0]}<{edge[1]}")
     return Sheaf(p, field, stalk_dim, edge_map)
@@ -150,9 +153,7 @@ def check_compositionality(d: Sheaf) -> list[CompositionalityViolation]:
     p = d.poset
     violations = []
     for s in p.topo_order:
-        for t in p.topo_order:
-            if not p.lt(s, t):
-                continue
+        for t in p.strict_upper(s):
             paths = list(_saturated_paths(p, s, t))
             if len(paths) < 2:
                 continue
@@ -241,19 +242,19 @@ def pullback(d: Sheaf, f: dict[str, str], source: Poset) -> Sheaf:
     """Inverse image along a monotone map f: source -> d.poset.
 
     Stalks and maps transport along f; Hasse edges of the source mapping to
-    equalities downstairs get identity maps.
+    equalities downstairs get identity maps.  f is monotone exactly when it
+    is monotone on every cover; the first cover that breaks it is reported.
     """
     target = d.poset
     for s in source.elements:
         if s not in f:
             raise NotMonotone(f"map does not cover element {s!r}")
         target.index(f[s])
-    for (a, b) in source.closure_pairs():
-        if not target.leq(f[a], f[b]):
-            raise NotMonotone(f"map is not monotone on {a!r} < {b!r}")
     stalks = {s: d.stalk(f[s]) for s in source.elements}
     maps = {}
     for (a, b) in source.hasse_edges():
+        if not target.leq(f[a], f[b]):
+            raise NotMonotone(f"map is not monotone on {a!r} < {b!r}")
         maps[(a, b)] = d.map(f[a], f[b])
     return build_sheaf(source, stalks, maps, d.field)
 

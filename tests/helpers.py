@@ -293,6 +293,30 @@ def compositionality_reference(d: Sheaf) -> list[tuple]:
     return out
 
 
+def decode_simplicial_reference(p: Poset) -> dict[str, tuple[str, ...]] | None:
+    """The vertex tuple of each element when the names parse as distinct
+    simplices, every codimension-one face is present and, for every pair of
+    elements, a < b in p exactly when a's vertices are a proper subset of
+    b's; else None."""
+    decoded = {e: tuple(sorted(e.split(","))) for e in p.elements}
+    for parts in decoded.values():
+        if any(not part for part in parts) or len(set(parts)) != len(parts):
+            return None
+    if len(set(decoded.values())) != len(decoded):
+        return None
+    present = set(decoded.values())
+    for parts in present:
+        if len(parts) > 1 and any(parts[:i] + parts[i + 1:] not in present
+                                  for i in range(len(parts))):
+            return None
+    closure = p.closure_pairs()
+    for a in p.elements:
+        for b in p.elements:
+            if (set(decoded[a]) < set(decoded[b])) != ((a, b) in closure):
+                return None
+    return decoded
+
+
 def matrix_apply(m: Matrix, vec: list) -> list:
     """m times the column vector vec, a plain list of scalars of m's field."""
     column = Matrix(len(vec), 1, [[x] for x in vec], m.field)

@@ -78,12 +78,25 @@ def test_parse_rejects_bad_json_with_position():
     assert "line 1" in str(err.value)
 
 
+# covers a<b, c<d and a<d, and only the map a<b: two maps are missing
+_TWO_MAPS_MISSING = {
+    "field": "Q",
+    "elements": ["a", "b", "c", "d"],
+    "covers": [["a", "b"], ["c", "d"], ["a", "d"]],
+    "stalks": {"a": 1, "b": 1, "c": 1, "d": 1},
+    "maps": {"a<b": ["1"]},
+}
+
+
 def test_parse_missing_map_names_the_edge():
     doc = json.loads(serialize_sheaf(constant_sheaf(path_poset(2), 1, QQ)))
     del doc["maps"]["v0<e0"]
     with pytest.raises(SchemaError) as err:
         parse_sheaf(json.dumps(doc))
     assert "maps: missing v0<e0" in str(err.value)
+    # of two missing maps, the first cover in declaration order is named
+    with pytest.raises(SchemaError, match="^maps: missing a<d$"):
+        parse_sheaf(json.dumps(_TWO_MAPS_MISSING))
 
 
 def test_parse_schema_errors():
@@ -715,3 +728,21 @@ def test_cli_contract_holds_on_mutated_golden_documents(data):
         assert ("error" in report) == (code == 1)
         if code == 1:
             assert report["error"]["code"]
+
+
+@pytest.mark.parametrize("case", ["validate-golden", "two-maps-missing"])
+def test_cli_stdout_does_not_depend_on_the_hash_seed(tmp_path, case):
+    if case == "validate-golden":
+        argv = ["validate", str(GOLDEN / "triangle_violations.json")]
+    else:
+        doc = tmp_path / "missing.json"
+        doc.write_text(json.dumps(_TWO_MAPS_MISSING))
+        argv = ["betti", str(doc)]
+    stdout = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src"),
+               "PYTHONHASHSEED": seed}
+        done = subprocess.run([sys.executable, "-m", "posheaf.cli", *argv],
+                              capture_output=True, env=env, timeout=60)
+        stdout.append(done.stdout)
+    assert stdout[0] == stdout[1] != b""

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from posheaf.poset import (
     RedundantCoversWarning,
     build_poset,
     classify,
+    decode_simplicial_elements,
     down_set,
     hypergraph_to_poset,
     order_complex,
@@ -19,7 +21,14 @@ from posheaf.poset import (
     transitive_reduction,
 )
 
-from helpers import brute_force_chains, random_dag_poset, reduced_betti_oracle, seeded_rng
+from helpers import (
+    brute_force_chains,
+    decode_simplicial_reference,
+    random_dag_poset,
+    random_simplicial_poset,
+    reduced_betti_oracle,
+    seeded_rng,
+)
 
 
 def test_build_path_graph_poset():
@@ -285,3 +294,40 @@ def test_hypergraph_to_poset_errors():
         hypergraph_to_poset(["1"], [[]])
     with pytest.raises(UnknownVertex):
         hypergraph_to_poset(["1"], [["2"]])
+
+
+def _one_change_copies(p, rng):
+    """Copies of p with one cover dropped, with one new relation added, and
+    with the names of two elements swapped."""
+    covers = list(p.covers)
+    copies = []
+    if covers:
+        k = int(rng.integers(0, len(covers)))
+        copies.append(build_poset(p.elements, covers[:k] + covers[k + 1:]))
+    new = [(a, b) for a in p.elements for b in p.elements
+           if a != b and not p.leq(b, a) and not p.lt(a, b)]
+    a, b = new[int(rng.integers(0, len(new)))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RedundantCoversWarning)
+        copies.append(build_poset(p.elements, covers + [(a, b)]))
+    i, j = (int(x) for x in rng.choice(len(p), size=2, replace=False))
+    swap = {p.elements[i]: p.elements[j], p.elements[j]: p.elements[i]}
+    copies.append(build_poset(p.elements, [(swap.get(a, a), swap.get(b, b)) for a, b in covers]))
+    return copies
+
+
+def test_simplicial_decoding_matches_the_pairwise_reference():
+    rng = seeded_rng(83)
+    decoded = rejected = 0
+    for _ in range(200):
+        p = random_simplicial_poset(rng, max_vertices=int(rng.integers(3, 7)))
+        assert decode_simplicial_elements(p) == decode_simplicial_reference(p) is not None
+        for copy in _one_change_copies(p, rng):
+            expected = decode_simplicial_reference(copy)
+            assert decode_simplicial_elements(copy) == expected
+            decoded += expected is not None
+            rejected += expected is None
+    for _ in range(50):
+        p = random_dag_poset(rng)
+        assert decode_simplicial_elements(p) == decode_simplicial_reference(p)
+    assert decoded > 0 and rejected > 0

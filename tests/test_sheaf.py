@@ -73,6 +73,10 @@ def test_build_sheaf_shape_mismatch():
         build_sheaf(p, {"1": 3, "a": 3}, {("1", "a"): [[1, 0, 0], [0, 1, 0]]}, QQ)
     with pytest.raises(MissingEdgeMap):
         build_sheaf(p, {"1": 1, "a": 1}, {}, QQ)
+    # of two missing maps, the first cover in declaration order is named
+    q = build_poset(["a", "b", "c", "d"], [("a", "b"), ("c", "d"), ("a", "d")])
+    with pytest.raises(MissingEdgeMap, match="^maps: missing a<d$"):
+        build_sheaf(q, {e: 1 for e in q.elements}, {("a", "b"): [[1]]}, QQ)
 
 
 def test_compositionality_on_graph_posets_is_vacuous():
@@ -296,3 +300,28 @@ def test_sections_count_equals_components_randomized():
         p, n, edges = random_graph_poset(rng, max_vertices=10)
         s = constant_sheaf(p, 1, QQ)
         assert global_sections_bruteforce(s).dim == union_find_components(n, edges)
+
+
+def test_pullback_is_checked_on_covers_against_the_closure_reference():
+    rng = seeded_rng(71)
+    accepted = rejected = 0
+    for _ in range(150):
+        target = random_dag_poset(rng, max_elements=7)
+        source = random_dag_poset(rng, max_elements=7)
+        if rng.random() < 0.5:
+            f = random_monotone_map(rng, source, target)
+        else:
+            f = {s: target.elements[int(rng.integers(0, len(target)))] for s in source.elements}
+        sheaf = constant_sheaf(target, 1, QQ)
+        out_of_order = {(a, b) for (a, b) in source.closure_pairs()
+                        if not target.leq(f[a], f[b])}
+        if not out_of_order:
+            assert pullback(sheaf, f, source).poset == source
+            accepted += 1
+            continue
+        a, b = next(edge for edge in source.hasse_edges() if edge in out_of_order)
+        with pytest.raises(NotMonotone) as raised:
+            pullback(sheaf, f, source)
+        assert str(raised.value) == f"map is not monotone on {a!r} < {b!r}"
+        rejected += 1
+    assert accepted > 20 and rejected > 20

@@ -16,9 +16,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from posheaf.cli import cli
 from posheaf.io import serialize_sheaf
-from posheaf.linalg import QQ
+from posheaf.linalg import QQ, Matrix
 from posheaf.poset import build_poset, hypergraph_to_poset, simplicial_complex_poset
-from posheaf.sheaf import constant_sheaf, cycle_poset, mobius_sheaf, path_poset
+from posheaf.sheaf import build_sheaf, constant_sheaf, cycle_poset, mobius_sheaf, path_poset
 
 GOLDEN = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
@@ -26,6 +26,19 @@ MORSE_POSET = build_poset(
     ["1", "2", "3", "a", "b"],
     [("1", "a"), ("2", "a"), ("a", "b"), ("3", "b")],
 )
+
+
+def triangle_two_violations():
+    """Full triangle whose maps from vertex 2 and vertex 3 to the 2-simplex
+    disagree along their two saturated paths: two compositionality violations."""
+    p = simplicial_complex_poset([["1", "2", "3"]])
+    face_values = {"1,2": 1, "1,3": 1, "2,3": 2}
+    maps = {
+        (a, b): Matrix.from_rows([[1 if "," not in a else face_values[a]]], QQ)
+        for (a, b) in p.hasse_edges()
+    }
+    return build_sheaf(p, {e: 1 for e in p.elements}, maps, QQ)
+
 
 DOCUMENTS = {
     "path_constant": constant_sheaf(path_poset(3), 1, QQ),
@@ -39,6 +52,7 @@ DOCUMENTS = {
     "hypergraph_triple": constant_sheaf(
         hypergraph_to_poset(["1", "2", "3"], [["1", "2", "3"], ["2", "3"]]), 1, QQ
     ),
+    "triangle_violations": triangle_two_violations(),
 }
 
 # one pinned command per document; flags are part of the pin
@@ -52,6 +66,7 @@ COMMANDS = {
     "morse_constant": ["incidence"],
     "triangle_full": ["betti", "--method", "cellular"],
     "hypergraph_triple": ["classify"],
+    "triangle_violations": ["validate"],
 }
 
 
