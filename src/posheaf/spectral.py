@@ -7,14 +7,15 @@ over Q or R, whose constructor has already checked d^2 = 0, and convert to
 float64 only the differentials they read.
 
 Every eigensolve runs through LAPACK (``np.linalg.eigh``) in ``_eigh``.  The
-pure-Python cyclic-Jacobi solver ``jacobi_eigh`` stays as the reference the
-tests hold LAPACK to; both return ascending eigenvalues and the same sign
-convention on the eigenvectors.
+round-robin Jacobi solver ``jacobi_eigh``, which never calls LAPACK, stays as
+the reference the tests hold LAPACK to.  Both return ascending eigenvalues and
+sign their eigenvectors by one rule, ``_fix_signs``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -37,7 +38,7 @@ from .sheaf import Sheaf, stalk_layout
 
 ZERO_EIG_FLOOR = 1e-12
 HARMONIC_TOL = 1e-8  # eigenvalues below HARMONIC_TOL * lambda_max count as zero
-JACOBI_TOL = 1e-10  # Jacobi stops once the off-diagonal max is below JACOBI_TOL * scale
+JACOBI_TOL = 1e-12  # Jacobi stops once the off-diagonal max is below JACOBI_TOL * scale
 JACOBI_MAX_SWEEPS = 100
 NORMALIZATIONS = ("none", "weak", "strong")
 
@@ -134,27 +135,43 @@ def _strong_normalize(mat: np.ndarray, blocks: list[int]) -> np.ndarray:
     return rotated * np.outer(half, half)
 
 
-def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK eigensolve of a real symmetric matrix: ascending eigenvalues and
-    orthonormal eigenvector columns, each signed so that its largest-magnitude
-    entry is positive, as in ``jacobi_eigh``."""
-    try:
-        eigenvalues, vectors = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"LAPACK eigensolve failed: {exc}") from exc
+def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+    """Eigenvector columns signed so that each one's largest-magnitude entry,
+    the first of any tie, is positive."""
     if vectors.size:
         columns = np.arange(vectors.shape[1])
         lead = np.argmax(np.abs(vectors), axis=0)
         vectors = vectors * np.where(vectors[lead, columns] < 0, -1.0, 1.0)
-    return eigenvalues, vectors
+    return vectors
+
+
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK eigensolve of a real symmetric matrix: ascending eigenvalues and
+    orthonormal eigenvector columns, signed by ``_fix_signs``."""
+    try:
+        eigenvalues, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigensolve failed: {exc}") from exc
+    return eigenvalues, _fix_signs(vectors)
+
+
+def _rotate(m: np.ndarray, p: np.ndarray, q: np.ndarray, c: np.ndarray, s: np.ndarray):
+    """Rotate the column pairs (p[k], q[k]) of m in place by cosine c[k] and
+    sine s[k]; applied to ``m.T`` it rotates the rows."""
+    mp, mq = m[:, p], m[:, q]
+    m[:, p] = c * mp - s * mq
+    m[:, q] = s * mp + c * mq
 
 
 def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi rotations for a real symmetric matrix.
+    """Jacobi rotations for a real symmetric matrix, in round-robin order.
 
-    Returns ascending eigenvalues and the matrix whose columns are the
-    corresponding orthonormal eigenvectors (deterministic sign convention).
-    The product path uses ``_eigh``; this solver is its test reference.
+    The pivots (p, q) are paired as in a round-robin tournament, with a bye
+    index for an odd order; each round rotates its disjoint pairs together,
+    and the rounds of one sweep meet every pair once.  Returns ascending
+    eigenvalues and the matrix whose columns are the corresponding orthonormal
+    eigenvectors, signed by ``_fix_signs``.  The product path uses ``_eigh``;
+    this solver is its test reference.
     """
     n = a.shape[0]
     if n == 0:
@@ -162,50 +179,38 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     work = a.astype(float).copy()
     vectors = np.eye(n)
     scale = max(float(np.max(np.abs(work))), ZERO_EIG_FLOOR)
-    converged = False
+    upper = np.triu_indices(n, 1)
+    # round r pairs r with m - 1, and r + i with r - i mod m - 1 for 0 < i < m / 2;
+    # for an odd n, m - 1 = n is the bye index
+    m = n + n % 2
+    i = np.arange(1, m // 2)
+    rounds = [(np.append((r + i) % (m - 1), r), np.append((r - i) % (m - 1), m - 1))
+              for r in range(m - 1)]
+    rounds = [(p[q < n], q[q < n]) for p, q in rounds]
     for _ in range(JACOBI_MAX_SWEEPS):
-        off = 0.0
-        for p in range(n - 1):
-            off = max(off, float(np.max(np.abs(work[p, p + 1:]))))
-        if off <= JACOBI_TOL * scale:
-            converged = True
+        if np.max(np.abs(work[upper]), initial=0.0) <= JACOBI_TOL * scale:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
+        for p, q in rounds:
+            live = np.abs(work[p, q]) > 1e-300
+            p, q = p[live], q[live]
+            apq = work[p, q]
+            # np.where evaluates both branches: theta = 0 reaches 0.5 / theta
+            # and a huge theta squares to inf, in the branch not taken
+            with np.errstate(divide="ignore", over="ignore"):
                 theta = (work[q, q] - work[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * work[:, p] - s * work[:, q]
-                rot_q = s * work[:, p] + c * work[:, q]
-                work[:, p], work[:, q] = rot_p, rot_q
-                rot_p = c * work[p, :] - s * work[q, :]
-                rot_q = s * work[p, :] + c * work[q, :]
-                work[p, :], work[q, :] = rot_p, rot_q
-                work[p, q] = work[q, p] = 0.0
-                rot_p = c * vectors[:, p] - s * vectors[:, q]
-                rot_q = s * vectors[:, p] + c * vectors[:, q]
-                vectors[:, p], vectors[:, q] = rot_p, rot_q
-    if not converged:
+                t = np.where(np.abs(theta) > 1e150, 0.5 / theta, np.copysign(1.0, theta) / (
+                    np.abs(theta) + np.sqrt(theta * theta + 1.0)))
+            c = 1.0 / np.sqrt(t * t + 1.0)
+            s = t * c
+            _rotate(work, p, q, c, s)
+            _rotate(work.T, p, q, c, s)
+            work[p, q] = work[q, p] = 0.0
+            _rotate(vectors, p, q, c, s)
+    else:
         raise NoConvergence(f"Jacobi sweeps did not converge within {JACOBI_MAX_SWEEPS}")
     eigenvalues = np.diag(work).copy()
     order = np.argsort(eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    vectors = vectors[:, order]
-    for i in range(n):
-        column = vectors[:, i]
-        lead = int(np.argmax(np.abs(column)))
-        if column[lead] < 0:
-            vectors[:, i] = -column
-    return eigenvalues, vectors
+    return eigenvalues[order], _fix_signs(vectors[:, order])
 
 
 @dataclass
@@ -364,22 +369,29 @@ def convergence_rate(trace: DiffusionTrace, spectrum: SpectralBundle) -> float:
 # Hypergraph energies (two-layer posets).
 # ---------------------------------------------------------------------------
 
-def _as_real_sheaf_vectors(h: Sheaf, x) -> dict[str, np.ndarray]:
-    layout, offsets, total = stalk_layout(h)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (total,):
-        raise DimensionMismatch(f"cochain has shape {x.shape}, expected ({total},)")
-    return {e: x[offsets[e]: offsets[e] + h.stalk(e)] for e in layout}
-
-
-def _check_two_layer(h: Sheaf):
-    """Every cover must run from a minimal element straight to a maximal one."""
+def _hyperedge_images(h: Sheaf, x) -> Iterator[tuple[slice, np.ndarray, list[np.ndarray]]]:
+    """Walk the hyperedges of a two-layer sheaf over Q or R: for each maximal
+    b with members, yield the slice of x_b in the cochain x, x_b itself, and
+    the images f_ab(x_a) of its members.  Every cover must run from a minimal
+    element straight to a maximal one."""
+    if h.field.kind not in (RATIONALS, REALS):
+        raise FieldMismatch(f"expected a rational or real sheaf, got {h.field}")
     p = h.poset
     tops = set(p.maximal_elements())
     bottoms = set(p.minimal_elements())
-    for (a, b) in p.hasse_edges():
-        if a not in bottoms or b not in tops:
-            raise NotTwoLayer("poset is not a two-layer vertex/hyperedge poset")
+    if any(a not in bottoms or b not in tops for a, b in p.hasse_edges()):
+        raise NotTwoLayer("poset is not a two-layer vertex/hyperedge poset")
+    _, offsets, total = stalk_layout(h)
+    x = np.asarray(x, dtype=float)
+    if x.shape != (total,):
+        raise DimensionMismatch(f"cochain has shape {x.shape}, expected ({total},)")
+    stalks = {e: slice(offsets[e], offsets[e] + h.stalk(e)) for e in offsets}
+    for b in p.maximal_elements():
+        members = p.covered_by(b)
+        if members:
+            yield stalks[b], x[stalks[b]], [
+                float_array(h.edge_map[(a, b)]) @ x[stalks[a]] for a in members
+            ]
 
 
 def hypergraph_energy_forms(h: Sheaf, x) -> tuple[float, float]:
@@ -390,17 +402,9 @@ def hypergraph_energy_forms(h: Sheaf, x) -> tuple[float, float]:
     ||f_a'b(x_a') - f_a''b(x_a'')||^2.  The two agree when every hyperedge
     value sits at the barycenter of its incoming images.
     """
-    _check_two_layer(h)
-    vectors = _as_real_sheaf_vectors(h, x)
-    p = h.poset
     q_roos = 0.0
     q_pairwise = 0.0
-    for b in p.maximal_elements():
-        members = p.covered_by(b)
-        if not members:
-            continue
-        images = [float_array(h.edge_map[(a, b)]) @ vectors[a] for a in members]
-        xb = vectors[b]
+    for _, xb, images in _hyperedge_images(h, x):
         for img in images:
             diff = xb - img
             q_roos += float(diff @ diff)
@@ -417,16 +421,9 @@ def hypergraph_energy_forms(h: Sheaf, x) -> tuple[float, float]:
 def hyperedge_barycenters(h: Sheaf, x) -> np.ndarray:
     """Copy of x with every hyperedge value replaced by the barycenter of its
     incoming images; at this assignment the two energy forms coincide."""
-    _check_two_layer(h)
-    layout, offsets, total = stalk_layout(h)
-    vectors = _as_real_sheaf_vectors(h, x)
-    out = np.array(np.asarray(x, dtype=float), copy=True)
-    for b in h.poset.maximal_elements():
-        members = h.poset.covered_by(b)
-        if not members:
-            continue
-        images = [float_array(h.edge_map[(a, b)]) @ vectors[a] for a in members]
-        out[offsets[b]: offsets[b] + h.stalk(b)] = sum(images) / len(images)
+    out = np.array(x, dtype=float)
+    for b, _, images in _hyperedge_images(h, x):
+        out[b] = sum(images) / len(images)
     return out
 
 

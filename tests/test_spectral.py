@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import accumulate
 
 import numpy as np
@@ -9,12 +10,13 @@ from posheaf.errors import (
     DegreeOutOfRange,
     DimensionMismatch,
     FieldMismatch,
+    NoConvergence,
     NotTwoLayer,
     TraceTooShort,
     UnstableStepSize,
 )
 from posheaf import spectral
-from posheaf.linalg import Matrix, QQ, RR
+from posheaf.linalg import Matrix, QQ, RR, prime_field
 from posheaf.cochain import (
     AUGMENTATION,
     betti,
@@ -109,8 +111,6 @@ def test_float_array_of_a_roos_differential():
 
 
 def test_laplacian_and_energy_reject_prime_field_complexes():
-    from posheaf.linalg import prime_field
-
     c = roos_complex(constant_sheaf(path_poset(2), 1, prime_field(5)))
     with pytest.raises(FieldMismatch):
         laplacian(c, 0)
@@ -157,6 +157,64 @@ def test_jacobi_matches_numpy_on_random_symmetric():
             assert np.linalg.norm(res) <= 1e-8 * max(1.0, abs(vals[-1]))
 
 
+def _block_diagonal(rng):
+    a = np.zeros((5, 5))
+    for block in (slice(0, 3), slice(3, 5)):
+        b = rng.standard_normal((block.stop - block.start,) * 2)
+        a[block, block] = b + b.T
+    return a
+
+
+def _symmetric(rng, n):
+    a = rng.standard_normal((n, n))
+    return 0.5 * (a + a.T)
+
+
+@pytest.mark.parametrize("case", ["orders", "block-diagonal", "huge-theta", "zero-theta"])
+def test_jacobi_reference_edge_cases(case):
+    rng = seeded_rng(21)
+    matrices = {
+        # odd orders pair one index a round with the bye index
+        "orders": [_symmetric(rng, n) for n in (1, 2, 3, 4, 5, 7, 8, 11, 16)],
+        # every cross-block pivot is exactly zero, so its rotation is skipped
+        "block-diagonal": [_block_diagonal(rng)],
+        # after the (0, 2) rotation the (0, 1) pivot is about 1e-200, so
+        # |theta| > 1e150; a 2 x 2 with such a theta already meets the stop test
+        "huge-theta": [np.array([[0.0, 1e-200, 1.0], [1e-200, 1.0, 0.0], [1.0, 0.0, 2.0]])],
+        # equal diagonal: theta = 0, and the eigenvectors tie in magnitude
+        "zero-theta": [np.array([[0.0, 1.0], [1.0, 0.0]])],
+    }[case]
+    for a in matrices:
+        n = a.shape[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, vecs = jacobi_eigh(a)
+        assert np.allclose(vals, np.linalg.eigvalsh(a), atol=1e-9)
+        assert np.allclose(vecs.T @ vecs, np.eye(n), atol=1e-10)
+        for i in range(n):
+            res = a @ vecs[:, i] - vals[i] * vecs[:, i]
+            assert np.linalg.norm(res) <= 1e-8 * max(1.0, abs(vals[-1]))
+        lead = np.argmax(np.abs(vecs), axis=0)
+        assert np.all(vecs[lead, np.arange(n)] > 0)
+        if case == "block-diagonal":
+            assert np.all((vecs[:3] == 0).all(axis=0) != (vecs[3:] == 0).all(axis=0))
+        if case == "zero-theta":
+            assert vecs[0, 0] == -vecs[1, 0] > 0 and vecs[0, 1] == vecs[1, 1] > 0
+
+
+def test_jacobi_raises_when_the_sweeps_run_out(monkeypatch):
+    monkeypatch.setattr(spectral, "JACOBI_MAX_SWEEPS", 1)
+    with pytest.raises(NoConvergence):
+        jacobi_eigh(_symmetric(seeded_rng(22), 6))
+
+
+def test_sign_rule_gives_a_magnitude_tie_to_the_first_index():
+    vecs = np.array([[-0.6, 0.6, 0.8], [0.6, -0.8, 0.6], [0.0, 0.0, 0.0]])
+    signed = [[0.6, -0.6, 0.8], [-0.6, 0.8, 0.6], [0.0, 0.0, 0.0]]
+    assert np.array_equal(spectral._fix_signs(vecs), signed)
+    assert spectral._fix_signs(np.zeros((0, 0))).shape == (0, 0)
+
+
 def _distinct_stalk_block_eigenvalues(lap: np.ndarray, blocks: list[int]) -> bool:
     offset = 0
     for size in blocks:
@@ -167,10 +225,9 @@ def _distinct_stalk_block_eigenvalues(lap: np.ndarray, blocks: list[int]) -> boo
     return True
 
 
-# the frame rung stops at 40 vertices: a 160 x 160 Jacobi solve takes seconds
 @pytest.mark.parametrize("n, kind", [
-    (n, kind) for n in (10, 20, 40, 80) for kind in ("gauss", "gauge")
-] + [(n, "frame") for n in (10, 20, 40)])
+    (n, kind) for n in (10, 20, 40, 80) for kind in ("gauss", "gauge", "frame")
+])
 def test_lapack_eigensolves_match_jacobi_on_graph_sheaves(monkeypatch, n, kind):
     exact, real = graph_sheaf_twins(n, kind, seeded_rng(600 + n))
     b0 = betti(exact, "minimal")[0]
@@ -474,8 +531,19 @@ def test_hypergraph_energy_opposite_vectors():
 def test_hypergraph_energy_rejects_deep_posets():
     chain = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
     s = constant_sheaf(chain, 1, QQ)
-    with pytest.raises(NotTwoLayer):
-        hypergraph_energy_forms(s, [1.0, 1.0, 1.0])
+    for walk in (hypergraph_energy_forms, hyperedge_barycenters):
+        with pytest.raises(NotTwoLayer):
+            walk(s, [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("walk", [hypergraph_energy_forms, hyperedge_barycenters])
+def test_hypergraph_walks_reject_wrong_lengths_and_prime_fields(walk):
+    triangle = hypergraph_to_poset(["1", "2", "3"], [["1", "2", "3"]])
+    with pytest.raises(DimensionMismatch):
+        walk(constant_sheaf(triangle, 1, QQ), [1.0, 1.0, 1.0])
+    # F_5 residues are not reals: a map entry 4 = -1 would count as +4
+    with pytest.raises(FieldMismatch):
+        walk(constant_sheaf(triangle, 1, prime_field(5)), [1.0, 2.0, 3.0, 4.0])
 
 
 def test_gradient_of_energy_is_twice_laplacian():
