@@ -7,13 +7,16 @@ differential blocks d_j : C^j -> C^{j+1}, and the incidence data as one sparse
 boundary column per generator.  ``CochainComplexInstance`` is the one graded
 complex type, over Q, F_p and R alike; its constructor is where d^2 = 0 is
 checked, through ``linalg.check_d_squared``.  All three constructions build it
-through ``_assemble`` from a list of summands per degree and a list of faces.
-Cohomology and the incidence algorithm hand the blocks to
-``linalg.homology_basis`` as they are.
+through ``_assemble`` from the owners of its summands (summand k of C^j copies
+the stalk of the element ``degrees[j][k]``) and faces (j, r, c, scalar) joining
+summand c of C^j to summand r of C^{j+1}; Roos reads both off the chains of
+``order_complex``, which are plain tuples of elements.  Cohomology and the
+incidence algorithm hand the blocks to ``linalg.homology_basis`` as they are.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -39,33 +42,22 @@ CELLULAR = "cellular"
 MINIMAL = "minimal"
 
 
-@dataclass(frozen=True)
-class SummandTag:
-    """One stalk copy inside a graded component.
-
-    ``chain`` is the indexing chain for Roos summands; ``gid`` is the generator
-    id for minimal summands; cellular summands carry neither.
-    """
-
-    element: str
-    copy: int
-    chain: tuple[str, ...] | None = None
-    gid: int | None = None
-
-
 class CochainComplexInstance:
-    """Graded tagged direct sum of stalk copies with per-degree differentials.
+    """Graded direct sum of stalk copies with per-degree differentials.
 
-    diffs[j] is the matrix of d_j : C^j -> C^{j+1}.  This is the one graded
-    complex type, over every field.  ``_assemble`` sizes each block from the
-    summand dimensions, and construction runs ``check_d_squared`` (exact over
-    Q and F_p, with a tolerance over R).  The spectral layer reads the
-    differentials of a Q or R complex directly.
+    Summand k of C^j is a copy of the stalk of the element ``degrees[j][k]``
+    (the chain's top for Roos, the simplex for cellular, the generator's owner
+    for minimal), of dimension ``dims[j][k]``; diffs[j] is the matrix of
+    d_j : C^j -> C^{j+1}.  This is the one graded complex type, over every
+    field.  ``_assemble`` sizes each block from the summand dimensions, and
+    construction runs ``check_d_squared`` (exact over Q and F_p, with a
+    tolerance over R).  The spectral layer reads the differentials of a Q or R
+    complex directly.
     """
 
     __slots__ = ("kind", "field", "degrees", "dims", "diffs", "sheaf")
 
-    def __init__(self, kind: str, field: FieldTag, degrees: list[list[SummandTag]],
+    def __init__(self, kind: str, field: FieldTag, degrees: list[list[str]],
                  dims: list[list[int]], diffs: list[Matrix], sheaf: Sheaf | None = None):
         self.kind = kind
         self.field = field
@@ -89,34 +81,33 @@ class CochainComplexInstance:
         return f"CochainComplexInstance({self.kind}, dims {shape})"
 
 
-def _assemble(kind: str, d: Sheaf, degrees: list[list[SummandTag]],
+def _assemble(kind: str, d: Sheaf, degrees: list[list[str]],
               faces) -> CochainComplexInstance:
-    """The complex with summands degrees[j] in degree j, one stalk copy each.
+    """The complex whose summand k of C^j copies the stalk of degrees[j][k].
 
-    Each face (j, row, col, scalar) adds scalar . D(col.element <= row.element)
-    to the block of d_j at row summand row.copy and column summand col.copy.
+    Each face (j, r, c, scalar) adds scalar . D(degrees[j][c] <= degrees[j + 1][r])
+    to the block of d_j at row summand r and column summand c.
     """
-    dims = [[d.stalk(tag.element) for tag in tags] for tags in degrees]
+    dims = [[d.stalk(e) for e in owners] for owners in degrees]
     offsets = [list(accumulate(dims_j, initial=0)) for dims_j in dims]
     diffs = [Matrix.zeros(offsets[j + 1][-1], offsets[j][-1], d.field)
              for j in range(len(degrees) - 1)]
-    for j, row, col, scalar in faces:
-        diffs[j].add_block(offsets[j + 1][row.copy], offsets[j][col.copy],
-                           d.map(col.element, row.element), scalar)
+    for j, r, c, scalar in faces:
+        diffs[j].add_block(offsets[j + 1][r], offsets[j][c],
+                           d.map(degrees[j][c], degrees[j + 1][r]), scalar)
     return CochainComplexInstance(kind, d.field, degrees, dims, diffs, d)
 
 
-def _alternating_faces(field: FieldTag, degrees: list[list[SummandTag]], simplex):
-    """Faces of the alternating boundary: a summand spanning the simplex
-    ``simplex(tag)`` meets the summand of the face without vertex i with
-    sign (-1)^i."""
-    tag_of = {simplex(tag): tag for tags in degrees for tag in tags}
+def _alternating_faces(field: FieldTag, simplices: list[list[tuple]]):
+    """Faces of the alternating boundary, where summand k of C^j spans the
+    vertex tuple simplices[j][k]: it meets the summand of its face without
+    vertex i with sign (-1)^i."""
+    position = {sigma: k for sigmas in simplices for k, sigma in enumerate(sigmas)}
     signs = (field.one(), field.coerce(-1))
-    for j, tags in enumerate(degrees[1:]):
-        for row in tags:
-            sigma = simplex(row)
+    for j, sigmas in enumerate(simplices[1:]):
+        for r, sigma in enumerate(sigmas):
             for i in range(len(sigma)):
-                yield j, row, tag_of[sigma[:i] + sigma[i + 1:]], signs[i % 2]
+                yield j, r, position[sigma[:i] + sigma[i + 1:]], signs[i % 2]
 
 
 def roos_complex(d: Sheaf) -> CochainComplexInstance:
@@ -124,9 +115,9 @@ def roos_complex(d: Sheaf) -> CochainComplexInstance:
     with alternating face signs and structure maps between chain maxima."""
     if not d.field.is_exact:
         raise FieldMismatch("roos_complex needs an exact field")
-    degrees = [[SummandTag(chain.top, k, chain=chain.elements) for k, chain in enumerate(chains)]
-               for chains in order_complex(d.poset)]
-    return _assemble(ROOS, d, degrees, _alternating_faces(d.field, degrees, lambda t: t.chain))
+    chains = order_complex(d.poset)
+    degrees = [[chain[-1] for chain in group] for group in chains]
+    return _assemble(ROOS, d, degrees, _alternating_faces(d.field, chains))
 
 
 def cellular_complex(d: Sheaf) -> CochainComplexInstance:
@@ -140,11 +131,10 @@ def cellular_complex(d: Sheaf) -> CochainComplexInstance:
             "poset elements do not encode the simplices of a simplicial complex"
         )
     top = max((len(v) - 1 for v in decoded.values()), default=-1)
-    degrees: list[list[SummandTag]] = [[] for _ in range(top + 1)]
+    degrees: list[list[str]] = [[] for _ in range(top + 1)]
     for e in sorted(d.poset.elements, key=lambda e: (len(decoded[e]), decoded[e])):
-        tags = degrees[len(decoded[e]) - 1]
-        tags.append(SummandTag(e, len(tags)))
-    faces = _alternating_faces(d.field, degrees, lambda t: decoded[t.element])
+        degrees[len(decoded[e]) - 1].append(e)
+    faces = _alternating_faces(d.field, [[decoded[e] for e in owners] for owners in degrees])
     return _assemble(CELLULAR, d, degrees, faces)
 
 
@@ -252,12 +242,13 @@ def minimal_complex(d: Sheaf, inc: IncidenceData) -> CochainComplexInstance:
     if inc.field != (QQ if d.field == RR else d.field):
         raise FieldMismatch("incidence data uses a different field")
     top = max((g.degree for g in inc.generators), default=-1)
-    degrees: list[list[SummandTag]] = [[] for _ in range(top + 1)]
+    degrees: list[list[str]] = [[] for _ in range(top + 1)]
+    position = []  # position[gid]: the generator's summand in its degree
     for g in inc.generators:
-        degrees[g.degree].append(SummandTag(g.owner, len(degrees[g.degree]), gid=g.gid))
-    tag_of = {tag.gid: tag for tags in degrees for tag in tags}
+        position.append(len(degrees[g.degree]))
+        degrees[g.degree].append(g.owner)
     real = d.field == RR
-    faces = ((inc.generators[gid1].degree, tag_of[g2.gid], tag_of[gid1],
+    faces = ((inc.generators[gid1].degree, position[g2.gid], position[gid1],
               float(scalar) if real else scalar)
              for g2 in inc.generators
              for gid1, scalar in inc.columns[g2.gid].items() if gid1 != AUGMENTATION)
@@ -318,10 +309,5 @@ class ComplexStats:
 
 
 def multiplicities(c: CochainComplexInstance) -> ComplexStats:
-    mu: dict[tuple[str, int], int] = {}
-    total = 0
-    for j, tags in enumerate(c.degrees):
-        for tag in tags:
-            mu[(tag.element, j)] = mu.get((tag.element, j), 0) + 1
-            total += 1
-    return ComplexStats(mu, total)
+    mu = Counter((e, j) for j, owners in enumerate(c.degrees) for e in owners)
+    return ComplexStats(dict(mu), mu.total())

@@ -55,6 +55,8 @@ def scalar_from_string(text: str, field: FieldTag):
         if field.kind == PRIME:
             return int(str(text), 10) % field.p
         value = float(text)
+    except OverflowError:  # an integer beyond the double range
+        value = math.inf
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"maps: bad scalar literal {text!r}: {exc}") from None
     if not math.isfinite(value):
@@ -129,6 +131,8 @@ def parse_document(text: str) -> dict:
         ) from None
     except RecursionError:
         raise ParseError("invalid JSON: arrays or objects nest too deeply") from None
+    except ValueError as exc:  # an integer past the interpreter's int-string limit
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")
     return doc

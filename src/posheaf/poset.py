@@ -223,24 +223,9 @@ def induced_subposet(p: Poset, keep) -> Poset:
         return build_poset(elements, pairs)
 
 
-@dataclass(frozen=True)
-class ChainSimplex:
-    """A strictly increasing chain s_0 < ... < s_j, a simplex of the order complex."""
-
-    elements: tuple[str, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements) - 1
-
-    @property
-    def top(self) -> str:
-        """The largest element of the chain."""
-        return self.elements[-1]
-
-
-def order_complex(p: Poset) -> list[list[ChainSimplex]]:
-    """All nonempty chains of p grouped by dimension.
+def order_complex(p: Poset) -> list[list[tuple[str, ...]]]:
+    """All nonempty chains s_0 < ... < s_j of p, each a tuple of elements,
+    grouped by dimension j.
 
     Each element's strict up-set is listed once, in topo order, and chains
     grow from those lists; so within each dimension, chains are listed in
@@ -248,13 +233,13 @@ def order_complex(p: Poset) -> list[list[ChainSimplex]]:
     """
     topo = p.topo_order
     above = [[p.topo_position(u) for u in p.strict_upper(e)] for e in topo]
-    groups: list[list[ChainSimplex]] = []
+    groups: list[list[tuple[str, ...]]] = []
 
     def extend(chain: list[int]):
         dim = len(chain) - 1
         if len(groups) == dim:
             groups.append([])
-        groups[dim].append(ChainSimplex(tuple(topo[k] for k in chain)))
+        groups[dim].append(tuple(topo[k] for k in chain))
         for k in above[chain[-1]]:
             chain.append(k)
             extend(chain)

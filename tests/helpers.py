@@ -20,6 +20,7 @@ from posheaf.poset import (
     RedundantCoversWarning,
     build_poset,
     decode_simplicial_elements,
+    order_complex,
     simplicial_complex_poset,
 )
 from posheaf.sheaf import Sheaf, build_sheaf, cycle_poset
@@ -170,44 +171,50 @@ def dense_diffs_reference(c) -> list[list[list]]:
     """The differentials of a Roos, cellular or minimal complex, assembled the
     way the constructions did while matrices were stored dense: stalk-map
     blocks written into zero-filled rows (accumulated for Roos, written for
-    the others).  The layout (summand tags and dimensions) is read off c."""
+    the others).  The layout (summand owners and dimensions) is read off c,
+    the Roos chains off order_complex and the minimal generators of each
+    degree in gid order."""
     from posheaf.cochain import minimal_incidence
 
     s, f = c.sheaf, c.field
     one, minus_one = f.one(), f.coerce(-1)
+    if c.kind == "roos":
+        chains = order_complex(s.poset)
+    elif c.kind == "cellular":
+        decoded = decode_simplicial_elements(s.poset)
+        by_set = {decoded[e]: e for e in s.poset.elements}
+    else:
+        inc = minimal_incidence(s.poset, QQ if f == RR else f)
+        gids = [[g.gid for g in inc.generators if g.degree == j] for j in range(len(c.degrees))]
     out = []
     for j in range(len(c.diffs)):
         col_off, row_off = ([0] + list(itertools.accumulate(c.dims[k])) for k in (j, j + 1))
         data = [[f.zero()] * col_off[-1] for _ in range(row_off[-1])]
-        tags = c.degrees[j + 1]
+        owners = c.degrees[j + 1]
         if c.kind == "roos":
-            copy = {tag.chain: tag.copy for tag in c.degrees[j]}
-            for tag in tags:
-                sigma = tag.chain
+            copy = {tau: k for k, tau in enumerate(chains[j])}
+            for r, sigma in enumerate(chains[j + 1]):
                 for i in range(len(sigma)):
                     tau = sigma[:i] + sigma[i + 1:]
-                    _write_block(data, row_off[tag.copy], col_off[copy[tau]],
+                    _write_block(data, row_off[r], col_off[copy[tau]],
                                  s.map(tau[-1], sigma[-1]), one if i % 2 == 0 else minus_one,
                                  f, accumulate=True)
         elif c.kind == "cellular":
-            decoded = decode_simplicial_elements(s.poset)
-            by_set = {decoded[e]: e for e in s.poset.elements}
-            copy = {decoded[tag.element]: tag.copy for tag in c.degrees[j]}
-            for tag in tags:
-                sigma = decoded[tag.element]
+            copy = {decoded[e]: k for k, e in enumerate(c.degrees[j])}
+            for r, e in enumerate(owners):
+                sigma = decoded[e]
                 for i in range(len(sigma)):
                     tau = sigma[:i] + sigma[i + 1:]
-                    _write_block(data, row_off[tag.copy], col_off[copy[tau]],
-                                 s.map(by_set[tau], tag.element),
+                    _write_block(data, row_off[r], col_off[copy[tau]],
+                                 s.map(by_set[tau], e),
                                  one if i % 2 == 0 else minus_one, f)
         else:
-            inc = minimal_incidence(s.poset, QQ if f == RR else f)
-            copy = {tag.gid: tag.copy for tag in c.degrees[j]}
-            for tag in tags:
-                for gid, scalar in inc.columns[tag.gid].items():
+            copy = {gid: k for k, gid in enumerate(gids[j])}
+            for r, (e, row_gid) in enumerate(zip(owners, gids[j + 1])):
+                for gid, scalar in inc.columns[row_gid].items():
                     if gid in copy:
-                        _write_block(data, row_off[tag.copy], col_off[copy[gid]],
-                                     s.map(inc.generators[gid].owner, tag.element), scalar, f)
+                        _write_block(data, row_off[r], col_off[copy[gid]],
+                                     s.map(inc.generators[gid].owner, e), scalar, f)
         out.append(data)
     return out
 

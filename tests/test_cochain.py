@@ -27,6 +27,7 @@ from posheaf.poset import (
     build_poset,
     decode_simplicial_elements,
     hypergraph_to_poset,
+    order_complex,
     simplicial_complex_poset,
 )
 from posheaf.sheaf import (
@@ -314,13 +315,11 @@ def test_betti_dispatch_examples():
 
 
 def test_betti_zero_in_degrees_above_longest_chain():
-    from posheaf.poset import order_complex
-
     rng = seeded_rng(16)
     for _ in range(10):
         p = random_dag_poset(rng, max_elements=8)
         longest = max(
-            (len(c.elements) for g in order_complex(p) for c in g), default=0
+            (len(c) for g in order_complex(p) for c in g), default=0
         )
         s = random_compositional_sheaf(p, rng)
         vec = betti(s, "roos")
@@ -453,10 +452,26 @@ def test_constructions_agree_over_f3_on_sheaves_with_rational_gauges():
             assert same_betti(roos, betti(s, "cellular"))
 
 
+def _expected_owners(c) -> list[list[str]]:
+    """The element each summand copies: a Roos chain's top, each dimension's
+    simplices sorted by vertex tuple, the owners of each degree's minimal
+    generators in gid order."""
+    p = c.sheaf.poset
+    if c.kind == "roos":
+        return [[chain[-1] for chain in group] for group in order_complex(p)]
+    if c.kind == "cellular":
+        decoded = decode_simplicial_elements(p)
+        return [sorted((e for e in p.elements if len(decoded[e]) == j + 1), key=decoded.get)
+                for j in range(max(map(len, decoded.values()), default=0))]
+    gens = minimal_incidence(p, c.field).generators
+    return [[g.owner for g in gens if g.degree == j]
+            for j in range(max((g.degree for g in gens), default=-1) + 1)]
+
+
 def test_assembled_differentials_match_the_dense_reference():
     # Every stored entry of every differential, against blocks written into
-    # dense zero-filled rows: the pinned sheaves, then random DAG and
-    # simplicial sheaves over Q and F_3.
+    # dense zero-filled rows, and the summand layout it is read through: the
+    # pinned sheaves, then random DAG and simplicial sheaves over Q and F_3.
     from test_pinned_representatives import CASES
 
     sheaves = [make() for make in CASES.values()]
@@ -471,6 +486,8 @@ def test_assembled_differentials_match_the_dense_reference():
             methods.append("cellular")
         for method in methods:
             c = build_complex(s, method)
+            assert c.degrees == _expected_owners(c), method
+            assert c.dims == [[s.stalk(e) for e in owners] for owners in c.degrees]
             assert [d.data for d in c.diffs] == dense_diffs_reference(c), method
             checked += len(c.diffs)
     assert checked >= 60

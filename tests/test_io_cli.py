@@ -321,6 +321,8 @@ def _nsd_params(tmp_path, norm="weak") -> str:
     ("inf", "SchemaError"),
     ("-inf", "SchemaError"),
     ("1e400", "SchemaError"),
+    # a JSON integer beyond the double range used to end in an OverflowError
+    pytest.param(10 ** 400, "SchemaError", id="int-10^400"),
 ])
 def test_cli_non_finite_real_documents_report_one_error(tmp_path, command, literal, code):
     argv = [command, _real_cycle_document(tmp_path, literal)]
@@ -388,13 +390,17 @@ def test_cli_bad_params_and_state_files_report_one_schema_error(tmp_path, comman
     assert json.loads(lines[0])["error"]["code"] == "SchemaError"
 
 
-_UNREADABLE = {"not-utf8": b"\xff\xfe{}", "deep": b"[" * 100_000}
+# the 5,001-digit integer passes CPython's int-string limit, so json.loads
+# raises a plain ValueError
+_UNREADABLE = {"not-utf8": b"\xff\xfe{}", "deep": b"[" * 100_000,
+               "long-int": b"[1" + b"0" * 5000 + b"]"}
 
 
 @pytest.mark.parametrize("content", _UNREADABLE.values(), ids=_UNREADABLE.keys())
 @pytest.mark.parametrize("target", ["document", "x0", "params", "signals"])
 def test_cli_undecodable_or_deeply_nested_files_are_parse_errors(tmp_path, target, content):
-    # each case used to end in a UnicodeDecodeError or RecursionError traceback
+    # each case used to end in a UnicodeDecodeError, RecursionError or
+    # ValueError traceback
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
     doc = str(GOLDEN / "cycle4_constant.json")

@@ -190,7 +190,7 @@ def test_order_complex_antichain_and_chain():
     assert [len(g) for g in groups] == [2]
     chain = build_poset(["a", "b"], [("a", "b")])
     groups = order_complex(chain)
-    assert [[c.elements for c in g] for g in groups] == [
+    assert groups == [
         [("a",), ("b",)],
         [("a", "b")],
     ]
@@ -200,7 +200,7 @@ def test_order_complex_path_counts():
     p = build_poset(["1", "2", "a"], [("1", "a"), ("2", "a")])
     groups = order_complex(p)
     assert [len(g) for g in groups] == [3, 2]
-    assert {c.elements for c in groups[1]} == {("1", "a"), ("2", "a")}
+    assert set(groups[1]) == {("1", "a"), ("2", "a")}
 
 
 def test_order_complex_matches_brute_force_enumeration():
@@ -208,14 +208,14 @@ def test_order_complex_matches_brute_force_enumeration():
     for _ in range(25):
         p = random_dag_poset(rng, max_elements=7)
         groups = order_complex(p)
-        found = {c.elements for g in groups for c in g}
+        found = {c for g in groups for c in g}
         assert found == set(brute_force_chains(p))
         # each listed once
         assert sum(len(g) for g in groups) == len(found)
         # grouped by dimension, each group lexicographic in topo positions
         position = {e: k for k, e in enumerate(p.topo_order)}
         for dim, group in enumerate(groups):
-            keys = [[position[e] for e in c.elements] for c in group]
+            keys = [[position[e] for e in c] for c in group]
             assert all(len(key) == dim + 1 for key in keys)
             assert keys == sorted(keys)
 

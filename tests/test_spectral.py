@@ -63,7 +63,8 @@ def _fraction_scalar_diffs(c):
     s = c.sheaf
     inc = minimal_incidence(s.poset, QQ)
     offsets = [list(accumulate(dims, initial=0)) for dims in c.dims]
-    place = {tag.gid: (j, tag.copy) for j, tags in enumerate(c.degrees) for tag in tags}
+    gids = [[g.gid for g in inc.generators if g.degree == j] for j in range(len(c.degrees))]
+    place = {gid: (j, k) for j, row in enumerate(gids) for k, gid in enumerate(row)}
     diffs = [Matrix.zeros(offsets[j + 1][-1], offsets[j][-1], RR) for j in range(len(c.diffs))]
     for g2 in inc.generators:
         _, row = place[g2.gid]
