@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import cochain, nsd, spectral
-from .errors import FieldMismatch, ParseError, PosheafError, SchemaError
+from .errors import FieldMismatch, ParseError, PosheafError, SchemaError, brief
 from .io import (
     canonical_json,
     field_to_string,
@@ -70,7 +70,7 @@ def _numeric_array(doc: dict, key: str) -> np.ndarray:
         if isinstance(item, list):
             stack.extend(item)
         elif not _is_finite_number(item):
-            raise SchemaError(f"{key}: {item!r} is not a finite number")
+            raise SchemaError(f"{key}: {brief(repr(item))} is not a finite number")
     try:
         return np.array(doc[key], dtype=float)
     except ValueError:
@@ -186,7 +186,7 @@ def cmd_nsd_forward(sheaf, args) -> dict:
     x, w1, w2 = (_numeric_array(params, key) for key in ("X", "W1", "W2"))
     eta = params.get("eta")
     if eta is not None and not _is_finite_number(eta):
-        raise SchemaError(f"eta: {eta!r} is not a finite number")
+        raise SchemaError(f"eta: {brief(repr(eta))} is not a finite number")
     layer = nsd.NsdLayer(sheaf, w1, w2, eta=eta, norm=params.get("norm", "weak"))
     return {"output": [[float(v) for v in row] for row in nsd.nsd_forward(layer, x)]}
 

@@ -1,5 +1,15 @@
 """Exception hierarchy. Every error carries a stable ``code`` string used by the CLI."""
 
+ECHO_LIMIT = 64
+
+
+def brief(text: str) -> str:
+    """Text echoed into an error message: as it is up to ECHO_LIMIT characters,
+    else its head and its length, so that no report grows with its input."""
+    if len(text) <= ECHO_LIMIT:
+        return text
+    return f"{text[:ECHO_LIMIT // 2]}... ({len(text)} characters)"
+
 
 class PosheafError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -13,7 +13,7 @@ import json
 import math
 from fractions import Fraction
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, brief
 from .linalg import FieldTag, Matrix, PRIME, QQ, RATIONALS, RR, prime_field
 from .poset import build_poset
 from .sheaf import Sheaf, build_sheaf
@@ -32,9 +32,9 @@ def field_from_string(text: str) -> FieldTag:
         try:
             p = int(text[3:])
         except ValueError:
-            raise SchemaError(f"field: bad prime in {text!r}") from None
+            raise SchemaError(f"field: bad prime in {brief(repr(text))}") from None
         return prime_field(p)
-    raise SchemaError(f"field: unknown field {text!r}")
+    raise SchemaError(f"field: unknown field {brief(repr(text))}")
 
 
 def scalar_to_string(value, field: FieldTag) -> str:
@@ -58,9 +58,10 @@ def scalar_from_string(text: str, field: FieldTag):
     except OverflowError:  # an integer beyond the double range
         value = math.inf
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"maps: bad scalar literal {text!r}: {exc}") from None
+        raise SchemaError(
+            f"maps: bad scalar literal {brief(repr(text))}: {brief(str(exc))}") from None
     if not math.isfinite(value):
-        raise SchemaError(f"maps: real literal {text!r} is not a finite double")
+        raise SchemaError(f"maps: real literal {brief(repr(text))} is not a finite double")
     return value
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import warnings
 from fractions import Fraction
@@ -75,6 +76,15 @@ def bareiss_rank(rows: list[list[int]]) -> int:
         if r == nrows:
             break
     return rank
+
+
+def integer_rows(rows) -> list[list[int]]:
+    """Scale each rational row by its common denominator (rank is unchanged)."""
+    out = []
+    for row in rows:
+        den = math.lcm(*(Fraction(x).denominator for x in row)) if row else 1
+        out.append([int(Fraction(x) * den) for x in row])
+    return out
 
 
 def reduced_betti_oracle(p: Poset) -> dict[int, int]:

@@ -1,7 +1,6 @@
 import io
 import itertools
 import json
-import math
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -44,8 +43,10 @@ from posheaf.sheaf import (
 from helpers import (
     bareiss_rank,
     dense_diffs_reference,
+    gauge_connection_sheaf,
     graph_sheaf_twins,
     incidence_reference,
+    integer_rows,
     matrix_apply,
     seeded_rng,
     random_compositional_sheaf,
@@ -243,15 +244,6 @@ def test_cohomology_representatives_are_cocycles():
                     assert all(not x for x in image)
 
 
-def _integer_rows(rows):
-    """Scale each rational row by its common denominator (rank is unchanged)."""
-    out = []
-    for row in rows:
-        den = math.lcm(*(Fraction(x).denominator for x in row)) if row else 1
-        out.append([int(Fraction(x) * den) for x in row])
-    return out
-
-
 def test_cohomology_representatives_are_a_basis_modulo_coboundaries():
     # rank([im d_{j-1}; reps_j]) = rank(im d_{j-1}) + b_j, by Bareiss ranks
     rng = seeded_rng(30)
@@ -270,8 +262,8 @@ def test_cohomology_representatives_are_a_basis_modulo_coboundaries():
             for j, (b, reps) in enumerate(result):
                 assert len(reps) == b
                 image = [list(col) for col in zip(*c.diffs[j - 1].data)] if j else []
-                rank_image = bareiss_rank(_integer_rows(image))
-                assert bareiss_rank(_integer_rows(image + reps)) == rank_image + b
+                rank_image = bareiss_rank(integer_rows(image))
+                assert bareiss_rank(integer_rows(image + reps)) == rank_image + b
                 if j < len(c.diffs):
                     for rep in reps:
                         assert all(not x for x in matrix_apply(c.diffs[j], rep))
@@ -534,3 +526,14 @@ def test_minimal_incidence_computes_each_cycle_down_set_homology_once(monkeypatc
         minimal_incidence(cycle_poset(n), QQ)
         # once for the empty down-set of the vertices, once for an edge's two vertices
         assert [dims for _, dims, _ in calls] == [[1], [2, 1]]
+
+
+def test_planted_betti_of_the_ten_vertex_simplex_2_skeleton():
+    # the 2-skeleton of the 9-simplex is a wedge of C(9, 3) = 84 two-spheres
+    p = simplicial_complex_poset([list(c) for k in (1, 2, 3)
+                                  for c in itertools.combinations(range(10), k)])
+    sheaves = [constant_sheaf(p, 1, QQ), gauge_connection_sheaf(p, seeded_rng(10)),
+               constant_sheaf(p, 1, prime_field(3))]
+    for sheaf in sheaves:
+        for method in ("roos", "cellular", "minimal"):
+            assert betti(sheaf, method) == [1, 0, 84], (sheaf.field, method)

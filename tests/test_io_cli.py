@@ -390,6 +390,28 @@ def test_cli_bad_params_and_state_files_report_one_schema_error(tmp_path, comman
     assert json.loads(lines[0])["error"]["code"] == "SchemaError"
 
 
+def test_cli_error_reports_cut_a_huge_echoed_number(tmp_path):
+    huge = 10 ** 400
+    doc = str(GOLDEN / "cycle4_constant.json")
+    side = tmp_path / "side.json"
+    fp_doc = tmp_path / "fp.json"
+    fp_doc.write_text(Path(doc).read_text().replace('"Q"', f'"Fp:{huge}"'))
+    cases = [
+        (["spectrum", _real_cycle_document(tmp_path, huge)], None, "SchemaError"),
+        (["nsd-forward", doc, str(side)], {**_GOOD_PARAMS, "X": [[huge]] * 4}, "SchemaError"),
+        (["learn", doc, str(side), "--iters", "2"], {"signals": [[1, huge, 1, 1]]},
+         "SchemaError"),
+        (["betti", str(fp_doc)], None, "FieldMismatch"),
+    ]
+    for argv, payload, code in cases:
+        if payload is not None:
+            side.write_text(json.dumps(payload))
+        status, report, text = _run(argv)
+        assert (status, report["error"]["code"]) == (1, code), argv
+        assert "(401 characters)" in report["error"]["message"], argv
+        assert len(text.encode()) < 300, argv
+
+
 # the 5,001-digit integer passes CPython's int-string limit, so json.loads
 # raises a plain ValueError
 _UNREADABLE = {"not-utf8": b"\xff\xfe{}", "deep": b"[" * 100_000,
