@@ -98,16 +98,15 @@ def _assemble(kind: str, d: Sheaf, degrees: list[list[str]],
     return CochainComplexInstance(kind, d.field, degrees, dims, diffs, d)
 
 
-def _alternating_faces(field: FieldTag, simplices: list[list[tuple]]):
+def _alternating_faces(simplices: list[list[tuple]]):
     """Faces of the alternating boundary, where summand k of C^j spans the
     vertex tuple simplices[j][k]: it meets the summand of its face without
     vertex i with sign (-1)^i."""
     position = {sigma: k for sigmas in simplices for k, sigma in enumerate(sigmas)}
-    signs = (field.one(), field.coerce(-1))
     for j, sigmas in enumerate(simplices[1:]):
         for r, sigma in enumerate(sigmas):
             for i in range(len(sigma)):
-                yield j, r, position[sigma[:i] + sigma[i + 1:]], signs[i % 2]
+                yield j, r, position[sigma[:i] + sigma[i + 1:]], (-1) ** i
 
 
 def roos_complex(d: Sheaf) -> CochainComplexInstance:
@@ -117,7 +116,7 @@ def roos_complex(d: Sheaf) -> CochainComplexInstance:
         raise FieldMismatch("roos_complex needs an exact field")
     chains = order_complex(d.poset)
     degrees = [[chain[-1] for chain in group] for group in chains]
-    return _assemble(ROOS, d, degrees, _alternating_faces(d.field, chains))
+    return _assemble(ROOS, d, degrees, _alternating_faces(chains))
 
 
 def cellular_complex(d: Sheaf) -> CochainComplexInstance:
@@ -134,7 +133,7 @@ def cellular_complex(d: Sheaf) -> CochainComplexInstance:
     degrees: list[list[str]] = [[] for _ in range(top + 1)]
     for e in sorted(d.poset.elements, key=lambda e: (len(decoded[e]), decoded[e])):
         degrees[len(decoded[e]) - 1].append(e)
-    faces = _alternating_faces(d.field, [[decoded[e] for e in owners] for owners in degrees])
+    faces = _alternating_faces([[decoded[e] for e in owners] for owners in degrees])
     return _assemble(CELLULAR, d, degrees, faces)
 
 

@@ -154,7 +154,7 @@ def parse_sheaf(text: str) -> Sheaf:
         raise SchemaError("elements: must be an array of strings")
     for e in elements:
         if "<" in e or not e:
-            raise SchemaError(f"elements: bad identifier {e!r}")
+            raise SchemaError(f"elements: bad identifier {brief(repr(e))}")
     covers = _require(doc, "covers")
     if not isinstance(covers, list) or not all(
         isinstance(c, list) and len(c) == 2 and all(isinstance(x, str) for x in c)
@@ -168,14 +168,14 @@ def parse_sheaf(text: str) -> Sheaf:
     stalks = {}
     for e in elements:
         if e not in stalks_doc:
-            raise SchemaError(f"stalks: missing {e}")
+            raise SchemaError(f"stalks: missing {brief(e)}")
         dim = stalks_doc[e]
         if type(dim) is not int or dim < 0:  # JSON true is an int to isinstance
-            raise SchemaError(f"stalks: bad dimension for {e}")
+            raise SchemaError(f"stalks: bad dimension for {brief(e)}")
         stalks[e] = dim
     for key in stalks_doc:
         if key not in stalks:
-            raise SchemaError(f"stalks: unknown element {key}")
+            raise SchemaError(f"stalks: unknown element {brief(key)}")
     maps_doc = _require(doc, "maps")
     if not isinstance(maps_doc, dict):
         raise SchemaError("maps: must be an object")
@@ -183,21 +183,21 @@ def parse_sheaf(text: str) -> Sheaf:
     maps = {}
     for key, entries in maps_doc.items():
         if key.count("<") != 1:
-            raise SchemaError(f"maps: bad key {key!r}")
+            raise SchemaError(f"maps: bad key {brief(repr(key))}")
         a, b = key.split("<")
         if (a, b) not in hasse:
-            raise SchemaError(f"maps: {key} is not a Hasse edge")
+            raise SchemaError(f"maps: {brief(key)} is not a Hasse edge")
         rows, cols = stalks[b], stalks[a]
         if not isinstance(entries, list) or len(entries) != rows * cols:
             raise SchemaError(
-                f"maps: {key} needs {rows * cols} row-major entries"
+                f"maps: {brief(key)} needs {rows * cols} row-major entries"
             )
         scalars = [scalar_from_string(x, field) for x in entries]
         data = [scalars[r * cols:(r + 1) * cols] for r in range(rows)]
         maps[(a, b)] = Matrix(rows, cols, data, field)
     for (a, b) in poset.hasse_edges():
         if (a, b) not in maps:
-            raise SchemaError(f"maps: missing {a}<{b}")
+            raise SchemaError(f"maps: missing {brief(a)}<{brief(b)}")
     return build_sheaf(poset, stalks, maps, field)
 
 

@@ -15,6 +15,8 @@ conversion.
 
 Scalars are ``fractions.Fraction`` over the rationals, plain ``int`` residues
 in [0, p) over a prime field, and ``float`` over the (approximate) reals.
+Every kernel computes with Python's ``+``, ``-`` and ``*`` and reduces with
+``% p`` where the field has a modulus p, so one rule serves all three fields.
 The reals are rejected by every elimination routine here.  ``check_d_squared``
 is the one test that consecutive differentials compose to zero, for every
 field: exactly over Q and F_p, within a relative tolerance over R.
@@ -108,23 +110,6 @@ class FieldTag:
                 raise FieldMismatch(f"{brief(repr(value))} has no residue mod {self.p}")
             return q.numerator * pow(q.denominator, -1, self.p) % self.p
         return float(value)
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == PRIME else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.kind == PRIME else a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.kind == PRIME else a * b
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == PRIME else -a
-
-    def div(self, a, b):
-        if self.kind == PRIME:
-            return a * pow(b, -1, self.p) % self.p
-        return a / b
 
     def __str__(self) -> str:
         if self.kind == PRIME:
@@ -221,13 +206,13 @@ class Matrix:
         if self.field != other.field or (self.rows, self.cols) != (other.rows, other.cols):
             raise FieldMismatch("difference of matrices with different fields or shapes")
         out = Matrix._of(self.rows, self.cols, [dict(row) for row in self._entries], self.field)
-        out.add_block(0, 0, other, self.field.coerce(-1))
+        out.add_block(0, 0, other, -1)
         return out
 
     def scale(self, c) -> "Matrix":
-        mul = self.field.mul
-        c = self.field.coerce(c)
-        entries = [{j: v for j, x in row.items() if (v := mul(c, x))} for row in self._entries]
+        c, p = self.field.coerce(c), self.field.p
+        entries = [{j: v for j, x in row.items() if (v := c * x % p if p else c * x)}
+                   for row in self._entries]
         return Matrix._of(self.rows, self.cols, entries, self.field)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
@@ -245,16 +230,15 @@ class Matrix:
         for arow in self._entries:
             row: dict = {}
             for k in sorted(arow):
-                _add_multiple(row, arow[k], inner[k], f)
+                _add_multiple(row, arow[k], inner[k], f.p)
             entries.append(row)
         return Matrix._of(self.rows, other.cols, entries, f)
 
-    def add_block(self, r0: int, c0: int, block: "Matrix", scalar=None):
-        """Add scalar * block (scalar 1 by default) in place, with the block's
-        top left corner at (r0, c0)."""
-        c = self.field.one() if scalar is None else scalar
+    def add_block(self, r0: int, c0: int, block: "Matrix", scalar=1):
+        """Add scalar * block in place, with the block's top left corner at
+        (r0, c0); the scalar is one of the field's or a plain int."""
         for brow, row in zip(block._entries, self._entries[r0:r0 + block.rows]):
-            _add_multiple(row, c, {c0 + j: x for j, x in brow.items()}, self.field)
+            _add_multiple(row, scalar, {c0 + j: x for j, x in brow.items()}, self.field.p)
 
 
 def _transpose(entries: list[dict], n: int) -> list[dict]:
@@ -266,26 +250,30 @@ def _transpose(entries: list[dict], n: int) -> list[dict]:
     return out
 
 
-def _add_multiple(row: dict, c, other: dict, f: FieldTag):
-    """row += c * other on sparse rows, in place; entries that cancel are
-    removed, so a sparse row never stores a zero."""
-    add, mul = f.add, f.mul
+def _add_multiple(row: dict, c, other: dict, p: int | None):
+    """row += c * other on sparse rows, in place, reduced mod p when p is set;
+    entries that cancel or underflow are removed, so a sparse row never stores
+    a zero."""
     for j, x in other.items():
-        v = add(row[j], mul(c, x)) if j in row else mul(c, x)
+        v = row[j] + c * x if j in row else c * x
+        if p:
+            v %= p
         if v:
             row[j] = v
         else:
-            del row[j]
+            row.pop(j, None)
 
 
-def _with_lead_one(row: dict, lead: int, f: FieldTag) -> dict:
+def _inverse(x, p: int | None):
+    return pow(x, -1, p) if p else 1 / x
+
+
+def _with_lead_one(row: dict, lead: int, p: int | None) -> dict:
     """The sparse row scaled so that its entry in column lead is 1."""
-    pv = row[lead]
-    one = f.one()
-    if pv == one:
+    if row[lead] == 1:
         return row
-    inv, mul = f.div(one, pv), f.mul
-    return {j: mul(inv, x) for j, x in row.items()}
+    inv = _inverse(row[lead], p)
+    return {j: inv * x % p if p else inv * x for j, x in row.items()}
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
@@ -307,23 +295,23 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     entry.
     """
     _require_exact(m.field, "rref")
-    f = m.field
+    p = m.field.p
     owner: dict[int, dict] = {}
     for row in m._entries:
         row = dict(row)
         while row:
             lead = min(row)
             if lead not in owner:
-                owner[lead] = _with_lead_one(row, lead, f)
+                owner[lead] = _with_lead_one(row, lead, p)
                 break
-            _add_multiple(row, f.neg(row[lead]), owner[lead], f)
+            _add_multiple(row, -row[lead], owner[lead], p)
     pivots = sorted(owner)
     for pc in reversed(pivots):
         row = owner[pc]
         for j in [j for j in row if j != pc and j in owner]:
-            _add_multiple(row, f.neg(row[j]), owner[j], f)
+            _add_multiple(row, -row[j], owner[j], p)
     entries = [owner[pc] for pc in pivots] + [{} for _ in range(m.rows - len(pivots))]
-    return Matrix._of(m.rows, m.cols, entries, f), pivots, len(pivots)
+    return Matrix._of(m.rows, m.cols, entries, m.field), pivots, len(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -360,7 +348,7 @@ def rank(m: Matrix) -> int:
         for j in row:
             cols[j].discard(i)
         pc = min(row, key=lambda j: len(cols[j]))
-        inv = pow(row.pop(pc), -1, p) if p else 1 / row.pop(pc)
+        inv = _inverse(row.pop(pc), p)
         pivots += 1
         for k in cols.pop(pc):
             other = rows[k]
@@ -382,16 +370,15 @@ def rank(m: Matrix) -> int:
 def _kernel_entries(m: Matrix) -> list[dict]:
     """Sparse basis of the right null space, one vector per non-pivot column:
     entry 1 at its free column and minus the pivot rows' entries there."""
-    f = m.field
     red, pivots, _ = rref(m)
-    one = f.one()
+    one, p = m.field.one(), m.field.p
     basis = {free: {free: one} for free in range(m.cols)}
     for pc in pivots:
         del basis[pc]
     for pc, row in zip(pivots, red._entries):
         for j, x in row.items():
             if j != pc:
-                basis[j][pc] = f.neg(x)
+                basis[j][pc] = -x % p if p else -x
     return list(basis.values())
 
 
@@ -444,14 +431,14 @@ def _max_abs(entries: list[dict]) -> float:
     return max((abs(x) for row in entries for x in row.values()), default=0.0)
 
 
-def _reduce_against(vec: dict, reducers: list[tuple[int, dict]], f: FieldTag) -> dict:
+def _reduce_against(vec: dict, reducers: list[tuple[int, dict]], p: int | None) -> dict:
     """Eliminate a sparse vector, in order, against sparse rows with known
     pivot columns (leading entry 1)."""
     out = dict(vec)
     for pc, row in reducers:
         c = out.get(pc)
         if c is not None:
-            _add_multiple(out, f.neg(c), row, f)
+            _add_multiple(out, -c, row, p)
     return out
 
 
@@ -494,11 +481,11 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
         # rows of `kept` vanish at the image pivots, as every candidate does
         kept: list[tuple[int, dict]] = []
         for kvec in kernel:
-            candidate = _reduce_against(kvec, reducers, field)
-            residue = _reduce_against(candidate, kept, field)
+            candidate = _reduce_against(kvec, reducers, field.p)
+            residue = _reduce_against(candidate, kept, field.p)
             if not residue:
                 continue
             lead = min(residue)
-            kept.append((lead, _with_lead_one(residue, lead, field)))
+            kept.append((lead, _with_lead_one(residue, lead, field.p)))
             reps.append(candidate)
     return out

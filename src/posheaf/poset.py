@@ -18,6 +18,7 @@ from .errors import (
     EmptyHyperedge,
     UnknownElement,
     UnknownVertex,
+    brief,
 )
 from .linalg import FieldTag
 
@@ -157,7 +158,7 @@ def build_poset(elements, covers) -> Poset:
     seen = set()
     for e in elements:
         if e in seen:
-            raise DuplicateElement(f"duplicate element {e!r}")
+            raise DuplicateElement(f"duplicate element {brief(repr(e))}")
         seen.add(e)
     index = {e: i for i, e in enumerate(elements)}
     n = len(elements)
@@ -165,11 +166,11 @@ def build_poset(elements, covers) -> Poset:
     for a, b in covers:
         a, b = str(a), str(b)
         if a not in index:
-            raise UnknownElement(f"cover endpoint {a!r} is not a declared element")
+            raise UnknownElement(f"cover endpoint {brief(repr(a))} is not a declared element")
         if b not in index:
-            raise UnknownElement(f"cover endpoint {b!r} is not a declared element")
+            raise UnknownElement(f"cover endpoint {brief(repr(b))} is not a declared element")
         if a == b:
-            raise CycleDetected(f"reflexive cover ({a!r}, {b!r})")
+            raise CycleDetected(f"reflexive cover ({brief(repr(a))}, {brief(repr(b))})")
         succ[index[a]].add(index[b])
     topo = _toposort_indices(n, succ)
     up: list[set[int]] = [set() for _ in range(n)]

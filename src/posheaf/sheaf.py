@@ -115,9 +115,6 @@ class CompositionalityViolation:
     path_b: tuple[str, ...]
     deviation_sq: float
 
-    def __iter__(self):
-        yield from (self.source, self.target, self.path_a, self.path_b)
-
 
 def _saturated_paths(p: Poset, s: str, t: str):
     """Every saturated path s = x_0 < x_1 < ... < x_k = t, each step a Hasse
@@ -234,7 +231,7 @@ def mobius_sheaf(n: int, field: FieldTag) -> Sheaf:
     stalks = {e: 1 for e in p.elements}
     one = Matrix.identity(1, field)
     maps = {edge: one for edge in p.hasse_edges()}
-    maps[("v0", f"e{n - 1}")] = one.scale(field.coerce(-1))
+    maps[("v0", f"e{n - 1}")] = one.scale(-1)
     return build_sheaf(p, stalks, maps, field)
 
 
@@ -291,12 +288,11 @@ def global_sections_bruteforce(d: Sheaf) -> SectionSpace:
     layout, offsets, total = stalk_layout(d)
     rows = sum(d.stalk(b) for (_, b) in d.poset.hasse_edges())
     system = Matrix.zeros(rows, total, d.field)
-    minus_one = d.field.coerce(-1)
     r = 0
     for (a, b) in d.poset.hasse_edges():
         m = d.edge_map[(a, b)]
         system.add_block(r, offsets[a], m)
-        system.add_block(r, offsets[b], Matrix.identity(m.rows, d.field), minus_one)
+        system.add_block(r, offsets[b], Matrix.identity(m.rows, d.field), -1)
         r += m.rows
     basis = kernel_basis(system)
     return SectionSpace(layout, offsets, basis, len(basis))

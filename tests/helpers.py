@@ -37,6 +37,18 @@ def seeded_rng(seed: int) -> np.random.Generator:
 # Independent oracles.
 # ---------------------------------------------------------------------------
 
+def scalar_ops(field):
+    """(add, sub, mul, div) on the scalars of field, written apart from the
+    library's kernels: residues are reduced after each operation, and a
+    residue's inverse comes from Fermat's little theorem."""
+    p = field.p
+    if p is None:
+        return (lambda a, b: a + b, lambda a, b: a - b,
+                lambda a, b: a * b, lambda a, b: a / b)
+    return (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
+            lambda a, b: a * b % p, lambda a, b: a * pow(b, p - 2, p) % p)
+
+
 def brute_force_chains(p: Poset) -> list[tuple[str, ...]]:
     """Every chain of the poset, found by filtering all element subsets."""
     chains = []
@@ -127,7 +139,7 @@ def dense_rref_oracle(m: Matrix) -> tuple[Matrix, list[int], int]:
     """Dense column-by-column Gauss-Jordan elimination: the reduced row
     echelon form, pivot columns and rank that ``linalg.rref`` must reproduce."""
     f = m.field
-    sub, mul, div = f.sub, f.mul, f.div
+    _, sub, mul, div = scalar_ops(f)
     a = [row[:] for row in m.data]
     nrows, ncols = m.rows, m.cols
     pivots: list[int] = []
@@ -168,13 +180,14 @@ def dense_rref_oracle(m: Matrix) -> tuple[Matrix, list[int], int]:
 
 def _write_block(target: list[list], r0: int, c0: int, block: Matrix, scalar, field,
                  accumulate: bool = False):
+    add, _, mul, _ = scalar_ops(field)
     for i, brow in enumerate(block.data):
         trow = target[r0 + i]
         for j, v in enumerate(brow):
             if not v:
                 continue
-            v = field.mul(scalar, v)
-            trow[c0 + j] = field.add(trow[c0 + j], v) if accumulate else v
+            v = mul(scalar, v)
+            trow[c0 + j] = add(trow[c0 + j], v) if accumulate else v
 
 
 def dense_diffs_reference(c) -> list[list[list]]:
@@ -283,11 +296,12 @@ def saturated_paths_reference(p: Poset) -> dict[tuple[str, str], list[tuple[str,
 def dense_compose(d: Sheaf, path) -> list[list]:
     """The edge maps along path multiplied as dense row-by-column sums."""
     f = d.field
+    add, _, mul, _ = scalar_ops(f)
     n = d.stalk(path[0])
     m = [[f.one() if i == j else f.zero() for j in range(n)] for i in range(n)]
     for a, b in zip(path, path[1:]):
         e = d.edge_map[(a, b)].data
-        m = [[functools.reduce(f.add, (f.mul(e[i][k], m[k][j]) for k in range(len(m))),
+        m = [[functools.reduce(add, (mul(e[i][k], m[k][j]) for k in range(len(m))),
                                f.zero())
               for j in range(n)] for i in range(d.stalk(b))]
     return m
@@ -297,7 +311,7 @@ def compositionality_reference(d: Sheaf) -> list[tuple]:
     """(source, target, path_a, path_b, deviation_sq) for every two saturated
     paths whose dense compositions differ, pairs in topo order; the deviation
     is the sum of the squared entries of the difference, in row-major order."""
-    f = d.field
+    _, sub, _, _ = scalar_ops(d.field)
     paths = saturated_paths_reference(d.poset)
     out = []
     for s in d.poset.topo_order:
@@ -305,7 +319,7 @@ def compositionality_reference(d: Sheaf) -> list[tuple]:
             composed = [(path, dense_compose(d, path)) for path in paths.get((s, t), [])]
             for (pa, ma), (pb, mb) in itertools.combinations(composed, 2):
                 if ma != mb:
-                    diff = [float(f.sub(x, y)) for ra, rb in zip(ma, mb) for x, y in zip(ra, rb)]
+                    diff = [float(sub(x, y)) for ra, rb in zip(ma, mb) for x, y in zip(ra, rb)]
                     out.append((s, t, pa, pb, sum(z * z for z in diff)))
     return out
 

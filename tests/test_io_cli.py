@@ -412,6 +412,67 @@ def test_cli_error_reports_cut_a_huge_echoed_number(tmp_path):
         assert len(text.encode()) < 300, argv
 
 
+_LONG = "x" * 1000
+
+
+def _two_element_document(**changes) -> dict:
+    doc = {"field": "Q", "elements": ["a", "b"], "covers": [["a", "b"]],
+           "stalks": {"a": 1, "b": 1}, "maps": {"a<b": ["1"]}}
+    return {**doc, **changes}
+
+
+def _long_pair(maps) -> dict:
+    return _two_element_document(elements=["a", _LONG], covers=[["a", _LONG]],
+                                 stalks={"a": 1, _LONG: 1}, maps=maps)
+
+
+@pytest.mark.parametrize("doc, code", [
+    pytest.param(_two_element_document(elements=[_LONG, _LONG], covers=[]),
+                 "DuplicateElement", id="duplicate"),
+    pytest.param(_two_element_document(covers=[[_LONG, "b"]]), "UnknownElement",
+                 id="unknown-cover-source"),
+    pytest.param(_two_element_document(covers=[["a", _LONG]]), "UnknownElement",
+                 id="unknown-cover-target"),
+    pytest.param(_two_element_document(elements=[_LONG], covers=[[_LONG, _LONG]]),
+                 "CycleDetected", id="reflexive-cover"),
+    pytest.param(_two_element_document(elements=["a", _LONG + "<"]), "SchemaError",
+                 id="bad-identifier"),
+    pytest.param(_two_element_document(elements=[_LONG], covers=[], stalks={}),
+                 "SchemaError", id="missing-stalk"),
+    pytest.param(_two_element_document(elements=[_LONG], covers=[], stalks={_LONG: -1}),
+                 "SchemaError", id="bad-dimension"),
+    pytest.param(_two_element_document(stalks={"a": 1, "b": 1, _LONG: 1}), "SchemaError",
+                 id="unknown-stalk"),
+    pytest.param(_two_element_document(maps={_LONG: ["1"]}), "SchemaError", id="bad-map-key"),
+    pytest.param(_two_element_document(maps={"a<b": ["1"], f"b<{_LONG}": ["1"]}),
+                 "SchemaError", id="not-a-hasse-edge"),
+    pytest.param(_long_pair({f"a<{_LONG}": []}), "SchemaError", id="entry-count"),
+    pytest.param(_long_pair({}), "SchemaError", id="missing-map"),
+])
+def test_cli_error_reports_cut_a_long_identifier(tmp_path, doc, code):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc))
+    status, report, text = _run(["betti", str(path)])
+    assert (status, report["error"]["code"]) == (1, code)
+    assert "... (100" in report["error"]["message"]
+    assert len(text.splitlines()) == 1 and len(text.encode()) < 300
+
+
+@pytest.mark.parametrize("command", ["spectrum", "diffuse"])
+def test_cli_real_maps_whose_products_underflow_still_report(tmp_path, command):
+    # on the filled triangle the d^2 check multiplies 1e-200 by 1e-200, which
+    # rounds to 0.0 in a column its row does not hold yet
+    vertices, edges = ["1", "2", "3"], ["1,2", "1,3", "2,3"]
+    covers = [[v, e] for e in edges for v in e.split(",")] + [[e, "1,2,3"] for e in edges]
+    doc = {"field": "R", "elements": vertices + edges + ["1,2,3"], "covers": covers,
+           "stalks": {e: 1 for e in vertices + edges + ["1,2,3"]},
+           "maps": {f"{a}<{b}": ["1e-200"] for a, b in covers}}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    status, report, text = _run([command, str(path)])
+    assert status == 0 and len(text.splitlines()) == 1 and report["command"] == command
+
+
 # the 5,001-digit integer passes CPython's int-string limit, so json.loads
 # raises a plain ValueError
 _UNREADABLE = {"not-utf8": b"\xff\xfe{}", "deep": b"[" * 100_000,
