@@ -6,6 +6,8 @@ deterministic JSON run report on stdout: ``command``, then ``inputs_digest``
 document and the side files (``--x0``, the ``nsd-forward`` params and the
 ``learn`` signals) are all read as UTF-8.  Exit codes: 0 success, 1 domain
 error (with an error report of ``command`` and ``error``), 2 usage error.
+A ``betti`` vector has one entry per degree of the complex that ``--method``
+builds, so its length can differ between methods on the same document.
 """
 
 from __future__ import annotations

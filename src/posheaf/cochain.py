@@ -268,7 +268,9 @@ def cohomology(c: CochainComplexInstance) -> list[tuple[int, list[list]]]:
 
 
 def betti_numbers(c: CochainComplexInstance) -> list[int]:
-    """Betti vector via rank-nullity, one entry per graded component."""
+    """Betti vector via rank-nullity, one entry per degree of c, so its length
+    follows the construction: over Q on the cone over the six-vertex RP^2,
+    Roos gives [1, 0, 0, 0] and minimal [1, 0, 0]."""
     top = c.top_degree
     ranks = [rank(diff) for diff in c.diffs]
     out = []

@@ -3,15 +3,18 @@ homology-basis solver for graded complexes given by per-degree blocks.
 
 A matrix is stored as sparse rows: row i is a dict {column: value} over its
 nonzero entries, and no stored value is ever zero.  Every routine here reads
-and writes that storage directly.  Two eliminations serve different needs.
-``rref``, through which ``kernel_basis``, ``invert`` and ``homology_basis``
-eliminate, runs a forward pass in row order and then back-substitution, so
-the representatives it yields are those of the one reduced row echelon form.
-``rank`` needs only a count, so it pivots in Markowitz order (shortest row,
-rarest column) and never back-substitutes, which keeps the fill-in of sparse
-differentials small.  Dense rows exist only at the edges: the constructor
-takes them, and ``Matrix.data`` returns a fresh dense copy for rendering and
-conversion.
+and writes that storage directly.  Every row operation is one call of
+``_add_multiple``, and every echelon step is one ``_insert_row``: reduce a
+row by the rows owning its lead column until it vanishes or leads in a new
+column, which it then owns.  ``rref``, through which ``kernel_basis``,
+``invert`` and ``homology_basis`` eliminate, inserts the rows in order and
+then back-substitutes, so the representatives it yields are those of the one
+reduced row echelon form; ``homology_basis`` also keeps a representative iff
+``_insert_row`` stores it.  ``rank`` needs only a count, so it pivots in
+Markowitz order (shortest row, rarest column) and never back-substitutes,
+which keeps the fill-in of sparse differentials small.  Dense rows exist
+only at the edges: the constructor takes them, and ``Matrix.data`` returns a
+fresh dense copy for rendering and conversion.
 
 Scalars are ``fractions.Fraction`` over the rationals, plain ``int`` residues
 in [0, p) over a prime field, and ``float`` over the (approximate) reals.
@@ -276,6 +279,18 @@ def _with_lead_one(row: dict, lead: int, p: int | None) -> dict:
     return {j: inv * x % p if p else inv * x for j, x in row.items()}
 
 
+def _insert_row(owner: dict[int, dict], row: dict, p: int | None) -> bool:
+    """Reduce row in place by owner[lead] until it vanishes or leads in a column
+    no row owns, then store it there with lead 1; return whether it was stored."""
+    while row:
+        lead = min(row)
+        if lead not in owner:
+            owner[lead] = _with_lead_one(row, lead, p)
+            return True
+        _add_multiple(row, -row[lead], owner[lead], p)
+    return False
+
+
 def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     """Reduced row echelon form of an exact-field matrix.
 
@@ -283,10 +298,8 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     row r of the reduced matrix is the pivot row of pivots[r], and the rows
     after the rank are empty.
 
-    Two passes on copies of the sparse rows.  Forward: each row in turn has
-    its leading entry cancelled by the pivot row owning that column until it
-    vanishes or leads in a new column, whose pivot row it becomes, scaled to
-    lead with 1.  Back-substitution: from the last pivot row to the first,
+    Two passes on copies of the sparse rows.  Forward: ``_insert_row`` takes
+    each row in turn.  Back-substitution: from the last pivot row to the first,
     clear a row's entries in later pivot columns with the rows already fully
     reduced; they vanish in every other pivot column, so each subtraction
     changes free columns only, and on a cycle's coboundary each row meets O(1)
@@ -298,13 +311,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     p = m.field.p
     owner: dict[int, dict] = {}
     for row in m._entries:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            if lead not in owner:
-                owner[lead] = _with_lead_one(row, lead, p)
-                break
-            _add_multiple(row, -row[lead], owner[lead], p)
+        _insert_row(owner, dict(row), p)
     pivots = sorted(owner)
     for pc in reversed(pivots):
         row = owner[pc]
@@ -352,16 +359,9 @@ def rank(m: Matrix) -> int:
         pivots += 1
         for k in cols.pop(pc):
             other = rows[k]
-            c = -other.pop(pc) * inv
-            for j, x in row.items():
-                if j not in other:
-                    other[j] = c * x % p if p else c * x
-                    cols[j].add(k)
-                elif v := (other[j] + c * x) % p if p else other[j] + c * x:
-                    other[j] = v
-                else:
-                    del other[j]
-                    cols[j].discard(k)
+            _add_multiple(other, -other.pop(pc) * inv, row, p)
+            for j in row:
+                (cols[j].add if j in other else cols[j].discard)(k)
             if other:
                 heapq.heappush(heap, (len(other), k))
     return pivots
@@ -431,17 +431,6 @@ def _max_abs(entries: list[dict]) -> float:
     return max((abs(x) for row in entries for x in row.values()), default=0.0)
 
 
-def _reduce_against(vec: dict, reducers: list[tuple[int, dict]], p: int | None) -> dict:
-    """Eliminate a sparse vector, in order, against sparse rows with known
-    pivot columns (leading entry 1)."""
-    out = dict(vec)
-    for pc, row in reducers:
-        c = out.get(pc)
-        if c is not None:
-            _add_multiple(out, -c, row, p)
-    return out
-
-
 def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> list[list[dict]]:
     """Representatives of a homology basis of a graded complex, degree by degree.
 
@@ -471,21 +460,19 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
         out.append(reps)
         if not kernel:
             continue
-        reducers: list[tuple[int, dict]] = []
+        image: dict[int, dict] = {}
         if i > 0:
             d = diffs[i - 1]
-            image = [col for col in _transpose(d._entries, d.cols) if col]
-            if image:
-                red, pivots, _ = rref(Matrix._of(len(image), n, image, field))
-                reducers = list(zip(pivots, red._entries))
-        # rows of `kept` vanish at the image pivots, as every candidate does
-        kept: list[tuple[int, dict]] = []
+            columns = [col for col in _transpose(d._entries, d.cols) if col]
+            if columns:
+                red, pivots, _ = rref(Matrix._of(len(columns), n, columns, field))
+                image = dict(zip(pivots, red._entries))
+        # an RREF row vanishes at the other pivots, so kvec's own entries decide
+        kept: dict[int, dict] = {}
         for kvec in kernel:
-            candidate = _reduce_against(kvec, reducers, field.p)
-            residue = _reduce_against(candidate, kept, field.p)
-            if not residue:
-                continue
-            lead = min(residue)
-            kept.append((lead, _with_lead_one(residue, lead, field.p)))
-            reps.append(candidate)
+            candidate = dict(kvec)
+            for pc in sorted(pc for pc in kvec if pc in image):
+                _add_multiple(candidate, -kvec[pc], image[pc], field.p)
+            if _insert_row(kept, dict(candidate), field.p):
+                reps.append(candidate)
     return out

@@ -21,6 +21,7 @@ from .errors import (
     NotTwoLayer,
     SchemaError,
     ShapeMismatch,
+    brief,
 )
 from .linalg import RR, Matrix
 from .poset import Poset
@@ -44,7 +45,7 @@ def _graph_structure(p: Poset) -> tuple[list[str], list[tuple[str, str, str]]]:
             continue
         ends = p.covered_by(e)
         if len(ends) != 2 or p.covers_of(e):
-            raise NotTwoLayer(f"element {e!r} is not an edge over two vertices")
+            raise NotTwoLayer(f"element {brief(repr(e))} is not an edge over two vertices")
         edges.append((e, ends[0], ends[1]))
     return vertices, edges
 
@@ -111,7 +112,7 @@ class NsdLayer:
         if self.w2.ndim != 2:
             raise ShapeMismatch("W2 must be a matrix")
         if not isinstance(self.norm, str) or self.norm.lower() not in NORMALIZATIONS:
-            raise ShapeMismatch(f"unknown normalization {self.norm!r}")
+            raise ShapeMismatch(f"unknown normalization {brief(repr(self.norm))}")
 
 
 def nsd_forward(layer: NsdLayer, features: np.ndarray) -> np.ndarray:
@@ -167,7 +168,7 @@ def _resolve_seed(seed: int | None) -> int:
     except ValueError:
         value = -1
     if value < 0:
-        raise SchemaError(f"{SEED_ENV}={env!r} is not a nonnegative integer")
+        raise SchemaError(f"{SEED_ENV}={brief(repr(env))} is not a nonnegative integer")
     return value
 
 

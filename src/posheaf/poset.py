@@ -88,7 +88,7 @@ class Poset:
         try:
             return self._index[element]
         except KeyError:
-            raise UnknownElement(f"element {element!r} is not in the poset") from None
+            raise UnknownElement(f"element {brief(repr(element))} is not in the poset") from None
 
     def topo_position(self, element: str) -> int:
         return self._topo_pos[element]
@@ -327,7 +327,7 @@ def hypergraph_to_poset(vertices, hyperedges) -> Poset:
             raise EmptyHyperedge(f"hyperedge #{k} is empty")
         for v in members:
             if v not in vertex_set:
-                raise UnknownVertex(f"hyperedge #{k} mentions unknown vertex {v!r}")
+                raise UnknownVertex(f"hyperedge #{k} mentions unknown vertex {brief(repr(v))}")
         name = f"h{k}"
         while name in vertex_set:
             name = "_" + name

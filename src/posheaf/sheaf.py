@@ -25,6 +25,7 @@ from .errors import (
     ShapeMismatch,
     TooShort,
     UnknownElement,
+    brief,
 )
 from .linalg import FieldTag, Matrix, invert, kernel_basis
 from .poset import Poset, build_poset
@@ -46,7 +47,7 @@ class Sheaf:
 
     def stalk(self, s: str) -> int:
         if s not in self.stalk_dim:
-            raise UnknownElement(f"element {s!r} has no stalk")
+            raise UnknownElement(f"element {brief(repr(s))} has no stalk")
         return self.stalk_dim[s]
 
     def map(self, s: str, t: str) -> Matrix:
@@ -57,7 +58,7 @@ class Sheaf:
         m = self._path_cache.get((s, t))
         if m is None:
             if not self.poset.lt(s, t):
-                raise NotAPath(f"{s!r} is not strictly below {t!r}")
+                raise NotAPath(f"{brief(repr(s))} is not strictly below {brief(repr(t))}")
             path = next(_saturated_paths(self.poset, s, t))
             m = self._path_cache[(s, t)] = self.compose_along(path)
         return m
@@ -81,29 +82,30 @@ def build_sheaf(p: Poset, stalks: dict[str, int],
     stalk_dim = {}
     for e in p.elements:
         if e not in stalks:
-            raise MissingEdgeMap(f"stalks: missing dimension for {e!r}")
+            raise MissingEdgeMap(f"stalks: missing dimension for {brief(repr(e))}")
         d = int(stalks[e])
         if d < 0:
-            raise ShapeMismatch(f"negative stalk dimension at {e!r}")
+            raise ShapeMismatch(f"negative stalk dimension at {brief(repr(e))}")
         stalk_dim[e] = d
     edge_map: dict[tuple[str, str], Matrix] = {}
     hasse = set(p.hasse_edges())
     for (a, b), m in maps.items():
         if (a, b) not in hasse:
-            raise ExtraEdgeMap(f"({a!r}, {b!r}) is not a Hasse edge")
+            raise ExtraEdgeMap(f"({brief(repr(a))}, {brief(repr(b))}) is not a Hasse edge")
         if not isinstance(m, Matrix):
             m = Matrix.from_rows(m, field)
         if m.field != field:
-            raise FieldMismatch(f"map on ({a!r}, {b!r}) uses field {m.field}")
+            raise FieldMismatch(
+                f"map on ({brief(repr(a))}, {brief(repr(b))}) uses field {m.field}")
         if m.rows != stalk_dim[b] or m.cols != stalk_dim[a]:
             raise ShapeMismatch(
-                f"map on ({a!r}, {b!r}) has shape {m.rows}x{m.cols}, "
+                f"map on ({brief(repr(a))}, {brief(repr(b))}) has shape {m.rows}x{m.cols}, "
                 f"expected {stalk_dim[b]}x{stalk_dim[a]}"
             )
         edge_map[(a, b)] = m
     for edge in p.hasse_edges():
         if edge not in edge_map:
-            raise MissingEdgeMap(f"maps: missing {edge[0]}<{edge[1]}")
+            raise MissingEdgeMap(f"maps: missing {brief(str(edge[0]))}<{brief(str(edge[1]))}")
     return Sheaf(p, field, stalk_dim, edge_map)
 
 
@@ -245,13 +247,13 @@ def pullback(d: Sheaf, f: dict[str, str], source: Poset) -> Sheaf:
     target = d.poset
     for s in source.elements:
         if s not in f:
-            raise NotMonotone(f"map does not cover element {s!r}")
+            raise NotMonotone(f"map does not cover element {brief(repr(s))}")
         target.index(f[s])
     stalks = {s: d.stalk(f[s]) for s in source.elements}
     maps = {}
     for (a, b) in source.hasse_edges():
         if not target.leq(f[a], f[b]):
-            raise NotMonotone(f"map is not monotone on {a!r} < {b!r}")
+            raise NotMonotone(f"map is not monotone on {brief(repr(a))} < {brief(repr(b))}")
         maps[(a, b)] = d.map(f[a], f[b])
     return build_sheaf(source, stalks, maps, d.field)
 
@@ -314,9 +316,9 @@ def _step_matrix(d: Sheaf, a: str, b: str) -> Matrix:
         m = d.map(b, a)
         inv = invert(m)
         if inv is None:
-            raise NonInvertibleMap(f"map {b!r} -> {a!r} is not invertible")
+            raise NonInvertibleMap(f"map {brief(repr(b))} -> {brief(repr(a))} is not invertible")
         return inv
-    raise NotAPath(f"consecutive elements {a!r}, {b!r} are incomparable")
+    raise NotAPath(f"consecutive elements {brief(repr(a))}, {brief(repr(b))} are incomparable")
 
 
 def parallel_transport(d: Sheaf, path) -> TransportResult:

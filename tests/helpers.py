@@ -178,6 +178,45 @@ def dense_rref_oracle(m: Matrix) -> tuple[Matrix, list[int], int]:
     return Matrix(nrows, ncols, a, f), pivots, len(pivots)
 
 
+def homology_basis_reference(diffs: list[Matrix], dims: list[int], field) -> list[list[list]]:
+    """Dense homology representatives by the rule ``linalg.homology_basis``
+    states, built on ``dense_rref_oracle``: per degree, the kernel of the
+    outgoing differential in RREF free-variable form, each vector reduced
+    modulo the RREF of the incoming image, and kept when it makes the rank of
+    the vectors kept so far grow."""
+    _, sub, mul, _ = scalar_ops(field)
+    zero, one = field.zero(), field.one()
+    out = []
+    for i, n in enumerate(dims):
+        pivots, rows = [], []
+        if i < len(diffs):
+            red, pivots, _ = dense_rref_oracle(diffs[i])
+            rows = red.data
+        kernel = []
+        for free in (c for c in range(n) if c not in pivots):
+            vec = [zero] * n
+            vec[free] = one
+            for pc, row in zip(pivots, rows):
+                vec[pc] = sub(zero, row[free])
+            kernel.append(vec)
+        image = []
+        if i > 0:
+            d = diffs[i - 1]
+            columns = [[row[c] for row in d.data] for c in range(d.cols)]
+            red, pivots, _ = dense_rref_oracle(Matrix(d.cols, n, columns, field))
+            image = list(zip(pivots, red.data))
+        kept: list[list] = []
+        for vec in kernel:
+            for pc, row in image:
+                c = vec[pc]
+                if c:
+                    vec = [sub(x, mul(c, y)) for x, y in zip(vec, row)]
+            if dense_rref_oracle(Matrix(len(kept) + 1, n, kept + [vec], field))[2] > len(kept):
+                kept.append(vec)
+        out.append(kept)
+    return out
+
+
 def _write_block(target: list[list], r0: int, c0: int, block: Matrix, scalar, field,
                  accumulate: bool = False):
     add, _, mul, _ = scalar_ops(field)

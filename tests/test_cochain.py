@@ -537,3 +537,34 @@ def test_planted_betti_of_the_ten_vertex_simplex_2_skeleton():
     for sheaf in sheaves:
         for method in ("roos", "cellular", "minimal"):
             assert betti(sheaf, method) == [1, 0, 84], (sheaf.field, method)
+
+
+# the 6-vertex real projective plane: H_1 = Z/2, so its constant-sheaf
+# cohomology depends on whether the field has characteristic 2
+_RP2_TRIANGLES = ["123", "134", "145", "156", "162", "235", "346", "452", "563", "624"]
+_RP2 = simplicial_complex_poset([list(t) for t in _RP2_TRIANGLES])
+_RP2_CONE = build_poset(
+    list(_RP2.elements) + ["top"],
+    list(_RP2.hasse_edges()) + [(",".join(sorted(t)), "top") for t in _RP2_TRIANGLES],
+)
+
+
+@pytest.mark.parametrize("field, expected_betti, top_degrees, cone_minimal_betti", [
+    (QQ, [1, 0, 0], [], [1, 0, 0]),
+    (prime_field(3), [1, 0, 0], [], [1, 0, 0]),
+    (prime_field(2), [1, 1, 1], [2, 3], [1, 0, 0, 0]),
+])
+def test_projective_plane_answers_depend_on_the_field_through_torsion(
+        field, expected_betti, top_degrees, cone_minimal_betti):
+    assert len(_RP2.elements) == 31
+    sheaf = constant_sheaf(_RP2, 1, field)
+    assert [betti(sheaf, m) for m in ("roos", "cellular", "minimal")] == [expected_betti] * 3
+    # above the ten triangles the down-set is RP^2 itself, whose reduced
+    # homology over F_2 sits in degrees 1 and 2
+    generators = minimal_incidence(_RP2_CONE, field).generators
+    assert sorted(g.degree for g in generators if g.owner == "top") == top_degrees
+    # a Betti vector has one entry per degree of its complex: Roos counts
+    # chains up to length 4, minimal only the degrees it created generators in
+    cone = constant_sheaf(_RP2_CONE, 1, field)
+    assert betti(cone, "roos") == [1, 0, 0, 0]
+    assert betti(cone, "minimal") == cone_minimal_betti

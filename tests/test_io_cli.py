@@ -604,6 +604,26 @@ def test_cli_learn_takes_its_default_seed_from_the_environment(monkeypatch, tmp_
     assert _run(_learn_argv(tmp_path))[2] == seed3
 
 
+@pytest.mark.parametrize("norm, seed_variable, code", [
+    pytest.param("x" * 1000, None, "ShapeMismatch", id="norm-string"),
+    pytest.param(list(range(2000)), None, "ShapeMismatch", id="norm-list"),
+    pytest.param(None, "x" * 3000, "SchemaError", id="seed-variable"),
+])
+def test_cli_error_reports_cut_long_side_input(monkeypatch, tmp_path, norm, seed_variable,
+                                               code):
+    if seed_variable is None:
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({**_GOOD_PARAMS, "norm": norm}))
+        argv = ["nsd-forward", str(GOLDEN / "cycle4_constant.json"), str(params)]
+    else:
+        monkeypatch.setenv("POSHEAF_SEED", seed_variable)
+        argv = _learn_argv(tmp_path)
+    status, report, text = _run(argv)
+    assert (status, report["error"]["code"]) == (1, code)
+    assert "characters)" in report["error"]["message"]
+    assert len(text.splitlines()) == 1 and len(text.encode()) < 300
+
+
 @pytest.mark.parametrize("command, params", [
     ("spectrum", None),
     ("diffuse", None),

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import (bareiss_rank, dense_rref_oracle, gauge_connection_sheaf, integer_rows,
-                     matrix_apply, scalar_ops, seeded_rng, trial_division_is_prime,
-                     twisted_cycle_sheaf)
+from helpers import (bareiss_rank, dense_rref_oracle, gauge_connection_sheaf,
+                     homology_basis_reference, integer_rows, matrix_apply,
+                     random_compositional_sheaf, random_dag_poset, scalar_ops, seeded_rng,
+                     trial_division_is_prime, twisted_cycle_sheaf)
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,8 +27,9 @@ from posheaf.linalg import (
     rref,
 )
 from posheaf.poset import simplicial_complex_poset
+from posheaf.sheaf import constant_sheaf
 
-F2 = prime_field(2)
+F2, F3, F5 = prime_field(2), prime_field(3), prime_field(5)
 
 
 def test_rref_identity():
@@ -272,6 +274,21 @@ def _dense_homology_basis(diffs, dims, field=QQ):
     zero = field.zero()
     return [[[vec.get(k, zero) for k in range(n)] for vec in reps]
             for reps, n in zip(homology_basis(diffs, dims, field), dims)]
+
+
+@pytest.mark.parametrize("method", ["roos", "minimal"])
+def test_homology_basis_matches_the_dense_reference_on_random_complexes(method):
+    # the selection rule, not only the Betti numbers: the same vectors in
+    # the same order as the dense reference, over four fields
+    rng = seeded_rng(1606)
+    for _ in range(60):
+        p = random_dag_poset(rng, max_elements=8)
+        sheaves = [random_compositional_sheaf(p, rng, f) for f in (QQ, F3, F5)]
+        for sheaf in sheaves + [constant_sheaf(p, 2, F2)]:
+            c = build_complex(sheaf, method)
+            dims = [c.degree_dim(j) for j in range(c.top_degree + 1)]
+            assert (_dense_homology_basis(c.diffs, dims, c.field)
+                    == homology_basis_reference(c.diffs, dims, c.field))
 
 
 def test_homology_of_zero_differential():

@@ -4,15 +4,21 @@ import numpy as np
 import pytest
 
 from posheaf.errors import (
+    ExtraEdgeMap,
+    FieldMismatch,
     MissingEdgeMap,
     NonInvertibleMap,
     NotAPath,
     NotMonotone,
+    NotTwoLayer,
+    PosheafError,
     ShapeMismatch,
     TooShort,
     UnknownElement,
+    UnknownVertex,
 )
-from posheaf.linalg import Matrix, QQ, prime_field
+from posheaf.linalg import Matrix, QQ, RR, prime_field
+from posheaf.nsd import sheaf_diffusion_op
 from posheaf.poset import build_poset, hypergraph_to_poset, simplicial_complex_poset
 from posheaf.sheaf import (
     build_sheaf,
@@ -325,3 +331,49 @@ def test_pullback_is_checked_on_covers_against_the_closure_reference():
         assert str(raised.value) == f"map is not monotone on {a!r} < {b!r}"
         rejected += 1
     assert accepted > 20 and rejected > 20
+
+
+_LONG = "x" * 1000
+_PAIR = build_poset(["a", _LONG], [("a", _LONG)])
+_APART = build_poset([_LONG + "1", _LONG + "2"], [])
+_PAIR_STALKS = {"a": 1, _LONG: 1}
+
+
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: constant_sheaf(_PAIR, 1, QQ).stalk(_LONG + "y"), UnknownElement,
+                 id="stalk"),
+    pytest.param(lambda: constant_sheaf(_APART, 1, QQ).map(*_APART.elements), NotAPath,
+                 id="map-not-below"),
+    pytest.param(lambda: build_sheaf(_PAIR, {"a": 1}, {}, QQ), MissingEdgeMap,
+                 id="missing-dimension"),
+    pytest.param(lambda: build_sheaf(_PAIR, {"a": 1, _LONG: -1}, {}, QQ), ShapeMismatch,
+                 id="negative-dimension"),
+    pytest.param(lambda: build_sheaf(_PAIR, _PAIR_STALKS, {(_LONG, "a"): [[1]]}, QQ),
+                 ExtraEdgeMap, id="not-a-hasse-edge"),
+    pytest.param(lambda: build_sheaf(_PAIR, _PAIR_STALKS,
+                                     {("a", _LONG): Matrix.identity(1, F2)}, QQ),
+                 FieldMismatch, id="map-field"),
+    pytest.param(lambda: build_sheaf(_PAIR, _PAIR_STALKS, {("a", _LONG): [[1, 0]]}, QQ),
+                 ShapeMismatch, id="map-shape"),
+    pytest.param(lambda: build_sheaf(_PAIR, _PAIR_STALKS, {}, QQ), MissingEdgeMap,
+                 id="missing-map"),
+    pytest.param(lambda: pullback(constant_sheaf(_PAIR, 1, QQ), {}, build_poset([_LONG], [])),
+                 NotMonotone, id="pullback-uncovered"),
+    pytest.param(lambda: pullback(constant_sheaf(_PAIR, 1, QQ), {"a": _LONG, _LONG: "a"},
+                                  _PAIR), NotMonotone, id="pullback-not-monotone"),
+    pytest.param(lambda: parallel_transport(
+        build_sheaf(_PAIR, _PAIR_STALKS, {("a", _LONG): [[0]]}, QQ), [_LONG, "a"]),
+        NonInvertibleMap, id="transport-not-invertible"),
+    pytest.param(lambda: parallel_transport(constant_sheaf(_APART, 1, QQ), _APART.elements),
+                 NotAPath, id="transport-incomparable"),
+    pytest.param(lambda: _PAIR.index(_LONG + "y"), UnknownElement, id="poset-index"),
+    pytest.param(lambda: hypergraph_to_poset(["a"], [[_LONG]]), UnknownVertex,
+                 id="hypergraph-vertex"),
+    pytest.param(lambda: sheaf_diffusion_op(constant_sheaf(_PAIR, 1, RR)), NotTwoLayer,
+                 id="nsd-not-two-layer"),
+])
+def test_library_errors_cut_a_long_identifier(call, error):
+    with pytest.raises(PosheafError) as info:
+        call()
+    assert type(info.value) is error
+    assert "characters)" in str(info.value) and len(str(info.value)) < 200
