@@ -19,10 +19,16 @@ fresh dense copy for rendering and conversion.
 Scalars are ``fractions.Fraction`` over the rationals, plain ``int`` residues
 in [0, p) over a prime field, and ``float`` over the (approximate) reals.
 Every kernel computes with Python's ``+``, ``-`` and ``*`` and reduces with
-``% p`` where the field has a modulus p, so one rule serves all three fields.
-The reals are rejected by every elimination routine here.  ``check_d_squared``
-is the one test that consecutive differentials compose to zero, for every
-field: exactly over Q and F_p, within a relative tolerance over R.
+``% p`` where the field has a modulus p.  Elimination over Q builds no
+Fraction: rows enter as primitive integer rows (``_enter``), and a pivot row
+is one again (``_pivot_row``), as in Bareiss's integer-preserving
+elimination with the content as divisor.  Clearing a column of a row with a
+pivot row is row := a * row - b * pivot, a and b their entries there, over
+both exact fields, since an F_p pivot row leads with 1.  ``rref`` builds
+``Fraction(x, lead)`` once per entry it returns.  The reals are rejected by
+every elimination routine here.  ``check_d_squared`` is the one test that
+consecutive differentials compose to zero, for every field: exactly over Q
+and F_p, within a relative tolerance over R.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import FieldMismatch, NotAComplex, brief
 
@@ -253,10 +260,13 @@ def _transpose(entries: list[dict], n: int) -> list[dict]:
     return out
 
 
-def _add_multiple(row: dict, c, other: dict, p: int | None):
-    """row += c * other on sparse rows, in place, reduced mod p when p is set;
-    entries that cancel or underflow are removed, so a sparse row never stores
-    a zero."""
+def _add_multiple(row: dict, c, other: dict, p: int | None, a=1):
+    """row := a * row + c * other on sparse rows, in place, reduced mod p when
+    p is set; entries that cancel or underflow are removed, so a sparse row
+    never stores a zero."""
+    if a != 1:
+        for j in row:
+            row[j] = row[j] * a % p if p else row[j] * a
     for j, x in other.items():
         v = row[j] + c * x if j in row else c * x
         if p:
@@ -267,27 +277,41 @@ def _add_multiple(row: dict, c, other: dict, p: int | None):
             row.pop(j, None)
 
 
-def _inverse(x, p: int | None):
-    return pow(x, -1, p) if p else 1 / x
-
-
-def _with_lead_one(row: dict, lead: int, p: int | None) -> dict:
-    """The sparse row scaled so that its entry in column lead is 1."""
-    if row[lead] == 1:
+def _pivot_row(row: dict, lead, p: int | None) -> dict:
+    """Make row a pivot row, in place: over F_p scale it to 1 in column lead,
+    over Q divide it by the gcd of its entries (lead is not read)."""
+    if p:
+        if row[lead] != 1:
+            inv = pow(row[lead], -1, p)
+            for j in row:
+                row[j] = inv * row[j] % p
         return row
-    inv = _inverse(row[lead], p)
-    return {j: inv * x % p if p else inv * x for j, x in row.items()}
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+    return row
+
+
+def _enter(row: dict, p: int | None) -> dict:
+    """A fresh copy of row to eliminate; over Q the primitive integer row with
+    its span: row times the lcm of its denominators, over its content."""
+    if p:
+        return dict(row)
+    d = lcm(*(x.denominator for x in row.values()))
+    return _pivot_row({j: x.numerator * (d // x.denominator) for j, x in row.items()}, None, p)
 
 
 def _insert_row(owner: dict[int, dict], row: dict, p: int | None) -> bool:
     """Reduce row in place by owner[lead] until it vanishes or leads in a column
-    no row owns, then store it there with lead 1; return whether it was stored."""
+    no row owns, then store it there as a pivot row; return whether it was."""
     while row:
         lead = min(row)
         if lead not in owner:
-            owner[lead] = _with_lead_one(row, lead, p)
+            owner[lead] = _pivot_row(row, lead, p)
             return True
-        _add_multiple(row, -row[lead], owner[lead], p)
+        other = owner[lead]
+        _add_multiple(row, -row[lead], other, p, other[lead])
     return False
 
 
@@ -303,21 +327,26 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     clear a row's entries in later pivot columns with the rows already fully
     reduced; they vanish in every other pivot column, so each subtraction
     changes free columns only, and on a cycle's coboundary each row meets O(1)
-    others.  Row operations keep the row space, which has exactly one reduced
-    row echelon form, so the result equals dense Gauss-Jordan's entry for
-    entry.
+    others; then the row is made a pivot row again.  Over Q both passes run on
+    integer rows, and ``Fraction(x, lead)`` builds each entry of the result.
+    Row operations and scalings keep the row space, which has exactly one
+    reduced row echelon form, so the result equals dense Gauss-Jordan's entry
+    for entry.
     """
     _require_exact(m.field, "rref")
     p = m.field.p
     owner: dict[int, dict] = {}
     for row in m._entries:
-        _insert_row(owner, dict(row), p)
+        _insert_row(owner, _enter(row, p), p)
     pivots = sorted(owner)
     for pc in reversed(pivots):
         row = owner[pc]
         for j in [j for j in row if j != pc and j in owner]:
-            _add_multiple(row, -row[j], owner[j], p)
-    entries = [owner[pc] for pc in pivots] + [{} for _ in range(m.rows - len(pivots))]
+            _add_multiple(row, -row[j], owner[j], p, owner[j][j])
+        _pivot_row(row, pc, p)
+    entries = [row if p else {j: Fraction(x, row[pc]) for j, x in row.items()}
+               for pc, row in sorted(owner.items())]
+    entries += [{} for _ in range(m.rows - len(pivots))]
     return Matrix._of(m.rows, m.cols, entries, m.field), pivots, len(pivots)
 
 
@@ -332,13 +361,13 @@ def rank(m: Matrix) -> int:
     no longer match their row are skipped.  After a step the other rows
     vanish in the pivot column and the pivot row does not, so the rank is one
     more than that of the rows left, and the pivots counted are the rank.
-    Each pivot's inverse is computed once.  Rank does not depend on the pivot
-    order, so this agrees with ``rref`` while short rows on rare columns keep
-    the fill-in small.
+    Clearing scales the cleared row, which keeps its zeros.  Rank does not
+    depend on the pivot order, so this agrees with ``rref`` while short rows
+    on rare columns keep the fill-in small.
     """
     _require_exact(m.field, "rank")
     p = m.field.p
-    rows = [dict(row) for row in m._entries]
+    rows = [_enter(row, p) for row in m._entries]
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -355,11 +384,12 @@ def rank(m: Matrix) -> int:
         for j in row:
             cols[j].discard(i)
         pc = min(row, key=lambda j: len(cols[j]))
-        inv = _inverse(row.pop(pc), p)
+        _pivot_row(row, pc, p)
+        a = row.pop(pc)
         pivots += 1
         for k in cols.pop(pc):
             other = rows[k]
-            _add_multiple(other, -other.pop(pc) * inv, row, p)
+            _add_multiple(other, -other.pop(pc), row, p, a)
             for j in row:
                 (cols[j].add if j in other else cols[j].discard)(k)
             if other:
@@ -412,12 +442,18 @@ def check_d_squared(diffs: list[Matrix]):
     """Check that each composite d_{j+1} . d_j vanishes; diffs[j] maps degree
     j to degree j + 1.
 
-    Over Q and F_p the composite must be zero.  Over R its largest entry must
-    stay within D2_RESIDUAL_TOL * (1 + max|d_{j+1}| max|d_j|).  Either failure
-    is NotAComplex.
+    Over Q and F_p the composite must be zero; over Q it is taken on ints,
+    with the rows of d_{j+1} and the columns of d_j scaled to primitive
+    integers, which scales its rows and columns and keeps its zeros.  Over R
+    its largest entry must stay within D2_RESIDUAL_TOL * (1 + max|d_{j+1}|
+    max|d_j|).  Either failure is NotAComplex.
     """
     for j in range(len(diffs) - 1):
         a, b = diffs[j + 1], diffs[j]
+        if a.field == QQ:
+            a = Matrix._of(a.rows, a.cols, [_enter(row, None) for row in a._entries], QQ)
+            columns = [_enter(col, None) for col in _transpose(b._entries, b.cols)]
+            b = Matrix._of(b.rows, b.cols, _transpose(columns, b.rows), QQ)
         residual = (a @ b)._entries
         if a.field.is_exact:
             if any(residual):
@@ -473,6 +509,6 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
             candidate = dict(kvec)
             for pc in sorted(pc for pc in kvec if pc in image):
                 _add_multiple(candidate, -kvec[pc], image[pc], field.p)
-            if _insert_row(kept, dict(candidate), field.p):
+            if _insert_row(kept, _enter(candidate, field.p), field.p):
                 reps.append(candidate)
     return out

@@ -19,6 +19,7 @@ from posheaf.linalg import (
     QQ,
     RR,
     _is_prime,
+    check_d_squared,
     homology_basis,
     invert,
     kernel_basis,
@@ -62,18 +63,25 @@ def test_rref_rejects_reals():
 
 _Q_ENTRIES = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-3), Fraction(1, 2),
               Fraction(-2, 3), Fraction(5)]
+# numerators and denominators beyond 2^64, and row scalings with large
+# coprime parts: the lcm and content steps of integer-row elimination
+_LARGE_Q_ENTRIES = [Fraction(2**64 + 13), Fraction(-(2**70) - 1, 3**29),
+                    Fraction(5**30, 2**65 + 1), Fraction(1, 2**66 + 7), Fraction(-7)]
+_LARGE_SCALES = [Fraction(2**61 - 1, 3**20), Fraction(65537, 10007),
+                 Fraction(-(3**41), 2**67 + 3)]
 _EDGE_SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (1, 12), (12, 1), (2, 12), (12, 2)]
 _MONODROMIES = [((2, 1), (1, 1)), ((1, 0), (0, 1)), ((1, 1), (0, 1))]
 
 
-def _random_matrix(rng: np.random.Generator, field, rows: int, cols: int) -> Matrix:
+def _random_matrix(rng: np.random.Generator, field, rows: int, cols: int,
+                   q_entries=_Q_ENTRIES) -> Matrix:
     """Random matrix with density in [0.05, 1]; about a third of them get a
     row that combines two others, so rank deficiency is common."""
     density = 0.05 + 0.95 * rng.random()
 
     def entry():
         if field == QQ:
-            return _Q_ENTRIES[int(rng.integers(0, len(_Q_ENTRIES)))]
+            return q_entries[int(rng.integers(0, len(q_entries)))]
         return int(rng.integers(1, field.p))
 
     data = [[entry() if rng.random() < density else field.zero() for _ in range(cols)]
@@ -124,6 +132,33 @@ def test_rank_matches_the_dense_oracle_and_leaves_its_input_alone():
             assert rank(Matrix.zeros(*shape, field)) == 0
     with pytest.raises(FieldMismatch):
         rank(Matrix.from_rows([[1.0, 0.0], [0.0, 1.0]], RR))
+
+
+def test_large_rational_entries_and_row_scalings_keep_every_result(monkeypatch):
+    # each row of every rational oracle case times a large rational: the same
+    # row space, so the same rref, pivots, rank and kernel, and the inverse
+    # m^-1 D^-1 of D m; then those and random matrices with entries beyond
+    # 2^64 against the dense oracle
+    rng = seeded_rng(64)
+    plain = [m for m in _oracle_cases() if m.field == QQ]
+    scaled = []
+    for m in plain:
+        d = [_LARGE_SCALES[int(rng.integers(0, len(_LARGE_SCALES)))] for _ in range(m.rows)]
+        s = Matrix(m.rows, m.cols, [[di * x for x in row] for di, row in zip(d, m.data)], QQ)
+        scaled.append(s)
+        assert (rref(s), rank(s), kernel_basis(s)) == (rref(m), rank(m), kernel_basis(m))
+        inverse = invert(m)
+        assert invert(s) == (inverse and Matrix.from_rows(
+            [[x / dk for x, dk in zip(row, d)] for row in inverse.data], QQ))
+    large = [_random_matrix(rng, QQ, int(rng.integers(1, 13)), int(rng.integers(1, 13)),
+                            _LARGE_Q_ENTRIES) for _ in range(80)]
+    cases = scaled + large
+    for m in cases:
+        want = dense_rref_oracle(m)
+        assert rref(m) == want and rank(m) == want[2]
+    got = [(kernel_basis(m), invert(m)) for m in cases]
+    monkeypatch.setattr(linalg, "rref", dense_rref_oracle)
+    assert got == [(kernel_basis(m), invert(m)) for m in cases]
 
 
 def test_rank_of_roos_simplex_differentials_matches_bareiss():
@@ -187,19 +222,17 @@ def test_dense_rows_round_trip_and_the_data_view_is_a_copy():
         assert m.data != view and Matrix(m.rows, m.cols, m.data, m.field) == m
 
 
-def test_rref_work_on_a_twisted_cycle_grows_linearly(monkeypatch):
-    # Counts the entries that row operations visit, not seconds.  Four times
-    # the cycle costs about 4x the work in the sparse elimination and about
-    # 16x in a dense column-by-column loop.
-    field = prime_field(2**31 - 1)
+def _rref_work_on_twisted_cycles(monkeypatch, field) -> dict[int, int]:
+    """Entries that ``_add_multiple`` visits in ``rref`` of the minimal d0 of
+    the twisted cycles C_40 and C_160 over field."""
     d0 = {n: build_complex(twisted_cycle_sheaf(n, seeded_rng(n), field), "minimal").diffs[0]
           for n in (40, 160)}
     visited = [0]
     add_multiple = linalg._add_multiple
 
-    def counting_add_multiple(row, c, other, p):
+    def counting_add_multiple(row, c, other, p, a=1):
         visited[0] += len(other)
-        add_multiple(row, c, other, p)
+        add_multiple(row, c, other, p, a)
 
     monkeypatch.setattr(linalg, "_add_multiple", counting_add_multiple)
     work = {}
@@ -207,6 +240,21 @@ def test_rref_work_on_a_twisted_cycle_grows_linearly(monkeypatch):
         visited[0] = 0
         rref(m)
         work[n] = visited[0]
+    return work
+
+
+def test_rref_work_on_a_twisted_cycle_grows_linearly(monkeypatch):
+    # Counts the entries that row operations visit, not seconds.  Four times
+    # the cycle costs about 4x the work in the sparse elimination and about
+    # 16x in a dense column-by-column loop.
+    work = _rref_work_on_twisted_cycles(monkeypatch, prime_field(2**31 - 1))
+    assert 0 < work[160] <= 6 * work[40]
+
+
+def test_rational_rref_work_on_a_twisted_cycle_grows_linearly(monkeypatch):
+    # the same bound over Q, where rows are cleared by cross-multiplying
+    # integer rows instead of subtracting a lead-one row
+    work = _rref_work_on_twisted_cycles(monkeypatch, QQ)
     assert 0 < work[160] <= 6 * work[40]
 
 
@@ -337,6 +385,15 @@ def test_homology_validates_d_squared():
     one = Matrix.from_rows([[1]], QQ)
     with pytest.raises(NotAComplex):
         homology_basis([one, one], [1, 1, 1], QQ)
+
+
+def test_rational_d_squared_check_rejects_a_non_complex():
+    # d_1 . d_0 = 1/2 - 1 with d_1 = [1 1] and d_0 = [1/2 -1]^T; scaling the
+    # rows of d_0 to integers instead of its column would hide it
+    d1 = Matrix.from_rows([[1, 1]], QQ)
+    with pytest.raises(NotAComplex):
+        check_d_squared([Matrix.from_rows([[Fraction(1, 2)], [-1]], QQ), d1])
+    check_d_squared([Matrix.from_rows([[Fraction(1, 2)], [Fraction(-1, 2)]], QQ), d1])
 
 
 def test_homology_validates_degrees():
