@@ -25,6 +25,7 @@ from .io import (
     canonical_json,
     field_to_string,
     inputs_digest,
+    map_entries,
     parse_document,
     parse_sheaf,
     scalar_to_string,
@@ -199,15 +200,11 @@ def cmd_learn(sheaf, args) -> dict:
         raise SchemaError("signals: must be an array of signal vectors")
     cfg = nsd.LearnConfig(lr=args.lr, iters=args.iters, d=args.d, seed=args.seed)
     result = nsd.learn_sheaf(sheaf.poset, signals, cfg)
-    learned = result.sheaf
     return {"learn": {
         "d": args.d,
         "loss_history": _float_list(result.loss_history),
-        "field": field_to_string(learned.field),
-        "maps": {
-            f"{a}<{b}": [float(v) for row in learned.edge_map[(a, b)].data for v in row]
-            for (a, b) in sorted(learned.edge_map, key=lambda ab: f"{ab[0]}<{ab[1]}")
-        },
+        "field": field_to_string(result.sheaf.field),
+        "maps": map_entries(result.sheaf, float),
     }}
 
 

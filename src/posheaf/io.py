@@ -3,7 +3,9 @@
 Documents are canonical: elements in declaration order, covers sorted by
 element indices, map keys sorted lexicographically, rational scalars in lowest
 terms.  Reports print floats with 17 significant digits so identical inputs
-produce byte-identical output.
+produce byte-identical output, and quote strings exactly as ``json.dumps`` does.
+A non-finite float is a SchemaError: the last guard behind the
+``OverflowOnConvert`` that each numeric stage raises on its own overflow.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError, SchemaError, brief
 from .linalg import FieldTag, Matrix, PRIME, QQ, RATIONALS, RR, prime_field
@@ -66,53 +69,32 @@ def scalar_from_string(text: str, field: FieldTag):
 
 
 # ---------------------------------------------------------------------------
-# Canonical JSON emitter: insertion-ordered objects, floats at 17 significant
-# digits, no whitespace surprises.
+# Canonical JSON encoder: insertion-ordered objects, floats at 17 significant
+# digits, no whitespace.
 # ---------------------------------------------------------------------------
 
-def _emit(obj, out: list[str]):
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
+def _encode(obj) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
             raise SchemaError("reports cannot contain non-finite floats")
-        out.append(format(obj, ".17g"))
-    elif isinstance(obj, dict):
-        out.append("{")
-        first = True
-        for key, value in obj.items():
-            if not first:
-                out.append(",")
-            first = False
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _emit(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        first = True
-        for value in obj:
-            if not first:
-                out.append(",")
-            first = False
-            _emit(value, out)
-        out.append("]")
-    else:
-        raise SchemaError(f"cannot serialize {type(obj).__name__}")
+        return scalar_to_string(obj, RR)
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{_encode(str(k))}:{_encode(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_encode, obj)) + "]"
+    raise SchemaError(f"cannot serialize {type(obj).__name__}")
 
 
 def canonical_json(obj) -> str:
-    out: list[str] = []
-    _emit(obj, out)
-    return "".join(out)
+    """Canonical text of obj.  _encode recurses under its own name, so a
+    tracer that wraps canonical_json sees one call per report."""
+    return _encode(obj)
 
 
 def inputs_digest(raw: bytes) -> str:
@@ -211,13 +193,14 @@ def serialize_sheaf(s: Sheaf) -> str:
         "elements": list(poset.elements),
         "covers": [[a, b] for (a, b) in covers],
         "stalks": {e: s.stalk(e) for e in poset.elements},
-        "maps": {
-            f"{a}<{b}": [
-                scalar_to_string(v, s.field)
-                for row in s.edge_map[(a, b)].data
-                for v in row
-            ]
-            for (a, b) in sorted(s.edge_map, key=lambda ab: f"{ab[0]}<{ab[1]}")
-        },
+        "maps": map_entries(s, lambda v: scalar_to_string(v, s.field)),
     }
     return canonical_json(doc) + "\n"
+
+
+def map_entries(s: Sheaf, convert) -> dict:
+    """{"a<b": row-major [convert(entry), ...]} with sorted keys: "maps" layout."""
+    return {
+        f"{a}<{b}": [convert(v) for row in s.edge_map[(a, b)].data for v in row]
+        for (a, b) in sorted(s.edge_map, key=lambda ab: f"{ab[0]}<{ab[1]}")
+    }

@@ -27,7 +27,7 @@ from .linalg import RR, Matrix
 from .poset import Poset
 from .sheaf import Sheaf, build_sheaf
 from .spectral import (NORMALIZATIONS, default_eta, eigendecompose, float_array, laplacian,
-                       real_sheaf_complex)
+                       real_sheaf_complex, require_finite)
 
 SEED_ENV = "POSHEAF_SEED"
 MAX_HALVINGS = 20  # learning-rate halvings tried before the learner stops
@@ -80,11 +80,14 @@ def sheaf_diffusion_op(s: Sheaf, eta: float | None = None,
         eta = default_eta(eigendecompose(lap).lam_max)
     if eta < 0:
         raise DimensionMismatch("step size must be nonnegative")
-    return np.eye(lap.size) - 2.0 * eta * lap.matrix
+    with np.errstate(over="ignore"):
+        step = require_finite(2.0 * (eta * lap.matrix), f"eta={brief(str(eta))} overflows 2*eta*L_0")
+    return np.eye(lap.size) - step
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-z))
+    with np.errstate(over="ignore"):  # exp(-z) = inf saturates to 0
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 @dataclass
@@ -124,8 +127,10 @@ def nsd_forward(layer: NsdLayer, features: np.ndarray) -> np.ndarray:
             f"features must be ({nd}, {layer.w2.shape[0]}), got {x.shape}"
         )
     operator = sheaf_diffusion_op(layer.sheaf, layer.eta, layer.norm)
-    blocked = (layer.w1 @ x.reshape(layer.n, layer.d, x.shape[1])).reshape(x.shape)
-    return _sigmoid(operator @ blocked @ layer.w2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocked = (layer.w1 @ x.reshape(layer.n, layer.d, x.shape[1])).reshape(x.shape)
+        z = require_finite(operator @ blocked @ layer.w2, "NSD pre-activations overflowed")
+    return _sigmoid(z)
 
 
 def nsd_stack(layers: list[NsdLayer], features: np.ndarray) -> np.ndarray:
@@ -246,7 +251,8 @@ def learn_sheaf(p: Poset, signals, cfg: LearnConfig | None = None) -> LearnResul
     from the final parameters.  Steps that would increase the loss, or whose
     parameters overflow, halve the learning rate (up to MAX_HALVINGS times);
     the recorded history contains accepted losses only and is non-increasing
-    by construction.
+    by construction.  Signals so large that the initial loss or a gradient
+    overflows raise OverflowOnConvert.
 
     The initial draw is left unprojected on purpose: projecting a d=1 draw
     collapses it onto {-1, +1} and a symmetric gradient could never separate
@@ -264,30 +270,31 @@ def learn_sheaf(p: Poset, signals, cfg: LearnConfig | None = None) -> LearnResul
     edges, xu, xv = _endpoint_signals(p, signals, d)
     theta = rng.standard_normal((len(edges), 2, d, d))
     r = _residuals(theta, xu, xv)
-    current = float(np.sum(_residuals(_project(theta), xu, xv) ** 2))
-    history = [current]
-    for _ in range(cfg.iters):
-        if current <= 1e-18:
-            break
-        grad = _loss_gradient(r, xu, xv)
-        grad_sq = float(np.sum(grad * grad))
-        if grad_sq <= 1e-30:
-            break
-        lr = cfg.lr * float(np.sum(r * r)) / grad_sq
-        for _ in range(MAX_HALVINGS + 1):
-            # a step too large for floats leaves non-finite entries and a nan
-            # loss, which the comparison rejects as it does a loss increase
-            with np.errstate(over="ignore", invalid="ignore"):
+    # a step too large for floats leaves non-finite entries and a nan loss,
+    # which the comparison rejects as it does a loss increase
+    with np.errstate(over="ignore", invalid="ignore"):
+        current = require_finite(float(np.sum(_residuals(_project(theta), xu, xv) ** 2)),
+                                 "the initial loss overflows")
+        history = [current]
+        for _ in range(cfg.iters):
+            if current <= 1e-18:
+                break
+            grad = _loss_gradient(r, xu, xv)
+            grad_sq = require_finite(float(np.sum(grad * grad)), "the loss gradient overflows")
+            if grad_sq <= 1e-30:
+                break
+            lr = cfg.lr * float(np.sum(r * r)) / grad_sq
+            for _ in range(MAX_HALVINGS + 1):
                 candidate = _project(theta - lr * grad)
                 r_candidate = _residuals(candidate, xu, xv)
                 new_loss = float(np.sum(r_candidate * r_candidate))
-            if new_loss < current:
-                theta, r, current = candidate, r_candidate, new_loss
-                history.append(current)
+                if new_loss < current:
+                    theta, r, current = candidate, r_candidate, new_loss
+                    history.append(current)
+                    break
+                lr *= 0.5
+            else:
                 break
-            lr *= 0.5
-        else:
-            break
     if len(history) == 1:
         theta = _project(theta)
     assert all(b <= a for a, b in zip(history, history[1:])), "loss history regressed"

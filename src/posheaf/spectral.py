@@ -57,6 +57,13 @@ def float_array(m: Matrix) -> np.ndarray:
     return out
 
 
+def require_finite(values, message: str):
+    """values, unless an entry overflowed to inf or nan: then OverflowOnConvert."""
+    if not np.all(np.isfinite(values)):
+        raise OverflowOnConvert(message)
+    return values
+
+
 def _real_diff(c: CochainComplexInstance, j: int) -> np.ndarray:
     """d_j of a complex over Q or R as a float64 array; the zero map where the
     complex has no d_j."""
@@ -90,8 +97,7 @@ def laplacian(c: CochainComplexInstance, j: int, norm: str = "none") -> Laplacia
             down = _real_diff(c, j - 1)
             mat = mat + down @ down.T
         mat = 0.5 * (mat + mat.T)
-    if not np.all(np.isfinite(mat)):
-        raise OverflowOnConvert(f"degree-{j} Laplacian has non-finite entries")
+    require_finite(mat, f"degree-{j} Laplacian has non-finite entries")
     norm = norm.lower()
     if norm == "none":
         out = mat
@@ -304,23 +310,26 @@ def heat_diffusion(l: Laplacian, x0, cfg: DiffusionConfig | None = None) -> Diff
         raise UnstableStepSize(
             f"eta={eta} is not below 1/lambda_max={1.0 / spectrum.lam_max}"
         )
-    limit = spectrum.harmonic_projector() @ x0
-    coords = spectrum.eigenvectors.T @ x0
     states = [x0]
-    if mode == "discrete":
-        operator = np.eye(l.size) - 2.0 * (eta * l.matrix)
-        x = x0
-        for _ in range(cfg.steps):
-            x = operator @ x
-            states.append(x)
-    else:
-        with np.errstate(over="ignore"):  # an infinite rate decays to exp(-inf) = 0
+    # an infinite rate decays to exp(-inf) = 0; any other overflow leaves an
+    # inf or nan in an energy or a distance, and the check below rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        limit = spectrum.harmonic_projector() @ x0
+        if mode == "discrete":
+            operator = np.eye(l.size) - 2.0 * (eta * l.matrix)
+            x = x0
+            for _ in range(cfg.steps):
+                x = operator @ x
+                states.append(x)
+        else:
+            coords = spectrum.eigenvectors.T @ x0
             rates = eta * np.maximum(spectrum.eigenvalues, 0.0)
             for k in range(1, cfg.steps + 1):
                 decay = np.exp(-2.0 * rates * float(k))
                 states.append(spectrum.eigenvectors @ (decay * coords))
-    energies = [float(x @ (l.matrix @ x)) for x in states]
-    distances = [float(np.linalg.norm(x - limit)) for x in states]
+        energies = [float(x @ (l.matrix @ x)) for x in states]
+        distances = [float(np.linalg.norm(x - limit)) for x in states]
+    require_finite(energies + distances, "diffusion overflowed: non-finite energy or distance")
     return DiffusionTrace(states, energies, distances, eta, mode, limit)
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posheaf import cli as cli_module
+from posheaf import io as posheaf_io
 from posheaf.cli import cli
 from posheaf.errors import ParseError, SchemaError
 from posheaf.io import (
@@ -58,6 +60,63 @@ def test_scalar_from_string_rejects_non_finite_reals():
 def test_canonical_json_floats_17g():
     assert canonical_json({"x": 0.1}) == '{"x":0.10000000000000001}'
     assert canonical_json([1, "a", None, True]) == '[1,"a",null,true]'
+    assert canonical_json([-0.0, 5e-324, 1.0, np.float64(0.1)]) == (
+        "[-0,4.9406564584124654e-324,1,0.10000000000000001]")
+
+
+# every code point, lone surrogates included, and the characters JSON escapes
+_STRINGS = st.text(st.characters(exclude_categories=()) | st.sampled_from(
+    '\x00\x1f\x7f"\\/\u00e9\u2028\ud800\udfff\U0001f600'))
+_FLOAT_FREE = st.recursive(
+    st.none() | st.booleans() | st.integers() | _STRINGS,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(_STRINGS, kids),
+    max_leaves=20)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_FLOAT_FREE)
+def test_canonical_json_matches_json_dumps_without_floats(tree):
+    assert canonical_json(tree) == json.dumps(tree, separators=(",", ":"))
+
+
+def test_canonical_json_writes_bools_as_json_and_keys_as_strings():
+    assert canonical_json([True, 1, False, 0]) == "[true,1,false,0]"
+    assert canonical_json({1: "a"}) == '{"1":"a"}'
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("nest", [
+    lambda v: v, lambda v: [1, v], lambda v: (v,), lambda v: {"a": [0.5, {"b": v}]},
+])
+def test_canonical_json_rejects_non_finite_floats_anywhere(value, nest):
+    with pytest.raises(SchemaError, match="non-finite"):
+        canonical_json(nest(value))
+
+
+@pytest.mark.parametrize("value, name", [
+    (Fraction(1, 2), "Fraction"), (np.int64(1), "int64"), ({1}, "set"), (b"x", "bytes"),
+])
+def test_canonical_json_names_the_type_it_cannot_serialize(value, name):
+    with pytest.raises(SchemaError, match=f"cannot serialize {name}$"):
+        canonical_json({"x": [value]})
+
+
+def test_a_wrapped_canonical_json_is_called_once_per_report(monkeypatch):
+    # as the benchmark's tracer does: wrap every name in io and cli that is
+    # the function, so recursion through any of them would count more calls
+    calls = []
+    original = posheaf_io.canonical_json
+
+    def counted(obj):
+        calls.append(obj)
+        return original(obj)
+
+    for module in (posheaf_io, cli_module):
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    status, _, _ = _run(["incidence", str(GOLDEN / "triangle_full.json")])
+    assert (status, len(calls)) == (0, 1)
 
 
 def test_parse_serialize_roundtrip_minimal_document():
@@ -388,6 +447,43 @@ def test_cli_bad_params_and_state_files_report_one_schema_error(tmp_path, comman
     lines = text.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["code"] == "SchemaError"
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("diffuse", {"x0": [1e308, -1e308, 1e308, -1e308]}),
+    ("nsd-forward", {**_GOOD_PARAMS, "eta": 1e308}),
+    ("nsd-forward", {**_GOOD_PARAMS, "eta": 10 ** 308}),
+    ("nsd-forward", {**_GOOD_PARAMS, "W1": [[1e308]], "W2": [[1e308]]}),
+    ("learn", {"signals": [[1e200, -1e200, 1e200, -1e200]]}),
+    # a finite initial loss whose gradient overflows
+    ("learn", {"signals": [[1e80, -1e80, 1e80, -1e80], [1e80, 1e80, -1e80, 1e80]]}),
+])
+def test_cli_overflow_is_reported_by_the_stage_that_overflows(tmp_path, command, payload):
+    # each of these used to get past its stage with a RuntimeWarning: to the
+    # encoder's SchemaError, or to an exit 0 with saturated NSD outputs
+    side = tmp_path / "side.json"
+    side.write_text(json.dumps(payload))
+    doc = str(GOLDEN / "cycle4_constant.json")
+    argv = {
+        "diffuse": [command, _real_cycle_document(tmp_path, "1.0"), "--x0", str(side)],
+        "nsd-forward": [command, doc, str(side)],
+        "learn": [command, doc, str(side), "--iters", "2"],
+    }[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "posheaf.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (1, "")
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 300
+    assert json.loads(lines[0])["error"]["code"] == "OverflowOnConvert"
+
+
+def test_cli_nsd_forward_saturates_a_large_negative_pre_activation_quietly(tmp_path):
+    # exp(1000) overflows to inf inside the logistic, whose limit 0 is the answer
+    side = tmp_path / "params.json"
+    side.write_text(json.dumps({**_GOOD_PARAMS, "X": [[-1000.0]] * 4}))
+    status, report, _ = _run(["nsd-forward", str(GOLDEN / "cycle4_constant.json"), str(side)])
+    assert (status, report["output"]) == (0, [[0]] * 4)
 
 
 def test_cli_error_reports_cut_a_huge_echoed_number(tmp_path):
