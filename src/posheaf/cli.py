@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cochain, nsd, spectral
-from .errors import FieldMismatch, ParseError, PosheafError, SchemaError, brief
+from . import cochain, linalg, nsd, spectral
+from .errors import ParseError, PosheafError, SchemaError, brief
 from .io import (
     canonical_json,
     field_to_string,
@@ -280,8 +280,8 @@ def cli(argv=None) -> int:
     try:
         text, raw = _read(args.document)
         sheaf = parse_sheaf(text)
-        if command in EXACT_COMMANDS and not sheaf.field.is_exact:
-            raise FieldMismatch(f"{command} requires an exact field, got R")
+        if command in EXACT_COMMANDS:
+            linalg.require_exact(sheaf.field, command)
         frame = {"command": command, "inputs_digest": inputs_digest(raw)}
         out, status = canonical_json(frame | args.fn(sheaf, args)), 0
     except (PosheafError, OSError) as exc:

@@ -33,6 +33,7 @@ from .linalg import (
     check_d_squared,
     homology_basis,
     rank,
+    require_exact,
 )
 from .poset import Poset, decode_simplicial_elements, order_complex
 from .sheaf import Sheaf
@@ -112,8 +113,7 @@ def _alternating_faces(simplices: list[list[tuple]]):
 def roos_complex(d: Sheaf) -> CochainComplexInstance:
     """Chain-indexed honest complex: C^j = sum over j-chains t of D(t_max),
     with alternating face signs and structure maps between chain maxima."""
-    if not d.field.is_exact:
-        raise FieldMismatch("roos_complex needs an exact field")
+    require_exact(d.field, "roos_complex")
     chains = order_complex(d.poset)
     degrees = [[chain[-1] for chain in group] for group in chains]
     return _assemble(ROOS, d, degrees, _alternating_faces(chains))
@@ -122,8 +122,7 @@ def roos_complex(d: Sheaf) -> CochainComplexInstance:
 def cellular_complex(d: Sheaf) -> CochainComplexInstance:
     """One-summand-per-simplex honest complex on a simplicial-complex poset,
     with the canonical alternating incidence signs."""
-    if not d.field.is_exact:
-        raise FieldMismatch("cellular_complex needs an exact field")
+    require_exact(d.field, "cellular_complex")
     decoded = decode_simplicial_elements(d.poset)
     if decoded is None:
         raise NotSimplicialPoset(
@@ -184,8 +183,7 @@ def minimal_incidence(p: Poset, field: FieldTag) -> IncidenceData:
     every block, each column's items in insertion order; an element whose key
     was seen reuses them, and the dict is dropped when the call returns.
     """
-    if not field.is_exact:
-        raise FieldMismatch("minimal_incidence needs an exact field")
+    require_exact(field, "minimal_incidence")
     degrees: list[int] = []
     owners: list[str] = []
     columns: list[dict[int, object]] = []

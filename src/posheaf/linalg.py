@@ -25,10 +25,14 @@ is one again (``_pivot_row``), as in Bareiss's integer-preserving
 elimination with the content as divisor.  Clearing a column of a row with a
 pivot row is row := a * row - b * pivot, a and b their entries there, over
 both exact fields, since an F_p pivot row leads with 1.  ``rref`` builds
-``Fraction(x, lead)`` once per entry it returns.  The reals are rejected by
-every elimination routine here.  ``check_d_squared`` is the one test that
-consecutive differentials compose to zero, for every field: exactly over Q
-and F_p, within a relative tolerance over R.
+``Fraction(x, lead)`` once per entry it returns.  ``check_d_squared`` is the
+one test that consecutive differentials compose to zero, for every field:
+exactly over Q and F_p, within a relative tolerance over R.
+
+The field rules live here alone.  An F_p modulus is an ``int`` below 2^31
+that trial division (``_is_prime``, cached) finds prime.  A stage that needs
+Q or F_p calls ``require_exact``, one that needs Q or R ``require_real``;
+they alone raise a field requirement, naming the stage and the field given.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from math import gcd, isqrt, lcm
 
 from .errors import FieldMismatch, NotAComplex, brief
 
@@ -47,29 +52,10 @@ D2_RESIDUAL_TOL = 1e-10
 _Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
 
 
+@cache  # below 2^31, up to 23,170 divisions: paid once per modulus
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the bases 2, 3, 5, 7 decide every
-    n < 3,215,031,751, which covers the moduli below 2^31."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division by 2 and by the odd q <= isqrt(n)."""
+    return n > 1 and (n < 4 or n % 2 == 1 and all(n % q for q in range(3, isqrt(n) + 1, 2)))
 
 
 @dataclass(frozen=True)
@@ -83,7 +69,7 @@ class FieldTag:
         if self.kind not in (RATIONALS, PRIME, REALS):
             raise FieldMismatch(f"unknown field kind {self.kind!r}")
         if self.kind == PRIME:
-            if self.p is None or not (2 <= self.p < 2**31) or not _is_prime(self.p):
+            if type(self.p) is not int or not 2 <= self.p < 2**31 or not _is_prime(self.p):
                 raise FieldMismatch(f"modulus {brief(repr(self.p))} is not a prime below 2^31")
         elif self.p is not None:
             raise FieldMismatch("modulus only makes sense for prime fields")
@@ -135,9 +121,14 @@ def prime_field(p: int) -> FieldTag:
     return FieldTag(PRIME, p)
 
 
-def _require_exact(field: FieldTag, what: str):
+def require_exact(field: FieldTag, what: str):
     if not field.is_exact:
         raise FieldMismatch(f"{what} requires an exact field, got {field}")
+
+
+def require_real(field: FieldTag, what: str):
+    if field.kind == PRIME:
+        raise FieldMismatch(f"{what} requires a rational or real field, got {field}")
 
 
 class Matrix:
@@ -333,7 +324,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     reduced row echelon form, so the result equals dense Gauss-Jordan's entry
     for entry.
     """
-    _require_exact(m.field, "rref")
+    require_exact(m.field, "rref")
     p = m.field.p
     owner: dict[int, dict] = {}
     for row in m._entries:
@@ -365,7 +356,7 @@ def rank(m: Matrix) -> int:
     depend on the pivot order, so this agrees with ``rref`` while short rows
     on rare columns keep the fill-in small.
     """
-    _require_exact(m.field, "rank")
+    require_exact(m.field, "rank")
     p = m.field.p
     rows = [_enter(row, p) for row in m._entries]
     cols: dict[int, set[int]] = {}
@@ -415,14 +406,14 @@ def _kernel_entries(m: Matrix) -> list[dict]:
 def kernel_basis(m: Matrix) -> list[list]:
     """Basis of the right null space as dense vectors, one per non-pivot
     column in increasing order, in RREF free-variable form."""
-    _require_exact(m.field, "kernel_basis")
+    require_exact(m.field, "kernel_basis")
     basis = _kernel_entries(m)
     return Matrix._of(len(basis), m.cols, basis, m.field).data
 
 
 def invert(m: Matrix) -> Matrix | None:
     """Inverse of a square exact matrix, or None when singular."""
-    _require_exact(m.field, "invert")
+    require_exact(m.field, "invert")
     if m.rows != m.cols:
         return None
     n, f = m.rows, m.field
@@ -479,7 +470,7 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
     diffs[i - 1]), and kept verbatim when independent of that image and of
     the representatives kept before them.
     """
-    _require_exact(field, "homology_basis")
+    require_exact(field, "homology_basis")
     if len(diffs) != max(len(dims) - 1, 0) or any(
         d.field != field or d.cols != dims[i] or d.rows != dims[i + 1]
         for i, d in enumerate(diffs)

@@ -251,8 +251,11 @@ def learn_sheaf(p: Poset, signals, cfg: LearnConfig | None = None) -> LearnResul
     from the final parameters.  Steps that would increase the loss, or whose
     parameters overflow, halve the learning rate (up to MAX_HALVINGS times);
     the recorded history contains accepted losses only and is non-increasing
-    by construction.  Signals so large that the initial loss or a gradient
-    overflows raise OverflowOnConvert.
+    by construction.  The descent runs on the signals divided by 2^k, k the
+    binary exponent of their largest entry: that is exact, so every step and
+    map is the raw signals' and every loss 4^-k times theirs.  The stopping
+    tests and the history use the raw losses; a history beyond the floats
+    raises OverflowOnConvert.
 
     The initial draw is left unprojected on purpose: projecting a d=1 draw
     collapses it onto {-1, +1} and a symmetric gradient could never separate
@@ -268,20 +271,21 @@ def learn_sheaf(p: Poset, signals, cfg: LearnConfig | None = None) -> LearnResul
     d = cfg.d
     rng = np.random.default_rng(_resolve_seed(cfg.seed))
     edges, xu, xv = _endpoint_signals(p, signals, d)
+    _, k = np.frexp(max(abs(xu).max(initial=0.0), abs(xv).max(initial=0.0)))
+    xu, xv = np.ldexp(xu, -k), np.ldexp(xv, -k)
     theta = rng.standard_normal((len(edges), 2, d, d))
     r = _residuals(theta, xu, xv)
     # a step too large for floats leaves non-finite entries and a nan loss,
     # which the comparison rejects as it does a loss increase
     with np.errstate(over="ignore", invalid="ignore"):
-        current = require_finite(float(np.sum(_residuals(_project(theta), xu, xv) ** 2)),
-                                 "the initial loss overflows")
+        current = float(np.sum(_residuals(_project(theta), xu, xv) ** 2))
         history = [current]
         for _ in range(cfg.iters):
-            if current <= 1e-18:
+            if np.ldexp(current, 2 * k) <= 1e-18:
                 break
             grad = _loss_gradient(r, xu, xv)
-            grad_sq = require_finite(float(np.sum(grad * grad)), "the loss gradient overflows")
-            if grad_sq <= 1e-30:
+            grad_sq = float(np.sum(grad * grad))
+            if np.ldexp(grad_sq, 4 * k) <= 1e-30:
                 break
             lr = cfg.lr * float(np.sum(r * r)) / grad_sq
             for _ in range(MAX_HALVINGS + 1):
@@ -295,6 +299,7 @@ def learn_sheaf(p: Poset, signals, cfg: LearnConfig | None = None) -> LearnResul
                 lr *= 0.5
             else:
                 break
+        history = require_finite(np.ldexp(history, 2 * k), "the loss overflows").tolist()
     if len(history) == 1:
         theta = _project(theta)
     assert all(b <= a for a, b in zip(history, history[1:])), "loss history regressed"

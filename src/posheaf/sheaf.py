@@ -27,7 +27,7 @@ from .errors import (
     UnknownElement,
     brief,
 )
-from .linalg import FieldTag, Matrix, invert, kernel_basis
+from .linalg import FieldTag, Matrix, invert, kernel_basis, require_exact
 from .poset import Poset, build_poset
 
 
@@ -285,8 +285,7 @@ def global_sections_bruteforce(d: Sheaf) -> SectionSpace:
 
     This is the construction-independent oracle for H^0.
     """
-    if not d.field.is_exact:
-        raise FieldMismatch("brute-force sections need an exact field")
+    require_exact(d.field, "global_sections_bruteforce")
     layout, offsets, total = stalk_layout(d)
     rows = sum(d.stalk(b) for (_, b) in d.poset.hasse_edges())
     system = Matrix.zeros(rows, total, d.field)

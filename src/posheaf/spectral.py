@@ -32,7 +32,7 @@ from .errors import (
     TraceTooShort,
     UnstableStepSize,
 )
-from .linalg import QQ, RATIONALS, REALS, Matrix
+from .linalg import QQ, Matrix, require_real
 from .cochain import CochainComplexInstance, minimal_complex, minimal_incidence
 from .sheaf import Sheaf, stalk_layout
 
@@ -64,11 +64,10 @@ def require_finite(values, message: str):
     return values
 
 
-def _real_diff(c: CochainComplexInstance, j: int) -> np.ndarray:
-    """d_j of a complex over Q or R as a float64 array; the zero map where the
-    complex has no d_j."""
-    if c.field.kind not in (RATIONALS, REALS):
-        raise FieldMismatch(f"expected a rational or real complex, got {c.field}")
+def _real_diff(c: CochainComplexInstance, j: int, what: str) -> np.ndarray:
+    """d_j of a complex over Q or R as a float64 array, for the stage what; the
+    zero map where the complex has no d_j."""
+    require_real(c.field, what)
     if 0 <= j < len(c.diffs):
         return float_array(c.diffs[j])
     return np.zeros((c.degree_dim(j + 1), c.degree_dim(j)))
@@ -88,13 +87,13 @@ class Laplacian:
 def laplacian(c: CochainComplexInstance, j: int, norm: str = "none") -> Laplacian:
     """Degree-j Laplacian d_j^T d_j + d_{j-1} d_{j-1}^T of a complex over Q or
     R, optionally normalized; only d_j and d_{j-1} are converted to floats."""
-    up = _real_diff(c, j)
+    up = _real_diff(c, j, "laplacian")
     if not (0 <= j <= c.top_degree):
         raise DegreeOutOfRange(f"degree {j} outside 0..{c.top_degree}")
     with np.errstate(over="ignore", invalid="ignore"):
         mat = up.T @ up
         if j > 0:
-            down = _real_diff(c, j - 1)
+            down = _real_diff(c, j - 1, "laplacian")
             mat = mat + down @ down.T
         mat = 0.5 * (mat + mat.T)
     require_finite(mat, f"degree-{j} Laplacian has non-finite entries")
@@ -253,7 +252,7 @@ def harmonic_dim(l: Laplacian) -> int:
 
 def dirichlet_energy(c: CochainComplexInstance, x) -> float:
     """||d_0 x||^2 for a 0-cochain x of a complex over Q or R."""
-    d0 = _real_diff(c, 0)
+    d0 = _real_diff(c, 0, "dirichlet_energy")
     x = np.asarray(x, dtype=float)
     if x.shape != (c.degree_dim(0),):
         raise DimensionMismatch(
@@ -378,13 +377,12 @@ def convergence_rate(trace: DiffusionTrace, spectrum: SpectralBundle) -> float:
 # Hypergraph energies (two-layer posets).
 # ---------------------------------------------------------------------------
 
-def _hyperedge_images(h: Sheaf, x) -> Iterator[tuple[slice, np.ndarray, list[np.ndarray]]]:
-    """Walk the hyperedges of a two-layer sheaf over Q or R: for each maximal
-    b with members, yield the slice of x_b in the cochain x, x_b itself, and
-    the images f_ab(x_a) of its members.  Every cover must run from a minimal
-    element straight to a maximal one."""
-    if h.field.kind not in (RATIONALS, REALS):
-        raise FieldMismatch(f"expected a rational or real sheaf, got {h.field}")
+def _hyperedge_images(h: Sheaf, x, what: str) -> Iterator[tuple[slice, np.ndarray, list[np.ndarray]]]:
+    """Walk the hyperedges of a two-layer sheaf over Q or R for the stage what:
+    for each maximal b with members, yield the slice of x_b in the cochain x,
+    x_b itself, and the images f_ab(x_a) of its members.  Every cover must run
+    from a minimal element straight to a maximal one."""
+    require_real(h.field, what)
     p = h.poset
     tops = set(p.maximal_elements())
     bottoms = set(p.minimal_elements())
@@ -413,7 +411,7 @@ def hypergraph_energy_forms(h: Sheaf, x) -> tuple[float, float]:
     """
     q_roos = 0.0
     q_pairwise = 0.0
-    for _, xb, images in _hyperedge_images(h, x):
+    for _, xb, images in _hyperedge_images(h, x, "hypergraph_energy_forms"):
         for img in images:
             diff = xb - img
             q_roos += float(diff @ diff)
@@ -431,7 +429,7 @@ def hyperedge_barycenters(h: Sheaf, x) -> np.ndarray:
     """Copy of x with every hyperedge value replaced by the barycenter of its
     incoming images; at this assignment the two energy forms coincide."""
     out = np.array(x, dtype=float)
-    for b, _, images in _hyperedge_images(h, x):
+    for b, _, images in _hyperedge_images(h, x, "hyperedge_barycenters"):
         out[b] = sum(images) / len(images)
     return out
 
@@ -446,4 +444,5 @@ def real_sheaf_complex(sheaf: Sheaf) -> CochainComplexInstance:
     The incidence data depends only on the poset, so it is computed over the
     rationals; the sheaf's structure maps may already be floats.
     """
+    require_real(sheaf.field, "real_sheaf_complex")
     return minimal_complex(sheaf, minimal_incidence(sheaf.poset, QQ))

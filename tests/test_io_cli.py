@@ -259,6 +259,19 @@ def test_cli_exact_commands_reject_real_documents(tmp_path):
     assert code == 0
 
 
+def test_cli_real_commands_name_the_real_field_rule(tmp_path):
+    doc = tmp_path / "fp.json"
+    doc.write_text((GOLDEN / "cycle4_constant.json").read_text().replace('"Q"', '"Fp:7"'))
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(_GOOD_PARAMS))
+    for argv in (["spectrum", str(doc)], ["diffuse", str(doc)],
+                 ["nsd-forward", str(doc), str(params)]):
+        code, report, _ = _run(argv)
+        assert (code, report["error"]) == (1, {
+            "code": "FieldMismatch",
+            "message": "real_sheaf_complex requires a rational or real field, got Fp:7"})
+
+
 def test_cli_spectrum_cycle5_closed_form():
     import math
 
@@ -455,8 +468,6 @@ def test_cli_bad_params_and_state_files_report_one_schema_error(tmp_path, comman
     ("nsd-forward", {**_GOOD_PARAMS, "eta": 10 ** 308}),
     ("nsd-forward", {**_GOOD_PARAMS, "W1": [[1e308]], "W2": [[1e308]]}),
     ("learn", {"signals": [[1e200, -1e200, 1e200, -1e200]]}),
-    # a finite initial loss whose gradient overflows
-    ("learn", {"signals": [[1e80, -1e80, 1e80, -1e80], [1e80, 1e80, -1e80, 1e80]]}),
 ])
 def test_cli_overflow_is_reported_by_the_stage_that_overflows(tmp_path, command, payload):
     # each of these used to get past its stage with a RuntimeWarning: to the
@@ -476,6 +487,24 @@ def test_cli_overflow_is_reported_by_the_stage_that_overflows(tmp_path, command,
     lines = done.stdout.splitlines()
     assert len(lines) == 1 and len(lines[0]) < 300
     assert json.loads(lines[0])["error"]["code"] == "OverflowOnConvert"
+
+
+def test_cli_learn_runs_on_signals_whose_raw_gradient_overflows(tmp_path):
+    # the loss of these signals is finite and its gradient's squared norm is
+    # not; the learner descends on the signals scaled by a power of two, so it
+    # learns the maps of the same signals at unit scale
+    reports = []
+    for scale in (1e80, 1.0):
+        side = tmp_path / "signals.json"
+        side.write_text(json.dumps({"signals": [[scale, -scale, scale, -scale],
+                                                [scale, scale, -scale, scale]]}))
+        status, report, _ = _run(["learn", str(GOLDEN / "cycle4_constant.json"), str(side),
+                                  "--iters", "2"])
+        assert status == 0
+        reports.append(report["learn"])
+    assert reports[0]["maps"] == reports[1]["maps"]
+    assert reports[0]["loss_history"] == pytest.approx(
+        [loss * 1e160 for loss in reports[1]["loss_history"]], rel=1e-12)
 
 
 def test_cli_nsd_forward_saturates_a_large_negative_pre_activation_quietly(tmp_path):

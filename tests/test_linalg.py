@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posheaf import linalg
-from posheaf.cochain import build_complex
+from posheaf.cochain import build_complex, cellular_complex, minimal_incidence, roos_complex
 from posheaf.errors import FieldMismatch, NotAComplex
 from posheaf.linalg import (
     Matrix,
@@ -28,7 +28,9 @@ from posheaf.linalg import (
     rref,
 )
 from posheaf.poset import simplicial_complex_poset
-from posheaf.sheaf import constant_sheaf
+from posheaf.sheaf import constant_sheaf, global_sections_bruteforce, path_poset
+from posheaf.spectral import (dirichlet_energy, hypergraph_energy_forms, laplacian,
+                              real_sheaf_complex)
 
 F2, F3, F5 = prime_field(2), prime_field(3), prime_field(5)
 
@@ -315,6 +317,44 @@ def test_is_prime_matches_trial_division_below_20000():
 def test_is_prime_near_the_strong_pseudoprimes_and_2_31(n, expected):
     assert _is_prime(n) is expected
     assert trial_division_is_prime(n) is expected
+
+
+@pytest.mark.parametrize("p", [7.0, "7", 7.5, True, None])
+def test_a_modulus_that_is_not_an_int_is_a_field_mismatch(p):
+    # 7.0 used to pass as Fp:7.0, equal to Fp:7, and break every coerce
+    with pytest.raises(FieldMismatch):
+        prime_field(p)
+
+
+def _path(field):
+    return constant_sheaf(path_poset(2), 1, field)
+
+
+_ONE_R = [[1.0]]
+
+
+@pytest.mark.parametrize("stage, run, got", [
+    ("rref", lambda: rref(Matrix.from_rows(_ONE_R, RR)), "R"),
+    ("rank", lambda: rank(Matrix.from_rows(_ONE_R, RR)), "R"),
+    ("kernel_basis", lambda: kernel_basis(Matrix.from_rows(_ONE_R, RR)), "R"),
+    ("invert", lambda: invert(Matrix.from_rows(_ONE_R, RR)), "R"),
+    ("homology_basis", lambda: homology_basis([], [1], RR), "R"),
+    ("roos_complex", lambda: roos_complex(_path(RR)), "R"),
+    ("cellular_complex", lambda: cellular_complex(_path(RR)), "R"),
+    ("minimal_incidence", lambda: minimal_incidence(path_poset(2), RR), "R"),
+    ("global_sections_bruteforce", lambda: global_sections_bruteforce(_path(RR)), "R"),
+    ("laplacian", lambda: laplacian(roos_complex(_path(prime_field(7))), 0), "Fp:7"),
+    ("dirichlet_energy",
+     lambda: dirichlet_energy(roos_complex(_path(prime_field(7))), [1.0, 0.0, 0.0]), "Fp:7"),
+    ("hypergraph_energy_forms",
+     lambda: hypergraph_energy_forms(_path(prime_field(7)), [1.0, 0.0, 0.0]), "Fp:7"),
+    ("real_sheaf_complex", lambda: real_sheaf_complex(_path(prime_field(7))), "Fp:7"),
+], ids=lambda value: value if isinstance(value, str) else "on")
+def test_every_stage_names_itself_and_the_field_it_rejects(stage, run, got):
+    with pytest.raises(FieldMismatch) as info:
+        run()
+    message = str(info.value)
+    assert message.startswith(f"{stage} requires ") and message.endswith(f", got {got}")
 
 
 def _dense_homology_basis(diffs, dims, field=QQ):

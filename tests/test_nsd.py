@@ -207,6 +207,19 @@ def test_learn_single_edge_analytic_minimum():
         assert abs(abs(f1) - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("k", [200, 270])
+def test_learn_is_invariant_under_scaling_the_signals_by_a_power_of_two(k):
+    # at 2^270 the raw gradient's squared norm is beyond the floats
+    rng = seeded_rng(5)
+    signals = [rng.standard_normal(8) for _ in range(3)]
+    cfg = LearnConfig(iters=40, d=2, seed=3)
+    base = learn_sheaf(cycle_poset(4), signals, cfg)
+    scaled = learn_sheaf(cycle_poset(4), [np.ldexp(sig, k) for sig in signals], cfg)
+    assert scaled.sheaf.edge_map == base.sheaf.edge_map
+    assert scaled.loss_history == [np.ldexp(loss, 2 * k) for loss in base.loss_history]
+    assert len(base.loss_history) > 10
+
+
 def test_learn_history_monotone():
     rng = seeded_rng(7)
     p, n, _ = _random_graph_with_edges(rng, max_vertices=6)
