@@ -86,16 +86,35 @@ def _assemble(kind: str, d: Sheaf, degrees: list[list[str]],
               faces) -> CochainComplexInstance:
     """The complex whose summand k of C^j copies the stalk of degrees[j][k].
 
-    Each face (j, r, c, scalar) adds scalar . D(degrees[j][c] <= degrees[j + 1][r])
-    to the block of d_j at row summand r and column summand c.
+    Each face (j, r, c, scalar) puts scalar . D(degrees[j][c] <= degrees[j + 1][r])
+    in the block of d_j at row summand r and column summand c.  No two faces
+    share a block, hence an entry: the faces of one Roos chain or one simplex
+    are distinct chains or simplices, and a minimal boundary column holds one
+    scalar per generator.  So each entry is stored, not added: x for scalar 1,
+    -x for -1 (-x mod p over F_p), and otherwise scalar * x, reduced mod p and
+    dropped if it vanishes (a float product can underflow).  The entries go in
+    face order, each block row by row, the order in which adding the blocks
+    to zero rows writes them.
     """
+    p = d.field.p
     dims = [[d.stalk(e) for e in owners] for owners in degrees]
     offsets = [list(accumulate(dims_j, initial=0)) for dims_j in dims]
     diffs = [Matrix.zeros(offsets[j + 1][-1], offsets[j][-1], d.field)
              for j in range(len(degrees) - 1)]
     for j, r, c, scalar in faces:
-        diffs[j].add_block(offsets[j + 1][r], offsets[j][c],
-                           d.map(degrees[j][c], degrees[j + 1][r]), scalar)
+        block = d.map(degrees[j][c], degrees[j + 1][r])._entries
+        r0, c0 = offsets[j + 1][r], offsets[j][c]
+        for brow, row in zip(block, diffs[j]._entries[r0:r0 + len(block)]):
+            if scalar == 1:
+                for k, x in brow.items():
+                    row[c0 + k] = x
+            elif scalar == -1:
+                for k, x in brow.items():
+                    row[c0 + k] = -x % p if p else -x
+            else:
+                for k, x in brow.items():
+                    if v := scalar * x % p if p else scalar * x:
+                        row[c0 + k] = v
     return CochainComplexInstance(kind, d.field, degrees, dims, diffs, d)
 
 

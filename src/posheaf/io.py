@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -40,21 +41,52 @@ def field_from_string(text: str) -> FieldTag:
     raise SchemaError(f"field: unknown field {brief(repr(text))}")
 
 
+# The most digits a rational's numerator or denominator may have: Python's
+# default int-string limit, kept here since Python 3.10 before 3.10.7 has none.
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10 ** MAX_DIGITS  # the least integer of MAX_DIGITS + 1 digits
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z")
+
+
 def scalar_to_string(value, field: FieldTag) -> str:
     if field.kind == RATIONALS:
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # a term beyond the interpreter's int-string limit
+            raise SchemaError(
+                f"cannot print a rational with more than {MAX_DIGITS} digits") from None
     if field.kind == PRIME:
         return str(int(value))
     return format(float(value), ".17g")
 
 
+def _rational(text: str) -> Fraction:
+    """Fraction(text), with no term of more than MAX_DIGITS digits: an exponent
+    beyond that is refused before Fraction expands 10 ** exponent."""
+    match = _EXPONENT.search(text)
+    if match:
+        digits = match[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DIGITS)) or int(digits or "0") > MAX_DIGITS:
+            raise ValueError(f"exponent beyond {MAX_DIGITS}")
+    q = Fraction(text)
+    if abs(q.numerator) >= _DIGIT_BOUND or q.denominator >= _DIGIT_BOUND:
+        raise ValueError(f"more than {MAX_DIGITS} digits")
+    return q
+
+
+_NOT_SCALARS = {bool: "a boolean", list: "an array", dict: "an object", type(None): "null"}
+
+
 def scalar_from_string(text: str, field: FieldTag):
-    """Parse one map entry; real literals must be finite doubles."""
+    """Parse one map entry; real literals must be finite doubles, rational
+    ones may have no term of more than MAX_DIGITS digits.  A JSON value that
+    is neither a string nor a number is refused in words of its own, not in
+    an interpreter's, so the report is the same on every Python."""
     try:
-        if isinstance(text, bool):
-            raise TypeError("a boolean is not a scalar")
+        if type(text) in _NOT_SCALARS:
+            raise TypeError(f"{_NOT_SCALARS[type(text)]} is not a scalar")
         if field.kind == RATIONALS:
-            return Fraction(str(text))
+            return _rational(str(text))
         if field.kind == PRIME:
             return int(str(text), 10) % field.p
         value = float(text)
@@ -128,7 +160,10 @@ def _require(doc: dict, key: str):
 
 
 def parse_sheaf(text: str) -> Sheaf:
-    """Parse and validate a sheaf document; lossless against serialize_sheaf."""
+    """Parse and validate a sheaf document; lossless against serialize_sheaf.
+
+    Each distinct string among the map entries is parsed once, and its scalar,
+    immutable, is shared by every entry that repeats it."""
     doc = parse_document(text)
     field = field_from_string(str(_require(doc, "field")))
     elements = _require(doc, "elements")
@@ -162,6 +197,16 @@ def parse_sheaf(text: str) -> Sheaf:
     if not isinstance(maps_doc, dict):
         raise SchemaError("maps: must be an object")
     hasse = set(poset.hasse_edges())
+    parsed: dict[str, object] = {}
+
+    def scalar(x):
+        if not isinstance(x, str):  # a JSON number, or unhashable: parsed anew
+            return scalar_from_string(x, field)
+        value = parsed.get(x)
+        if value is None:
+            value = parsed[x] = scalar_from_string(x, field)
+        return value
+
     maps = {}
     for key, entries in maps_doc.items():
         if key.count("<") != 1:
@@ -174,7 +219,7 @@ def parse_sheaf(text: str) -> Sheaf:
             raise SchemaError(
                 f"maps: {brief(key)} needs {rows * cols} row-major entries"
             )
-        scalars = [scalar_from_string(x, field) for x in entries]
+        scalars = [scalar(x) for x in entries]
         data = [scalars[r * cols:(r + 1) * cols] for r in range(rows)]
         maps[(a, b)] = Matrix(rows, cols, data, field)
     for (a, b) in poset.hasse_edges():

@@ -12,6 +12,7 @@ at its first cover.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -22,6 +23,7 @@ from .errors import (
     NonInvertibleMap,
     NotAPath,
     NotMonotone,
+    OverflowOnConvert,
     ShapeMismatch,
     TooShort,
     UnknownElement,
@@ -139,8 +141,16 @@ def _saturated_paths(p: Poset, s: str, t: str):
 
 
 def _frobenius_sq(m: Matrix) -> float:
+    """Squared Frobenius norm as a float; OverflowOnConvert where an entry or
+    the sum leaves the double range."""
     # sorted: the row-major order of a dense sum, so the float result is too
-    return float(sum(float(x) * float(x) for _, _, x in sorted(m.nonzeros())))
+    try:
+        total = float(sum(float(x) * float(x) for _, _, x in sorted(m.nonzeros())))
+    except OverflowError:
+        raise OverflowOnConvert("deviation: an entry beyond the double range") from None
+    if not math.isfinite(total):
+        raise OverflowOnConvert("deviation: squared norm beyond the double range")
+    return total
 
 
 def check_compositionality(d: Sheaf) -> list[CompositionalityViolation]:

@@ -229,13 +229,14 @@ def _write_block(target: list[list], r0: int, c0: int, block: Matrix, scalar, fi
             trow[c0 + j] = add(trow[c0 + j], v) if accumulate else v
 
 
-def dense_diffs_reference(c) -> list[list[list]]:
-    """The differentials of a Roos, cellular or minimal complex, assembled the
-    way the constructions did while matrices were stored dense: stalk-map
-    blocks written into zero-filled rows (accumulated for Roos, written for
-    the others).  The layout (summand owners and dimensions) is read off c,
-    the Roos chains off order_complex and the minimal generators of each
-    degree in gid order."""
+def _reference_faces(c):
+    """The faces of a Roos, cellular or minimal complex as (j, r, k, source,
+    target, scalar): the block scalar . D(source <= target) of d_j at row
+    summand r and column summand k, in the order the constructions write
+    them into each differential.  They are read apart from the library's own
+    face generator: the Roos chains off order_complex, the simplices off
+    decode_simplicial_elements, and the minimal faces off the incidence
+    columns with the generators of each degree in gid order."""
     from posheaf.cochain import minimal_incidence
 
     s, f = c.sheaf, c.field
@@ -248,37 +249,60 @@ def dense_diffs_reference(c) -> list[list[list]]:
     else:
         inc = minimal_incidence(s.poset, QQ if f == RR else f)
         gids = [[g.gid for g in inc.generators if g.degree == j] for j in range(len(c.degrees))]
-    out = []
     for j in range(len(c.diffs)):
-        col_off, row_off = ([0] + list(itertools.accumulate(c.dims[k])) for k in (j, j + 1))
-        data = [[f.zero()] * col_off[-1] for _ in range(row_off[-1])]
         owners = c.degrees[j + 1]
         if c.kind == "roos":
             copy = {tau: k for k, tau in enumerate(chains[j])}
             for r, sigma in enumerate(chains[j + 1]):
                 for i in range(len(sigma)):
                     tau = sigma[:i] + sigma[i + 1:]
-                    _write_block(data, row_off[r], col_off[copy[tau]],
-                                 s.map(tau[-1], sigma[-1]), one if i % 2 == 0 else minus_one,
-                                 f, accumulate=True)
+                    yield (j, r, copy[tau], tau[-1], sigma[-1],
+                           one if i % 2 == 0 else minus_one)
         elif c.kind == "cellular":
             copy = {decoded[e]: k for k, e in enumerate(c.degrees[j])}
             for r, e in enumerate(owners):
                 sigma = decoded[e]
                 for i in range(len(sigma)):
                     tau = sigma[:i] + sigma[i + 1:]
-                    _write_block(data, row_off[r], col_off[copy[tau]],
-                                 s.map(by_set[tau], e),
-                                 one if i % 2 == 0 else minus_one, f)
+                    yield j, r, copy[tau], by_set[tau], e, one if i % 2 == 0 else minus_one
         else:
             copy = {gid: k for k, gid in enumerate(gids[j])}
             for r, (e, row_gid) in enumerate(zip(owners, gids[j + 1])):
                 for gid, scalar in inc.columns[row_gid].items():
                     if gid in copy:
-                        _write_block(data, row_off[r], col_off[copy[gid]],
-                                     s.map(inc.generators[gid].owner, e), scalar, f)
-        out.append(data)
+                        yield j, r, copy[gid], inc.generators[gid].owner, e, scalar
+
+
+def _summand_offsets(c) -> list[list[int]]:
+    return [[0] + list(itertools.accumulate(dims)) for dims in c.dims]
+
+
+def dense_diffs_reference(c) -> list[list[list]]:
+    """The differentials of a Roos, cellular or minimal complex, assembled the
+    way the constructions did while matrices were stored dense: stalk-map
+    blocks written into zero-filled rows (accumulated for Roos, written for
+    the others).  The layout (summand owners and dimensions) is read off c,
+    the faces off _reference_faces."""
+    f, offsets = c.field, _summand_offsets(c)
+    out = [[[f.zero()] * offsets[j][-1] for _ in range(offsets[j + 1][-1])]
+           for j in range(len(c.diffs))]
+    for j, r, k, source, target, scalar in _reference_faces(c):
+        _write_block(out[j], offsets[j + 1][r], offsets[j][k], c.sheaf.map(source, target),
+                     scalar, f, accumulate=c.kind == "roos")
     return out
+
+
+def add_block_diffs_reference(c) -> list[Matrix]:
+    """The differentials of a Roos, cellular or minimal complex as the sum of
+    their face blocks: Matrix.zeros, then one add_block per face of
+    _reference_faces, in its order.  Over R the minimal faces keep their
+    Fraction scalars, which multiply a float as their float does."""
+    offsets = _summand_offsets(c)
+    diffs = [Matrix.zeros(offsets[j + 1][-1], offsets[j][-1], c.field)
+             for j in range(len(c.diffs))]
+    for j, r, k, source, target, scalar in _reference_faces(c):
+        diffs[j].add_block(offsets[j + 1][r], offsets[j][k], c.sheaf.map(source, target), scalar)
+    return diffs
 
 
 def incidence_reference(p: Poset, field) -> tuple[list, list[dict]]:

@@ -10,8 +10,9 @@ import pytest
 from posheaf.cli import cli
 from posheaf.errors import FieldMismatch, NotSimplicialPoset, PosetMismatch
 from posheaf.io import scalar_from_string, serialize_sheaf
-from posheaf.linalg import QQ, prime_field
+from posheaf.linalg import QQ, RR, Matrix, prime_field
 from posheaf.cochain import (
+    _assemble,
     betti,
     betti_numbers,
     build_complex,
@@ -30,6 +31,7 @@ from posheaf.poset import (
     simplicial_complex_poset,
 )
 from posheaf.sheaf import (
+    build_sheaf,
     check_compositionality,
     constant_sheaf,
     cycle_poset,
@@ -41,6 +43,7 @@ from posheaf.sheaf import (
 )
 
 from helpers import (
+    add_block_diffs_reference,
     bareiss_rank,
     dense_diffs_reference,
     gauge_connection_sheaf,
@@ -55,6 +58,7 @@ from helpers import (
     random_simplicial_poset,
     reduced_betti_oracle,
     same_betti,
+    twisted_cycle_sheaf,
 )
 
 MORSE_POSET = build_poset(
@@ -483,6 +487,83 @@ def test_assembled_differentials_match_the_dense_reference():
             assert [d.data for d in c.diffs] == dense_diffs_reference(c), method
             checked += len(c.diffs)
     assert checked >= 60
+
+
+def _stored(m: Matrix) -> list[tuple]:
+    """Every stored entry in storage order, with its type; a float as its hex,
+    which tells every bit apart."""
+    return [(i, j, x.hex() if type(x) is float else (type(x), x)) for i, j, x in m.nonzeros()]
+
+
+def _real_copy(s):
+    maps = {edge: Matrix.from_rows([[float(x) for x in row] for row in m.data], RR)
+            for edge, m in s.edge_map.items()}
+    return build_sheaf(s.poset, s.stalk_dim, maps, RR)
+
+
+def _assembly_sheaves():
+    """Seeded random DAG and simplicial sheaves, twisted cycles and gauge
+    sheaves on simplex 2-skeleta, each over Q and F_5, and the float copy of
+    the rational one."""
+    makers = []
+    for seed in range(16):
+        def random_sheaf(field, seed=seed):
+            rng = seeded_rng(3000 + seed)
+            p = random_dag_poset(rng, max_elements=7) if seed % 2 else random_simplicial_poset(rng)
+            return random_compositional_sheaf(p, rng, field)
+        makers.append(random_sheaf)
+    for n in (3, 8, 24):
+        makers.append(lambda field, n=n: twisted_cycle_sheaf(n, seeded_rng(n), field))
+    for n in (4, 6):
+        skeleton = simplicial_complex_poset(
+            [list(c) for k in (1, 2, 3) for c in itertools.combinations(map(str, range(n)), k)])
+        makers.append(lambda field, p=skeleton, n=n: gauge_connection_sheaf(p, seeded_rng(n), field))
+    for make in makers:
+        rational = make(QQ)
+        yield from (rational, make(prime_field(5)), _real_copy(rational))
+
+
+def test_assembled_differentials_equal_the_sum_of_their_face_blocks():
+    # every construction stores each face block's entries, since no two faces
+    # share one; adding the blocks with add_block must give the same entries,
+    # with the same types, in the same order, bit for bit over R
+    checked = 0
+    for s in _assembly_sheaves():
+        if s.field == RR:  # Roos and cellular need an exact field
+            complexes = [minimal_complex(s, minimal_incidence(s.poset, QQ))]
+        else:
+            methods = ["roos", "minimal"]
+            if decode_simplicial_elements(s.poset) is not None:
+                methods.append("cellular")
+            complexes = [build_complex(s, method) for method in methods]
+        for c in complexes:
+            reference = add_block_diffs_reference(c)
+            assert [(d.rows, d.cols) for d in c.diffs] == [(d.rows, d.cols) for d in reference]
+            assert [_stored(d) for d in c.diffs] == [_stored(d) for d in reference], (s, c.kind)
+            checked += len(c.diffs)
+    assert checked >= 150
+
+
+@pytest.mark.parametrize("field, scalar", [
+    (QQ, Fraction(3, 2)), (QQ, Fraction(-1)), (prime_field(5), 4), (prime_field(5), 3),
+    (RR, 1.5), (RR, -1.0), (RR, 1e-300),
+])
+def test_assemble_scales_a_general_face_as_add_block_does(field, scalar):
+    # the constructions' faces carry +-1 over Q, but the minimal ones carry any
+    # scalar of the incidence data; over R a product can underflow to zero,
+    # and add_block drops it
+    if field == RR:
+        entries = [[1e-300, 0.0, 3.0], [-2.0, 5.0, 1e-20]]
+    else:
+        entries = [[1, 0, Fraction(1, 3)], [-2, 5, 1]]
+    p = build_poset(["a", "b"], [("a", "b")])
+    s = build_sheaf(p, {"a": 3, "b": 2}, {("a", "b"): Matrix.from_rows(entries, field)}, field)
+    c = _assemble("minimal", s, [["a"], ["b"]], [(0, 0, 0, scalar)])
+    reference = Matrix.zeros(2, 3, field)
+    reference.add_block(0, 0, s.map("a", "b"), scalar)
+    assert _stored(c.diffs[0]) == _stored(reference)
+    if scalar == 1e-300:
+        assert (0, 0) not in {(i, j) for i, j, _ in c.diffs[0].nonzeros()}
 
 
 def _typed_columns(columns):

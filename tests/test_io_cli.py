@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from posheaf import cli as cli_module
 from posheaf import io as posheaf_io
 from posheaf.cli import cli
-from posheaf.errors import ParseError, SchemaError
+from posheaf.errors import ParseError, SchemaError, brief
 from posheaf.io import (
     canonical_json,
     parse_sheaf,
@@ -347,6 +349,146 @@ def test_cli_huge_rational_entry_is_an_overflow_report(tmp_path):
     assert status == 1
     assert len(text.splitlines()) == 1
     assert report["error"]["code"] == "OverflowOnConvert"
+
+
+def _bad_literal(literal: str, why: str) -> tuple[str, str]:
+    return "SchemaError", f"maps: bad scalar literal {literal}: {why}"
+
+
+_BETTI_ONE = ("betti", [1])
+_NO_INT = "invalid literal for int() with base 10: "
+_NO_FLOAT = "could not convert string to float: "
+# entry -> the outcome of betti over Q, Fp:5 and R: (code, message) for an
+# error report, ("betti", vector) for a report; a JSON value that is not a
+# string or a number is refused in the library's words on every field
+_LITERAL_OUTCOMES = {
+    '"1/0"': (_bad_literal("'1/0'", "Fraction(1, 0)"),
+              _bad_literal("'1/0'", _NO_INT + "'1/0'"),
+              _bad_literal("'1/0'", _NO_FLOAT + "'1/0'")),
+    "[1]": (_bad_literal("[1]", "an array is not a scalar"),) * 3,
+    '{"x": 1}': (_bad_literal("{'x': 1}", "an object is not a scalar"),) * 3,
+    "null": (_bad_literal("None", "null is not a scalar"),) * 3,
+    "true": (_bad_literal("True", "a boolean is not a scalar"),) * 3,
+    "0.5": (_BETTI_ONE, _bad_literal("0.5", _NO_INT + "'0.5'"),
+            ("FieldMismatch", "betti requires an exact field, got R")),
+    '" 2/4 "': (_BETTI_ONE, _bad_literal("' 2/4 '", _NO_INT + "' 2/4 '"),
+                _bad_literal("' 2/4 '", _NO_FLOAT + "' 2/4 '")),
+}
+
+
+def _expected_report(outcome, raw: bytes) -> str:
+    if outcome[0] == "betti":
+        report = {"command": "betti", "inputs_digest": hashlib.sha256(raw).hexdigest(),
+                  "method": "minimal", "betti": outcome[1]}
+    else:
+        report = {"command": "betti", "error": {"code": outcome[0], "message": outcome[1]}}
+    return json.dumps(report, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("entry", _LITERAL_OUTCOMES)
+@pytest.mark.parametrize("position, field", enumerate(["Q", "Fp:5", "R"]))
+@pytest.mark.parametrize("copies", [1, 4])
+def test_cli_betti_report_of_each_map_entry_kind_is_pinned(tmp_path, entry, position, field,
+                                                           copies):
+    # four copies fill a 2x2 map with one literal: it is parsed once, and a
+    # bad one still gives the one report its first copy gives
+    dim = 1 if copies == 1 else 2
+    doc = _two_element_document(field=field, stalks={"a": dim, "b": dim},
+                                maps={"a<b": [json.loads(entry)] * copies})
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    outcome = _LITERAL_OUTCOMES[entry][position]
+    if outcome == _BETTI_ONE and copies > 1:
+        outcome = ("betti", [2])
+    status, _, text = _run(["betti", str(path)])
+    assert (status, text) == (int(outcome[0] != "betti"),
+                              _expected_report(outcome, path.read_bytes()))
+
+
+def test_parse_sheaf_shares_one_value_per_literal_and_reports_the_first_bad_entry():
+    doc = _two_element_document(stalks={"a": 2, "b": 2},
+                                maps={"a<b": ["1/2", "2/4", "1/2", "-3"]})
+    (x, y), (z, w) = parse_sheaf(json.dumps(doc)).edge_map[("a", "b")].data
+    assert (x, y, z, w) == (Fraction(1, 2),) * 3 + (-3,)
+    assert x is z and x is not y  # one value per distinct string, not per value
+    for entries, message in [
+        (["1/2", [1], "1/2", [1]], "[1]: an array is not a scalar"),
+        (["1/2", "1/0", "1/0", {"x": 1}], "'1/0': Fraction(1, 0)"),
+        ([0.5, "0.5", 0.5, None], "None: null is not a scalar"),
+    ]:
+        doc["maps"]["a<b"] = entries
+        with pytest.raises(SchemaError) as caught:
+            parse_sheaf(json.dumps(doc))
+        assert str(caught.value) == f"maps: bad scalar literal {message}"
+
+
+@pytest.mark.parametrize("literal, why", [
+    ("1e5000", "exponent beyond 4300"),
+    ("1e-5000", "exponent beyond 4300"),
+    ("1e10000000", "exponent beyond 4300"),
+    ("-1.5E+00010000000", "exponent beyond 4300"),
+    ("0e99999", "exponent beyond 4300"),
+    ("1e" + "9" * 5000, "exponent beyond 4300"),
+    ("1e4300", "more than 4300 digits"),
+    ("1e-4300", "more than 4300 digits"),
+    ("0." + "1" * 4300, "more than 4300 digits"),
+])
+def test_rational_literals_with_a_term_beyond_4300_digits_are_refused_at_once(literal, why):
+    start = time.perf_counter()
+    with pytest.raises(SchemaError) as caught:
+        scalar_from_string(literal, QQ)
+    assert time.perf_counter() - start < 1.0
+    assert str(caught.value) == f"maps: bad scalar literal {brief(repr(literal))}: {why}"
+
+
+def test_rational_literals_up_to_4300_digits_still_parse():
+    assert scalar_from_string("1e4299", QQ) == 10 ** 4299
+    assert scalar_from_string("-1.5e4299", QQ) == -15 * 10 ** 4298
+    assert scalar_from_string("1e-4299", QQ) == Fraction(1, 10 ** 4299)
+    assert scalar_from_string("9" * 4300, QQ) == 10 ** 4300 - 1
+
+
+def test_scalar_to_string_refuses_a_rational_it_cannot_print():
+    assert scalar_to_string(Fraction(10 ** 4300 - 1, 7), QQ) == f"{10 ** 4300 - 1}/7"
+    for value in (Fraction(10 ** 4300), Fraction(1, 10 ** 4300)):
+        with pytest.raises(SchemaError, match="^cannot print a rational with more than 4300"):
+            scalar_to_string(value, QQ)
+
+
+def test_cli_sections_whose_value_has_6000_digits_is_a_schema_error_report(tmp_path):
+    # the section over a is 1, over c 10^6000; a literal 1e5000 is refused
+    doc = {"field": "Q", "elements": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]],
+           "stalks": {"a": 1, "b": 1, "c": 1}}
+    path = tmp_path / "doc.json"
+    for maps, message in [
+        ({"a<b": ["1e3000"], "b<c": ["1e3000"]},
+         "cannot print a rational with more than 4300 digits"),
+        ({"a<b": ["1e5000"], "b<c": ["1"]},
+         "maps: bad scalar literal '1e5000': exponent beyond 4300"),
+    ]:
+        path.write_text(json.dumps({**doc, "maps": maps}))
+        status, _, text = _run(["sections", str(path)])
+        assert (status, text) == (1, json.dumps(
+            {"command": "sections", "error": {"code": "SchemaError", "message": message}},
+            separators=(",", ":")) + "\n")
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("1e400", "deviation: an entry beyond the double range"),
+    ("1e200", "deviation: squared norm beyond the double range"),
+])
+def test_cli_validate_of_a_deviation_beyond_the_doubles_is_an_overflow_report(tmp_path, literal,
+                                                                             message):
+    # the diamond a<b<d, a<c<d with one huge map: its two paths differ by it
+    doc = {"field": "Q", "elements": ["a", "b", "c", "d"],
+           "covers": [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]],
+           "stalks": {"a": 1, "b": 1, "c": 1, "d": 1},
+           "maps": {"a<b": [literal], "a<c": ["1"], "b<d": ["1"], "c<d": ["1"]}}
+    path = tmp_path / "diamond.json"
+    path.write_text(json.dumps(doc))
+    status, report, text = _run(["validate", str(path)])
+    assert status == 1 and len(text.splitlines()) == 1
+    assert report["error"] == {"code": "OverflowOnConvert", "message": message}
 
 
 def test_cli_reports_are_deterministic():
