@@ -20,10 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import cochain, linalg, nsd, spectral
-from .errors import ParseError, PosheafError, SchemaError, brief
+from .errors import OverflowOnConvert, ParseError, PosheafError, SchemaError, brief
 from .io import (
     canonical_json,
-    field_to_string,
     inputs_digest,
     map_entries,
     parse_document,
@@ -82,6 +81,9 @@ def _numeric_array(doc: dict, key: str) -> np.ndarray:
 
 def cmd_validate(sheaf, args) -> dict:
     violations = check_compositionality(sheaf)
+    noncommutativity = float(sum(v.deviation_sq for v in violations))
+    if not math.isfinite(noncommutativity):
+        raise OverflowOnConvert("noncommutativity: sum of deviations beyond the double range")
     return {
         "ok": not violations,
         "violations": [
@@ -94,7 +96,7 @@ def cmd_validate(sheaf, args) -> dict:
             }
             for v in violations
         ],
-        "noncommutativity": float(sum(v.deviation_sq for v in violations)),
+        "noncommutativity": noncommutativity,
     }
 
 
@@ -203,7 +205,7 @@ def cmd_learn(sheaf, args) -> dict:
     return {"learn": {
         "d": args.d,
         "loss_history": _float_list(result.loss_history),
-        "field": field_to_string(result.sheaf.field),
+        "field": str(result.sheaf.field),
         "maps": map_entries(result.sheaf, float),
     }}
 
@@ -247,11 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("spectrum", cmd_spectrum, help="Laplacian eigendecomposition")
     p.add_argument("--degree", type=int, default=0)
-    p.add_argument("--norm", choices=["none", "weak", "strong"], default="none")
+    p.add_argument("--norm", choices=spectral.NORMALIZATIONS, default="none")
 
     p = add("diffuse", cmd_diffuse, help="heat diffusion trace")
     p.add_argument("--degree", type=int, default=0)
-    p.add_argument("--norm", choices=["none", "weak", "strong"], default="none")
+    p.add_argument("--norm", choices=spectral.NORMALIZATIONS, default="none")
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--steps", type=_COUNT, default=100)
     p.add_argument("--mode", choices=["discrete", "continuous"], default="discrete")

@@ -20,11 +20,7 @@ from json.encoder import encode_basestring_ascii
 from .errors import ParseError, SchemaError, brief
 from .linalg import FieldTag, Matrix, PRIME, QQ, RATIONALS, RR, prime_field
 from .poset import build_poset
-from .sheaf import Sheaf, build_sheaf
-
-
-def field_to_string(field: FieldTag) -> str:
-    return str(field)
+from .sheaf import Sheaf
 
 
 def field_from_string(text: str) -> FieldTag:
@@ -160,7 +156,8 @@ def _require(doc: dict, key: str):
 
 
 def parse_sheaf(text: str) -> Sheaf:
-    """Parse and validate a sheaf document; lossless against serialize_sheaf.
+    """Parse and validate a sheaf document, every rule of ``build_sheaf``
+    included; lossless against serialize_sheaf.
 
     Each distinct string among the map entries is parsed once, and its scalar,
     immutable, is shared by every entry that repeats it."""
@@ -225,7 +222,7 @@ def parse_sheaf(text: str) -> Sheaf:
     for (a, b) in poset.hasse_edges():
         if (a, b) not in maps:
             raise SchemaError(f"maps: missing {brief(a)}<{brief(b)}")
-    return build_sheaf(poset, stalks, maps, field)
+    return Sheaf(poset, field, stalks, maps)
 
 
 def serialize_sheaf(s: Sheaf) -> str:
@@ -234,7 +231,7 @@ def serialize_sheaf(s: Sheaf) -> str:
     index = {e: i for i, e in enumerate(poset.elements)}
     covers = sorted(poset.hasse_edges(), key=lambda ab: (index[ab[0]], index[ab[1]]))
     doc = {
-        "field": field_to_string(s.field),
+        "field": str(s.field),
         "elements": list(poset.elements),
         "covers": [[a, b] for (a, b) in covers],
         "stalks": {e: s.stalk(e) for e in poset.elements},

@@ -436,8 +436,8 @@ def check_d_squared(diffs: list[Matrix]):
     Over Q and F_p the composite must be zero; over Q it is taken on ints,
     with the rows of d_{j+1} and the columns of d_j scaled to primitive
     integers, which scales its rows and columns and keeps its zeros.  Over R
-    its largest entry must stay within D2_RESIDUAL_TOL * (1 + max|d_{j+1}|
-    max|d_j|).  Either failure is NotAComplex.
+    its largest entry must stay within D2_RESIDUAL_TOL * max|d_{j+1}| *
+    max|d_j|.  Either failure is NotAComplex.
     """
     for j in range(len(diffs) - 1):
         a, b = diffs[j + 1], diffs[j]
@@ -449,8 +449,7 @@ def check_d_squared(diffs: list[Matrix]):
         if a.field.is_exact:
             if any(residual):
                 raise NotAComplex(f"d_{j + 1} . d_{j} != 0")
-        elif _max_abs(residual) > D2_RESIDUAL_TOL * (
-                1.0 + _max_abs(a._entries) * _max_abs(b._entries)):
+        elif _max_abs(residual) > D2_RESIDUAL_TOL * (_max_abs(a._entries) * _max_abs(b._entries)):
             raise NotAComplex(f"d_{j + 1} . d_{j} residual exceeds tolerance")
 
 

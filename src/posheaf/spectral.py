@@ -10,6 +10,10 @@ Every eigensolve runs through LAPACK (``np.linalg.eigh``) in ``_eigh``.  The
 round-robin Jacobi solver ``jacobi_eigh``, which never calls LAPACK, stays as
 the reference the tests hold LAPACK to.  Both return ascending eigenvalues and
 sign their eigenvectors by one rule, ``_fix_signs``.
+
+Every tolerance is relative, so no power-of-two scaling of the maps moves a
+decision.  ``_is_zero`` counts an eigenvalue as zero when it is at most
+HARMONIC_TOL times the largest in view: the Laplacian's or the stalk block's.
 """
 
 from __future__ import annotations
@@ -36,8 +40,7 @@ from .linalg import QQ, Matrix, require_real
 from .cochain import CochainComplexInstance, minimal_complex, minimal_incidence
 from .sheaf import Sheaf, stalk_layout
 
-ZERO_EIG_FLOOR = 1e-12
-HARMONIC_TOL = 1e-8  # eigenvalues below HARMONIC_TOL * lambda_max count as zero
+HARMONIC_TOL = 1e-8  # eigenvalues at most HARMONIC_TOL * the largest count as zero
 JACOBI_TOL = 1e-12  # Jacobi stops once the off-diagonal max is below JACOBI_TOL * scale
 JACOBI_MAX_SWEEPS = 100
 NORMALIZATIONS = ("none", "weak", "strong")
@@ -110,11 +113,17 @@ def laplacian(c: CochainComplexInstance, j: int, norm: str = "none") -> Laplacia
     return Laplacian(out)
 
 
+def _is_zero(eigenvalues: np.ndarray) -> np.ndarray:
+    """Mask of the ascending eigenvalues at most HARMONIC_TOL times the last."""
+    return eigenvalues <= HARMONIC_TOL * eigenvalues[-1:]
+
+
 def _weak_normalize(mat: np.ndarray) -> np.ndarray:
     """K^(1/2) L K^(1/2) with K the pseudo-inverse of diag(L), zeros mapped to 1."""
     diag = np.diag(mat).copy()
-    k = np.where(diag != 0.0, 1.0 / np.where(diag != 0.0, diag, 1.0), 1.0)
-    half = np.sqrt(k)
+    with np.errstate(over="ignore"):
+        k = np.where(diag != 0.0, 1.0 / np.where(diag != 0.0, diag, 1.0), 1.0)
+    half = np.sqrt(require_finite(k, "weak normalization: 1/diag(L) beyond the double range"))
     return mat * np.outer(half, half)
 
 
@@ -130,12 +139,11 @@ def _strong_normalize(mat: np.ndarray, blocks: list[int]) -> np.ndarray:
         block = mat[offset:offset + size, offset:offset + size]
         eigenvalues, vectors = _eigh(block)
         q[offset:offset + size, offset:offset + size] = vectors
-        top = float(eigenvalues[-1]) if eigenvalues.size else 0.0
-        threshold = max(ZERO_EIG_FLOOR, ZERO_EIG_FLOOR * top)
-        for i, lam in enumerate(eigenvalues):
-            scale[offset + i] = 1.0 / lam if lam > threshold else 1.0
+        zero = _is_zero(eigenvalues)
+        with np.errstate(over="ignore"):
+            scale[offset:offset + size] = np.where(zero, 1.0, 1.0 / np.where(zero, 1.0, eigenvalues))
         offset += size
-    half = np.sqrt(scale)
+    half = np.sqrt(require_finite(scale, "strong normalization: 1/lambda beyond the double range"))
     rotated = q.T @ mat @ q
     return rotated * np.outer(half, half)
 
@@ -183,7 +191,7 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(0), np.zeros((0, 0))
     work = a.astype(float).copy()
     vectors = np.eye(n)
-    scale = max(float(np.max(np.abs(work))), ZERO_EIG_FLOOR)
+    scale = float(np.max(np.abs(work)))
     upper = np.triu_indices(n, 1)
     # round r pairs r with m - 1, and r + i with r - i mod m - 1 for 0 < i < m / 2;
     # for an odd n, m - 1 = n is the bye index
@@ -221,7 +229,7 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class SpectralBundle:
     """Full symmetric spectrum: ascending eigenvalues, orthonormal eigenvector
-    columns, and the harmonic bookkeeping derived from a relative threshold."""
+    columns, and the harmonic bookkeeping of ``_is_zero``."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -237,16 +245,14 @@ class SpectralBundle:
 def eigendecompose(l: Laplacian) -> SpectralBundle:
     eigenvalues, vectors = _eigh(l.matrix)
     lam_max = float(eigenvalues[-1]) if eigenvalues.size else 0.0
-    threshold = max(HARMONIC_TOL * lam_max, ZERO_EIG_FLOOR)
-    harmonic = int(np.sum(eigenvalues < threshold))
-    positive = eigenvalues[eigenvalues >= threshold]
-    lam_min = float(positive[0]) if positive.size else None
+    harmonic = int(np.sum(_is_zero(eigenvalues)))
+    lam_min = float(eigenvalues[harmonic]) if harmonic < eigenvalues.size else None
     return SpectralBundle(eigenvalues, vectors, lam_min, lam_max, harmonic)
 
 
 def harmonic_dim(l: Laplacian) -> int:
-    """Count of near-zero eigenvalues; equals the exact Betti number of the
-    originating complex in that degree."""
+    """Count of the eigenvalues ``_is_zero`` marks; equals the exact Betti
+    number of the originating complex in that degree."""
     return eigendecompose(l).harmonic_dim
 
 
@@ -342,12 +348,12 @@ def convergence_rate(trace: DiffusionTrace, spectrum: SpectralBundle) -> float:
     if n < 10:
         raise TraceTooShort(f"trace has {n} distances, need at least 10")
     start_norm = trace.distances[0]
-    scale = 1.0 + float(np.linalg.norm(trace.states[0]))
+    scale = float(np.linalg.norm(trace.states[0]))
     if start_norm <= 1e-12 * scale:
         raise DegenerateInitialState("initial state is already harmonic")
     if spectrum.lam_min is not None:
         lam = spectrum.eigenvalues
-        mask = np.abs(lam - spectrum.lam_min) <= 1e-9 * max(spectrum.lam_max, 1.0)
+        mask = np.abs(lam - spectrum.lam_min) <= 1e-9 * spectrum.lam_max
         component = spectrum.eigenvectors[:, mask].T @ (
             trace.states[0] - trace.limit
         )
@@ -359,18 +365,11 @@ def convergence_rate(trace: DiffusionTrace, spectrum: SpectralBundle) -> float:
     # float cancellation floors the distances; points below the floor carry no
     # decay information and would bias the slope toward zero
     noise_floor = max(1e-300, 1e-13 * start_norm)
-    ks = []
-    logs = []
-    for i, dk in enumerate(tail):
-        if dk > noise_floor:
-            ks.append(float(n // 2 + i))
-            logs.append(math.log(dk))
-    if len(ks) < 2:
+    kept = [(float(n // 2 + i), math.log(dk)) for i, dk in enumerate(tail) if dk > noise_floor]
+    if len(kept) < 2:
         return 0.0
-    ks_arr = np.array(ks)
-    logs_arr = np.array(logs)
-    slope = float(np.polyfit(ks_arr, logs_arr, 1)[0])
-    return math.exp(slope)
+    ks, logs = zip(*kept)
+    return math.exp(float(np.polyfit(ks, logs, 1)[0]))
 
 
 # ---------------------------------------------------------------------------

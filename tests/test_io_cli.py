@@ -2,6 +2,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -491,6 +492,23 @@ def test_cli_validate_of_a_deviation_beyond_the_doubles_is_an_overflow_report(tm
     assert report["error"] == {"code": "OverflowOnConvert", "message": message}
 
 
+def test_cli_validate_of_a_noncommutativity_beyond_the_doubles_is_an_overflow_report(tmp_path):
+    # two disjoint diamonds whose deviations, about 1e308 each, are finite
+    # alone and sum beyond the doubles
+    covers = [["a", "b"], ["a", "c"], ["b", "d"], ["c", "d"]]
+    doc = {"field": "Q", "elements": ["a", "b", "c", "d", "a2", "b2", "c2", "d2"],
+           "covers": covers + [[x + "2", y + "2"] for x, y in covers],
+           "stalks": {e: 1 for e in ["a", "b", "c", "d", "a2", "b2", "c2", "d2"]},
+           "maps": {f"{x}{n}<{y}{n}": ["1e154" if x + y == "ab" else "1"]
+                    for x, y in covers for n in ("", "2")}}
+    path = tmp_path / "diamonds.json"
+    path.write_text(json.dumps(doc))
+    status, report, text = _run(["validate", str(path)])
+    assert status == 1 and len(text.splitlines()) == 1
+    assert report["error"] == {"code": "OverflowOnConvert",
+                               "message": "noncommutativity: sum of deviations beyond the double range"}
+
+
 def test_cli_reports_are_deterministic():
     doc = str(GOLDEN / "cycle4_constant.json")
     _, _, first = _run(["spectrum", "--degree", "0", doc])
@@ -945,6 +963,30 @@ def test_cli_spectrum_checks_d_squared_with_a_tolerance_over_r_and_exactly_over_
     assert status == 1 and report["error"]["code"] == "NotAComplex"
 
 
+@pytest.mark.parametrize("k", [-20, -26, -40])
+def test_cli_spectrum_d_squared_tolerance_over_r_scales_with_the_maps(tmp_path, k):
+    # every map scaled by 2^k, v<t still twice the others: d_1 . d_0 != 0
+    maps = {edge: repr(math.ldexp(1.0, k)) for edge in ("x_u", "x_v", "y_u", "y_v", "u_t")}
+    document = _suspended_circle_document(tmp_path, "R", v_t=repr(math.ldexp(2.0, k)), **maps)
+    status, report, _ = _run(["spectrum", document])
+    assert status == 1 and report["error"]["code"] == "NotAComplex"
+
+
+def test_cli_spectrum_of_subnormal_laplacians(tmp_path):
+    # maps of 1.234e-160 give a Laplacian of subnormals: unnormalized it still
+    # has its Betti number, but no normalization can invert its diagonal
+    doc = json.loads((GOLDEN / "path_constant.json").read_text())
+    doc["maps"] = {key: ["1.234e-160"] * len(entries) for key, entries in doc["maps"].items()}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    status, report, _ = _run(["spectrum", str(path), "--norm", "none"])
+    assert status == 0 and report["spectrum"]["harmonic_dim"] == 1
+    for norm in ("weak", "strong"):
+        status, report, text = _run(["spectrum", str(path), "--norm", norm])
+        assert status == 1 and len(text.splitlines()) == 1
+        assert report["error"]["code"] == "OverflowOnConvert"
+
+
 def test_golden_documents_regenerate_byte_identically():
     # run_path does not run the script as __main__, so nothing is written
     tool = runpy.run_path(str(GOLDEN.parent.parent / "tools" / "make_goldens.py"))
@@ -974,6 +1016,9 @@ _SWAP_VALUES = [None, True, False, 0, -1, 2, 2.5, "", "x", "R", "Fp:3", "Fp:4", 
                 "a<b", [], {}, [1], ["1", "2"], {"a": 1}, float("nan"), float("inf"),
                 float("-inf"), _BIG]
 _NON_FINITE = [float("nan"), float("inf"), float("-inf"), _BIG, "nan", "inf", "1e400"]
+# finite numbers at the edges of the doubles: subnormal, tiny, near the square
+# roots of the extremes, and huge
+_MAGNITUDES = [5e-324, 1e-300, 1e-160, 1e-154, 1e154, 1e300, 1e308]
 _SIDE_FILES = {
     "params": {"X": [[1.0]] * 4, "W1": [[1.0]], "W2": [[1.0]], "eta": 0.1, "norm": "weak"},
     "signals": {"signals": [[1.0, -1.0, 1.0, -1.0]]},
@@ -988,6 +1033,7 @@ _ARGVS = [
     ["betti", "{doc}", "--method", "minimal"],
     ["incidence", "{doc}"],
     ["spectrum", "{doc}", "--norm", "weak"],
+    ["spectrum", "{doc}", "--norm", "strong"],
     ["diffuse", "{doc}", "--steps", "5", "--x0", "{x0}"],
     ["nsd-forward", "{doc}", "{params}"],
     ["learn", "{doc}", "{signals}", "--iters", "2", "--seed", "0"],
@@ -1012,6 +1058,19 @@ def _replace(root, path, value):
         parent = parent[key]
     parent[path[-1]] = value
     return root
+
+
+def _magnify(data, doc):
+    """The magnitude mutation: each map entry and side-file number, at even
+    odds, becomes plus or minus one finite magnitude at the edge of the
+    doubles."""
+    magnitude = data.draw(st.sampled_from(_MAGNITUDES))
+    for path, node in list(_nodes(doc)):
+        number = type(node) is float or (path[:1] == ("maps",) and type(node) is str)
+        if number and data.draw(st.booleans()):
+            value = data.draw(st.sampled_from([magnitude, -magnitude]))
+            doc = _replace(doc, path, repr(value) if type(node) is str else value)
+    return doc
 
 
 def _mutate(data, doc):
@@ -1085,8 +1144,13 @@ def test_cli_contract_holds_on_mutated_golden_documents(data):
     texts.update({name: json.dumps(body) for name, body in _SIDE_FILES.items()})
     target = data.draw(st.sampled_from(["doc"] + [a[1:-1] for a in argv[2:] if a[:1] == "{"]))
     doc = json.loads(texts[target])
-    for _ in range(data.draw(st.integers(1, 3))):
-        doc = _mutate(data, doc)
+    # magnitudes alone: a structural mutation would stop most runs before the
+    # numeric stages
+    if data.draw(st.booleans()):
+        doc = _magnify(data, doc)
+    else:
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = _mutate(data, doc)
     texts[target] = _document_text(doc)
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
@@ -1104,6 +1168,8 @@ def test_cli_contract_holds_on_mutated_golden_documents(data):
         assert ("error" in report) == (code == 1)
         if code == 1:
             assert report["error"]["code"]
+            # each numeric stage reports its own overflow before the encoder's guard
+            assert report["error"]["message"] != "reports cannot contain non-finite floats"
 
 
 @pytest.mark.parametrize("case", ["validate-golden", "two-maps-missing"])

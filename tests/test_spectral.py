@@ -1,6 +1,9 @@
+import json
 import math
 import warnings
+from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +15,12 @@ from posheaf.errors import (
     FieldMismatch,
     NoConvergence,
     NotTwoLayer,
+    PosheafError,
     TraceTooShort,
     UnstableStepSize,
 )
 from posheaf import spectral
+from posheaf.io import parse_sheaf
 from posheaf.linalg import Matrix, QQ, RR, prime_field
 from posheaf.cochain import (
     AUGMENTATION,
@@ -359,6 +364,49 @@ def test_harmonic_dim_examples():
     assert harmonic_dim(laplacian(s, 0, "none")) == 2
     c4 = _real_minimal(constant_sheaf(cycle_poset(4), 1, QQ))
     assert harmonic_dim(laplacian(c4, 1, "none")) == 1
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# morse_constant is left out: its minimal complex has a face across the
+# non-cover 1<b, so scaling the maps by 2^k moves its Laplacian's entries by
+# different powers of two, and its spectrum has no one scale to be free of
+_SCALED_GOLDENS = sorted(p for p in GOLDEN.glob("*.json")
+                         if not p.name.endswith(".report.json") and p.stem != "morse_constant")
+_EXPONENTS = [-26, -20, 200] + [int(k) for k in seeded_rng(21).integers(-500, 501, size=8)]
+
+
+def _scaled_spectra(path: Path, k: int):
+    """Every degree's spectrum under every normalization of the golden
+    document at path with its maps scaled by 2^k, or the error's code."""
+    doc = json.loads(path.read_text())
+    doc["maps"] = {key: [str(Fraction(x) * Fraction(2) ** k) for x in entries]
+                   for key, entries in doc["maps"].items()}
+    try:
+        c = real_sheaf_complex(parse_sheaf(json.dumps(doc)))
+        return {(j, norm): eigendecompose(laplacian(c, j, norm))
+                for j in range(c.top_degree + 1) for norm in NORMALIZATIONS}
+    except PosheafError as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("path", _SCALED_GOLDENS, ids=lambda p: p.stem)
+def test_golden_spectra_do_not_depend_on_the_maps_scale(path):
+    # a power-of-two scaling is exact: harmonic_dim stays the Betti number,
+    # the normalized spectra keep every bit, and the unnormalized one scales
+    unit = _scaled_spectra(path, 0)
+    if isinstance(unit, str):
+        assert [_scaled_spectra(path, k) for k in _EXPONENTS] == [unit] * len(_EXPONENTS)
+        return
+    exact = betti(parse_sheaf(path.read_text()), "minimal")
+    for k in _EXPONENTS:
+        for (j, norm), bundle in _scaled_spectra(path, k).items():
+            base = unit[(j, norm)]
+            assert bundle.harmonic_dim == base.harmonic_dim == exact[j], (k, j, norm)
+            if norm == "none":
+                expected = np.ldexp(base.eigenvalues, 2 * k)
+                assert np.all(np.abs(bundle.eigenvalues - expected) <= 1e-12 * bundle.lam_max)
+            else:
+                assert bundle.eigenvalues.tobytes() == base.eigenvalues.tobytes(), (k, j, norm)
 
 
 def test_dirichlet_energy_single_edge():
