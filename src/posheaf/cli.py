@@ -151,7 +151,7 @@ def cmd_incidence(sheaf, args) -> dict:
     }}
 
 
-def _laplacian(sheaf, args) -> spectral.Laplacian:
+def _laplacian(sheaf, args) -> np.ndarray:
     return spectral.laplacian(spectral.real_sheaf_complex(sheaf), args.degree, args.norm)
 
 
@@ -169,7 +169,7 @@ def cmd_spectrum(sheaf, args) -> dict:
 
 def cmd_diffuse(sheaf, args) -> dict:
     lap = _laplacian(sheaf, args)
-    x0 = _numeric_array(_side_document(args.x0), "x0") if args.x0 else np.ones(lap.size)
+    x0 = _numeric_array(_side_document(args.x0), "x0") if args.x0 else np.ones(len(lap))
     cfg = spectral.DiffusionConfig(eta=args.eta, steps=args.steps, mode=args.mode)
     trace = spectral.heat_diffusion(lap, x0, cfg)
     return {"trace": {

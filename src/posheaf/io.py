@@ -228,12 +228,10 @@ def parse_sheaf(text: str) -> Sheaf:
 def serialize_sheaf(s: Sheaf) -> str:
     """Canonical document text (with a trailing newline)."""
     poset = s.poset
-    index = {e: i for i, e in enumerate(poset.elements)}
-    covers = sorted(poset.hasse_edges(), key=lambda ab: (index[ab[0]], index[ab[1]]))
     doc = {
         "field": str(s.field),
         "elements": list(poset.elements),
-        "covers": [[a, b] for (a, b) in covers],
+        "covers": [[a, b] for (a, b) in poset.covers],
         "stalks": {e: s.stalk(e) for e in poset.elements},
         "maps": map_entries(s, lambda v: scalar_to_string(v, s.field)),
     }

@@ -73,7 +73,7 @@ def graph_coboundary(s: Sheaf) -> tuple[np.ndarray, list[str]]:
 def sheaf_diffusion_op(s: Sheaf, eta: float | None = None,
                        norm: str = "none") -> np.ndarray:
     """Generator of discrete heat diffusion: the dense matrix I - 2*eta*L_0,
-    with L_0 the degree-0 Laplacian of the sheaf's minimal complex."""
+    with L_0 the degree-0 Laplacian array of the sheaf's minimal complex."""
     _graph_structure(s.poset)  # NSD is defined on graph posets only
     lap = laplacian(real_sheaf_complex(s), 0, norm)
     if eta is None:
@@ -81,8 +81,8 @@ def sheaf_diffusion_op(s: Sheaf, eta: float | None = None,
     if eta < 0:
         raise DimensionMismatch("step size must be nonnegative")
     with np.errstate(over="ignore"):
-        step = require_finite(2.0 * (eta * lap.matrix), f"eta={brief(str(eta))} overflows 2*eta*L_0")
-    return np.eye(lap.size) - step
+        step = require_finite(2.0 * (eta * lap), f"eta={brief(str(eta))} overflows 2*eta*L_0")
+    return np.eye(len(lap)) - step
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

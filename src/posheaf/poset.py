@@ -209,14 +209,9 @@ def topological_sort(p: Poset) -> list[str]:
 
 
 def down_set(p: Poset, s: str) -> Poset:
-    """Induced subposet on the elements strictly below s."""
-    return induced_subposet(p, p.strict_lower(s))
-
-
-def induced_subposet(p: Poset, keep) -> Poset:
-    """Subposet on a subset of elements; covers are re-reduced from the
-    up-sets of the kept elements."""
-    keep = {p.index(e) for e in keep}
+    """Induced subposet on the elements strictly below s; its covers are
+    re-reduced from the up-sets of those elements."""
+    keep = p._down[p.index(s)]
     elements = [e for i, e in enumerate(p.elements) if i in keep]
     pairs = [(p.elements[a], p.elements[b]) for a in keep for b in p._up[a] & keep]
     with warnings.catch_warnings():

@@ -4,7 +4,9 @@ convergence-rate estimation.
 
 ``laplacian`` and ``dirichlet_energy`` take a ``cochain.CochainComplexInstance``
 over Q or R, whose constructor has already checked d^2 = 0, and convert to
-float64 only the differentials they read.
+float64 only the differentials they read.  A Laplacian passes between stages
+as its symmetric float64 array, which ``eigendecompose``, ``harmonic_dim`` and
+``heat_diffusion`` take as it is.
 
 Every eigensolve runs through LAPACK (``np.linalg.eigh``) in ``_eigh``.  The
 round-robin Jacobi solver ``jacobi_eigh``, which never calls LAPACK, stays as
@@ -76,20 +78,10 @@ def _real_diff(c: CochainComplexInstance, j: int, what: str) -> np.ndarray:
     return np.zeros((c.degree_dim(j + 1), c.degree_dim(j)))
 
 
-@dataclass
-class Laplacian:
-    """Symmetric Laplacian of one degree."""
-
-    matrix: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-
-def laplacian(c: CochainComplexInstance, j: int, norm: str = "none") -> Laplacian:
+def laplacian(c: CochainComplexInstance, j: int, norm: str = "none") -> np.ndarray:
     """Degree-j Laplacian d_j^T d_j + d_{j-1} d_{j-1}^T of a complex over Q or
-    R, optionally normalized; only d_j and d_{j-1} are converted to floats."""
+    R, optionally normalized, as a symmetric float64 array; only d_j and
+    d_{j-1} are converted to floats."""
     up = _real_diff(c, j, "laplacian")
     if not (0 <= j <= c.top_degree):
         raise DegreeOutOfRange(f"degree {j} outside 0..{c.top_degree}")
@@ -109,8 +101,7 @@ def laplacian(c: CochainComplexInstance, j: int, norm: str = "none") -> Laplacia
         out = _strong_normalize(mat, c.dims[j])
     else:
         raise FieldMismatch(f"unknown normalization {norm!r}")
-    out = 0.5 * (out + out.T)
-    return Laplacian(out)
+    return 0.5 * (out + out.T)
 
 
 def _is_zero(eigenvalues: np.ndarray) -> np.ndarray:
@@ -134,8 +125,6 @@ def _strong_normalize(mat: np.ndarray, blocks: list[int]) -> np.ndarray:
     scale = np.ones(n)
     offset = 0
     for size in blocks:
-        if size == 0:
-            continue
         block = mat[offset:offset + size, offset:offset + size]
         eigenvalues, vectors = _eigh(block)
         q[offset:offset + size, offset:offset + size] = vectors
@@ -204,7 +193,7 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if np.max(np.abs(work[upper]), initial=0.0) <= JACOBI_TOL * scale:
             break
         for p, q in rounds:
-            live = np.abs(work[p, q]) > 1e-300
+            live = work[p, q] != 0.0
             p, q = p[live], q[live]
             apq = work[p, q]
             # np.where evaluates both branches: theta = 0 reaches 0.5 / theta
@@ -242,15 +231,15 @@ class SpectralBundle:
         return h @ h.T
 
 
-def eigendecompose(l: Laplacian) -> SpectralBundle:
-    eigenvalues, vectors = _eigh(l.matrix)
+def eigendecompose(l: np.ndarray) -> SpectralBundle:
+    eigenvalues, vectors = _eigh(l)
     lam_max = float(eigenvalues[-1]) if eigenvalues.size else 0.0
     harmonic = int(np.sum(_is_zero(eigenvalues)))
     lam_min = float(eigenvalues[harmonic]) if harmonic < eigenvalues.size else None
     return SpectralBundle(eigenvalues, vectors, lam_min, lam_max, harmonic)
 
 
-def harmonic_dim(l: Laplacian) -> int:
+def harmonic_dim(l: np.ndarray) -> int:
     """Count of the eigenvalues ``_is_zero`` marks; equals the exact Betti
     number of the originating complex in that degree."""
     return eigendecompose(l).harmonic_dim
@@ -286,12 +275,14 @@ class DiffusionTrace:
 
 
 def default_eta(lam_max: float) -> float:
-    """1 / (2 lam_max): keeps every decay factor 1 - 2*eta*lambda inside [0, 1)."""
-    return 0.5 / lam_max if lam_max > 0 else 0.5
+    """1 / (2 lam_max): keeps every decay factor 1 - 2*eta*lambda inside [0, 1);
+    OverflowOnConvert where a subnormal lam_max sends it past the double range."""
+    eta = 0.5 / lam_max if lam_max > 0 else 0.5
+    return require_finite(eta, f"step size 1/(2*lambda_max) overflows at lambda_max={lam_max}")
 
 
-def heat_diffusion(l: Laplacian, x0, cfg: DiffusionConfig | None = None) -> DiffusionTrace:
-    """Gradient flow of the quadratic energy of a Laplacian.
+def heat_diffusion(l: np.ndarray, x0, cfg: DiffusionConfig | None = None) -> DiffusionTrace:
+    """Gradient flow of the quadratic energy of the Laplacian array l.
 
     Discrete mode iterates x -> x - 2*eta*L x; continuous-spectral mode
     evaluates exp(-2 eta L t) x0 at unit-spaced times, with the eigenvalues
@@ -302,8 +293,8 @@ def heat_diffusion(l: Laplacian, x0, cfg: DiffusionConfig | None = None) -> Diff
     """
     cfg = cfg or DiffusionConfig()
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (l.size,):
-        raise DimensionMismatch(f"state has shape {x0.shape}, Laplacian is {l.size}")
+    if x0.shape != (len(l),):
+        raise DimensionMismatch(f"state has shape {x0.shape}, Laplacian is {len(l)}")
     spectrum = eigendecompose(l)
     eta = cfg.eta if cfg.eta is not None else default_eta(spectrum.lam_max)
     mode = cfg.mode.lower()
@@ -321,7 +312,7 @@ def heat_diffusion(l: Laplacian, x0, cfg: DiffusionConfig | None = None) -> Diff
     with np.errstate(over="ignore", invalid="ignore"):
         limit = spectrum.harmonic_projector() @ x0
         if mode == "discrete":
-            operator = np.eye(l.size) - 2.0 * (eta * l.matrix)
+            operator = np.eye(len(l)) - 2.0 * (eta * l)
             x = x0
             for _ in range(cfg.steps):
                 x = operator @ x
@@ -332,7 +323,7 @@ def heat_diffusion(l: Laplacian, x0, cfg: DiffusionConfig | None = None) -> Diff
             for k in range(1, cfg.steps + 1):
                 decay = np.exp(-2.0 * rates * float(k))
                 states.append(spectrum.eigenvectors @ (decay * coords))
-        energies = [float(x @ (l.matrix @ x)) for x in states]
+        energies = [float(x @ (l @ x)) for x in states]
         distances = [float(np.linalg.norm(x - limit)) for x in states]
     require_finite(energies + distances, "diffusion overflowed: non-finite energy or distance")
     return DiffusionTrace(states, energies, distances, eta, mode, limit)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from posheaf import cli as cli_module
 from posheaf import io as posheaf_io
+from posheaf import spectral
 from posheaf.cli import cli
 from posheaf.errors import ParseError, SchemaError, brief
 from posheaf.io import (
@@ -33,6 +34,7 @@ from posheaf.io import (
 )
 from posheaf.linalg import QQ, RR, prime_field
 from posheaf.sheaf import constant_sheaf, cycle_poset, mobius_sheaf, path_poset
+from posheaf.spectral import NORMALIZATIONS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -985,6 +987,31 @@ def test_cli_spectrum_of_subnormal_laplacians(tmp_path):
         status, report, text = _run(["spectrum", str(path), "--norm", norm])
         assert status == 1 and len(text.splitlines()) == 1
         assert report["error"]["code"] == "OverflowOnConvert"
+
+
+@pytest.mark.parametrize("entry", ["1e-160", "1e154", "1e300"])
+def test_cli_never_hands_the_eigensolver_a_non_finite_matrix(monkeypatch, tmp_path, entry):
+    # every stage that overflows says so itself, before LAPACK sees an inf or a nan
+    eigh = spectral._eigh
+
+    def finite_eigh(a):
+        assert np.isfinite(a).all()
+        return eigh(a)
+
+    monkeypatch.setattr(spectral, "_eigh", finite_eigh)
+    doc = json.loads((GOLDEN / "cycle4_constant.json").read_text())
+    doc["field"] = "R"
+    doc["maps"] = {key: [entry] * len(entries) for key, entries in doc["maps"].items()}
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(_GOOD_PARAMS))
+    runs = [["spectrum", str(path), "--norm", norm] for norm in NORMALIZATIONS]
+    runs += [["diffuse", str(path), "--mode", mode] for mode in ("discrete", "continuous")]
+    runs.append(["nsd-forward", str(path), str(params)])
+    for argv in runs:
+        status, report, _ = _run(argv)
+        assert status == 0 or report["error"]["code"] == "OverflowOnConvert", argv
 
 
 def test_golden_documents_regenerate_byte_identically():

@@ -39,7 +39,7 @@ def test_diffusion_op_matches_graph_laplacian():
     for _ in range(10):
         p, n, edges = _random_graph_with_edges(rng)
         s = constant_sheaf(p, 1, QQ)
-        lap = laplacian(real_sheaf_complex(s), 0, "none").matrix
+        lap = laplacian(real_sheaf_complex(s), 0, "none")
         # independent dense assembly: degree matrix minus adjacency
         vertices = [e for e in p.topo_order if not p.covered_by(e)]
         index = {v: i for i, v in enumerate(vertices)}
@@ -66,7 +66,7 @@ def test_diffusion_op_fixes_harmonic_states():
 def test_diffusion_op_eigenvalues_shift():
     s = constant_sheaf(cycle_poset(6), 1, QQ)
     eta = 0.07
-    lap = laplacian(real_sheaf_complex(s), 0, "none").matrix
+    lap = laplacian(real_sheaf_complex(s), 0, "none")
     op = sheaf_diffusion_op(s, eta, "none")
     lam, _ = jacobi_eigh(lap)
     mu, _ = jacobi_eigh(op)

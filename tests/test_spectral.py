@@ -35,8 +35,10 @@ from posheaf.sheaf import (
     build_sheaf,
     constant_sheaf,
     cycle_poset,
+    dirac_sheaf,
     mobius_sheaf,
     path_poset,
+    skyscraper_cone_sheaf,
 )
 from posheaf.spectral import (
     NORMALIZATIONS,
@@ -214,6 +216,17 @@ def test_jacobi_raises_when_the_sweeps_run_out(monkeypatch):
         jacobi_eigh(_symmetric(seeded_rng(22), 6))
 
 
+@pytest.mark.parametrize("scale", [1e-295, 1e-301, 1e-305])
+def test_jacobi_rotates_a_matrix_of_tiny_entries(scale):
+    # every nonzero pivot is rotated, however small: no absolute floor
+    a = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, _ = jacobi_eigh(a)
+    expected = np.array([2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)])
+    assert np.allclose(vals / scale, expected, rtol=0.0, atol=1e-12)
+
+
 def test_sign_rule_gives_a_magnitude_tie_to_the_first_index():
     vecs = np.array([[-0.6, 0.6, 0.8], [0.6, -0.8, 0.6], [0.0, 0.0, 0.0]])
     signed = [[0.6, -0.6, 0.8], [-0.6, 0.8, 0.6], [0.0, 0.0, 0.0]]
@@ -256,7 +269,7 @@ def test_lapack_eigensolves_match_jacobi_on_graph_sheaves(monkeypatch, n, kind):
         return cache[key]
 
     monkeypatch.setattr(spectral, "_eigh", jacobi_once)
-    none_matrix = lapack["none"][0].matrix
+    none_matrix = lapack["none"][0]
     distinct = _distinct_stalk_block_eigenvalues(none_matrix, rc.dims[0])
     assert distinct == (kind != "gauge")
     for norm in NORMALIZATIONS:
@@ -290,7 +303,7 @@ def test_laplacian_cycle_matches_graph_laplacian():
     assert np.allclose(bundle.eigenvalues, expected, atol=1e-9)
     # degree 0 has no lower term: Delta_0 = d0^T d0
     d0 = float_array(_real_minimal(s).diffs[0])
-    assert np.allclose(lap.matrix, d0.T @ d0)
+    assert np.allclose(lap, d0.T @ d0)
 
 
 def test_laplacian_degree_out_of_range():
@@ -305,7 +318,7 @@ def test_weak_normalization_uniform_diagonal_is_scaling():
     plain = laplacian(rc, 0, "none")
     weak = laplacian(rc, 0, "weak")
     # cycle Laplacian has constant diagonal 2, so weak = plain / 2
-    assert np.allclose(weak.matrix, plain.matrix / 2.0)
+    assert np.allclose(weak, plain / 2.0)
 
 
 def test_weak_normalized_diagonal_zero_one():
@@ -318,7 +331,7 @@ def test_weak_normalized_diagonal_zero_one():
             if rc.degree_dim(j) == 0:
                 continue
             weak = laplacian(rc, j, "weak")
-            diag = np.diag(weak.matrix)
+            diag = np.diag(weak)
             assert np.all(
                 (np.abs(diag) <= 1e-12) | (np.abs(diag - 1.0) <= 1e-12)
             )
@@ -354,6 +367,19 @@ def test_normalization_preserves_harmonic_dim():
                 for norm in ("none", "weak", "strong")
             }
             assert len(set(dims.values())) == 1
+
+
+@pytest.mark.parametrize("sheaf, spectra", [
+    (dirac_sheaf(cycle_poset(4), "v1", 2, RR), [[0.0, 0.0], []]),
+    (skyscraper_cone_sheaf(cycle_poset(4), "e1", 1, QQ), [[0.0, 2.0], [1.0]]),
+], ids=["dirac", "skyscraper-cone"])
+def test_strong_normalization_passes_zero_dimensional_stalks(sheaf, spectra):
+    # both sheaves have 0 x 0 stalk blocks in degree 0
+    rc = real_sheaf_complex(sheaf)
+    assert 0 in rc.dims[0]
+    for j, expected in enumerate(spectra):
+        eigenvalues = eigendecompose(laplacian(rc, j, "strong")).eigenvalues
+        assert np.allclose(eigenvalues, expected, rtol=0.0, atol=1e-12)
 
 
 def test_harmonic_dim_examples():
@@ -429,7 +455,7 @@ def test_energy_equals_quadratic_form():
         lap = laplacian(rc, 0, "none")
         x = rng.standard_normal(rc.degree_dim(0))
         q1 = dirichlet_energy(rc, x)
-        q2 = float(x @ (lap.matrix @ x))
+        q2 = float(x @ (lap @ x))
         assert abs(q1 - q2) <= 1e-10 * (1.0 + abs(q1))
 
 
@@ -462,9 +488,9 @@ def test_heat_diffusion_energy_monotone_and_limit():
         p = random_dag_poset(rng, max_elements=7)
         s = random_compositional_sheaf(p, rng)
         lap = laplacian(_real_minimal(s), 0, "none")
-        if lap.size == 0:
+        if len(lap) == 0:
             continue
-        x0 = rng.standard_normal(lap.size)
+        x0 = rng.standard_normal(len(lap))
         trace = heat_diffusion(lap, x0, DiffusionConfig(steps=600))
         for a, b in zip(trace.energies, trace.energies[1:]):
             assert b <= a + 1e-12
@@ -487,7 +513,7 @@ def test_continuous_mode_matches_matrix_exponential():
     lap = laplacian(_real_minimal(s), 0, "none")
     x0 = np.array([1.0, 0.0, -1.0, 0.5])
     trace = heat_diffusion(lap, x0, DiffusionConfig(eta=0.1, steps=5, mode="continuous"))
-    vals, vecs = np.linalg.eigh(lap.matrix)
+    vals, vecs = np.linalg.eigh(lap)
     for k, state in enumerate(trace.states):
         expected = vecs @ (np.exp(-2 * 0.1 * vals * k) * (vecs.T @ x0))
         assert np.allclose(state, expected, atol=1e-9)
@@ -600,13 +626,13 @@ def test_gradient_of_energy_is_twice_laplacian():
     s = random_compositional_sheaf(random_dag_poset(rng, max_elements=7), rng)
     rc = _real_minimal(s)
     lap = laplacian(rc, 0, "none")
-    if lap.size == 0:
+    if len(lap) == 0:
         return
     from posheaf.nsd import finite_difference_gradient
 
     for _ in range(20):
-        x = rng.standard_normal(lap.size)
+        x = rng.standard_normal(len(lap))
         grad = finite_difference_gradient(lambda y: dirichlet_energy(rc, y), x)
-        analytic = 2.0 * (lap.matrix @ x)
+        analytic = 2.0 * (lap @ x)
         scale = max(1.0, float(np.linalg.norm(analytic)))
         assert np.linalg.norm(grad - analytic) <= 1e-5 * scale
