@@ -198,46 +198,56 @@ def minimal_incidence(p: Poset, field: FieldTag) -> IncidenceData:
     Many elements share one down-set complex (every edge of a graph, every
     face of a simplex of one dimension).  ``homology_basis`` is a function of
     its blocks alone, so within one call its representatives are kept in a
-    local dict keyed by the per-degree sizes and the relabelled columns of
-    every block, each column's items in insertion order; an element whose key
-    was seen reuses them, and the dict is dropped when the call returns.
+    local dict, and an element whose complex was seen reuses them; the dict is
+    dropped when the call returns.  The key holds, per degree from the top
+    down and per generator of that degree, its column's rows relabelled to
+    positions in the down-set's degrees, in the column's insertion order, and
+    the id of the column's tuple of values.  Each new column's values are
+    interned once, when its generator is made, so a scalar is hashed once
+    per generator and not at every use of its column; equal ids mean equal
+    values, so two elements share an entry exactly when their blocks are equal.
     """
     require_exact(field, "minimal_incidence")
     degrees: list[int] = []
     owners: list[str] = []
     columns: list[dict[int, object]] = []
-    owned: dict[str, list[int]] = {}
+    value_ids: list[int] = []  # per generator, the id of its column's values
+    interned: dict[tuple, int] = {}
+    owned: list[list[int]] = [[] for _ in p.elements]  # by element index
     memo: dict[tuple, list[list[dict]]] = {}
     for s in p.topo_order:
-        kept = sorted(gid for t in p.strict_lower(s) for gid in owned[t])
+        i = p.index(s)
+        kept = sorted(gid for t in p._down[i] for gid in owned[t])
         top = max((degrees[gid] for gid in kept), default=-1)
         # by_degree[j + 1] lists the kept generators of degree j
         by_degree: list[list[int]] = [[AUGMENTATION]] + [[] for _ in range(top + 1)]
         for gid in kept:
             by_degree[degrees[gid] + 1].append(gid)
-        index = {gid: i for gens in by_degree for i, gid in enumerate(gens)}
+        index = {gid: k for gens in by_degree for k, gid in enumerate(gens)}
         # boundary blocks degree j -> j - 1 from the top down: the chain
         # complex read as a cochain complex in degree -j
-        blocks = tuple(
-            tuple(tuple((index[row], value) for row, value in columns[gid].items())
+        key = tuple(
+            tuple((value_ids[gid], *[index[row] for row in columns[gid]])
                   for gid in by_degree[j + 1])
             for j in range(top, -1, -1)
         )
-        dims = [len(gens) for gens in reversed(by_degree)]
-        key = (tuple(dims), blocks)
         reps = memo.get(key)
         if reps is None:
             reps = memo[key] = homology_basis(
-                [Matrix.from_columns(rows, [dict(col) for col in block], field)
-                 for rows, block in zip(dims[1:], blocks)], dims, field)
-        owned[s] = []
+                [Matrix.from_columns(len(by_degree[j]), [
+                    {index[row]: x for row, x in columns[gid].items()}
+                    for gid in by_degree[j + 1]], field)
+                 for j in range(top, -1, -1)],
+                [len(gens) for gens in reversed(by_degree)], field)
         for j, gens in enumerate(by_degree):
             # classes in degree j - 1 become generators of degree j
             for vec in reps[top + 1 - j]:
-                owned[s].append(len(degrees))
+                owned[i].append(len(degrees))
                 degrees.append(j)
                 owners.append(s)
-                columns.append({gens[i]: x for i, x in vec.items()})
+                column = {gens[k]: x for k, x in vec.items()}
+                columns.append(column)
+                value_ids.append(interned.setdefault(tuple(column.values()), len(interned)))
     generators = [
         IncidenceGenerator(gid, deg, owner)
         for gid, (deg, owner) in enumerate(zip(degrees, owners))

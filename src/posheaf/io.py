@@ -149,6 +149,9 @@ def parse_document(text: str) -> dict:
     return doc
 
 
+_UNSEEN = object()  # parse_sheaf's mark for a literal not parsed yet
+
+
 def _require(doc: dict, key: str):
     if key not in doc:
         raise SchemaError(f"missing key {key!r}")
@@ -159,8 +162,12 @@ def parse_sheaf(text: str) -> Sheaf:
     """Parse and validate a sheaf document, every rule of ``build_sheaf``
     included; lossless against serialize_sheaf.
 
-    Each distinct string among the map entries is parsed once, and its scalar,
-    immutable, is shared by every entry that repeats it."""
+    The checks run in a fixed order (field, elements, covers and the poset,
+    stalks, then each map in document order, its entries row-major, and last
+    the missing maps), so of several faults the first in that order is the one
+    reported.  Each distinct string among the map entries is parsed once, and
+    its scalar, immutable, is shared by every entry that repeats it; the
+    sparse rows of each map are built straight from the entries."""
     doc = parse_document(text)
     field = field_from_string(str(_require(doc, "field")))
     elements = _require(doc, "elements")
@@ -170,12 +177,13 @@ def parse_sheaf(text: str) -> Sheaf:
         if "<" in e or not e:
             raise SchemaError(f"elements: bad identifier {brief(repr(e))}")
     covers = _require(doc, "covers")
-    if not isinstance(covers, list) or not all(
-        isinstance(c, list) and len(c) == 2 and all(isinstance(x, str) for x in c)
-        for c in covers
-    ):
+    if not isinstance(covers, list):
         raise SchemaError("covers: must be an array of [a, b] string pairs")
-    poset = build_poset(elements, [(c[0], c[1]) for c in covers])
+    for c in covers:
+        if not (isinstance(c, list) and len(c) == 2
+                and isinstance(c[0], str) and isinstance(c[1], str)):
+            raise SchemaError("covers: must be an array of [a, b] string pairs")
+    poset = build_poset(elements, covers)
     stalks_doc = _require(doc, "stalks")
     if not isinstance(stalks_doc, dict):
         raise SchemaError("stalks: must be an object")
@@ -187,28 +195,21 @@ def parse_sheaf(text: str) -> Sheaf:
         if type(dim) is not int or dim < 0:  # JSON true is an int to isinstance
             raise SchemaError(f"stalks: bad dimension for {brief(e)}")
         stalks[e] = dim
-    for key in stalks_doc:
-        if key not in stalks:
-            raise SchemaError(f"stalks: unknown element {brief(key)}")
+    if len(stalks_doc) != len(stalks):
+        for key in stalks_doc:
+            if key not in stalks:
+                raise SchemaError(f"stalks: unknown element {brief(key)}")
     maps_doc = _require(doc, "maps")
     if not isinstance(maps_doc, dict):
         raise SchemaError("maps: must be an object")
-    hasse = set(poset.hasse_edges())
-    parsed: dict[str, object] = {}
-
-    def scalar(x):
-        if not isinstance(x, str):  # a JSON number, or unhashable: parsed anew
-            return scalar_from_string(x, field)
-        value = parsed.get(x)
-        if value is None:
-            value = parsed[x] = scalar_from_string(x, field)
-        return value
-
+    hasse = set(poset.covers)
+    parsed: dict[str, object] = {}  # literal -> its scalar, or None if zero
     maps = {}
     for key, entries in maps_doc.items():
-        if key.count("<") != 1:
+        ends = key.split("<")
+        if len(ends) != 2:
             raise SchemaError(f"maps: bad key {brief(repr(key))}")
-        a, b = key.split("<")
+        a, b = ends
         if (a, b) not in hasse:
             raise SchemaError(f"maps: {brief(key)} is not a Hasse edge")
         rows, cols = stalks[b], stalks[a]
@@ -216,12 +217,24 @@ def parse_sheaf(text: str) -> Sheaf:
             raise SchemaError(
                 f"maps: {brief(key)} needs {rows * cols} row-major entries"
             )
-        scalars = [scalar(x) for x in entries]
-        data = [scalars[r * cols:(r + 1) * cols] for r in range(rows)]
-        maps[(a, b)] = Matrix(rows, cols, data, field)
-    for (a, b) in poset.hasse_edges():
-        if (a, b) not in maps:
-            raise SchemaError(f"maps: missing {brief(a)}<{brief(b)}")
+        sparse = []
+        for r in range(rows):
+            row = {}
+            for c, x in enumerate(entries[r * cols:(r + 1) * cols]):
+                if type(x) is str:
+                    value = parsed.get(x, _UNSEEN)
+                    if value is _UNSEEN:
+                        value = parsed[x] = scalar_from_string(x, field) or None
+                else:  # a JSON number, or unhashable: parsed anew
+                    value = scalar_from_string(x, field) or None
+                if value is not None:
+                    row[c] = value
+            sparse.append(row)
+        maps[(a, b)] = Matrix._of(rows, cols, sparse, field)
+    if len(maps) != len(poset.covers):
+        for (a, b) in poset.covers:
+            if (a, b) not in maps:
+                raise SchemaError(f"maps: missing {brief(a)}<{brief(b)}")
     return Sheaf(poset, field, stalks, maps)
 
 

@@ -467,7 +467,9 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
     indices below dims[i]: kernel vectors in RREF free-variable form, reduced
     modulo an RREF basis of the incoming image (the nonzero columns of
     diffs[i - 1]), and kept verbatim when independent of that image and of
-    the representatives kept before them.
+    the representatives kept before them.  A degree whose Betti number, its
+    kernel's size less the rank of diffs[i - 1], is zero has none, and its
+    image is never reduced.
     """
     require_exact(field, "homology_basis")
     if len(diffs) != max(len(dims) - 1, 0) or any(
@@ -477,6 +479,7 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
         raise NotAComplex("differentials do not match the degree dimensions")
     check_d_squared(diffs)
     out: list[list[dict]] = []
+    incoming_rank = 0
     for i, n in enumerate(dims):
         if i < len(diffs):
             kernel = _kernel_entries(diffs[i])
@@ -484,7 +487,9 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
             kernel = [{k: field.one()} for k in range(n)]
         reps: list[dict] = []
         out.append(reps)
-        if not kernel:
+        betti = len(kernel) - incoming_rank
+        incoming_rank = n - len(kernel)  # the rank of diffs[i], by rank-nullity
+        if betti == 0:
             continue
         image: dict[int, dict] = {}
         if i > 0:

@@ -41,7 +41,8 @@ def _toposort_indices(n: int, succ: list[set[int]]) -> list[int]:
     while ready:
         a = heappop(ready)
         order.append(a)
-        for b in sorted(succ[a]):
+        # the heap, not this loop's order, decides the ties
+        for b in succ[a]:
             indeg[b] -= 1
             if indeg[b] == 0:
                 heappush(ready, b)
@@ -58,23 +59,23 @@ class Poset:
     __slots__ = ("elements", "covers", "_index", "_succ", "_pred", "_up", "_down",
                  "topo_order", "_topo_pos")
 
-    def __init__(self, elements: tuple[str, ...], covers: tuple[tuple[str, str], ...],
-                 succ: list[set[int]], up: list[set[int]], topo_idx: list[int]):
+    def __init__(self, elements: tuple[str, ...], index: dict[str, int],
+                 covers: tuple[tuple[str, str], ...], succ: list[set[int]],
+                 up: list[set[int]], topo_idx: list[int]):
         self.elements = elements
         self.covers = covers
-        self._index = {e: i for i, e in enumerate(elements)}
+        self._index = index
         self._succ = succ
-        self._pred: list[set[int]] = [set() for _ in elements]
-        for a in range(len(elements)):
-            for b in succ[a]:
-                self._pred[b].add(a)
         self._up = up
+        self._pred: list[set[int]] = [set() for _ in elements]
         self._down: list[set[int]] = [set() for _ in elements]
-        for a in range(len(elements)):
-            for b in up[a]:
+        for a, (above, covering) in enumerate(zip(up, succ)):
+            for b in covering:
+                self._pred[b].add(a)
+            for b in above:
                 self._down[b].add(a)
         self.topo_order = tuple(elements[i] for i in topo_idx)
-        self._topo_pos = {e: k for k, e in enumerate(self.topo_order)}
+        self._topo_pos = dict(zip(self.topo_order, range(len(elements))))
 
     # -- basic queries ------------------------------------------------------
 
@@ -148,39 +149,50 @@ class Poset:
 def build_poset(elements, covers) -> Poset:
     """Validate and build a poset from element identifiers and cover pairs.
 
-    One reverse topological pass builds the strict up-sets and the Hasse
-    covers: a successor b of a is a cover unless b lies in the up-set of
-    another successor of a.  Redundant (transitive) pairs are dropped with a
-    RedundantCoversWarning; cycles, unknown endpoints and duplicate
-    identifiers are errors.
+    Faults are reported in input order: the first repeated identifier, then
+    the first cover with an undeclared endpoint or equal endpoints, then a
+    cycle.  One reverse topological pass builds the strict up-sets and the
+    Hasse covers: a successor b of a is a cover unless b lies in the up-set of
+    another successor of a.  Redundant (transitive) pairs are dropped with one
+    RedundantCoversWarning; repeated pairs count once and raise nothing.
     """
-    elements = tuple(str(e) for e in elements)
-    seen = set()
-    for e in elements:
-        if e in seen:
-            raise DuplicateElement(f"duplicate element {brief(repr(e))}")
-        seen.add(e)
-    index = {e: i for i, e in enumerate(elements)}
+    elements = tuple(map(str, elements))
     n = len(elements)
+    index = dict(zip(elements, range(n)))
+    if len(index) < n:
+        seen = set()
+        for e in elements:
+            if e in seen:
+                raise DuplicateElement(f"duplicate element {brief(repr(e))}")
+            seen.add(e)
     succ: list[set[int]] = [set() for _ in range(n)]
     for a, b in covers:
         a, b = str(a), str(b)
-        if a not in index:
-            raise UnknownElement(f"cover endpoint {brief(repr(a))} is not a declared element")
-        if b not in index:
-            raise UnknownElement(f"cover endpoint {brief(repr(b))} is not a declared element")
-        if a == b:
+        try:
+            i, j = index[a], index[b]
+        except KeyError:
+            missing = b if a in index else a
+            raise UnknownElement(
+                f"cover endpoint {brief(repr(missing))} is not a declared element") from None
+        if i == j:
             raise CycleDetected(f"reflexive cover ({brief(repr(a))}, {brief(repr(b))})")
-        succ[index[a]].add(index[b])
+        succ[i].add(j)
     topo = _toposort_indices(n, succ)
     up: list[set[int]] = [set() for _ in range(n)]
-    reduced: list[set[int]] = [set() for _ in range(n)]
+    redundant = False
     for a in reversed(topo):
         # b is never in its own up-set: the order is acyclic
-        beyond = set().union(*(up[b] for b in succ[a]))
-        up[a] = succ[a] | beyond
-        reduced[a] = succ[a] - beyond
-    if reduced != succ:
+        above = succ[a]
+        if len(above) == 1:
+            (b,) = above
+            up[a] = up[b] | above
+        elif above:
+            beyond = set().union(*(up[b] for b in above))
+            up[a] = above | beyond
+            if not above.isdisjoint(beyond):
+                succ[a] = above - beyond
+                redundant = True
+    if redundant:
         warnings.warn(
             "input covers contained transitive edges; stored their reduction",
             RedundantCoversWarning,
@@ -189,9 +201,9 @@ def build_poset(elements, covers) -> Poset:
     cover_pairs = tuple(
         (elements[a], elements[b])
         for a in range(n)
-        for b in sorted(reduced[a])
+        for b in sorted(succ[a])
     )
-    return Poset(elements, cover_pairs, reduced, up, topo)
+    return Poset(elements, index, cover_pairs, succ, up, topo)
 
 
 def transitive_reduction(pairs) -> set[tuple[str, str]]:

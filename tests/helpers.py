@@ -49,6 +49,35 @@ def scalar_ops(field):
             lambda a, b: a * b % p, lambda a, b: a * pow(b, p - 2, p) % p)
 
 
+def poset_reference(elements: list[str], pairs: list[tuple[str, str]]) -> dict:
+    """What ``build_poset`` should make of acyclic input, found apart from it:
+    strict up-sets by depth-first search from each element, Kahn's order with
+    the least declaration index taken first by scanning, the covers as the
+    input pairs with no element strictly between, ordered by declaration
+    index (a, then b), and whether any input pair was transitive."""
+    position = {e: i for i, e in enumerate(elements)}
+    successors = {e: [b for a, b in pairs if a == e] for e in elements}
+    up: dict[str, set[str]] = {}
+    for start in elements:
+        seen: set[str] = set()
+        stack = list(successors[start])
+        while stack:
+            v = stack.pop()
+            if v not in seen:
+                seen.add(v)
+                stack.extend(successors[v])
+        up[start] = seen
+    down = {e: {a for a in elements if e in up[a]} for e in elements}
+    topo: list[str] = []
+    while len(topo) < len(elements):
+        topo.append(next(e for e in elements if e not in topo
+                         and all(a in topo for a, b in pairs if b == e)))
+    covers = sorted({(a, b) for a, b in pairs if not up[a] & down[b]},
+                    key=lambda ab: (position[ab[0]], position[ab[1]]))
+    return {"covers": tuple(covers), "topo_order": tuple(topo), "up": up, "down": down,
+            "redundant": any(up[a] & down[b] for a, b in pairs)}
+
+
 def brute_force_chains(p: Poset) -> list[tuple[str, ...]]:
     """Every chain of the poset, found by filtering all element subsets."""
     chains = []

@@ -595,6 +595,39 @@ def test_minimal_incidence_matches_the_reference_without_a_memo():
         assert _typed_columns(inc.columns) == _typed_columns(columns)
 
 
+def test_minimal_incidence_keys_its_memo_on_column_values(monkeypatch):
+    # homology_basis returns the classes of the hyperedge t over a, b, c
+    # doubled: still a basis, but now y1's down-set complex (t's two
+    # generators and the edge bc) has the supports of y2's (three edges over
+    # a2, b2, c2) and other values, so the two must not share an entry
+    import posheaf.cochain as cochain_module
+    import posheaf.linalg as linalg_module
+
+    homology_basis = linalg_module.homology_basis
+    calls = []
+
+    def doubled_on_t(diffs, dims, field):
+        calls.append(dims)
+        reps = homology_basis(diffs, dims, field)
+        if dims == [3, 1]:
+            reps = [[{k: 2 * x for k, x in vec.items()} for vec in vecs] for vecs in reps]
+        return reps
+
+    monkeypatch.setattr(cochain_module, "homology_basis", doubled_on_t)
+    monkeypatch.setattr(linalg_module, "homology_basis", doubled_on_t)
+    ends = {"t": "abc", "e1": "bc", "f1": "AB", "f2": "AC", "e2": "BC"}
+    covers = [(v, e) for e, vertices in ends.items() for v in vertices]
+    covers += [(e, "y1") for e in ("t", "e1")] + [(e, "y2") for e in ("f1", "f2", "e2")]
+    p = build_poset(list("abcABC") + list(ends) + ["y1", "y2"], covers)
+    for field in (QQ, prime_field(5)):
+        calls.clear()
+        inc = minimal_incidence(p, field)
+        assert calls.count([3, 3, 1]) == 2  # y1 and y2
+        generators, columns = incidence_reference(p, field)
+        assert inc.generators == generators
+        assert _typed_columns(inc.columns) == _typed_columns(columns)
+
+
 def test_minimal_incidence_computes_each_cycle_down_set_homology_once(monkeypatch):
     import posheaf.cochain as cochain_module
 

@@ -179,6 +179,39 @@ def test_parse_schema_errors():
         parse_sheaf(json.dumps(broken))
 
 
+_THREE_CHAIN = {"field": "Q", "elements": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]],
+                "stalks": {"a": 1, "b": 1, "c": 1}, "maps": {"a<b": ["1"], "b<c": ["1"]}}
+
+
+@pytest.mark.parametrize("faults, code, message", [
+    # a non-string element, after an element holding "<"
+    ({"elements": ["a", "b", "c", "x<y", 7]}, "SchemaError",
+     "elements: must be an array of strings"),
+    # an element holding "<", after a duplicate element
+    ({"elements": ["a", "a", "b", "c", "x<y"]}, "SchemaError", "elements: bad identifier 'x<y'"),
+    # a malformed cover, after a cover with an unknown endpoint
+    ({"covers": [["a", "b"], ["b", "zz"], ["b"]]}, "SchemaError",
+     "covers: must be an array of [a, b] string pairs"),
+    # an unknown endpoint, after a cycle
+    ({"covers": [["a", "b"], ["b", "c"], ["c", "a"], ["a", "zz"]]}, "UnknownElement",
+     "cover endpoint 'zz' is not a declared element"),
+    # a missing stalk, after an unknown stalk key
+    ({"stalks": {"zz": 1, "a": 1, "c": 1}}, "SchemaError", "stalks: missing b"),
+    # a non-Hasse map key, and a missing map
+    ({"maps": {"a<c": ["1"], "b<c": ["1"]}}, "SchemaError", "maps: a<c is not a Hasse edge"),
+    # a wrong entry count, and a bad literal in the same map
+    ({"maps": {"a<b": ["1/0", "1"], "b<c": ["1"]}}, "SchemaError",
+     "maps: a<b needs 1 row-major entries"),
+    # a bad literal, before a wrong entry count and a bad key
+    ({"maps": {"a<b": ["1/0"], "b<c": ["1", "2"], "zz": ["1"]}}, "SchemaError",
+     "maps: bad scalar literal '1/0': Fraction(1, 0)"),
+])
+def test_parse_sheaf_reports_the_first_of_two_faults(faults, code, message):
+    with pytest.raises(Exception) as caught:
+        parse_sheaf(json.dumps({**_THREE_CHAIN, **faults}))
+    assert (type(caught.value).__name__, str(caught.value)) == (code, message)
+
+
 @pytest.mark.parametrize("command, doc", [
     ("betti", {"field": "Q", "elements": ["a"], "covers": [],
                "stalks": {"a": True}, "maps": {}}),

@@ -24,6 +24,7 @@ from posheaf.poset import (
 from helpers import (
     brute_force_chains,
     decode_simplicial_reference,
+    poset_reference,
     random_dag_poset,
     random_simplicial_poset,
     reduced_betti_oracle,
@@ -134,6 +135,36 @@ def test_reduction_preserves_closure(data):
     # minimal: no kept pair (a, c) has an intermediate b with a < b < c
     middles = {x for e in pairs for x in e}
     assert not any((a, b) in full and (b, c) in full for a, c in reduced for b in middles)
+
+
+def test_build_poset_matches_a_dfs_closure_reference():
+    rng = seeded_rng(23)
+    for _ in range(60):
+        n = int(rng.integers(1, 12))
+        # declared in a shuffled order, so topo order is not declaration order
+        elements = [f"e{k}" for k in rng.permutation(n)]
+        pairs = [(elements[i], elements[j]) for i in range(n) for j in range(n)
+                 if int(elements[i][1:]) < int(elements[j][1:]) and rng.random() < 0.25]
+        reference = poset_reference(elements, pairs)
+        closure = [(a, b) for a in elements for b in sorted(reference["up"][a])]
+        for _ in range(int(rng.integers(0, 3))):
+            if pairs:
+                pairs.append(pairs[int(rng.integers(len(pairs)))])  # a duplicate
+            if closure and rng.random() < 0.5:
+                pairs.append(closure[int(rng.integers(len(closure)))])  # maybe transitive
+        rng.shuffle(pairs)
+        reference = poset_reference(elements, pairs)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            p = build_poset(elements, pairs)
+        assert [w.category for w in caught] == [RedundantCoversWarning] * reference["redundant"]
+        assert p.covers == reference["covers"]
+        assert p.topo_order == reference["topo_order"]
+        for e in elements:
+            assert p.strict_upper(e) == [u for u in p.topo_order if u in reference["up"][e]]
+            assert p.strict_lower(e) == reference["down"][e]
+            assert p.covers_of(e) == [b for b in p.topo_order if (e, b) in reference["covers"]]
+            assert p.covered_by(e) == [a for a in p.topo_order if (a, e) in reference["covers"]]
 
 
 def test_topological_sort_examples():
