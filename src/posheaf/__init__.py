@@ -43,7 +43,6 @@ from .cochain import (
     roos_complex,
 )
 from .spectral import (
-    DiffusionConfig,
     convergence_rate,
     dirichlet_energy,
     eigendecompose,
@@ -53,7 +52,6 @@ from .spectral import (
     laplacian,
 )
 from .nsd import (
-    LearnConfig,
     NsdLayer,
     learn_sheaf,
     nsd_forward,

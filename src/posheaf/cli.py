@@ -170,8 +170,7 @@ def cmd_spectrum(sheaf, args) -> dict:
 def cmd_diffuse(sheaf, args) -> dict:
     lap = _laplacian(sheaf, args)
     x0 = _numeric_array(_side_document(args.x0), "x0") if args.x0 else np.ones(len(lap))
-    cfg = spectral.DiffusionConfig(eta=args.eta, steps=args.steps, mode=args.mode)
-    trace = spectral.heat_diffusion(lap, x0, cfg)
+    trace = spectral.heat_diffusion(lap, x0, eta=args.eta, steps=args.steps, mode=args.mode)
     return {"trace": {
         "degree": args.degree,
         "normalization": args.norm,
@@ -200,8 +199,8 @@ def cmd_learn(sheaf, args) -> dict:
     signals = _numeric_array(_side_document(args.signals), "signals")
     if signals.size and signals.ndim != 2:  # [] is the learner's EmptySignalSet
         raise SchemaError("signals: must be an array of signal vectors")
-    cfg = nsd.LearnConfig(lr=args.lr, iters=args.iters, d=args.d, seed=args.seed)
-    result = nsd.learn_sheaf(sheaf.poset, signals, cfg)
+    result = nsd.learn_sheaf(sheaf.poset, signals, lr=args.lr, iters=args.iters, d=args.d,
+                             seed=args.seed)
     return {"learn": {
         "d": args.d,
         "loss_history": _float_list(result.loss_history),

@@ -59,7 +59,7 @@ class CochainComplexInstance:
     __slots__ = ("kind", "field", "degrees", "dims", "diffs", "sheaf")
 
     def __init__(self, kind: str, field: FieldTag, degrees: list[list[str]],
-                 dims: list[list[int]], diffs: list[Matrix], sheaf: Sheaf | None = None):
+                 dims: list[list[int]], diffs: list[Matrix], sheaf: Sheaf):
         self.kind = kind
         self.field = field
         self.degrees = degrees
@@ -325,17 +325,7 @@ def betti(d: Sheaf, method: str) -> list[int]:
     return betti_numbers(build_complex(d, method))
 
 
-@dataclass(frozen=True)
-class ComplexStats:
-    """Summand multiplicities per (element, degree) and their total."""
-
-    multiplicities: dict[tuple[str, int], int]
-    complexity: int
-
-    def mu(self, element: str, degree: int) -> int:
-        return self.multiplicities.get((element, degree), 0)
-
-
-def multiplicities(c: CochainComplexInstance) -> ComplexStats:
-    mu = Counter((e, j) for j, owners in enumerate(c.degrees) for e in owners)
-    return ComplexStats(dict(mu), mu.total())
+def multiplicities(c: CochainComplexInstance) -> Counter:
+    """Summand multiplicities keyed by (element, degree); a missing key reads
+    0, and .total() is the complex's size in summands."""
+    return Counter((e, j) for j, owners in enumerate(c.degrees) for e in owners)

@@ -146,17 +146,6 @@ def nsd_stack(layers: list[NsdLayer], features: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LearnConfig:
-    """lr scales the trial step loss/||grad||^2 that starts each halving line
-    search; iters bounds accepted descent steps."""
-
-    lr: float = 4.0
-    iters: int = 100
-    d: int = 1
-    seed: int | None = None
-
-
-@dataclass
 class LearnResult:
     sheaf: Sheaf
     loss_history: list[float] = dc_field(default_factory=list)
@@ -241,15 +230,20 @@ def _project(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def learn_sheaf(p: Poset, signals, cfg: LearnConfig | None = None) -> LearnResult:
+def learn_sheaf(p: Poset, signals, *, lr: float = 4.0, iters: int = 100, d: int = 1,
+                seed: int | None = None) -> LearnResult:
     """Gradient descent on all edge-map entries with the closed-form gradient
     of the smoothness loss sum_s ||d_0 x_s||^2, and a per-edge
     unit-Frobenius-norm projection after each step.
 
+    lr scales the trial step loss/||grad||^2 that starts each halving line
+    search; iters bounds accepted descent steps; d is the stalk dimension.  The
+    initial maps are drawn from seed, or from POSHEAF_SEED (0 if unset) for None.
+
     The parameters form an (edges, 2, d, d) tensor theta[e] = (F_(u,e),
     F_(v,e)) in the edge order of the graph poset; the sheaf is built once,
     from the final parameters.  Steps that would increase the loss, or whose
-    parameters overflow, halve the learning rate (up to MAX_HALVINGS times);
+    parameters overflow, halve the trial step (up to MAX_HALVINGS times);
     the recorded history contains accepted losses only and is non-increasing
     by construction.  The descent runs on the signals divided by 2^k, k the
     binary exponent of their largest entry: that is exact, so every step and
@@ -262,14 +256,12 @@ def learn_sheaf(p: Poset, signals, cfg: LearnConfig | None = None) -> LearnResul
     the two maps of an edge afterwards.  The accepted-loss bookkeeping lives on
     the projected states; the raw draw only seeds the first step.
     """
-    cfg = cfg or LearnConfig()
     signals = [np.asarray(sig, dtype=float) for sig in signals]
     if not signals:
         raise EmptySignalSet("need at least one signal")
-    if cfg.d < 1:
-        raise DimensionMismatch(f"stalk dimension {cfg.d} is below 1")
-    d = cfg.d
-    rng = np.random.default_rng(_resolve_seed(cfg.seed))
+    if d < 1:
+        raise DimensionMismatch(f"stalk dimension {d} is below 1")
+    rng = np.random.default_rng(_resolve_seed(seed))
     edges, xu, xv = _endpoint_signals(p, signals, d)
     _, k = np.frexp(max(abs(xu).max(initial=0.0), abs(xv).max(initial=0.0)))
     xu, xv = np.ldexp(xu, -k), np.ldexp(xv, -k)
@@ -280,23 +272,23 @@ def learn_sheaf(p: Poset, signals, cfg: LearnConfig | None = None) -> LearnResul
     with np.errstate(over="ignore", invalid="ignore"):
         current = float(np.sum(_residuals(_project(theta), xu, xv) ** 2))
         history = [current]
-        for _ in range(cfg.iters):
+        for _ in range(iters):
             if np.ldexp(current, 2 * k) <= 1e-18:
                 break
             grad = _loss_gradient(r, xu, xv)
             grad_sq = float(np.sum(grad * grad))
             if np.ldexp(grad_sq, 4 * k) <= 1e-30:
                 break
-            lr = cfg.lr * float(np.sum(r * r)) / grad_sq
+            step = lr * float(np.sum(r * r)) / grad_sq
             for _ in range(MAX_HALVINGS + 1):
-                candidate = _project(theta - lr * grad)
+                candidate = _project(theta - step * grad)
                 r_candidate = _residuals(candidate, xu, xv)
                 new_loss = float(np.sum(r_candidate * r_candidate))
                 if new_loss < current:
                     theta, r, current = candidate, r_candidate, new_loss
                     history.append(current)
                     break
-                lr *= 0.5
+                step *= 0.5
             else:
                 break
         history = require_finite(np.ldexp(history, 2 * k), "the loss overflows").tolist()

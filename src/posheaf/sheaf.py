@@ -274,7 +274,6 @@ class SectionSpace:
     stalk coordinates in topo order."""
 
     layout: tuple[str, ...]
-    offsets: dict[str, int]
     basis: list[list]
     dim: int
 
@@ -306,7 +305,7 @@ def global_sections_bruteforce(d: Sheaf) -> SectionSpace:
         system.add_block(r, offsets[b], Matrix.identity(m.rows, d.field), -1)
         r += m.rows
     basis = kernel_basis(system)
-    return SectionSpace(layout, offsets, basis, len(basis))
+    return SectionSpace(layout, basis, len(basis))
 
 
 @dataclass(frozen=True)

@@ -258,13 +258,6 @@ def dirichlet_energy(c: CochainComplexInstance, x) -> float:
 
 
 @dataclass
-class DiffusionConfig:
-    eta: float | None = None
-    steps: int = 100
-    mode: str = "discrete"
-
-
-@dataclass
 class DiffusionTrace:
     states: list[np.ndarray]
     energies: list[float]
@@ -281,25 +274,27 @@ def default_eta(lam_max: float) -> float:
     return require_finite(eta, f"step size 1/(2*lambda_max) overflows at lambda_max={lam_max}")
 
 
-def heat_diffusion(l: np.ndarray, x0, cfg: DiffusionConfig | None = None) -> DiffusionTrace:
+def heat_diffusion(l: np.ndarray, x0, *, eta: float | None = None, steps: int = 100,
+                   mode: str = "discrete") -> DiffusionTrace:
     """Gradient flow of the quadratic energy of the Laplacian array l.
 
     Discrete mode iterates x -> x - 2*eta*L x; continuous-spectral mode
     evaluates exp(-2 eta L t) x0 at unit-spaced times, with the eigenvalues
     that rounding leaves below zero taken as zero.  eta multiplies L (or the
     eigenvalues) before the exact scaling by 2, so a huge eta against a zero
-    Laplacian gives 0, not inf * 0.  The stored limit is the orthogonal
-    projection of x0 onto the harmonic subspace.
+    Laplacian gives 0, not inf * 0.  eta None is default_eta of the largest
+    eigenvalue.  The stored limit is the orthogonal projection of x0 onto the
+    harmonic subspace.
     """
-    cfg = cfg or DiffusionConfig()
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (len(l),):
         raise DimensionMismatch(f"state has shape {x0.shape}, Laplacian is {len(l)}")
     spectrum = eigendecompose(l)
-    eta = cfg.eta if cfg.eta is not None else default_eta(spectrum.lam_max)
-    mode = cfg.mode.lower()
-    if mode not in ("discrete", "continuous"):
-        raise UnstableStepSize(f"unknown diffusion mode {cfg.mode!r}")
+    if eta is None:
+        eta = default_eta(spectrum.lam_max)
+    if mode.lower() not in ("discrete", "continuous"):
+        raise UnstableStepSize(f"unknown diffusion mode {mode!r}")
+    mode = mode.lower()
     if not 0 < eta < math.inf:
         raise UnstableStepSize(f"step size {eta} is not positive and finite")
     if mode == "discrete" and spectrum.lam_max > 0 and eta >= 1.0 / spectrum.lam_max:
@@ -314,13 +309,13 @@ def heat_diffusion(l: np.ndarray, x0, cfg: DiffusionConfig | None = None) -> Dif
         if mode == "discrete":
             operator = np.eye(len(l)) - 2.0 * (eta * l)
             x = x0
-            for _ in range(cfg.steps):
+            for _ in range(steps):
                 x = operator @ x
                 states.append(x)
         else:
             coords = spectrum.eigenvectors.T @ x0
             rates = eta * np.maximum(spectrum.eigenvalues, 0.0)
-            for k in range(1, cfg.steps + 1):
+            for k in range(1, steps + 1):
                 decay = np.exp(-2.0 * rates * float(k))
                 states.append(spectrum.eigenvectors @ (decay * coords))
         energies = [float(x @ (l @ x)) for x in states]

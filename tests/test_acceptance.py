@@ -36,7 +36,6 @@ from posheaf.sheaf import (
     path_poset,
 )
 from posheaf.spectral import (
-    DiffusionConfig,
     convergence_rate,
     dirichlet_energy,
     eigendecompose,
@@ -162,7 +161,7 @@ def test_criterion_06_minimal_multiplicity_theorem():
         for e in p.elements:
             oracle = reduced_betti_oracle(down_set(p, e))
             for k in range(len(p.elements) + 1):
-                ok = ok and stats.mu(e, k) == oracle.get(k - 1, 0)
+                ok = ok and stats[e, k] == oracle.get(k - 1, 0)
     _report(6, "minimal-multiplicity-theorem", ok)
 
 
@@ -233,7 +232,7 @@ def test_criterion_10_convergence_rate():
         lap = laplacian(minimal_complex(s, minimal_incidence(s.poset, QQ)), 0, "none")
         bundle = eigendecompose(lap)
         x0 = rng.standard_normal(n)
-        trace = heat_diffusion(lap, x0, DiffusionConfig(eta=eta, steps=200))
+        trace = heat_diffusion(lap, x0, eta=eta, steps=200)
         predicted = 1 - 2 * eta * bundle.lam_min
         ok = ok and abs(convergence_rate(trace, bundle) - predicted) <= 1e-3
     _report(10, "convergence-rate", ok)
@@ -304,7 +303,7 @@ def test_criterion_13_euler_identity():
             ):
                 stats = multiplicities(build(dirac_sheaf(p, e, 1, QQ)))
                 mu_sum = sum(
-                    (-1) ** k * stats.mu(e, k) for k in range(len(p.elements) + 2)
+                    (-1) ** k * stats[e, k] for k in range(len(p.elements) + 2)
                 )
                 ok = ok and mu_sum == betti_sum
     _report(13, "euler-identity", ok)

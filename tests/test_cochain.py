@@ -337,9 +337,9 @@ def test_betti_matches_brute_force_sections():
 def test_multiplicities_roos_path():
     p = build_poset(["1", "2", "a"], [("1", "a"), ("2", "a")])
     stats = multiplicities(roos_complex(constant_sheaf(p, 1, QQ)))
-    assert stats.mu("a", 0) == 1
-    assert stats.mu("a", 1) == 2
-    assert stats.complexity == 5
+    assert stats["a", 0] == 1
+    assert stats["a", 1] == 2
+    assert stats.total() == 5
 
 
 def test_multiplicities_minimal_one_shot_on_simplicial_posets():
@@ -351,7 +351,7 @@ def test_multiplicities_minimal_one_shot_on_simplicial_posets():
         for e in p.elements:
             dim = e.count(",")
             for k in range(4):
-                assert stats.mu(e, k) == (1 if k == dim else 0)
+                assert stats[e, k] == (1 if k == dim else 0)
 
 
 def test_multiplicities_minimal_equal_down_set_betti():
@@ -365,7 +365,7 @@ def test_multiplicities_minimal_equal_down_set_betti():
         for e in p.elements:
             oracle = reduced_betti_oracle(down_set(p, e))
             for k in range(5):
-                assert stats.mu(e, k) == oracle.get(k - 1, 0)
+                assert stats[e, k] == oracle.get(k - 1, 0)
 
 
 def test_multiplicity_lower_bound_and_complexity_ordering():
@@ -386,12 +386,12 @@ def test_multiplicity_lower_bound_and_complexity_ordering():
             for k in range(4):
                 bound = oracle.get(k - 1, 0)
                 for name, st in stats.items():
-                    assert st.mu(e, k) >= bound
-                assert stats["minimal"].mu(e, k) == bound
+                    assert st[e, k] >= bound
+                assert stats["minimal"][e, k] == bound
         assert (
-            stats["minimal"].complexity
-            <= stats["cellular"].complexity
-            <= stats["roos"].complexity
+            stats["minimal"].total()
+            <= stats["cellular"].total()
+            <= stats["roos"].total()
         )
 
 
@@ -412,7 +412,7 @@ def test_euler_identity_for_dirac_sheaves():
             ):
                 stats = multiplicities(build(dirac_sheaf(p, e, 1, QQ)))
                 mu_sum = sum(
-                    (-1) ** k * stats.mu(e, k) for k in range(len(p.elements) + 1)
+                    (-1) ** k * stats[e, k] for k in range(len(p.elements) + 1)
                 )
                 assert mu_sum == betti_sum
 

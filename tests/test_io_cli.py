@@ -22,11 +22,12 @@ from hypothesis import strategies as st
 
 from posheaf import cli as cli_module
 from posheaf import io as posheaf_io
-from posheaf import spectral
+from posheaf import nsd, spectral
 from posheaf.cli import cli
 from posheaf.errors import ParseError, SchemaError, brief
 from posheaf.io import (
     canonical_json,
+    map_entries,
     parse_sheaf,
     scalar_from_string,
     scalar_to_string,
@@ -357,6 +358,37 @@ def test_cli_nsd_forward_and_learn(tmp_path):
     assert code == 0
     history = report["learn"]["loss_history"]
     assert all(b <= a for a, b in zip(history, history[1:]))
+
+
+def test_cli_diffuse_and_learn_pass_every_flag_to_the_library(tmp_path, monkeypatch):
+    # every flag differs from the CLI's and the library's default, so a
+    # keyword that cmd_diffuse or cmd_learn drops changes the report
+    monkeypatch.delenv(nsd.SEED_ENV, raising=False)
+    doc = GOLDEN / "cycle4_constant.json"
+    sheaf = parse_sheaf(doc.read_text())
+    lap = spectral.laplacian(spectral.real_sheaf_complex(sheaf), 0, "none")
+    trace = spectral.heat_diffusion(lap, np.ones(4), eta=0.05, steps=7, mode="continuous")
+    code, report, _ = _run(["diffuse", str(doc), "--eta", "0.05", "--steps", "7",
+                            "--mode", "continuous"])
+    assert code == 0
+    assert report["trace"] == {
+        "degree": 0, "normalization": "none", "eta": 0.05, "steps": 7, "mode": "continuous",
+        "energies_first": trace.energies[0], "energies_last": trace.energies[-1],
+        "distance_first": trace.distances[0], "distance_last": trace.distances[-1],
+        "limit": trace.limit.tolist(),
+    }
+
+    signals = seeded_rng(11).standard_normal((3, 8))
+    side = tmp_path / "signals.json"
+    side.write_text(json.dumps({"signals": signals.tolist()}))
+    result = nsd.learn_sheaf(sheaf.poset, signals, lr=0.5, iters=5, d=2, seed=7)
+    code, report, _ = _run(["learn", str(doc), str(side), "--lr", "0.5", "--iters", "5",
+                            "--d", "2", "--seed", "7"])
+    assert code == 0
+    assert report["learn"] == {
+        "d": 2, "loss_history": result.loss_history, "field": "R",
+        "maps": map_entries(result.sheaf, float),
+    }
 
 
 @pytest.mark.parametrize("lr", ["1e300", "1e308"])

@@ -7,7 +7,6 @@ from posheaf.poset import build_poset, hypergraph_to_poset
 from posheaf.sheaf import build_sheaf, constant_sheaf, cycle_poset, path_poset
 from posheaf import nsd
 from posheaf.nsd import (
-    LearnConfig,
     NsdLayer,
     finite_difference_gradient,
     graph_coboundary,
@@ -180,25 +179,25 @@ def test_nsd_stack_two_layers_matches_composed_oracle():
 
 
 def test_learn_zero_signals_is_immediately_optimal():
-    res = learn_sheaf(path_poset(2), [np.zeros(2)], LearnConfig(seed=1))
+    res = learn_sheaf(path_poset(2), [np.zeros(2)], seed=1)
     assert res.loss_history == [0.0]
 
 
 def test_learn_rejects_empty_and_misshapen():
     with pytest.raises(EmptySignalSet):
-        learn_sheaf(path_poset(2), [], LearnConfig())
+        learn_sheaf(path_poset(2), [])
     with pytest.raises(Exception):
-        learn_sheaf(path_poset(2), [np.zeros(5)], LearnConfig())
+        learn_sheaf(path_poset(2), [np.zeros(5)])
     for d in (0, -1):
         with pytest.raises(DimensionMismatch):
-            learn_sheaf(path_poset(2), [np.zeros(0)], LearnConfig(d=d))
+            learn_sheaf(path_poset(2), [np.zeros(0)], d=d)
 
 
 def test_learn_single_edge_analytic_minimum():
     # loss (f1 + f2)^2 with |f1| = |f2| = 1: minimum 0 at f1 = -f2
     for seed in range(6):
         res = learn_sheaf(
-            path_poset(2), [np.array([1.0, -1.0])], LearnConfig(iters=60, seed=seed)
+            path_poset(2), [np.array([1.0, -1.0])], iters=60, seed=seed
         )
         assert res.loss_history[-1] <= 1e-6
         f1 = res.sheaf.edge_map[("v0", "e0")].data[0][0]
@@ -212,9 +211,9 @@ def test_learn_is_invariant_under_scaling_the_signals_by_a_power_of_two(k):
     # at 2^270 the raw gradient's squared norm is beyond the floats
     rng = seeded_rng(5)
     signals = [rng.standard_normal(8) for _ in range(3)]
-    cfg = LearnConfig(iters=40, d=2, seed=3)
-    base = learn_sheaf(cycle_poset(4), signals, cfg)
-    scaled = learn_sheaf(cycle_poset(4), [np.ldexp(sig, k) for sig in signals], cfg)
+    cfg = dict(iters=40, d=2, seed=3)
+    base = learn_sheaf(cycle_poset(4), signals, **cfg)
+    scaled = learn_sheaf(cycle_poset(4), [np.ldexp(sig, k) for sig in signals], **cfg)
     assert scaled.sheaf.edge_map == base.sheaf.edge_map
     assert scaled.loss_history == [np.ldexp(loss, 2 * k) for loss in base.loss_history]
     assert len(base.loss_history) > 10
@@ -224,7 +223,7 @@ def test_learn_history_monotone():
     rng = seeded_rng(7)
     p, n, _ = _random_graph_with_edges(rng, max_vertices=6)
     signals = [rng.standard_normal(n) for _ in range(3)]
-    res = learn_sheaf(p, signals, LearnConfig(iters=40, seed=2))
+    res = learn_sheaf(p, signals, iters=40, seed=2)
     for a, b in zip(res.loss_history, res.loss_history[1:]):
         assert b <= a
     for m in res.sheaf.edge_map.values():
@@ -271,7 +270,7 @@ def _planted_rotation_trial(trial: int) -> tuple[float, float]:
                 pos = vertices.index(str(v))
                 x[pos * d:(pos + 1) * d] = np.linalg.solve(rotations[v], c)
         signals.append(x)
-    res = learn_sheaf(p, signals, LearnConfig(iters=300, d=d, seed=trial))
+    res = learn_sheaf(p, signals, iters=300, d=d, seed=trial)
     return res.loss_history[0], res.loss_history[-1]
 
 

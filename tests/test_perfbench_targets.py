@@ -63,11 +63,15 @@ _SIMPLEX6 = [list(c) for k in (1, 2, 3) for c in itertools.combinations("123456"
 # degree whose Betti number is zero.  betti_numbers ranks without rref, so it
 # adds no rref work.
 @pytest.mark.parametrize("make, method, calls, entries", [
-    (lambda: twisted_cycle_sheaf(20, np.random.default_rng(5)), "minimal", 2, 1602),
-    (lambda: twisted_cycle_sheaf(20, np.random.default_rng(5), prime_field(7)), "roos", 1, 6400),
-    (lambda: constant_sheaf(simplicial_complex_poset(_SIMPLEX6), 1, QQ), "minimal", 6, 704),
-    (lambda: constant_sheaf(simplicial_complex_poset(_SIMPLEX6), 1, QQ), "roos", 3, 42150),
-    (_dag59, "minimal", 6, 48),
+    pytest.param(lambda: twisted_cycle_sheaf(20, np.random.default_rng(5)), "minimal", 2, 1602,
+                 id="twisted-c20-q-minimal"),
+    pytest.param(lambda: twisted_cycle_sheaf(20, np.random.default_rng(5), prime_field(7)),
+                 "roos", 1, 6400, id="twisted-c20-f7-roos"),
+    pytest.param(lambda: constant_sheaf(simplicial_complex_poset(_SIMPLEX6), 1, QQ),
+                 "minimal", 6, 704, id="simplex6-q-minimal"),
+    pytest.param(lambda: constant_sheaf(simplicial_complex_poset(_SIMPLEX6), 1, QQ),
+                 "roos", 3, 42150, id="simplex6-q-roos"),
+    pytest.param(_dag59, "minimal", 6, 48, id="dag59-minimal"),
 ])
 def test_elimination_work_matches_the_traced_counts(monkeypatch, make, method, calls, entries):
     # linalg.rref_calls and linalg.rref_entries count exactly this; an rref

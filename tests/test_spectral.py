@@ -42,7 +42,6 @@ from posheaf.sheaf import (
 )
 from posheaf.spectral import (
     NORMALIZATIONS,
-    DiffusionConfig,
     convergence_rate,
     default_eta,
     dirichlet_energy,
@@ -252,11 +251,10 @@ def test_lapack_eigensolves_match_jacobi_on_graph_sheaves(monkeypatch, n, kind):
     b0 = betti(exact, "minimal")[0]
     rc = real_sheaf_complex(real)
     x0 = np.ones(rc.degree_dim(0))
-    no_steps = DiffusionConfig(steps=0)
 
     def solve(norm):
         lap = laplacian(rc, 0, norm)
-        return lap, eigendecompose(lap), heat_diffusion(lap, x0, no_steps).limit
+        return lap, eigendecompose(lap), heat_diffusion(lap, x0, steps=0).limit
 
     lapack = {norm: solve(norm) for norm in NORMALIZATIONS}
     cache = {}
@@ -462,7 +460,7 @@ def test_energy_equals_quadratic_form():
 def test_heat_diffusion_single_edge_average():
     s = constant_sheaf(path_poset(2), 1, QQ)
     lap = laplacian(_real_minimal(s), 0, "none")
-    trace = heat_diffusion(lap, [1.0, 0.0], DiffusionConfig(eta=0.25, steps=20))
+    trace = heat_diffusion(lap, [1.0, 0.0], eta=0.25, steps=20)
     assert np.allclose(trace.states[-1], [0.5, 0.5], atol=1e-12)
     assert np.allclose(trace.limit, [0.5, 0.5], atol=1e-12)
 
@@ -470,14 +468,14 @@ def test_heat_diffusion_single_edge_average():
 def test_heat_diffusion_harmonic_start_is_fixed():
     s = constant_sheaf(cycle_poset(4), 1, QQ)
     lap = laplacian(_real_minimal(s), 0, "none")
-    trace = heat_diffusion(lap, np.ones(4), DiffusionConfig(steps=15))
+    trace = heat_diffusion(lap, np.ones(4), steps=15)
     for state in trace.states:
         assert np.allclose(state, 1.0, atol=1e-12)
 
 
 def test_heat_diffusion_mobius_converges_to_zero():
     lap = laplacian(_real_minimal(mobius_sheaf(4, QQ)), 0, "none")
-    trace = heat_diffusion(lap, np.ones(4), DiffusionConfig(steps=400))
+    trace = heat_diffusion(lap, np.ones(4), steps=400)
     assert np.allclose(trace.limit, 0.0)
     assert np.linalg.norm(trace.states[-1]) <= 1e-6
 
@@ -491,7 +489,7 @@ def test_heat_diffusion_energy_monotone_and_limit():
         if len(lap) == 0:
             continue
         x0 = rng.standard_normal(len(lap))
-        trace = heat_diffusion(lap, x0, DiffusionConfig(steps=600))
+        trace = heat_diffusion(lap, x0, steps=600)
         for a, b in zip(trace.energies, trace.energies[1:]):
             assert b <= a + 1e-12
         assert np.linalg.norm(trace.states[-1] - trace.limit) <= 1e-6
@@ -501,18 +499,18 @@ def test_heat_diffusion_validates_step_size():
     s = constant_sheaf(path_poset(2), 1, QQ)
     lap = laplacian(_real_minimal(s), 0, "none")
     with pytest.raises(UnstableStepSize):
-        heat_diffusion(lap, [1.0, 0.0], DiffusionConfig(eta=0.6, steps=5))
+        heat_diffusion(lap, [1.0, 0.0], eta=0.6, steps=5)
     for mode in ("discrete", "continuous"):
         for eta in (float("nan"), float("inf"), 0.0, -1.0):
             with pytest.raises(UnstableStepSize):
-                heat_diffusion(lap, [1.0, 0.0], DiffusionConfig(eta=eta, steps=5, mode=mode))
+                heat_diffusion(lap, [1.0, 0.0], eta=eta, steps=5, mode=mode)
 
 
 def test_continuous_mode_matches_matrix_exponential():
     s = constant_sheaf(cycle_poset(4), 1, QQ)
     lap = laplacian(_real_minimal(s), 0, "none")
     x0 = np.array([1.0, 0.0, -1.0, 0.5])
-    trace = heat_diffusion(lap, x0, DiffusionConfig(eta=0.1, steps=5, mode="continuous"))
+    trace = heat_diffusion(lap, x0, eta=0.1, steps=5, mode="continuous")
     vals, vecs = np.linalg.eigh(lap)
     for k, state in enumerate(trace.states):
         expected = vecs @ (np.exp(-2 * 0.1 * vals * k) * (vecs.T @ x0))
@@ -522,7 +520,7 @@ def test_continuous_mode_matches_matrix_exponential():
 def test_convergence_rate_single_edge_one_shot():
     s = constant_sheaf(path_poset(2), 1, QQ)
     lap = laplacian(_real_minimal(s), 0, "none")
-    trace = heat_diffusion(lap, [1.0, 0.0], DiffusionConfig(eta=0.25, steps=20))
+    trace = heat_diffusion(lap, [1.0, 0.0], eta=0.25, steps=20)
     bundle = eigendecompose(lap)
     assert bundle.lam_min == pytest.approx(2.0)
     assert convergence_rate(trace, bundle) == 0.0
@@ -536,7 +534,7 @@ def test_convergence_rate_cycle_prediction():
     bundle = eigendecompose(lap)
     eta = 0.1
     trace = heat_diffusion(
-        lap, np.array([1.0, 0.2, -0.3, 0.4]), DiffusionConfig(eta=eta, steps=40)
+        lap, np.array([1.0, 0.2, -0.3, 0.4]), eta=eta, steps=40
     )
     expected = 1 - 2 * eta * bundle.lam_min
     assert bundle.lam_min == pytest.approx(2.0, abs=1e-9)
@@ -547,10 +545,10 @@ def test_convergence_rate_errors():
     s = constant_sheaf(cycle_poset(4), 1, QQ)
     lap = laplacian(_real_minimal(s), 0, "none")
     bundle = eigendecompose(lap)
-    short = heat_diffusion(lap, np.array([1.0, 0, 0, 0]), DiffusionConfig(steps=5))
+    short = heat_diffusion(lap, np.array([1.0, 0, 0, 0]), steps=5)
     with pytest.raises(TraceTooShort):
         convergence_rate(short, bundle)
-    harmonic = heat_diffusion(lap, np.ones(4), DiffusionConfig(steps=20))
+    harmonic = heat_diffusion(lap, np.ones(4), steps=20)
     with pytest.raises(DegenerateInitialState):
         convergence_rate(harmonic, bundle)
 
