@@ -18,7 +18,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError, SchemaError, brief
-from .linalg import FieldTag, Matrix, PRIME, QQ, RATIONALS, RR, prime_field
+from .linalg import FieldTag, Matrix, PRIME, QQ, RATIONALS, RR, prime_field, rational
 from .poset import build_poset
 from .sheaf import Sheaf
 
@@ -56,9 +56,10 @@ def scalar_to_string(value, field: FieldTag) -> str:
     return format(float(value), ".17g")
 
 
-def _rational(text: str) -> Fraction:
-    """Fraction(text), with no term of more than MAX_DIGITS digits: an exponent
-    beyond that is refused before Fraction expands 10 ** exponent."""
+def _rational(text: str):
+    """The Q scalar of Fraction(text), with no term of more than MAX_DIGITS
+    digits: an exponent beyond that is refused before Fraction expands
+    10 ** exponent."""
     match = _EXPONENT.search(text)
     if match:
         digits = match[1].replace("_", "").lstrip("0")
@@ -67,7 +68,7 @@ def _rational(text: str) -> Fraction:
     q = Fraction(text)
     if abs(q.numerator) >= _DIGIT_BOUND or q.denominator >= _DIGIT_BOUND:
         raise ValueError(f"more than {MAX_DIGITS} digits")
-    return q
+    return rational(q)
 
 
 _NOT_SCALARS = {bool: "a boolean", list: "an array", dict: "an object", type(None): "null"}

@@ -16,18 +16,21 @@ which keeps the fill-in of sparse differentials small.  Dense rows exist
 only at the edges: the constructor takes them, and ``Matrix.data`` returns a
 fresh dense copy for rendering and conversion.
 
-Scalars are ``fractions.Fraction`` over the rationals, plain ``int`` residues
-in [0, p) over a prime field, and ``float`` over the (approximate) reals.
-Every kernel computes with Python's ``+``, ``-`` and ``*`` and reduces with
-``% p`` where the field has a modulus p.  Elimination over Q builds no
-Fraction: rows enter as primitive integer rows (``_enter``), and a pivot row
-is one again (``_pivot_row``), as in Bareiss's integer-preserving
+Scalars are plain ``int`` residues in [0, p) over a prime field, ``float``
+over the (approximate) reals, and over the rationals an ``int`` where
+integral and a ``fractions.Fraction`` only where the denominator exceeds 1
+(``rational``).  Since ``int op Fraction`` is exact, every kernel computes
+with Python's ``+``, ``-`` and ``*`` on either, with no type test, and
+reduces with ``% p`` where the field has a modulus p.  Elimination over Q
+builds no Fraction: rows enter as primitive integer rows (``_enter``), and a
+pivot row is one again (``_pivot_row``), as in Bareiss's integer-preserving
 elimination with the content as divisor.  Clearing a column of a row with a
 pivot row is row := a * row - b * pivot, a and b their entries there, over
-both exact fields, since an F_p pivot row leads with 1.  ``rref`` builds
-``Fraction(x, lead)`` once per entry it returns.  ``check_d_squared`` is the
-one test that consecutive differentials compose to zero, for every field:
-exactly over Q and F_p, within a relative tolerance over R.
+both exact fields, since an F_p pivot row leads with 1.  ``rref`` builds a
+Fraction only for an entry that its row's lead does not divide.
+``check_d_squared`` is the one test that consecutive differentials compose to
+zero, for every field: exactly over Q and F_p, within a relative tolerance
+over R.
 
 The field rules live here alone.  An F_p modulus is an ``int`` below 2^31
 that trial division (``_is_prime``, cached) finds prime.  A stage that needs
@@ -49,7 +52,11 @@ RATIONALS = "Q"
 PRIME = "Fp"
 REALS = "R"
 D2_RESIDUAL_TOL = 1e-10
-_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)  # shared: a Fraction is immutable
+
+
+def rational(q):
+    """The Q scalar of a Fraction or int q: a plain int when q is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 @cache  # below 2^31, up to 23,170 divisions: paid once per modulus
@@ -79,10 +86,10 @@ class FieldTag:
         return self.kind != REALS
 
     def zero(self):
-        return 0.0 if self.kind == REALS else (_Q_ZERO if self.kind == RATIONALS else 0)
+        return 0.0 if self.kind == REALS else 0
 
     def one(self):
-        return 1.0 if self.kind == REALS else (_Q_ONE if self.kind == RATIONALS else 1)
+        return 1.0 if self.kind == REALS else 1
 
     def coerce(self, value):
         """Normalize an int/str/Fraction/float into this field's scalar type.
@@ -92,7 +99,7 @@ class FieldTag:
         rational number raises FieldMismatch.
         """
         if self.kind == RATIONALS:
-            return Fraction(value)
+            return rational(Fraction(value))
         if self.kind == PRIME:
             if isinstance(value, float) and not value.is_integer():
                 raise FieldMismatch(f"{brief(repr(value))} is not an integer")
@@ -319,7 +326,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     reduced; they vanish in every other pivot column, so each subtraction
     changes free columns only, and on a cycle's coboundary each row meets O(1)
     others; then the row is made a pivot row again.  Over Q both passes run on
-    integer rows, and ``Fraction(x, lead)`` builds each entry of the result.
+    integer rows, and each entry x of the result is the Q scalar x / lead.
     Row operations and scalings keep the row space, which has exactly one
     reduced row echelon form, so the result equals dense Gauss-Jordan's entry
     for entry.
@@ -335,7 +342,9 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
         for j in [j for j in row if j != pc and j in owner]:
             _add_multiple(row, -row[j], owner[j], p, owner[j][j])
         _pivot_row(row, pc, p)
-    entries = [row if p else {j: Fraction(x, row[pc]) for j, x in row.items()}
+    # a pivot row that leads with 1, as every F_p one does, is its own result
+    entries = [row if (lead := row[pc]) == 1
+               else {j: x // lead if not x % lead else Fraction(x, lead) for j, x in row.items()}
                for pc, row in sorted(owner.items())]
     entries += [{} for _ in range(m.rows - len(pivots))]
     return Matrix._of(m.rows, m.cols, entries, m.field), pivots, len(pivots)
@@ -505,5 +514,5 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
             for pc in sorted(pc for pc in kvec if pc in image):
                 _add_multiple(candidate, -kvec[pc], image[pc], field.p)
             if _insert_row(kept, _enter(candidate, field.p), field.p):
-                reps.append(candidate)
+                reps.append({j: rational(x) for j, x in candidate.items()})
     return out

@@ -64,8 +64,9 @@ def graph_coboundary(s: Sheaf) -> tuple[np.ndarray, list[str]]:
     r = 0
     for (e, u, v) in edges:
         de = s.stalk(e)
-        d0[r:r + de, v_off[u]:v_off[u] + s.stalk(u)] = float_array(s.edge_map[(u, e)])
-        d0[r:r + de, v_off[v]:v_off[v] + s.stalk(v)] -= float_array(s.edge_map[(v, e)])
+        f_u, f_v = (float_array(s.edge_map[(w, e)], "graph_coboundary") for w in (u, v))
+        d0[r:r + de, v_off[u]:v_off[u] + s.stalk(u)] = f_u
+        d0[r:r + de, v_off[v]:v_off[v] + s.stalk(v)] -= f_v
         r += de
     return d0, vertices
 

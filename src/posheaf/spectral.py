@@ -48,17 +48,18 @@ JACOBI_MAX_SWEEPS = 100
 NORMALIZATIONS = ("none", "weak", "strong")
 
 
-def float_array(m: Matrix) -> np.ndarray:
-    """Dense float64 copy of a rational or real matrix, written by one indexed
-    assignment from the row, column and value arrays of its sparse rows."""
+def float_array(m: Matrix, what: str) -> np.ndarray:
+    """Dense float64 copy of a rational or real matrix for the stage what,
+    written by one indexed assignment from the row, column and value arrays of
+    its sparse rows; a rational entry beyond the doubles is OverflowOnConvert."""
     out = np.zeros((m.rows, m.cols))
     entries = m._entries
     i = np.repeat(np.arange(m.rows), [len(row) for row in entries])
     j = np.fromiter(chain.from_iterable(entries), np.intp, len(i))
     try:
         out[i, j] = np.fromiter(chain.from_iterable(map(dict.values, entries)), float, len(i))
-    except OverflowError as exc:
-        raise OverflowOnConvert(str(exc)) from exc
+    except OverflowError:
+        raise OverflowOnConvert(f"{what}: an entry beyond the double range") from None
     return out
 
 
@@ -74,7 +75,7 @@ def _real_diff(c: CochainComplexInstance, j: int, what: str) -> np.ndarray:
     zero map where the complex has no d_j."""
     require_real(c.field, what)
     if 0 <= j < len(c.diffs):
-        return float_array(c.diffs[j])
+        return float_array(c.diffs[j], what)
     return np.zeros((c.degree_dim(j + 1), c.degree_dim(j)))
 
 
@@ -382,7 +383,7 @@ def _hyperedge_images(h: Sheaf, x, what: str) -> Iterator[tuple[slice, np.ndarra
         members = p.covered_by(b)
         if members:
             yield stalks[b], x[stalks[b]], [
-                float_array(h.edge_map[(a, b)]) @ x[stalks[a]] for a in members
+                float_array(h.edge_map[(a, b)], what) @ x[stalks[a]] for a in members
             ]
 
 

@@ -39,12 +39,13 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 def scalar_ops(field):
     """(add, sub, mul, div) on the scalars of field, written apart from the
-    library's kernels: residues are reduced after each operation, and a
-    residue's inverse comes from Fermat's little theorem."""
+    library's kernels: residues are reduced after each operation, a residue's
+    inverse comes from Fermat's little theorem, and a rational quotient is a
+    Fraction's, so it stays exact when both scalars are plain ints."""
     p = field.p
     if p is None:
-        return (lambda a, b: a + b, lambda a, b: a - b,
-                lambda a, b: a * b, lambda a, b: a / b)
+        div = (lambda a, b: Fraction(a) / b) if field == QQ else (lambda a, b: a / b)
+        return (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, div)
     return (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
             lambda a, b: a * b % p, lambda a, b: a * pow(b, p - 2, p) % p)
 

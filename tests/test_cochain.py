@@ -545,7 +545,7 @@ def test_assembled_differentials_equal_the_sum_of_their_face_blocks():
 
 
 @pytest.mark.parametrize("field, scalar", [
-    (QQ, Fraction(3, 2)), (QQ, Fraction(-1)), (prime_field(5), 4), (prime_field(5), 3),
+    (QQ, Fraction(3, 2)), (QQ, -1), (prime_field(5), 4), (prime_field(5), 3),
     (RR, 1.5), (RR, -1.0), (RR, 1e-300),
 ])
 def test_assemble_scales_a_general_face_as_add_block_does(field, scalar):

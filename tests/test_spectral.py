@@ -105,14 +105,14 @@ def test_float_array_equals_the_entrywise_loop():
         expected = np.zeros((m.rows, m.cols))
         for i, j, x in m.nonzeros():
             expected[i, j] = x
-        got = float_array(m)
+        got = float_array(m, "test")
         assert got.dtype == expected.dtype and got.shape == expected.shape
         assert got.tobytes() == expected.tobytes()
 
 
 def test_float_array_of_a_roos_differential():
     s = constant_sheaf(path_poset(2), 1, QQ)
-    d0 = float_array(roos_complex(s).diffs[0])
+    d0 = float_array(roos_complex(s).diffs[0], "test")
     assert d0.shape == (2, 3)
     assert set(np.abs(d0[np.nonzero(d0)])) == {1.0}
 
@@ -136,7 +136,7 @@ def test_real_sheaf_complex_over_r_matches_q():
         assert (exact.field, real.field) == (QQ, RR)
         assert len(real.diffs) == len(exact.diffs)
         for a, b in zip(exact.diffs, real.diffs):
-            a, b = float_array(a), float_array(b)
+            a, b = float_array(a, "test"), float_array(b, "test")
             assert a.shape == b.shape
             assert np.max(np.abs(a - b), initial=0.0) <= 1e-12
 
@@ -300,7 +300,7 @@ def test_laplacian_cycle_matches_graph_laplacian():
     expected = sorted(2 - 2 * math.cos(2 * math.pi * k / 4) for k in range(4))
     assert np.allclose(bundle.eigenvalues, expected, atol=1e-9)
     # degree 0 has no lower term: Delta_0 = d0^T d0
-    d0 = float_array(_real_minimal(s).diffs[0])
+    d0 = float_array(_real_minimal(s).diffs[0], "test")
     assert np.allclose(lap, d0.T @ d0)
 
 
