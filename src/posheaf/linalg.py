@@ -2,19 +2,24 @@
 homology-basis solver for graded complexes given by per-degree blocks.
 
 A matrix is stored as sparse rows: row i is a dict {column: value} over its
-nonzero entries, and no stored value is ever zero.  Every routine here reads
-and writes that storage directly.  Every row operation is one call of
-``_add_multiple``, and every echelon step is one ``_insert_row``: reduce a
-row by the rows owning its lead column until it vanishes or leads in a new
-column, which it then owns.  ``rref``, through which ``kernel_basis``,
-``invert`` and ``homology_basis`` eliminate, inserts the rows in order and
-then back-substitutes, so the representatives it yields are those of the one
-reduced row echelon form; ``homology_basis`` also keeps a representative iff
-``_insert_row`` stores it.  ``rank`` needs only a count, so it pivots in
-Markowitz order (shortest row, rarest column) and never back-substitutes,
-which keeps the fill-in of sparse differentials small.  Dense rows exist
-only at the edges: the constructor takes them, and ``Matrix.data`` returns a
-fresh dense copy for rendering and conversion.
+nonzero entries, and no stored value is ever zero.  Every row operation is
+one call of ``_add_multiple``, and every echelon step is one ``_insert_row``:
+reduce a row by the rows owning its lead column until it vanishes or leads in
+a new column, which it then owns.  The one forward pass, ``_echelon``, takes
+the nonzero rows in decreasing lexicographic order of their sorted columns,
+so by decreasing lead; ``rank`` counts its pivot rows, and ``rref``, through
+which ``kernel_basis``, ``invert`` and ``homology_basis`` eliminate,
+back-substitutes them into the one reduced row echelon form, whatever the
+order.  ``homology_basis`` also keeps a representative iff ``_insert_row``
+stores it.  The order bounds the work on rows that share lead columns, as a
+differential's and the Hasse-edge system of ``sections`` do.  Every row taken
+before the first one leading in column l leads after l, and a row is stored
+at or after its lead, so that row is stored as it entered.  Each later one
+has its next column at or before that pivot row's, so one subtraction leaves
+it leading there, or after it where the two cancel: rows sharing a lead do
+not chain through each other's columns.  Dense rows exist only at the edges:
+the constructor takes them, and ``Matrix.data`` returns a fresh dense copy
+for rendering and conversion.
 
 Scalars are plain ``int`` residues in [0, p) over a prime field, ``float``
 over the (approximate) reals, and over the rationals an ``int`` where
@@ -40,13 +45,13 @@ they alone raise a field requirement, naming the stage and the field given.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, isqrt, lcm
+from numbers import Integral
 
-from .errors import FieldMismatch, NotAComplex, brief
+from .errors import FieldMismatch, NotAComplex, OverflowOnConvert, brief
 
 RATIONALS = "Q"
 PRIME = "Fp"
@@ -92,12 +97,16 @@ class FieldTag:
         return 1.0 if self.kind == REALS else 1
 
     def coerce(self, value):
-        """Normalize an int/str/Fraction/float into this field's scalar type.
+        """Normalize an int/str/Fraction/float into this field's scalar type,
+        reading numpy's fixed-width integers as ints, so no product wraps.
 
         Over F_p a rational n/d maps to n * d^-1 mod p; a denominator that p
         divides, a float that is not an integer, or a value that is not a
-        rational number raises FieldMismatch.
+        rational number raises FieldMismatch.  Over R a value beyond the
+        doubles raises OverflowOnConvert.
         """
+        if isinstance(value, Integral):
+            value = int(value)
         if self.kind == RATIONALS:
             return rational(Fraction(value))
         if self.kind == PRIME:
@@ -112,12 +121,13 @@ class FieldTag:
             if q.denominator % self.p == 0:
                 raise FieldMismatch(f"{brief(repr(value))} has no residue mod {self.p}")
             return q.numerator * pow(q.denominator, -1, self.p) % self.p
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise OverflowOnConvert("a real scalar beyond the double range") from None
 
     def __str__(self) -> str:
-        if self.kind == PRIME:
-            return f"Fp:{self.p}"
-        return self.kind
+        return f"Fp:{self.p}" if self.kind == PRIME else self.kind
 
 
 QQ = FieldTag(RATIONALS)
@@ -283,9 +293,7 @@ def _pivot_row(row: dict, lead, p: int | None) -> dict:
             inv = pow(row[lead], -1, p)
             for j in row:
                 row[j] = inv * row[j] % p
-        return row
-    g = gcd(*row.values())
-    if g > 1:
+    elif (g := gcd(*row.values())) > 1:
         for j in row:
             row[j] //= g
     return row
@@ -313,6 +321,15 @@ def _insert_row(owner: dict[int, dict], row: dict, p: int | None) -> bool:
     return False
 
 
+def _echelon(m: Matrix) -> dict[int, dict]:
+    """{pivot column: pivot row} of m's nonzero rows, in the module notes' order."""
+    p = m.field.p
+    owner: dict[int, dict] = {}
+    for row in sorted((_enter(row, p) for row in m._entries if row), key=sorted, reverse=True):
+        _insert_row(owner, row, p)
+    return owner
+
+
 def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     """Reduced row echelon form of an exact-field matrix.
 
@@ -320,22 +337,17 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     row r of the reduced matrix is the pivot row of pivots[r], and the rows
     after the rank are empty.
 
-    Two passes on copies of the sparse rows.  Forward: ``_insert_row`` takes
-    each row in turn.  Back-substitution: from the last pivot row to the first,
-    clear a row's entries in later pivot columns with the rows already fully
-    reduced; they vanish in every other pivot column, so each subtraction
-    changes free columns only, and on a cycle's coboundary each row meets O(1)
-    others; then the row is made a pivot row again.  Over Q both passes run on
-    integer rows, and each entry x of the result is the Q scalar x / lead.
-    Row operations and scalings keep the row space, which has exactly one
-    reduced row echelon form, so the result equals dense Gauss-Jordan's entry
-    for entry.
+    ``_echelon``, then back-substitution on its pivot rows: from the last to
+    the first, clear a row's entries in later pivot columns with the rows
+    already fully reduced; they vanish in every other pivot column, so each
+    subtraction changes free columns only, and on a cycle's coboundary each
+    row meets O(1) others; then the row is made a pivot row again.  Over Q
+    both passes run on integer rows, and each entry x of the result is the Q
+    scalar x / lead: dense Gauss-Jordan's entry, as the form is unique.
     """
     require_exact(m.field, "rref")
     p = m.field.p
-    owner: dict[int, dict] = {}
-    for row in m._entries:
-        _insert_row(owner, _enter(row, p), p)
+    owner = _echelon(m)
     pivots = sorted(owner)
     for pc in reversed(pivots):
         row = owner[pc]
@@ -351,50 +363,9 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
 
 
 def rank(m: Matrix) -> int:
-    """Rank of an exact-field matrix, by sparse elimination in Markowitz order.
-
-    The live rows sit in a min-heap keyed by their nonzero count, and each
-    column keeps the set of live rows that hold it.  A step takes a shortest
-    live row, pivots on its column held by the fewest rows, and clears that
-    column from those rows, keeping the column sets current as entries appear
-    and cancel.  A row whose count changed is pushed again; heap entries that
-    no longer match their row are skipped.  After a step the other rows
-    vanish in the pivot column and the pivot row does not, so the rank is one
-    more than that of the rows left, and the pivots counted are the rank.
-    Clearing scales the cleared row, which keeps its zeros.  Rank does not
-    depend on the pivot order, so this agrees with ``rref`` while short rows
-    on rare columns keep the fill-in small.
-    """
+    """Rank of an exact-field matrix: the pivot rows ``_echelon`` stores."""
     require_exact(m.field, "rank")
-    p = m.field.p
-    rows = [_enter(row, p) for row in m._entries]
-    cols: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        for j in row:
-            cols.setdefault(j, set()).add(i)
-    heap = [(len(row), i) for i, row in enumerate(rows) if row]
-    heapq.heapify(heap)
-    pivots = 0
-    while heap:
-        n, i = heapq.heappop(heap)
-        row = rows[i]
-        if row is None or len(row) != n:
-            continue
-        rows[i] = None
-        for j in row:
-            cols[j].discard(i)
-        pc = min(row, key=lambda j: len(cols[j]))
-        _pivot_row(row, pc, p)
-        a = row.pop(pc)
-        pivots += 1
-        for k in cols.pop(pc):
-            other = rows[k]
-            _add_multiple(other, -other.pop(pc), row, p, a)
-            for j in row:
-                (cols[j].add if j in other else cols[j].discard)(k)
-            if other:
-                heapq.heappush(heap, (len(other), k))
-    return pivots
+    return len(_echelon(m))
 
 
 def _kernel_entries(m: Matrix) -> list[dict]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from .errors import (
     Disconnected,
@@ -80,15 +81,18 @@ def build_sheaf(p: Poset, stalks: dict[str, int],
                 maps: dict[tuple[str, str], Matrix | list],
                 field: FieldTag) -> Sheaf:
     """Shape-check and assemble a sheaf; compositionality is NOT verified here
-    (use check_compositionality), and is vacuous on one-dimensional posets."""
+    (use check_compositionality), and is vacuous on one-dimensional posets.
+    A stalk dimension is a nonnegative integer, numpy's included, not a bool."""
     stalk_dim = {}
     for e in p.elements:
         if e not in stalks:
             raise MissingEdgeMap(f"stalks: missing dimension for {brief(repr(e))}")
-        d = int(stalks[e])
+        d = stalks[e]
+        if type(d) is bool or not isinstance(d, Integral):
+            raise ShapeMismatch(f"stalk dimension at {brief(repr(e))} is not an integer")
         if d < 0:
             raise ShapeMismatch(f"negative stalk dimension at {brief(repr(e))}")
-        stalk_dim[e] = d
+        stalk_dim[e] = int(d)
     edge_map: dict[tuple[str, str], Matrix] = {}
     hasse = set(p.hasse_edges())
     for (a, b), m in maps.items():

@@ -85,6 +85,20 @@ def test_build_sheaf_shape_mismatch():
         build_sheaf(q, {e: 1 for e in q.elements}, {("a", "b"): [[1]]}, QQ)
 
 
+def test_build_sheaf_stalk_dimensions_are_nonnegative_integers():
+    p = build_poset(["1", "a"], [("1", "a")])
+    zero = {("1", "a"): Matrix.zeros(0, 0, QQ)}
+    s = build_sheaf(p, {"1": np.int64(0), "a": np.uint8(0)}, zero, QQ)
+    assert s.stalk_dim == {"1": 0, "a": 0} and {type(d) for d in s.stalk_dim.values()} == {int}
+    for bad in (2.7, 0.0, "1", True, False, None, Fraction(1)):
+        with pytest.raises(ShapeMismatch, match="^stalk dimension at '1' is not an integer$"):
+            build_sheaf(p, {"1": bad, "a": 0}, zero, QQ)
+    with pytest.raises(ShapeMismatch, match="^negative stalk dimension at 'a'$"):
+        build_sheaf(p, {"1": 0, "a": -1}, zero, QQ)
+    with pytest.raises(MissingEdgeMap, match="^stalks: missing dimension for 'a'$"):
+        build_sheaf(p, {"1": 0}, zero, QQ)
+
+
 def test_compositionality_on_graph_posets_is_vacuous():
     rng = seeded_rng(3)
     p, _, _ = random_graph_poset(rng)
