@@ -138,15 +138,15 @@ def cmd_incidence(sheaf, args) -> dict:
     # coefficient of h in the boundary of g
     n = len(inc.generators) + 1
     matrix = [[scalar_to_string(sheaf.field.zero(), sheaf.field)] * n for _ in range(n)]
-    for g in inc.generators:
-        for h, value in inc.columns[g.gid].items():
-            matrix[h + 1][g.gid + 1] = scalar_to_string(value, sheaf.field)
+    for g, column in enumerate(inc.columns):
+        for h, value in column.items():
+            matrix[h + 1][g + 1] = scalar_to_string(value, sheaf.field)
     return {"incidence": {
         "generators": [
-            {"id": g.gid, "degree": g.degree, "owner": g.owner}
-            for g in inc.generators
+            {"id": g, "degree": deg, "owner": owner}
+            for g, (deg, owner) in enumerate(inc.generators)
         ],
-        "labels": ["@"] + [f"g{g.gid}" for g in inc.generators],
+        "labels": ["@"] + [f"g{g}" for g in range(len(inc.generators))],
         "matrix": matrix,
     }}
 

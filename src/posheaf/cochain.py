@@ -155,13 +155,6 @@ def cellular_complex(d: Sheaf) -> CochainComplexInstance:
     return _assemble(CELLULAR, d, degrees, faces)
 
 
-@dataclass(frozen=True)
-class IncidenceGenerator:
-    gid: int
-    degree: int
-    owner: str
-
-
 AUGMENTATION = -1  # key of the augmentation generator "@" in boundary columns
 
 
@@ -170,20 +163,17 @@ class IncidenceData:
     """Output of the incidence-matrix algorithm: generators stitched to poset
     elements, each with its sparse boundary column.
 
-    ``columns[g.gid]`` maps the gid of a generator h, or ``AUGMENTATION`` for
-    the augmentation generator "@" in degree -1, to the nonzero coefficient of
-    h in the boundary of g.  The data depends only on the poset and field, and
-    is reusable across sheaves.
+    A generator is its position g: ``generators[g]`` is its (degree, owner)
+    pair, and ``columns[g]`` maps a generator h, or ``AUGMENTATION`` for the
+    augmentation generator "@" in degree -1, to the nonzero coefficient of h
+    in the boundary of g; an absent h has coefficient zero.  The data depends
+    only on the poset and field, and is reusable across sheaves.
     """
 
     poset: Poset
     field: FieldTag
-    generators: list[IncidenceGenerator]
+    generators: list[tuple[int, str]]
     columns: list[dict[int, object]]
-
-    def incidence(self, g: IncidenceGenerator, h: IncidenceGenerator):
-        """Coefficient of h in the boundary of g (both proper generators)."""
-        return self.columns[g.gid].get(h.gid, self.field.zero())
 
 
 def minimal_incidence(p: Poset, field: FieldTag) -> IncidenceData:
@@ -248,11 +238,7 @@ def minimal_incidence(p: Poset, field: FieldTag) -> IncidenceData:
                 column = {gens[k]: x for k, x in vec.items()}
                 columns.append(column)
                 value_ids.append(interned.setdefault(tuple(column.values()), len(interned)))
-    generators = [
-        IncidenceGenerator(gid, deg, owner)
-        for gid, (deg, owner) in enumerate(zip(degrees, owners))
-    ]
-    return IncidenceData(p, field, generators, columns)
+    return IncidenceData(p, field, list(zip(degrees, owners)), columns)
 
 
 def minimal_complex(d: Sheaf, inc: IncidenceData) -> CochainComplexInstance:
@@ -267,17 +253,17 @@ def minimal_complex(d: Sheaf, inc: IncidenceData) -> CochainComplexInstance:
         raise PosetMismatch("incidence data was computed on a different poset")
     if inc.field != (QQ if d.field == RR else d.field):
         raise FieldMismatch("incidence data uses a different field")
-    top = max((g.degree for g in inc.generators), default=-1)
+    top = max((deg for deg, _ in inc.generators), default=-1)
     degrees: list[list[str]] = [[] for _ in range(top + 1)]
-    position = []  # position[gid]: the generator's summand in its degree
-    for g in inc.generators:
-        position.append(len(degrees[g.degree]))
-        degrees[g.degree].append(g.owner)
+    position = []  # position[g]: the generator's summand in its degree
+    for deg, owner in inc.generators:
+        position.append(len(degrees[deg]))
+        degrees[deg].append(owner)
     real = d.field == RR
-    faces = ((inc.generators[gid1].degree, position[g2.gid], position[gid1],
+    faces = ((inc.generators[g1][0], position[g2], position[g1],
               float(scalar) if real else scalar)
-             for g2 in inc.generators
-             for gid1, scalar in inc.columns[g2.gid].items() if gid1 != AUGMENTATION)
+             for g2, column in enumerate(inc.columns)
+             for g1, scalar in column.items() if g1 != AUGMENTATION)
     return _assemble(MINIMAL, d, degrees, faces)
 
 

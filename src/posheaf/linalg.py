@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, isqrt, lcm
+from math import gcd, inf, isnan, isqrt, lcm
 from numbers import Integral
 
 from .errors import FieldMismatch, NotAComplex, OverflowOnConvert, brief
@@ -103,7 +103,8 @@ class FieldTag:
         Over F_p a rational n/d maps to n * d^-1 mod p; a denominator that p
         divides, a float that is not an integer, or a value that is not a
         rational number raises FieldMismatch.  Over R a value beyond the
-        doubles raises OverflowOnConvert.
+        doubles, infinities included, raises OverflowOnConvert, and nan
+        raises FieldMismatch.
         """
         if isinstance(value, Integral):
             value = int(value)
@@ -122,9 +123,14 @@ class FieldTag:
                 raise FieldMismatch(f"{brief(repr(value))} has no residue mod {self.p}")
             return q.numerator * pow(q.denominator, -1, self.p) % self.p
         try:
-            return float(value)
+            x = float(value)
         except OverflowError:
-            raise OverflowOnConvert("a real scalar beyond the double range") from None
+            x = inf
+        if isnan(x):
+            raise FieldMismatch(f"{brief(repr(value))} is not a real number")
+        if x in (inf, -inf):
+            raise OverflowOnConvert("a real scalar beyond the double range")
+        return x
 
     def __str__(self) -> str:
         return f"Fp:{self.p}" if self.kind == PRIME else self.kind

@@ -122,13 +122,6 @@ class Poset:
     def maximal_elements(self) -> list[str]:
         return [e for i, e in enumerate(self.elements) if not self._succ[i]]
 
-    def closure_pairs(self) -> set[tuple[str, str]]:
-        return {
-            (self.elements[a], self.elements[b])
-            for a in range(len(self.elements))
-            for b in self._up[a]
-        }
-
     def hasse_edges(self) -> tuple[tuple[str, str], ...]:
         return self.covers
 
@@ -221,14 +214,12 @@ def topological_sort(p: Poset) -> list[str]:
 
 
 def down_set(p: Poset, s: str) -> Poset:
-    """Induced subposet on the elements strictly below s; its covers are
-    re-reduced from the up-sets of those elements."""
+    """Induced subposet on the elements strictly below s.  A down-set holds
+    every element between two of its own, so its covers are the covers of p
+    whose upper end lies in it, and build_poset has nothing to reduce."""
     keep = p._down[p.index(s)]
     elements = [e for i, e in enumerate(p.elements) if i in keep]
-    pairs = [(p.elements[a], p.elements[b]) for a in keep for b in p._up[a] & keep]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RedundantCoversWarning)
-        return build_poset(elements, pairs)
+    return build_poset(elements, [(a, b) for a, b in p.covers if p.index(b) in keep])
 
 
 def order_complex(p: Poset) -> list[list[tuple[str, ...]]]:
@@ -302,8 +293,8 @@ def classify(p: Poset, field: FieldTag) -> PosetClassification:
 
     rank = _grading(p)
     owned: dict[str, list[int]] = {s: [] for s in p.elements}
-    for g in minimal_incidence(p, field).generators:
-        owned[g.owner].append(g.degree)
+    for deg, owner in minimal_incidence(p, field).generators:
+        owned[owner].append(deg)
     morse = all(len(degrees) == 1 for degrees in owned.values())
     cell_dims = {s: owned[s][0] for s in p.elements} if morse else None
     homology_cell = (

@@ -127,21 +127,17 @@ class CompositionalityViolation:
 def _saturated_paths(p: Poset, s: str, t: str):
     """Every saturated path s = x_0 < x_1 < ... < x_k = t, each step a Hasse
     cover, depth first with covers in topo order: lexicographically in topo
-    positions, so the first path is the canonical one."""
-    path = [s]
-
-    def extend():
-        last = path[-1]
-        if last == t:
-            yield tuple(path)
-            return
-        for nxt in p.covers_of(last):
-            if nxt == t or p.lt(nxt, t):
-                path.append(nxt)
-                yield from extend()
-                path.pop()
-
-    return extend()
+    positions, so the first path is the canonical one.  The search keeps its
+    own stack of cover iterators, so no path is too long for it."""
+    stack = [(s, iter(p.covers_of(s)))]
+    while stack:
+        nxt = next(stack[-1][1], None)
+        if nxt is None:
+            stack.pop()
+        elif nxt == t:
+            yield (*(x for x, _ in stack), t)
+        elif p.lt(nxt, t):
+            stack.append((nxt, iter(p.covers_of(nxt))))
 
 
 def _frobenius_sq(m: Matrix) -> float:
@@ -349,7 +345,8 @@ def parallel_transport(d: Sheaf, path) -> TransportResult:
 
 def monodromy(d: Sheaf, base: str) -> list[TransportResult]:
     """Transport matrices around the fundamental cycles of the Hasse diagram,
-    one per non-tree edge of a breadth-first spanning tree rooted at base."""
+    one per non-tree cover of a breadth-first spanning tree rooted at base,
+    which is its parent map; a disconnected diagram raises Disconnected."""
     p = d.poset
     p.index(base)
     neighbors: dict[str, list[str]] = {e: [] for e in p.elements}
@@ -360,13 +357,10 @@ def monodromy(d: Sheaf, base: str) -> list[TransportResult]:
         neighbors[e].sort(key=p.topo_position)
     parent: dict[str, str | None] = {base: None}
     queue = [base]
-    tree_edges: set[frozenset] = set()
-    while queue:
-        current = queue.pop(0)
+    for current in queue:  # the queue grows as the search reaches new elements
         for nxt in neighbors[current]:
             if nxt not in parent:
                 parent[nxt] = current
-                tree_edges.add(frozenset((current, nxt)))
                 queue.append(nxt)
     if len(parent) != len(p.elements):
         raise Disconnected("Hasse diagram is not connected")
@@ -378,11 +372,8 @@ def monodromy(d: Sheaf, base: str) -> list[TransportResult]:
         return list(reversed(out))
 
     loops = []
-    extra = [
-        (a, b)
-        for (a, b) in p.hasse_edges()
-        if frozenset((a, b)) not in tree_edges
-    ]
+    # a cover is a tree edge exactly when one end is the other's parent
+    extra = [(a, b) for (a, b) in p.hasse_edges() if parent[b] != a and parent[a] != b]
     extra.sort(key=lambda ab: (p.topo_position(ab[0]), p.topo_position(ab[1])))
     for (a, b) in extra:
         loop = tree_path(a) + list(reversed(tree_path(b)))

@@ -50,6 +50,11 @@ def scalar_ops(field):
             lambda a, b: a * b % p, lambda a, b: a * pow(b, p - 2, p) % p)
 
 
+def closure_pairs(p: Poset) -> set[tuple[str, str]]:
+    """Every comparable pair (a, b) with a < b in p."""
+    return {(a, b) for a in p.elements for b in p.strict_upper(a)}
+
+
 def poset_reference(elements: list[str], pairs: list[tuple[str, str]]) -> dict:
     """What ``build_poset`` should make of acyclic input, found apart from it:
     strict up-sets by depth-first search from each element, Kahn's order with
@@ -278,7 +283,8 @@ def _reference_faces(c):
         by_set = {decoded[e]: e for e in s.poset.elements}
     else:
         inc = minimal_incidence(s.poset, QQ if f == RR else f)
-        gids = [[g.gid for g in inc.generators if g.degree == j] for j in range(len(c.degrees))]
+        gids = [[g for g, (degree, _) in enumerate(inc.generators) if degree == j]
+                for j in range(len(c.degrees))]
     for j in range(len(c.diffs)):
         owners = c.degrees[j + 1]
         if c.kind == "roos":
@@ -300,7 +306,7 @@ def _reference_faces(c):
             for r, (e, row_gid) in enumerate(zip(owners, gids[j + 1])):
                 for gid, scalar in inc.columns[row_gid].items():
                     if gid in copy:
-                        yield j, r, copy[gid], inc.generators[gid].owner, e, scalar
+                        yield j, r, copy[gid], inc.generators[gid][1], e, scalar
 
 
 def _summand_offsets(c) -> list[list[int]]:
@@ -339,7 +345,7 @@ def incidence_reference(p: Poset, field) -> tuple[list, list[dict]]:
     """Generators and boundary columns of the incidence algorithm with one
     ``homology_basis`` call per element and no memo, as ``minimal_incidence``
     ran before it kept the homology of repeated down-set complexes."""
-    from posheaf.cochain import AUGMENTATION, IncidenceGenerator
+    from posheaf.cochain import AUGMENTATION
     from posheaf.linalg import homology_basis
 
     degrees: list[int] = []
@@ -368,9 +374,7 @@ def incidence_reference(p: Poset, field) -> tuple[list, list[dict]]:
                 degrees.append(j)
                 owners.append(s)
                 columns.append({gens[i]: x for i, x in vec.items()})
-    generators = [IncidenceGenerator(gid, deg, owner)
-                  for gid, (deg, owner) in enumerate(zip(degrees, owners))]
-    return generators, columns
+    return list(zip(degrees, owners)), columns
 
 
 def saturated_paths_reference(p: Poset) -> dict[tuple[str, str], list[tuple[str, ...]]]:
@@ -433,7 +437,7 @@ def decode_simplicial_reference(p: Poset) -> dict[str, tuple[str, ...]] | None:
         if len(parts) > 1 and any(parts[:i] + parts[i + 1:] not in present
                                   for i in range(len(parts))):
             return None
-    closure = p.closure_pairs()
+    closure = closure_pairs(p)
     for a in p.elements:
         for b in p.elements:
             if (set(decoded[a]) < set(decoded[b])) != ((a, b) in closure):

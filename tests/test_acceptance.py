@@ -171,13 +171,13 @@ def test_criterion_07_morse_example():
         [("1", "a"), ("2", "a"), ("a", "b"), ("3", "b")],
     )
     inc = minimal_incidence(p, QQ)
-    degrees = sorted((g.owner, g.degree) for g in inc.generators)
+    degrees = sorted((owner, degree) for degree, owner in inc.generators)
     ok = degrees == [("1", 0), ("2", 0), ("3", 0), ("a", 1), ("b", 1)]
-    (gb,) = [g for g in inc.generators if g.owner == "b"]
+    (gb,) = [g for g, (_, owner) in enumerate(inc.generators) if owner == "b"]
     row = {
-        h.owner: inc.incidence(gb, h)
-        for h in inc.generators
-        if h.degree == 0 and inc.incidence(gb, h)
+        owner: inc.columns[gb].get(h, 0)
+        for h, (degree, owner) in enumerate(inc.generators)
+        if degree == 0 and inc.columns[gb].get(h, 0)
     }
     ok = ok and len(row) <= 2
     k3 = row.get("3", 0)

@@ -32,8 +32,8 @@ from posheaf.linalg import (
     rank,
     rref,
 )
-from posheaf.poset import simplicial_complex_poset
-from posheaf.sheaf import constant_sheaf, global_sections_bruteforce, path_poset
+from posheaf.poset import build_poset, simplicial_complex_poset
+from posheaf.sheaf import build_sheaf, constant_sheaf, global_sections_bruteforce, path_poset
 from posheaf.spectral import (dirichlet_energy, hypergraph_energy_forms, laplacian,
                               real_sheaf_complex)
 
@@ -308,6 +308,23 @@ def test_real_coerce_beyond_the_doubles_is_overflow_on_convert():
         with pytest.raises(OverflowOnConvert, match="beyond the double range"):
             Matrix.from_rows([[value]], RR)
     assert RR.coerce(Fraction(10**400, 10**399)) == 10.0
+
+
+def test_real_coerce_refuses_non_finite_values():
+    for value in ("1e400", "-1e400", "inf", "-inf", float("inf"), float("-inf")):
+        with pytest.raises(OverflowOnConvert, match="^a real scalar beyond the double range$"):
+            RR.coerce(value)
+    for value in ("nan", float("nan")):
+        with pytest.raises(FieldMismatch, match=f"^{value!r} is not a real number$"):
+            RR.coerce(value)
+    with pytest.raises(OverflowOnConvert, match="beyond the double range"):
+        Matrix.from_rows([["1e400", float("nan")]], RR)
+    with pytest.raises(FieldMismatch, match="nan"):
+        Matrix.from_rows([[1.0, float("nan")]], RR)
+    p = build_poset(["a", "b"], [("a", "b")])
+    with pytest.raises(OverflowOnConvert, match="beyond the double range"):
+        build_sheaf(p, {"a": 1, "b": 1}, {("a", "b"): [["1e400"]]}, RR)
+    assert RR.coerce("1e308") == 1e308 and RR.coerce("-2.5") == -2.5
 
 
 def test_prime_field_coerce_maps_rationals_to_residues():

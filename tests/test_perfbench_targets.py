@@ -14,7 +14,7 @@ import pytest
 
 from helpers import random_compositional_sheaf, random_dag_poset, seeded_rng, twisted_cycle_sheaf
 from posheaf import linalg
-from posheaf.cochain import betti_numbers, build_complex, cohomology
+from posheaf.cochain import betti_numbers, build_complex, cohomology, minimal_incidence
 from posheaf.linalg import QQ, prime_field
 from posheaf.poset import simplicial_complex_poset
 from posheaf.sheaf import constant_sheaf
@@ -46,6 +46,17 @@ def test_traced_counters_report_stored_nonzeros_and_shapes():
         assert counts["linalg.rref_calls"] == 1
         assert counts["linalg.rref_entries"] == m.rows * m.cols == 80 * 80
         assert counts["linalg.rref_nnz"] == nnz
+
+
+def test_traced_generator_count_is_the_number_of_incidence_generators():
+    spans = runpy.run_path(str(SPANS))
+    inc = minimal_incidence(twisted_cycle_sheaf(40, seeded_rng(3)).poset, QQ)
+    assert len(inc.generators) == 80
+    for degree, owner in inc.generators:
+        assert type(degree) is int and type(owner) is str
+    counts = Counter({"cochain.generators": 5})
+    spans["_count_generators"](counts, (), inc)
+    assert counts["cochain.generators"] == 5 + len(inc.generators)
 
 
 def _dag59():

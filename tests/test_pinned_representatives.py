@@ -78,13 +78,13 @@ def _incidence_columns(s, tmp_path):
     report = json.loads(buffer.getvalue())["incidence"]
     labels, matrix = report["labels"], report["matrix"]
     out = []
-    for g in inc.generators:
-        col = g.gid + 1
-        out.append([g.gid, g.degree, g.owner,
+    for g, (degree, owner) in enumerate(inc.generators):
+        col = g + 1
+        out.append([g, degree, owner,
                     [[labels[row], matrix[row][col]]
                      for row in range(len(labels)) if matrix[row][col] != "0"]])
-        for h in inc.generators:
-            assert str(inc.incidence(g, h)) == matrix[h.gid + 1][col]
+        for h in range(len(inc.generators)):
+            assert str(inc.columns[g].get(h, s.field.zero())) == matrix[h + 1][col]
     return out
 
 

@@ -23,6 +23,7 @@ from posheaf.poset import (
 
 from helpers import (
     brute_force_chains,
+    closure_pairs,
     decode_simplicial_reference,
     poset_reference,
     random_dag_poset,
@@ -176,6 +177,27 @@ def test_topological_sort_examples():
     assert topological_sort(chain) == ["c", "b", "a"]
 
 
+def test_down_set_is_the_induced_subposet_and_warns_of_nothing():
+    rng = seeded_rng(29)
+    reduced = 0  # down-sets whose comparable pairs include transitive ones
+    for _ in range(60):
+        p = random_dag_poset(rng, max_elements=9)
+        for s in p.elements:
+            below = p.strict_lower(s)
+            elements = [e for e in p.elements if e in below]
+            pairs = sorted((a, b) for a, b in closure_pairs(p) if a in below and b in below)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RedundantCoversWarning)
+                expected = build_poset(elements, pairs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = down_set(p, s)
+            assert got == expected
+            assert got.topo_order == expected.topo_order
+            reduced += len(pairs) > len(got.covers)
+    assert reduced > 0
+
+
 def test_topological_sort_respects_closure_randomized():
     rng = seeded_rng(11)
     for _ in range(40):
@@ -183,7 +205,7 @@ def test_topological_sort_respects_closure_randomized():
         order = topological_sort(p)
         assert sorted(order) == sorted(p.elements)
         position = {e: i for i, e in enumerate(order)}
-        for (a, b) in p.closure_pairs():
+        for (a, b) in closure_pairs(p):
             assert position[a] < position[b]
 
 

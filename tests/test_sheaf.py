@@ -1,9 +1,11 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from posheaf.errors import (
+    Disconnected,
     ExtraEdgeMap,
     FieldMismatch,
     MissingEdgeMap,
@@ -33,11 +35,14 @@ from posheaf.sheaf import (
     path_poset,
     pullback,
     skyscraper_cone_sheaf,
+    _saturated_paths,
 )
 
 from helpers import (
+    closure_pairs,
     compositionality_reference,
     dense_compose,
+    gauge_connection_sheaf,
     seeded_rng,
     random_compositional_sheaf,
     random_dag_poset,
@@ -314,6 +319,44 @@ def test_monodromy_tree_is_empty_and_sections_full():
     assert global_sections_bruteforce(s).dim == 1
 
 
+def test_monodromy_on_two_components_is_disconnected():
+    p = build_poset(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
+    with pytest.raises(Disconnected, match="not connected"):
+        monodromy(constant_sheaf(p, 1, QQ), "a")
+
+
+def test_monodromy_has_one_loop_per_independent_cycle_of_the_hasse_diagram():
+    rng = seeded_rng(43)
+    connected = 0
+    for _ in range(60):
+        p, n, edges = random_graph_poset(rng, max_vertices=8)
+        s = gauge_connection_sheaf(p, rng)
+        base = p.elements[0]
+        if union_find_components(n, edges) > 1:
+            with pytest.raises(Disconnected):
+                monodromy(s, base)
+            continue
+        connected += 1
+        loops = monodromy(s, base)
+        assert len(loops) == len(p.hasse_edges()) - len(p.elements) + 1
+        for loop in loops:
+            assert loop.path[0] == loop.path[-1] == base
+            # a gauge-trivial sheaf transports every closed path to the identity
+            assert loop.matrix == Matrix.identity(1, QQ)
+    assert connected >= 10
+
+
+def test_saturated_paths_past_the_recursion_limit():
+    n = 1500
+    chain = [f"c{i}" for i in range(n)]
+    p = build_poset(chain + ["x", "y"],
+                    list(zip(chain, chain[1:] + ["x"])) + [("y", "x")])
+    assert n > sys.getrecursionlimit()
+    (path,) = _saturated_paths(p, "c0", "x")
+    assert path == (*chain, "x")
+    assert constant_sheaf(p, 1, QQ).map("c0", "x") == Matrix.identity(1, QQ)
+
+
 def test_sections_count_equals_components_randomized():
     rng = seeded_rng(59)
     for _ in range(100):
@@ -333,7 +376,7 @@ def test_pullback_is_checked_on_covers_against_the_closure_reference():
         else:
             f = {s: target.elements[int(rng.integers(0, len(target)))] for s in source.elements}
         sheaf = constant_sheaf(target, 1, QQ)
-        out_of_order = {(a, b) for (a, b) in source.closure_pairs()
+        out_of_order = {(a, b) for (a, b) in closure_pairs(source)
                         if not target.leq(f[a], f[b])}
         if not out_of_order:
             assert pullback(sheaf, f, source).poset == source

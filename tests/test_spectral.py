@@ -69,16 +69,17 @@ def _fraction_scalar_diffs(c):
     s = c.sheaf
     inc = minimal_incidence(s.poset, QQ)
     offsets = [list(accumulate(dims, initial=0)) for dims in c.dims]
-    gids = [[g.gid for g in inc.generators if g.degree == j] for j in range(len(c.degrees))]
+    gids = [[g for g, (degree, _) in enumerate(inc.generators) if degree == j]
+            for j in range(len(c.degrees))]
     place = {gid: (j, k) for j, row in enumerate(gids) for k, gid in enumerate(row)}
     diffs = [Matrix.zeros(offsets[j + 1][-1], offsets[j][-1], RR) for j in range(len(c.diffs))]
-    for g2 in inc.generators:
-        _, row = place[g2.gid]
-        for gid1, scalar in inc.columns[g2.gid].items():
+    for gid2, (_, owner2) in enumerate(inc.generators):
+        _, row = place[gid2]
+        for gid1, scalar in inc.columns[gid2].items():
             if gid1 != AUGMENTATION:
                 j, col = place[gid1]
                 diffs[j].add_block(offsets[j + 1][row], offsets[j][col],
-                                   s.map(inc.generators[gid1].owner, g2.owner), scalar)
+                                   s.map(inc.generators[gid1][1], owner2), scalar)
     return diffs
 
 
