@@ -166,9 +166,13 @@ def parse_sheaf(text: str) -> Sheaf:
     The checks run in a fixed order (field, elements, covers and the poset,
     stalks, then each map in document order, its entries row-major, and last
     the missing maps), so of several faults the first in that order is the one
-    reported.  Each distinct string among the map entries is parsed once, and
-    its scalar, immutable, is shared by every entry that repeats it; the
-    sparse rows of each map are built straight from the entries."""
+    reported.  A map key is found with one lookup among the Hasse edges keyed
+    "a<b", and is split only to tell a bad key from a non-edge.  Each
+    distinct string among the map entries is parsed once, and its scalar,
+    immutable, is shared by every entry that repeats it.  The sparse rows of
+    each map are built in one flat pass over its entries, a new row every
+    ``cols`` of them; a map from a 0-dimensional stalk has ``rows`` empty
+    rows."""
     doc = parse_document(text)
     field = field_from_string(str(_require(doc, "field")))
     elements = _require(doc, "elements")
@@ -203,35 +207,36 @@ def parse_sheaf(text: str) -> Sheaf:
     maps_doc = _require(doc, "maps")
     if not isinstance(maps_doc, dict):
         raise SchemaError("maps: must be an object")
-    hasse = set(poset.covers)
+    hasse = {f"{a}<{b}": (a, b) for a, b in poset.covers}
     parsed: dict[str, object] = {}  # literal -> its scalar, or None if zero
     maps = {}
     for key, entries in maps_doc.items():
-        ends = key.split("<")
-        if len(ends) != 2:
-            raise SchemaError(f"maps: bad key {brief(repr(key))}")
-        a, b = ends
-        if (a, b) not in hasse:
+        edge = hasse.get(key)
+        if edge is None:
+            if key.count("<") != 1:
+                raise SchemaError(f"maps: bad key {brief(repr(key))}")
             raise SchemaError(f"maps: {brief(key)} is not a Hasse edge")
-        rows, cols = stalks[b], stalks[a]
+        rows, cols = stalks[edge[1]], stalks[edge[0]]
         if not isinstance(entries, list) or len(entries) != rows * cols:
             raise SchemaError(
                 f"maps: {brief(key)} needs {rows * cols} row-major entries"
             )
-        sparse = []
-        for r in range(rows):
-            row = {}
-            for c, x in enumerate(entries[r * cols:(r + 1) * cols]):
-                if type(x) is str:
-                    value = parsed.get(x, _UNSEEN)
-                    if value is _UNSEEN:
-                        value = parsed[x] = scalar_from_string(x, field) or None
-                else:  # a JSON number, or unhashable: parsed anew
-                    value = scalar_from_string(x, field) or None
-                if value is not None:
-                    row[c] = value
-            sparse.append(row)
-        maps[(a, b)] = Matrix._of(rows, cols, sparse, field)
+        sparse = [] if cols else [{} for _ in range(rows)]
+        c = cols
+        for x in entries:
+            if c == cols:
+                sparse.append(row := {})
+                c = 0
+            if type(x) is str:
+                value = parsed.get(x, _UNSEEN)
+                if value is _UNSEEN:
+                    value = parsed[x] = scalar_from_string(x, field) or None
+            else:  # a JSON number, or unhashable: parsed anew
+                value = scalar_from_string(x, field) or None
+            if value is not None:
+                row[c] = value
+            c += 1
+        maps[edge] = Matrix._of(rows, cols, sparse, field)
     if len(maps) != len(poset.covers):
         for (a, b) in poset.covers:
             if (a, b) not in maps:

@@ -7,12 +7,15 @@ one call of ``_add_multiple``, and every echelon step is one ``_insert_row``:
 reduce a row by the rows owning its lead column until it vanishes or leads in
 a new column, which it then owns.  The one forward pass, ``_echelon``, takes
 the nonzero rows in decreasing lexicographic order of their sorted columns,
-so by decreasing lead; ``rank`` counts its pivot rows, and ``rref``, through
-which ``kernel_basis``, ``invert`` and ``homology_basis`` eliminate,
-back-substitutes them into the one reduced row echelon form, whatever the
-order.  ``homology_basis`` also keeps a representative iff ``_insert_row``
-stores it.  The order bounds the work on rows that share lead columns, as a
-differential's and the Hasse-edge system of ``sections`` do.  Every row taken
+so by decreasing lead; ``rank`` counts its pivot rows, and
+``_back_substitute`` reduces them to the one reduced row echelon form,
+whatever the order.  ``rref`` is the two in turn, and ``kernel_basis`` and
+``homology_basis`` read kernel vectors off the same two passes.
+``homology_basis`` runs a differential's forward pass once, back-substitutes
+it only where the Betti number it gives is nonzero, and keeps a
+representative iff ``_insert_row`` stores it.  The order bounds the work on
+rows that share lead columns, as a differential's and the Hasse-edge system
+of ``sections`` do.  Every row taken
 before the first one leading in column l leads after l, and a row is stored
 at or after its lead, so that row is stored as it entered.  Each later one
 has its next column at or before that pivot row's, so one subtraction leaves
@@ -27,12 +30,14 @@ integral and a ``fractions.Fraction`` only where the denominator exceeds 1
 (``rational``).  Since ``int op Fraction`` is exact, every kernel computes
 with Python's ``+``, ``-`` and ``*`` on either, with no type test, and
 reduces with ``% p`` where the field has a modulus p.  Elimination over Q
-builds no Fraction: rows enter as primitive integer rows (``_enter``), and a
-pivot row is one again (``_pivot_row``), as in Bareiss's integer-preserving
-elimination with the content as divisor.  Clearing a column of a row with a
-pivot row is row := a * row - b * pivot, a and b their entries there, over
-both exact fields, since an F_p pivot row leads with 1.  ``rref`` builds a
-Fraction only for an entry that its row's lead does not divide.
+builds no Fraction: rows enter as primitive integer rows (``_enter``, which
+divides an all-int row by its gcd and rescales only a row holding a
+Fraction), and a pivot row is one again (``_pivot_row``), as in Bareiss's
+integer-preserving elimination with the content as divisor.  Clearing a
+column of a row with a pivot row is row := a * row - b * pivot, a and b their
+entries there, over both exact fields, since an F_p pivot row leads with 1.
+``_back_substitute`` builds a Fraction only for an entry that its row's lead
+does not divide.
 ``check_d_squared`` is the one test that consecutive differentials compose to
 zero, for every field: exactly over Q and F_p, within a relative tolerance
 over R.
@@ -48,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, inf, isnan, isqrt, lcm
+from math import gcd, inf, isnan, isqrt, lcm, nan
 from numbers import Integral
 
 from .errors import FieldMismatch, NotAComplex, OverflowOnConvert, brief
@@ -100,37 +105,40 @@ class FieldTag:
         """Normalize an int/str/Fraction/float into this field's scalar type,
         reading numpy's fixed-width integers as ints, so no product wraps.
 
-        Over F_p a rational n/d maps to n * d^-1 mod p; a denominator that p
-        divides, a float that is not an integer, or a value that is not a
-        rational number raises FieldMismatch.  Over R a value beyond the
-        doubles, infinities included, raises OverflowOnConvert, and nan
-        raises FieldMismatch.
+        A value that is not a number of the field (over Q and F_p one that
+        ``Fraction`` refuses, over R one that ``float`` refuses, or nan)
+        raises FieldMismatch, as does, over F_p, a denominator that p divides
+        or a float that is not an integer.  Over R a value beyond the
+        doubles, infinities included, raises OverflowOnConvert.  Over F_p a
+        rational n/d maps to n * d^-1 mod p.
         """
         if isinstance(value, Integral):
             value = int(value)
-        if self.kind == RATIONALS:
-            return rational(Fraction(value))
-        if self.kind == PRIME:
-            if isinstance(value, float) and not value.is_integer():
-                raise FieldMismatch(f"{brief(repr(value))} is not an integer")
+        if self.kind == REALS:
             try:
-                q = Fraction(value)
-            except (TypeError, ValueError) as exc:
-                raise FieldMismatch(
-                    f"{brief(repr(value))} is not a rational number: {brief(str(exc))}"
-                ) from None
-            if q.denominator % self.p == 0:
-                raise FieldMismatch(f"{brief(repr(value))} has no residue mod {self.p}")
-            return q.numerator * pow(q.denominator, -1, self.p) % self.p
+                x = float(value)
+            except OverflowError:
+                x = inf
+            except (TypeError, ValueError):  # not a number: refused as nan is
+                x = nan
+            if isnan(x):
+                raise FieldMismatch(f"{brief(repr(value))} is not a real number")
+            if x in (inf, -inf):
+                raise OverflowOnConvert("a real scalar beyond the double range")
+            return x
+        if self.kind == PRIME and isinstance(value, float) and not value.is_integer():
+            raise FieldMismatch(f"{brief(repr(value))} is not an integer")
         try:
-            x = float(value)
-        except OverflowError:
-            x = inf
-        if isnan(x):
-            raise FieldMismatch(f"{brief(repr(value))} is not a real number")
-        if x in (inf, -inf):
-            raise OverflowOnConvert("a real scalar beyond the double range")
-        return x
+            q = Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise FieldMismatch(
+                f"{brief(repr(value))} is not a rational number: {brief(str(exc))}"
+            ) from None
+        if self.kind == RATIONALS:
+            return rational(q)
+        if q.denominator % self.p == 0:
+            raise FieldMismatch(f"{brief(repr(value))} has no residue mod {self.p}")
+        return q.numerator * pow(q.denominator, -1, self.p) % self.p
 
     def __str__(self) -> str:
         return f"Fp:{self.p}" if self.kind == PRIME else self.kind
@@ -307,11 +315,16 @@ def _pivot_row(row: dict, lead, p: int | None) -> dict:
 
 def _enter(row: dict, p: int | None) -> dict:
     """A fresh copy of row to eliminate; over Q the primitive integer row with
-    its span: row times the lcm of its denominators, over its content."""
+    its span: an integral row over its content, any other row times the lcm
+    of its denominators over its content."""
+    row = dict(row)
     if p:
-        return dict(row)
-    d = lcm(*(x.denominator for x in row.values()))
-    return _pivot_row({j: x.numerator * (d // x.denominator) for j, x in row.items()}, None, p)
+        return row
+    try:
+        return _pivot_row(row, None, p)
+    except TypeError:  # gcd takes ints only: a Fraction is among the values
+        d = lcm(*(x.denominator for x in row.values()))
+        return _pivot_row({j: x.numerator * (d // x.denominator) for j, x in row.items()}, None, p)
 
 
 def _insert_row(owner: dict[int, dict], row: dict, p: int | None) -> bool:
@@ -336,24 +349,18 @@ def _echelon(m: Matrix) -> dict[int, dict]:
     return owner
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
-    """Reduced row echelon form of an exact-field matrix.
+def _back_substitute(owner: dict[int, dict], p: int | None) -> dict[int, dict]:
+    """The reduced row echelon form of ``_echelon``'s pivot rows, which it
+    reduces in place: {pivot column: its reduced row}, by increasing pivot.
 
-    Returns (reduced matrix, pivot column indices in increasing order, rank);
-    row r of the reduced matrix is the pivot row of pivots[r], and the rows
-    after the rank are empty.
-
-    ``_echelon``, then back-substitution on its pivot rows: from the last to
-    the first, clear a row's entries in later pivot columns with the rows
-    already fully reduced; they vanish in every other pivot column, so each
-    subtraction changes free columns only, and on a cycle's coboundary each
-    row meets O(1) others; then the row is made a pivot row again.  Over Q
-    both passes run on integer rows, and each entry x of the result is the Q
-    scalar x / lead: dense Gauss-Jordan's entry, as the form is unique.
+    From the last pivot row to the first, clear a row's entries in later pivot
+    columns with the rows already fully reduced; they vanish in every other
+    pivot column, so each subtraction changes free columns only, and on a
+    cycle's coboundary each row meets O(1) others; then the row is made a
+    pivot row again.  Over Q both passes run on integer rows, and each entry x
+    of the result is the Q scalar x / lead: dense Gauss-Jordan's entry, as the
+    form is unique.
     """
-    require_exact(m.field, "rref")
-    p = m.field.p
-    owner = _echelon(m)
     pivots = sorted(owner)
     for pc in reversed(pivots):
         row = owner[pc]
@@ -361,11 +368,23 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
             _add_multiple(row, -row[j], owner[j], p, owner[j][j])
         _pivot_row(row, pc, p)
     # a pivot row that leads with 1, as every F_p one does, is its own result
-    entries = [row if (lead := row[pc]) == 1
-               else {j: x // lead if not x % lead else Fraction(x, lead) for j, x in row.items()}
-               for pc, row in sorted(owner.items())]
-    entries += [{} for _ in range(m.rows - len(pivots))]
-    return Matrix._of(m.rows, m.cols, entries, m.field), pivots, len(pivots)
+    return {pc: row if (lead := row[pc]) == 1
+            else {j: x // lead if not x % lead else Fraction(x, lead) for j, x in row.items()}
+            for pc, row in sorted(owner.items())}
+
+
+def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
+    """Reduced row echelon form of an exact-field matrix: ``_echelon``, then
+    ``_back_substitute``.
+
+    Returns (reduced matrix, pivot column indices in increasing order, rank);
+    row r of the reduced matrix is the pivot row of pivots[r], and the rows
+    after the rank are empty.
+    """
+    require_exact(m.field, "rref")
+    reduced = _back_substitute(_echelon(m), m.field.p)
+    entries = list(reduced.values()) + [{} for _ in range(m.rows - len(reduced))]
+    return Matrix._of(m.rows, m.cols, entries, m.field), list(reduced), len(reduced)
 
 
 def rank(m: Matrix) -> int:
@@ -374,15 +393,13 @@ def rank(m: Matrix) -> int:
     return len(_echelon(m))
 
 
-def _kernel_entries(m: Matrix) -> list[dict]:
-    """Sparse basis of the right null space, one vector per non-pivot column:
-    entry 1 at its free column and minus the pivot rows' entries there."""
-    red, pivots, _ = rref(m)
-    one, p = m.field.one(), m.field.p
-    basis = {free: {free: one} for free in range(m.cols)}
-    for pc in pivots:
-        del basis[pc]
-    for pc, row in zip(pivots, red._entries):
+def _kernel_entries(owner: dict[int, dict], n: int, field: FieldTag) -> list[dict]:
+    """Sparse basis of the right null space of a matrix with n columns, from
+    its ``_echelon`` pivot rows, one vector per non-pivot column: entry 1 at
+    its free column and minus the reduced pivot rows' entries there."""
+    one, p = field.one(), field.p
+    basis = {free: {free: one} for free in range(n) if free not in owner}
+    for pc, row in _back_substitute(owner, p).items():
         for j, x in row.items():
             if j != pc:
                 basis[j][pc] = -x % p if p else -x
@@ -393,7 +410,7 @@ def kernel_basis(m: Matrix) -> list[list]:
     """Basis of the right null space as dense vectors, one per non-pivot
     column in increasing order, in RREF free-variable form."""
     require_exact(m.field, "kernel_basis")
-    basis = _kernel_entries(m)
+    basis = _kernel_entries(_echelon(m), m.cols, m.field)
     return Matrix._of(len(basis), m.cols, basis, m.field).data
 
 
@@ -453,9 +470,13 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
     indices below dims[i]: kernel vectors in RREF free-variable form, reduced
     modulo an RREF basis of the incoming image (the nonzero columns of
     diffs[i - 1]), and kept verbatim when independent of that image and of
-    the representatives kept before them.  A degree whose Betti number, its
-    kernel's size less the rank of diffs[i - 1], is zero has none, and its
-    image is never reduced.
+    the representatives kept before them.
+
+    Each differential's forward pass (``_echelon``) runs once and gives its
+    rank, so degree i's Betti number is dims[i] less the ranks of diffs[i]
+    and diffs[i - 1].  A degree where that is zero has no representatives:
+    its pivot rows are not back-substituted into kernel vectors and its image
+    is never reduced.
     """
     require_exact(field, "homology_basis")
     if len(diffs) != max(len(dims) - 1, 0) or any(
@@ -467,16 +488,14 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
     out: list[list[dict]] = []
     incoming_rank = 0
     for i, n in enumerate(dims):
-        if i < len(diffs):
-            kernel = _kernel_entries(diffs[i])
-        else:
-            kernel = [{k: field.one()} for k in range(n)]
+        owner = _echelon(diffs[i]) if i < len(diffs) else {}
         reps: list[dict] = []
         out.append(reps)
-        betti = len(kernel) - incoming_rank
-        incoming_rank = n - len(kernel)  # the rank of diffs[i], by rank-nullity
+        betti = n - len(owner) - incoming_rank
+        incoming_rank = len(owner)
         if betti == 0:
             continue
+        kernel = _kernel_entries(owner, n, field)
         image: dict[int, dict] = {}
         if i > 0:
             d = diffs[i - 1]

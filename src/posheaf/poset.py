@@ -61,7 +61,7 @@ class Poset:
 
     def __init__(self, elements: tuple[str, ...], index: dict[str, int],
                  covers: tuple[tuple[str, str], ...], succ: list[set[int]],
-                 up: list[set[int]], topo_idx: list[int]):
+                 up: list[set[int]], topo_idx: range | list[int]):
         self.elements = elements
         self.covers = covers
         self._index = index
@@ -144,7 +144,10 @@ def build_poset(elements, covers) -> Poset:
 
     Faults are reported in input order: the first repeated identifier, then
     the first cover with an undeclared endpoint or equal endpoints, then a
-    cycle.  One reverse topological pass builds the strict up-sets and the
+    cycle.  When every cover leads to a later-declared element, declaration
+    order is the topological order, as it is the order Kahn's algorithm with
+    ties broken by least index returns, and that algorithm runs only
+    otherwise.  One reverse topological pass builds the strict up-sets and the
     Hasse covers: a successor b of a is a cover unless b lies in the up-set of
     another successor of a.  Redundant (transitive) pairs are dropped with one
     RedundantCoversWarning; repeated pairs count once and raise nothing.
@@ -159,6 +162,7 @@ def build_poset(elements, covers) -> Poset:
                 raise DuplicateElement(f"duplicate element {brief(repr(e))}")
             seen.add(e)
     succ: list[set[int]] = [set() for _ in range(n)]
+    forward = True  # every cover leads to a later-declared element
     for a, b in covers:
         a, b = str(a), str(b)
         try:
@@ -170,7 +174,9 @@ def build_poset(elements, covers) -> Poset:
         if i == j:
             raise CycleDetected(f"reflexive cover ({brief(repr(a))}, {brief(repr(b))})")
         succ[i].add(j)
-    topo = _toposort_indices(n, succ)
+        if j < i:
+            forward = False
+    topo = range(n) if forward else _toposort_indices(n, succ)
     up: list[set[int]] = [set() for _ in range(n)]
     redundant = False
     for a in reversed(topo):

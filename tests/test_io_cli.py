@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import seeded_rng
+from helpers import random_dag_poset, random_sheaf, seeded_rng
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +133,20 @@ def test_parse_serialize_roundtrip_minimal_document():
     assert serialize_sheaf(sheaf) == doc
 
 
+@pytest.mark.parametrize("field", [QQ, prime_field(2**31 - 1), RR], ids=str)
+def test_parse_sheaf_inverts_serialize_sheaf_on_random_sheaves(field):
+    rng = seeded_rng(28)
+    shapes = set()
+    for _ in range(30):
+        s = random_sheaf(random_dag_poset(rng), rng, field)
+        back = parse_sheaf(serialize_sheaf(s))
+        assert (back.poset, back.poset.topo_order) == (s.poset, s.poset.topo_order)
+        assert (back.field, back.stalk_dim, back.edge_map) == (s.field, s.stalk_dim, s.edge_map)
+        shapes |= {(m.rows, m.cols) for m in s.edge_map.values()}
+    # 0-dimensional stalks give 0 x k and k x 0 maps
+    assert any(r == 0 < c for r, c in shapes) and any(c == 0 < r for r, c in shapes)
+
+
 def test_mobius_roundtrip_byte_identical():
     doc = serialize_sheaf(mobius_sheaf(4, QQ))
     assert serialize_sheaf(parse_sheaf(doc)) == doc
@@ -207,6 +221,12 @@ _THREE_CHAIN = {"field": "Q", "elements": ["a", "b", "c"], "covers": [["a", "b"]
     # a bad literal, before a wrong entry count and a bad key
     ({"maps": {"a<b": ["1/0"], "b<c": ["1", "2"], "zz": ["1"]}}, "SchemaError",
      "maps: bad scalar literal '1/0': Fraction(1, 0)"),
+    # a JSON array, before a bad literal in the same map
+    ({"stalks": {"a": 2, "b": 1, "c": 1}, "maps": {"a<b": [["1"], "1/0"], "b<c": ["1"]}},
+     "SchemaError", "maps: bad scalar literal ['1']: an array is not a scalar"),
+    # a key with two "<", before a key that is no Hasse edge
+    ({"maps": {"a<b": ["1"], "a<b<c": ["1"], "a<c": ["1"]}}, "SchemaError",
+     "maps: bad key 'a<b<c'"),
 ])
 def test_parse_sheaf_reports_the_first_of_two_faults(faults, code, message):
     with pytest.raises(Exception) as caught:

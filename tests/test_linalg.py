@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import re
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -325,6 +326,15 @@ def test_real_coerce_refuses_non_finite_values():
     with pytest.raises(OverflowOnConvert, match="beyond the double range"):
         build_sheaf(p, {"a": 1, "b": 1}, {("a", "b"): [["1e400"]]}, RR)
     assert RR.coerce("1e308") == 1e308 and RR.coerce("-2.5") == -2.5
+
+
+@pytest.mark.parametrize("value", ["abc", None, [1], "1/0"])
+def test_coerce_refuses_a_non_number_as_field_mismatch(value):
+    # Matrix.from_rows([[[1]]], QQ) holds the entry [1]
+    for field, kind in ((QQ, "rational"), (F5, "rational"), (RR, "real")):
+        message = f"^{re.escape(repr(value))} is not a {kind} number"
+        with pytest.raises(FieldMismatch, match=message):
+            Matrix.from_rows([[value]], field)
 
 
 def test_prime_field_coerce_maps_rationals_to_residues():

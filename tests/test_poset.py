@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posheaf.errors import CycleDetected, DuplicateElement, EmptyHyperedge, UnknownElement, UnknownVertex
+from posheaf import poset as poset_module
 from posheaf.linalg import QQ, prime_field
 from posheaf.poset import (
     RedundantCoversWarning,
@@ -138,8 +139,13 @@ def test_reduction_preserves_closure(data):
     assert not any((a, b) in full and (b, c) in full for a, c in reduced for b in middles)
 
 
-def test_build_poset_matches_a_dfs_closure_reference():
+def test_build_poset_matches_a_dfs_closure_reference(monkeypatch):
+    heap_runs = []
+    toposort = poset_module._toposort_indices
+    monkeypatch.setattr(poset_module, "_toposort_indices",
+                        lambda n, succ: heap_runs.append(n) or toposort(n, succ))
     rng = seeded_rng(23)
+    heap_cases = 0
     for _ in range(60):
         n = int(rng.integers(1, 12))
         # declared in a shuffled order, so topo order is not declaration order
@@ -154,18 +160,29 @@ def test_build_poset_matches_a_dfs_closure_reference():
             if closure and rng.random() < 0.5:
                 pairs.append(closure[int(rng.integers(len(closure)))])  # maybe transitive
         rng.shuffle(pairs)
-        reference = poset_reference(elements, pairs)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            p = build_poset(elements, pairs)
-        assert [w.category for w in caught] == [RedundantCoversWarning] * reference["redundant"]
-        assert p.covers == reference["covers"]
-        assert p.topo_order == reference["topo_order"]
-        for e in elements:
-            assert p.strict_upper(e) == [u for u in p.topo_order if u in reference["up"][e]]
-            assert p.strict_lower(e) == reference["down"][e]
-            assert p.covers_of(e) == [b for b in p.topo_order if (e, b) in reference["covers"]]
-            assert p.covered_by(e) == [a for a in p.topo_order if (a, e) in reference["covers"]]
+        # and declared by index, so every pair points forward and the heap
+        # does not run: topo order is declaration order
+        forward = sorted(elements, key=lambda e: int(e[1:]))
+        for declared in (elements, forward):
+            position = {e: i for i, e in enumerate(declared)}
+            backward = any(position[b] < position[a] for a, b in pairs)
+            heap_runs.clear()
+            reference = poset_reference(declared, pairs)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                p = build_poset(declared, pairs)
+            assert len(heap_runs) == backward
+            heap_cases += backward
+            assert [w.category for w in caught] == [RedundantCoversWarning] * reference["redundant"]
+            assert p.covers == reference["covers"]
+            assert p.topo_order == reference["topo_order"]
+            for e in declared:
+                assert p.strict_upper(e) == [u for u in p.topo_order if u in reference["up"][e]]
+                assert p.strict_lower(e) == reference["down"][e]
+                assert p.covers_of(e) == [b for b in p.topo_order if (e, b) in reference["covers"]]
+                assert p.covered_by(e) == [a for a in p.topo_order
+                                           if (a, e) in reference["covers"]]
+    assert heap_cases > 20
 
 
 def test_topological_sort_examples():

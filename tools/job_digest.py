@@ -20,6 +20,8 @@ import json
 import sys
 from pathlib import Path
 
+# write no __pycache__ into the checkout: a stale one slows a later benchmark set-up
+sys.dont_write_bytecode = True
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
