@@ -94,7 +94,10 @@ def _assemble(kind: str, d: Sheaf, degrees: list[list[str]],
     -x for -1 (-x mod p over F_p), and otherwise scalar * x, reduced mod p and
     dropped if it vanishes (a float product can underflow).  The entries go in
     face order, each block row by row, the order in which adding the blocks
-    to zero rows writes them.
+    to zero rows writes them.  A face whose two owners are one element has
+    the identity for its map, so it puts scalar (mod p) at (r0 + k, c0 + k)
+    without asking the sheaf for a map: in a Roos complex, every face of a
+    chain but the one that drops its top.
     """
     p = d.field.p
     dims = [[d.stalk(e) for e in owners] for owners in degrees]
@@ -102,8 +105,14 @@ def _assemble(kind: str, d: Sheaf, degrees: list[list[str]],
     diffs = [Matrix.zeros(offsets[j + 1][-1], offsets[j][-1], d.field)
              for j in range(len(degrees) - 1)]
     for j, r, c, scalar in faces:
-        block = d.map(degrees[j][c], degrees[j + 1][r])._entries
+        source, target = degrees[j][c], degrees[j + 1][r]
         r0, c0 = offsets[j + 1][r], offsets[j][c]
+        if source == target:
+            if v := scalar % p if p else scalar:
+                for k, row in enumerate(diffs[j]._entries[r0:r0 + dims[j][c]]):
+                    row[c0 + k] = v
+            continue
+        block = d.map(source, target)._entries
         for brow, row in zip(block, diffs[j]._entries[r0:r0 + len(block)]):
             if scalar == 1:
                 for k, x in brow.items():

@@ -476,7 +476,9 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
     rank, so degree i's Betti number is dims[i] less the ranks of diffs[i]
     and diffs[i - 1].  A degree where that is zero has no representatives:
     its pivot rows are not back-substituted into kernel vectors and its image
-    is never reduced.
+    is never reduced.  Elsewhere the kernel vectors are tried in turn until
+    the degree holds its Betti number of representatives: every later one
+    depends on those, so it would not be kept.
     """
     require_exact(field, "homology_basis")
     if len(diffs) != max(len(dims) - 1, 0) or any(
@@ -506,6 +508,8 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
         # an RREF row vanishes at the other pivots, so kvec's own entries decide
         kept: dict[int, dict] = {}
         for kvec in kernel:
+            if len(reps) == betti:
+                break
             candidate = dict(kvec)
             for pc in sorted(pc for pc in kvec if pc in image):
                 _add_multiple(candidate, -kvec[pc], image[pc], field.p)

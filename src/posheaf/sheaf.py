@@ -67,9 +67,13 @@ class Sheaf:
         return m
 
     def compose_along(self, path) -> Matrix:
-        """Composition of edge maps along an explicit saturated ascending path."""
-        m = Matrix.identity(self.stalk(path[0]), self.field)
-        for a, b in zip(path, path[1:]):
+        """Composition of edge maps along an explicit saturated ascending path,
+        from its first edge map, each later one applied on the left; the
+        identity on a one-element path."""
+        if len(path) == 1:
+            return Matrix.identity(self.stalk(path[0]), self.field)
+        m = self.edge_map[(path[0], path[1])]
+        for a, b in zip(path[1:], path[2:]):
             m = self.edge_map[(a, b)] @ m
         return m
 

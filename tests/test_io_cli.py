@@ -86,6 +86,22 @@ def test_canonical_json_matches_json_dumps_without_floats(tree):
     assert canonical_json(tree) == json.dumps(tree, separators=(",", ":"))
 
 
+_AWKWARD = ['', 'a"b', 'back\\slash', 'tab\tnew\nline\x00\x1f\x7f', '\u00e9\u2028',
+            '\ud800', '\U0001f600', '/']
+
+
+@pytest.mark.parametrize("obj", [
+    _AWKWARD, tuple(_AWKWARD), [_AWKWARD, ["0", "1/2"], []],
+    [0, -1, 2**70, -(2**70)], (7,), [[1, 0], [0, 1]],
+    [], (), [True, 1], [1, False], ["a", 1], [1, "a"], [None, "a"], [[], "a"],
+    {"rows": [["@", "g0"], [-3, 4]], "flags": [True, False]},
+])
+def test_canonical_json_lists_of_strs_or_ints_match_json_dumps(obj):
+    # lists of strs, of ints, empty and mixed (bools among ints included)
+    # are written as json.dumps writes them
+    assert canonical_json(obj) == json.dumps(obj, separators=(",", ":"))
+
+
 def test_canonical_json_writes_bools_as_json_and_keys_as_strings():
     assert canonical_json([True, 1, False, 0]) == "[true,1,false,0]"
     assert canonical_json({1: "a"}) == '{"1":"a"}'

@@ -364,7 +364,7 @@ def test_kernel_char_two():
     assert kernel_basis(m) == [[1, 1]]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=30))
 def test_prime_field_division_roundtrip(seed):
     # exhaustive multiplicative round trips for small primes
@@ -511,6 +511,30 @@ def test_rational_d_squared_check_rejects_a_non_complex():
     with pytest.raises(NotAComplex):
         check_d_squared([Matrix.from_rows([[Fraction(1, 2)], [-1]], QQ), d1])
     check_d_squared([Matrix.from_rows([[Fraction(1, 2)], [Fraction(-1, 2)]], QQ), d1])
+
+
+@pytest.mark.parametrize("d0, d1, ok", [
+    # blocks that mix ints and Fractions, then blocks of ints alone
+    ([[Fraction(1, 2)], [1]], [[1, Fraction(-1, 2)], [2, -1]], True),
+    ([[Fraction(1, 2)], [1]], [[1, Fraction(1, 2)], [2, -1]], False),
+    ([[Fraction(1, 2)], [-1]], [[1, 1]], False),
+    ([[1], [1]], [[1, -1], [3, -3]], True),
+    ([[1], [1]], [[1, -1], [3, -2]], False),
+    ([[2], [-4]], [[6, 3]], True),
+])
+def test_rational_d_squared_check_over_int_and_mixed_blocks(d0, d1, ok):
+    diffs = [Matrix.from_rows(d0, QQ), Matrix.from_rows(d1, QQ)]
+    assert all(type(x) is int for d in diffs for row in d.data for x in row) == (
+        not any(isinstance(x, Fraction) for row in d0 + d1 for x in row))
+    if ok:
+        check_d_squared(diffs)
+        # a third block after a genuine pair: the check runs on every pair
+        check_d_squared(diffs + [Matrix.zeros(1, len(d1), QQ)])
+    else:
+        with pytest.raises(NotAComplex, match="d_1 . d_0"):
+            check_d_squared(diffs)
+        with pytest.raises(NotAComplex, match="d_2 . d_1"):
+            check_d_squared([Matrix.zeros(len(d0[0]), 1, QQ)] + diffs)
 
 
 def test_homology_validates_degrees():

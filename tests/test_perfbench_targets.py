@@ -14,10 +14,11 @@ import pytest
 
 from helpers import random_compositional_sheaf, random_dag_poset, seeded_rng, twisted_cycle_sheaf
 from posheaf import linalg
-from posheaf.cochain import betti_numbers, build_complex, cohomology, minimal_incidence
-from posheaf.linalg import QQ, prime_field
-from posheaf.poset import simplicial_complex_poset
-from posheaf.sheaf import constant_sheaf
+from posheaf.cochain import (betti_numbers, build_complex, cohomology, minimal_incidence,
+                             roos_complex)
+from posheaf.linalg import QQ, Matrix, prime_field
+from posheaf.poset import order_complex, simplicial_complex_poset
+from posheaf.sheaf import Sheaf, constant_sheaf, cycle_poset
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -121,3 +122,37 @@ def test_homology_basis_back_substitutes_once_per_degree_with_cohomology(monkeyp
     # with a nonzero Betti number, and one of each per image reduction
     assert calls["_echelon"] - calls["rref"] == len(c.diffs)
     assert calls["_back_substitute"] - calls["rref"] == sum(1 for b in betti if b)
+
+
+def test_roos_assembly_asks_for_one_map_per_chain_and_no_identity(monkeypatch):
+    # a face that drops a chain's bottom or a middle element keeps its top,
+    # so its map is the identity and goes straight onto the block diagonal
+    d = constant_sheaf(simplicial_complex_poset(_SIMPLEX6), 1, QQ)
+    chains = sum(len(group) for group in order_complex(d.poset)[1:])
+    assert chains == 270
+    calls = Counter()
+    identity, sheaf_map = Matrix.identity, Sheaf.map
+    monkeypatch.setattr(Matrix, "identity", classmethod(
+        lambda cls, n, field: calls.update(["identity"]) or identity(n, field)))
+    monkeypatch.setattr(Sheaf, "map", lambda self, s, t: calls.update(["map"]) or sheaf_map(
+        self, s, t))
+    c = roos_complex(d)
+    assert calls == Counter(map=chains)
+    # row of chain t: (-1)^i at the face without t_i, in face order
+    groups = order_complex(d.poset)
+    position = {t: k for group in groups for k, t in enumerate(group)}
+    for m, group in zip(c.diffs, groups[1:]):
+        assert [list(row.items()) for row in m._entries] == [
+            [(position[t[:i] + t[i + 1:]], (-1) ** i) for i in range(len(t))] for t in group]
+
+
+def test_homology_basis_stops_at_the_betti_number(monkeypatch):
+    # C_20 with the constant Q sheaf: Betti [1, 1], 20 kernel vectors in
+    # degree 1; after the first is kept, the other 19 are not tried
+    c = build_complex(constant_sheaf(cycle_poset(20), 1, QQ), "minimal")
+    calls = []
+    insert_row = linalg._insert_row
+    monkeypatch.setattr(linalg, "_insert_row", lambda *args: calls.append(1) or insert_row(*args))
+    result = cohomology(c)
+    assert [dim for dim, _ in result] == [1, 1]
+    assert len(calls) == 42

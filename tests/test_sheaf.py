@@ -158,6 +158,26 @@ def test_maps_and_violations_match_brute_force_path_references():
     assert violations > 0
 
 
+def test_real_maps_keep_the_product_of_an_identity_start_bit_for_bit():
+    # the composite starts from the first edge map; over R it must equal,
+    # entry for entry, the product that starts from the identity
+    rng = seeded_rng(71)
+    pairs = 0
+    for _ in range(20):
+        p = random_dag_poset(rng, max_elements=8, chain_cap=200, edge_prob=0.5)
+        s = random_sheaf(p, rng, RR)
+        for (a, b), paths in saturated_paths_reference(p).items():
+            m = Matrix.identity(s.stalk(a), RR)
+            for x, y in zip(paths[0], paths[0][1:]):
+                m = s.edge_map[(x, y)] @ m
+            assert s.map(a, b) == m
+            assert s.compose_along(paths[0]) == m
+            pairs += len(paths[0]) > 2
+        for e in p.elements:
+            assert s.compose_along((e,)) == Matrix.identity(s.stalk(e), RR)
+    assert pairs > 0
+
+
 def test_constant_sheaf_sections_cycle_and_components():
     c4 = constant_sheaf(cycle_poset(4), 1, QQ)
     assert global_sections_bruteforce(c4).dim == 1
