@@ -8,6 +8,8 @@ document and the side files (``--x0``, the ``nsd-forward`` params and the
 error (with an error report of ``command`` and ``error``), 2 usage error.
 A ``betti`` vector has one entry per degree of the complex that ``--method``
 builds, so its length can differ between methods on the same document.
+The real subcommands load numpy, ``spectral`` and ``nsd`` when they run, and call
+them through the module objects; the exact ones (``EXACT_COMMANDS``) never do.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import cochain, linalg, nsd, spectral
+from . import cochain, linalg
 from .errors import OverflowOnConvert, ParseError, PosheafError, SchemaError, brief
 from .io import (
     canonical_json,
@@ -31,6 +32,9 @@ from .io import (
 )
 from .poset import classify
 from .sheaf import check_compositionality, global_sections_bruteforce
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXACT_COMMANDS = {"validate", "classify", "sections", "betti", "incidence"}
 
@@ -64,6 +68,7 @@ def _is_finite_number(value) -> bool:
 def _numeric_array(doc: dict, key: str) -> np.ndarray:
     """doc[key] as a float array: nested lists of one shape holding finite
     numbers, or a SchemaError naming the key."""
+    import numpy as np
     if key not in doc:
         raise SchemaError(f"missing key {key!r}")
     stack = [doc[key]]
@@ -152,10 +157,12 @@ def cmd_incidence(sheaf, args) -> dict:
 
 
 def _laplacian(sheaf, args) -> np.ndarray:
+    from . import spectral
     return spectral.laplacian(spectral.real_sheaf_complex(sheaf), args.degree, args.norm)
 
 
 def cmd_spectrum(sheaf, args) -> dict:
+    from . import spectral
     bundle = spectral.eigendecompose(_laplacian(sheaf, args))
     return {"spectrum": {
         "degree": args.degree,
@@ -168,6 +175,8 @@ def cmd_spectrum(sheaf, args) -> dict:
 
 
 def cmd_diffuse(sheaf, args) -> dict:
+    import numpy as np
+    from . import spectral
     lap = _laplacian(sheaf, args)
     x0 = _numeric_array(_side_document(args.x0), "x0") if args.x0 else np.ones(len(lap))
     trace = spectral.heat_diffusion(lap, x0, eta=args.eta, steps=args.steps, mode=args.mode)
@@ -186,6 +195,7 @@ def cmd_diffuse(sheaf, args) -> dict:
 
 
 def cmd_nsd_forward(sheaf, args) -> dict:
+    from . import nsd
     params = _side_document(args.params)
     x, w1, w2 = (_numeric_array(params, key) for key in ("X", "W1", "W2"))
     eta = params.get("eta")
@@ -196,6 +206,7 @@ def cmd_nsd_forward(sheaf, args) -> dict:
 
 
 def cmd_learn(sheaf, args) -> dict:
+    from . import nsd
     signals = _numeric_array(_side_document(args.signals), "signals")
     if signals.size and signals.ndim != 2:  # [] is the learner's EmptySignalSet
         raise SchemaError("signals: must be an array of signal vectors")
@@ -248,11 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("spectrum", cmd_spectrum, help="Laplacian eigendecomposition")
     p.add_argument("--degree", type=int, default=0)
-    p.add_argument("--norm", choices=spectral.NORMALIZATIONS, default="none")
+    p.add_argument("--norm", choices=cochain.NORMALIZATIONS, default="none")
 
     p = add("diffuse", cmd_diffuse, help="heat diffusion trace")
     p.add_argument("--degree", type=int, default=0)
-    p.add_argument("--norm", choices=spectral.NORMALIZATIONS, default="none")
+    p.add_argument("--norm", choices=cochain.NORMALIZATIONS, default="none")
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--steps", type=_COUNT, default=100)
     p.add_argument("--mode", choices=["discrete", "continuous"], default="discrete")

@@ -41,6 +41,7 @@ from .sheaf import Sheaf
 ROOS = "roos"
 CELLULAR = "cellular"
 MINIMAL = "minimal"
+NORMALIZATIONS = ("none", "weak", "strong")  # of spectral.laplacian
 
 
 class CochainComplexInstance:

@@ -39,13 +39,12 @@ from .errors import (
     UnstableStepSize,
 )
 from .linalg import QQ, Matrix, require_real
-from .cochain import CochainComplexInstance, minimal_complex, minimal_incidence
+from .cochain import NORMALIZATIONS, CochainComplexInstance, minimal_complex, minimal_incidence
 from .sheaf import Sheaf, stalk_layout
 
 HARMONIC_TOL = 1e-8  # eigenvalues at most HARMONIC_TOL * the largest count as zero
 JACOBI_TOL = 1e-12  # Jacobi stops once the off-diagonal max is below JACOBI_TOL * scale
 JACOBI_MAX_SWEEPS = 100
-NORMALIZATIONS = ("none", "weak", "strong")
 
 
 def float_array(m: Matrix, what: str) -> np.ndarray:
