@@ -9,7 +9,7 @@ error (with an error report of ``command`` and ``error``), 2 usage error.
 A ``betti`` vector has one entry per degree of the complex that ``--method``
 builds, so its length can differ between methods on the same document.
 The real subcommands load numpy, ``spectral`` and ``nsd`` when they run, and call
-them through the module objects; the exact ones (``EXACT_COMMANDS``) never do.
+them through the module objects; the exact ones (marked in ``SUBCOMMANDS``) never do.
 """
 
 from __future__ import annotations
@@ -35,9 +35,6 @@ from .sheaf import check_compositionality, global_sections_bruteforce
 
 if TYPE_CHECKING:
     import numpy as np
-
-EXACT_COMMANDS = {"validate", "classify", "sections", "betti", "incidence"}
-
 
 def _read(path: str) -> tuple[str, bytes]:
     """A file's text, decoded as UTF-8, and its bytes."""
@@ -234,51 +231,44 @@ _POSITIVE_INT = _checked(int, lambda v: v >= 1, "a positive integer")
 _POSITIVE_FINITE = _checked(float, lambda v: 0 < v < math.inf, "a positive finite number")
 
 
+_LAPLACIAN_ARGS = (("--degree", {"type": int, "default": 0}),
+                   ("--norm", {"choices": cochain.NORMALIZATIONS, "default": "none"}))
+
+# subcommand -> (handler name, exact, help, arguments after the document as (name,
+# add_argument keywords)); cli() looks the handler up by name when it runs.
+SUBCOMMANDS = {
+    "validate": ("cmd_validate", True, "check compositionality", ()),
+    "classify": ("cmd_classify", True, "gradedness and cell-likeness of the poset", ()),
+    "sections": ("cmd_sections", True, "global sections by brute force", ()),
+    "betti": ("cmd_betti", True, "Betti numbers of the sheaf", (
+        ("--method", {"choices": ["roos", "cellular", "minimal"], "default": "minimal"}),)),
+    "incidence": ("cmd_incidence", True, "incidence data of the poset", ()),
+    "spectrum": ("cmd_spectrum", False, "Laplacian eigendecomposition", _LAPLACIAN_ARGS),
+    "diffuse": ("cmd_diffuse", False, "heat diffusion trace", _LAPLACIAN_ARGS + (
+        ("--eta", {"type": float, "default": None}),
+        ("--steps", {"type": _COUNT, "default": 100}),
+        ("--mode", {"choices": ["discrete", "continuous"], "default": "discrete"}),
+        ("--x0", {"default": None, "help": "JSON file with an initial state"}))),
+    "nsd-forward": ("cmd_nsd_forward", False, "neural sheaf diffusion layer", (
+        ("params", {"help": "JSON file with X, W1, W2 and optional eta/norm"}),)),
+    "learn": ("cmd_learn", False, "learn edge maps from smooth signals", (
+        ("signals", {"help": "JSON file with a 'signals' array"}),
+        ("--lr", {"type": _POSITIVE_FINITE, "default": 0.2}),
+        ("--iters", {"type": _COUNT, "default": 60}),
+        ("--d", {"type": _POSITIVE_INT, "default": 1}),
+        ("--seed", {"type": _COUNT, "default": None}))),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="posheaf",
-        description="Sheaves on finite posets: cohomology, Laplacians, diffusion.",
-    )
+        prog="posheaf", description="Sheaves on finite posets: cohomology, Laplacians, diffusion.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, (_, _, help_text, arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("document", help="sheaf document (JSON)")
-        p.set_defaults(fn=fn)
-        return p
-
-    add("validate", cmd_validate, help="check compositionality")
-    add("classify", cmd_classify, help="gradedness and cell-likeness of the poset")
-    add("sections", cmd_sections, help="global sections by brute force")
-
-    p = add("betti", cmd_betti, help="Betti numbers of the sheaf")
-    p.add_argument("--method", choices=["roos", "cellular", "minimal"],
-                   default="minimal")
-
-    add("incidence", cmd_incidence, help="incidence data of the poset")
-
-    p = add("spectrum", cmd_spectrum, help="Laplacian eigendecomposition")
-    p.add_argument("--degree", type=int, default=0)
-    p.add_argument("--norm", choices=cochain.NORMALIZATIONS, default="none")
-
-    p = add("diffuse", cmd_diffuse, help="heat diffusion trace")
-    p.add_argument("--degree", type=int, default=0)
-    p.add_argument("--norm", choices=cochain.NORMALIZATIONS, default="none")
-    p.add_argument("--eta", type=float, default=None)
-    p.add_argument("--steps", type=_COUNT, default=100)
-    p.add_argument("--mode", choices=["discrete", "continuous"], default="discrete")
-    p.add_argument("--x0", default=None, help="JSON file with an initial state")
-
-    p = add("nsd-forward", cmd_nsd_forward, help="neural sheaf diffusion layer")
-    p.add_argument("params", help="JSON file with X, W1, W2 and optional eta/norm")
-
-    p = add("learn", cmd_learn, help="learn edge maps from smooth signals")
-    p.add_argument("signals", help="JSON file with a 'signals' array")
-    p.add_argument("--lr", type=_POSITIVE_FINITE, default=0.2)
-    p.add_argument("--iters", type=_COUNT, default=60)
-    p.add_argument("--d", type=_POSITIVE_INT, default=1)
-    p.add_argument("--seed", type=_COUNT, default=None)
-
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -289,13 +279,14 @@ def cli(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     command = args.subcommand
+    handler, exact = SUBCOMMANDS[command][:2]
     try:
         text, raw = _read(args.document)
         sheaf = parse_sheaf(text)
-        if command in EXACT_COMMANDS:
+        if exact:
             linalg.require_exact(sheaf.field, command)
         frame = {"command": command, "inputs_digest": inputs_digest(raw)}
-        out, status = canonical_json(frame | args.fn(sheaf, args)), 0
+        out, status = canonical_json(frame | globals()[handler](sheaf, args)), 0
     except (PosheafError, OSError) as exc:
         code = exc.code if isinstance(exc, PosheafError) else "IOError"
         error = {"code": code, "message": str(exc)}

@@ -5,6 +5,7 @@ that deliberately avoid the library's own elimination code.
 
 from __future__ import annotations
 
+import argparse
 import functools
 import itertools
 import math
@@ -14,6 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from posheaf import cochain
+from posheaf.cli import _COUNT, _POSITIVE_FINITE, _POSITIVE_INT
 from posheaf.errors import NotTwoLayer, ShapeMismatch
 from posheaf.linalg import PRIME, Matrix, QQ, RR
 from posheaf.poset import (
@@ -24,7 +27,7 @@ from posheaf.poset import (
     order_complex,
     simplicial_complex_poset,
 )
-from posheaf.sheaf import Sheaf, build_sheaf, cycle_poset
+from posheaf.sheaf import Sheaf, build_sheaf, constant_sheaf, cycle_poset
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -773,3 +776,84 @@ def graph_sheaf_twins(n: int, kind: str, rng: np.random.Generator) -> tuple[Shea
     real = build_sheaf(p, stalks, {k: Matrix.from_rows([[float(x) for x in row] for row in m], RR)
                                    for k, m in maps.items()}, RR)
     return exact, real
+
+
+# ---------------------------------------------------------------------------
+# Documents whose cost explodes: a few hundred KB of JSON at most, generated
+# so that no large file is committed.
+# ---------------------------------------------------------------------------
+
+def deep_chain_sheaf() -> Sheaf:
+    """The constant sheaf over Q on c0 < ... < c1499 < x with y < x: a chain
+    longer than the interpreter's recursion limit, with 2^1501 chains."""
+    chain = [f"c{i}" for i in range(1500)]
+    covers = list(zip(chain, chain[1:] + ["x"])) + [("y", "x")]
+    return constant_sheaf(build_poset(chain + ["x", "y"], covers), 1, QQ)
+
+
+def boolean_lattice_sheaf(n: int) -> Sheaf:
+    """The constant sheaf over Q on the Boolean lattice B_n: element b<m> is
+    the subset with bit mask m, covered by each subset with one more bit."""
+    covers = [(f"b{m}", f"b{m | 1 << i}") for m in range(2 ** n) for i in range(n)
+              if not m >> i & 1]
+    return constant_sheaf(build_poset([f"b{m}" for m in range(2 ** n)], covers), 1, QQ)
+
+
+def simplex_skeleton_sheaf(vertices: int, top_dim: int) -> Sheaf:
+    """The constant sheaf over Q on the top_dim-skeleton of the simplex on
+    this many vertices."""
+    faces = itertools.combinations(range(vertices), top_dim + 1)
+    return constant_sheaf(simplicial_complex_poset(faces), 1, QQ)
+
+
+# ---------------------------------------------------------------------------
+# The CLI parser stated one argparse call a line: the reference that
+# posheaf.cli.build_parser, which builds it from its subcommand table, must
+# match in every output, exit status and parsed namespace.
+# ---------------------------------------------------------------------------
+
+def reference_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="posheaf",
+        description="Sheaves on finite posets: cohomology, Laplacians, diffusion.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    def add(name, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.add_argument("document", help="sheaf document (JSON)")
+        return p
+
+    add("validate", help="check compositionality")
+    add("classify", help="gradedness and cell-likeness of the poset")
+    add("sections", help="global sections by brute force")
+
+    p = add("betti", help="Betti numbers of the sheaf")
+    p.add_argument("--method", choices=["roos", "cellular", "minimal"],
+                   default="minimal")
+
+    add("incidence", help="incidence data of the poset")
+
+    p = add("spectrum", help="Laplacian eigendecomposition")
+    p.add_argument("--degree", type=int, default=0)
+    p.add_argument("--norm", choices=cochain.NORMALIZATIONS, default="none")
+
+    p = add("diffuse", help="heat diffusion trace")
+    p.add_argument("--degree", type=int, default=0)
+    p.add_argument("--norm", choices=cochain.NORMALIZATIONS, default="none")
+    p.add_argument("--eta", type=float, default=None)
+    p.add_argument("--steps", type=_COUNT, default=100)
+    p.add_argument("--mode", choices=["discrete", "continuous"], default="discrete")
+    p.add_argument("--x0", default=None, help="JSON file with an initial state")
+
+    p = add("nsd-forward", help="neural sheaf diffusion layer")
+    p.add_argument("params", help="JSON file with X, W1, W2 and optional eta/norm")
+
+    p = add("learn", help="learn edge maps from smooth signals")
+    p.add_argument("signals", help="JSON file with a 'signals' array")
+    p.add_argument("--lr", type=_POSITIVE_FINITE, default=0.2)
+    p.add_argument("--iters", type=_COUNT, default=60)
+    p.add_argument("--d", type=_POSITIVE_INT, default=1)
+    p.add_argument("--seed", type=_COUNT, default=None)
+
+    return parser

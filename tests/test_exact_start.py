@@ -8,8 +8,10 @@ interpreter and checks which modules it loaded, not how long it took.
 """
 
 import io
+import itertools
 import json
 import os
+import runpy
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -18,8 +20,9 @@ from pathlib import Path
 import pytest
 
 from posheaf import nsd, spectral
-from posheaf.cli import cli
+from posheaf.cli import SUBCOMMANDS, cli
 
+ROOT = Path(__file__).parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 REAL = ("numpy", "posheaf.spectral", "posheaf.nsd")
 
@@ -37,16 +40,12 @@ sys.stderr.write(json.dumps([m for m in {REAL!r} if m in sys.modules]))
 sys.exit(status)
 """
 
-# the golden command of every exact subcommand and method
-EXACT = [
-    ["validate", "triangle_violations.json"],
-    ["classify", "hypergraph_triple.json"],
-    ["sections", "path_constant.json"],
-    ["betti", "cycle3_constant.json", "--method", "roos"],
-    ["betti", "triangle_full.json", "--method", "cellular"],
-    ["betti", "mobius_c4.json", "--method", "minimal"],
-    ["incidence", "morse_constant.json"],
-]
+# tools/make_goldens.py's pinned command of each golden document; run_path
+# does not run the script as __main__, so nothing is written
+GOLDEN_COMMANDS = runpy.run_path(str(ROOT / "tools" / "make_goldens.py"))["COMMANDS"]
+# (document name, argv without the document) of each exact golden command
+EXACT_GOLDENS = [(name, argv) for name, argv in GOLDEN_COMMANDS.items() if SUBCOMMANDS[argv[0]][1]]
+EXACT = [[argv[0], f"{name}.json", *argv[1:]] for name, argv in EXACT_GOLDENS]
 
 
 def _argv(case: list[str]) -> list[str]:
@@ -63,7 +62,7 @@ def _in_process(argv: list[str]) -> tuple[int, str]:
 def _fresh(argv: list[str]) -> tuple[int, str, list[str]]:
     """Exit status, stdout and the loaded modules among REAL of a fresh
     interpreter running _PROBE on argv."""
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", _PROBE, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
     return done.returncode, done.stdout, json.loads(done.stderr)
@@ -79,6 +78,16 @@ def test_exact_subcommand_loads_no_real_layer(case):
     status, stdout = _in_process(argv)
     assert status == 0
     assert _fresh(argv) == (0, stdout, [])
+
+
+def test_oldest_python_job_runs_every_exact_golden_before_numpy():
+    # the heredoc of CI's oldest-python job lists "name argv..." a line; it
+    # runs before numpy is installed, so an exact golden missing from it could
+    # start importing numpy unseen under the oldest supported Python
+    job = (ROOT / ".github" / "workflows" / "tier1.yml").read_text().split("oldest-python:")[1]
+    heredoc = job.split("<<'EOF'\n")[1].splitlines()
+    listed = [line.split() for line in itertools.takewhile(lambda l: l.strip() != "EOF", heredoc)]
+    assert listed == [[name, *argv] for name, argv in EXACT_GOLDENS]
 
 
 def test_real_subcommand_loads_what_it_runs_on():

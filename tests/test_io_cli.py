@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import random_dag_poset, random_sheaf, seeded_rng
+from helpers import deep_chain_sheaf, random_dag_poset, random_sheaf, seeded_rng
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +34,6 @@ from posheaf.io import (
     serialize_sheaf,
 )
 from posheaf.linalg import QQ, RR, prime_field
-from posheaf.poset import build_poset
 from posheaf.sheaf import constant_sheaf, cycle_poset, mobius_sheaf, path_poset
 from posheaf.spectral import NORMALIZATIONS
 
@@ -460,11 +459,10 @@ def test_cli_huge_rational_entry_is_an_overflow_report(tmp_path):
 def test_cli_runs_on_a_chain_longer_than_the_recursion_limit(tmp_path):
     # c0 < ... < c1499 < x and y < x: the map for c0 < x composes 1,501
     # covers, and its path search once recursed once per step
-    chain = [f"c{i}" for i in range(1500)]
-    p = build_poset(chain + ["x", "y"], list(zip(chain, chain[1:] + ["x"])) + [("y", "x")])
-    assert len(chain) > sys.getrecursionlimit()
+    sheaf = deep_chain_sheaf()
+    assert len(sheaf.poset.elements) > sys.getrecursionlimit()
     path = tmp_path / "deep.json"
-    path.write_text(serialize_sheaf(constant_sheaf(p, 1, QQ)))
+    path.write_text(serialize_sheaf(sheaf))
     status, report, _ = _run(["betti", str(path)])
     assert (status, report["betti"]) == (0, [1, 0])
     status, report, _ = _run(["spectrum", str(path)])
