@@ -5,13 +5,14 @@ Betti numbers, and multiplicity accounting.
 Every complex here is graded and stored per degree: a cochain complex as its
 differential blocks d_j : C^j -> C^{j+1}, and the incidence data as one sparse
 boundary column per generator.  ``CochainComplexInstance`` is the one graded
-complex type, over Q, F_p and R alike; its constructor is where d^2 = 0 is
-checked, through ``linalg.check_d_squared``.  All three constructions build it
-through ``_assemble`` from the owners of its summands (summand k of C^j copies
-the stalk of the element ``degrees[j][k]``) and faces (j, r, c, scalar) joining
+complex type, over Q, F_p and R alike.  ``linalg.check_d_squared`` checks
+d^2 = 0 where blocks are built: in its constructor and, per down-set complex,
+in ``minimal_incidence``.  All three constructions build it through
+``_assemble`` from the owners of its summands (summand k of C^j copies the
+stalk of the element ``degrees[j][k]``) and faces (j, r, c, scalar) joining
 summand c of C^j to summand r of C^{j+1}; Roos reads both off the chains of
 ``order_complex``, which are plain tuples of elements.  Cohomology and the
-incidence algorithm hand the blocks to ``linalg.homology_basis`` as they are.
+incidence algorithm then solve with ``linalg.homology_basis``.
 """
 
 from __future__ import annotations
@@ -233,12 +234,12 @@ def minimal_incidence(p: Poset, field: FieldTag) -> IncidenceData:
         )
         reps = memo.get(key)
         if reps is None:
+            blocks = [Matrix.from_columns(len(by_degree[j]), [
+                {index[row]: x for row, x in columns[gid].items()}
+                for gid in by_degree[j + 1]], field) for j in range(top, -1, -1)]
+            check_d_squared(blocks)
             reps = memo[key] = homology_basis(
-                [Matrix.from_columns(len(by_degree[j]), [
-                    {index[row]: x for row, x in columns[gid].items()}
-                    for gid in by_degree[j + 1]], field)
-                 for j in range(top, -1, -1)],
-                [len(gens) for gens in reversed(by_degree)], field)
+                blocks, [len(gens) for gens in reversed(by_degree)], field)
         for j, gens in enumerate(by_degree):
             # classes in degree j - 1 become generators of degree j
             for vec in reps[top + 1 - j]:

@@ -40,7 +40,8 @@ entries there, over both exact fields, since an F_p pivot row leads with 1.
 does not divide.
 ``check_d_squared`` is the one test that consecutive differentials compose to
 zero, for every field: exactly over Q and F_p, within a relative tolerance
-over R.
+over R.  The code that builds blocks runs it on them, once:
+``homology_basis`` checks only its input's field and shapes.
 
 The field rules live here alone.  An F_p modulus is an ``int`` below 2^31
 that trial division (``_is_prime``, cached) finds prime.  A stage that needs
@@ -478,7 +479,8 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
     its pivot rows are not back-substituted into kernel vectors and its image
     is never reduced.  Elsewhere the kernel vectors are tried in turn until
     the degree holds its Betti number of representatives: every later one
-    depends on those, so it would not be kept.
+    depends on those, so it would not be kept.  It checks the field and the
+    shapes; that the blocks compose to zero is the caller's to check.
     """
     require_exact(field, "homology_basis")
     if len(diffs) != max(len(dims) - 1, 0) or any(
@@ -486,7 +488,6 @@ def homology_basis(diffs: list[Matrix], dims: list[int], field: FieldTag) -> lis
         for i, d in enumerate(diffs)
     ):
         raise NotAComplex("differentials do not match the degree dimensions")
-    check_d_squared(diffs)
     out: list[list[dict]] = []
     incoming_rank = 0
     for i, n in enumerate(dims):

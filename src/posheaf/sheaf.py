@@ -320,9 +320,7 @@ class TransportResult:
 
 def _step_matrix(d: Sheaf, a: str, b: str) -> Matrix:
     """Transport matrix for one zig-zag step a -> b (ascending or descending)."""
-    if a == b:
-        return Matrix.identity(d.stalk(a), d.field)
-    if d.poset.lt(a, b):
+    if d.poset.leq(a, b):
         return d.map(a, b)
     if d.poset.lt(b, a):
         m = d.map(b, a)

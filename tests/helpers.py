@@ -718,11 +718,11 @@ def _rational_rotation(rng: np.random.Generator) -> list[list[Fraction]]:
     return [[c, s], [s, -c]]
 
 
-def _rational_frame(rng: np.random.Generator) -> list[list[Fraction]]:
-    """Exact orthogonal matrix times diag(a, b), a != b drawn from 1/2 .. 2:
-    invertible, with condition number at most 4."""
+def _rational_frame(rng: np.random.Generator) -> tuple[list[list[Fraction]], Fraction, Fraction]:
+    """(R, a, b): an exact orthogonal matrix R and a != b drawn from 1/2 .. 2,
+    so the frame R diag(a, b) is invertible, with condition number at most 4."""
     a, b = (Fraction(int(k), 2) for k in rng.choice([1, 2, 3, 4], size=2, replace=False))
-    return _product2(_rational_rotation(rng), [[a, Fraction(0)], [Fraction(0), b]])
+    return _rational_rotation(rng), a, b
 
 
 def _inverse2(m):
@@ -742,8 +742,9 @@ def graph_sheaf_twins(n: int, kind: str, rng: np.random.Generator) -> tuple[Shea
     kind "gauss": independent maps with Gaussian entries rounded to eighths
     (b0 = 0).  kind "gauge": F_(v,e) = R_e R_v^T for exact rational orthogonal
     frames R (b0 = 2, every stalk block of L_0 a multiple of I).  kind
-    "frame": F_(v,e) = G_e G_v^-1 for invertible rational frames G (b0 = 2,
-    stalk blocks with distinct eigenvalues in general).
+    "frame": F_(v,e) = G_e G_v^-1 for invertible rational frames
+    G = R diag(a, b) (b0 = 2, every stalk block of L_0 with two distinct
+    eigenvalues).
     """
     chords = []
     seen = {frozenset((i, (i + 1) % n)) for i in range(n)}
@@ -758,9 +759,20 @@ def graph_sheaf_twins(n: int, kind: str, rng: np.random.Generator) -> tuple[Shea
     covers = [(vertices[a], e) for e, pair in zip(edges, ends) for a in pair]
     p = build_poset(vertices + edges, covers)
     frames: dict[str, list[list[Fraction]]] = {}
-    if kind != "gauss":
-        draw = _rational_rotation if kind == "gauge" else _rational_frame
-        frames = {x: draw(rng) for x in vertices + edges}
+    if kind == "gauge":
+        frames = {x: _rational_rotation(rng) for x in vertices + edges}
+    elif kind == "frame":
+        parts = {x: _rational_frame(rng) for x in vertices + edges}
+        # the stalk block of L_0 at v is R_v diag(A / a_v^2, B / b_v^2) R_v^T,
+        # (A, B) the sum of (a_e^2, b_e^2) over the edges at v; where the two
+        # eigenvalues are equal, they differ once a_v and b_v swap, as a_v != b_v
+        for v in vertices:
+            rotation, a, b = parts[v]
+            at_v = [parts[e] for (u, e) in covers if u == v]
+            if sum(x * x for _, x, _ in at_v) * b * b == sum(y * y for _, _, y in at_v) * a * a:
+                parts[v] = rotation, b, a
+        frames = {x: _product2(rotation, [[a, Fraction(0)], [Fraction(0), b]])
+                  for x, (rotation, a, b) in parts.items()}
     maps = {}
     for (v, e) in covers:
         if kind == "gauss":

@@ -7,8 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from posheaf import cochain, linalg
 from posheaf.cli import cli
-from posheaf.errors import FieldMismatch, NotSimplicialPoset, PosetMismatch
+from posheaf.errors import FieldMismatch, NotAComplex, NotSimplicialPoset, PosetMismatch
 from posheaf.io import scalar_from_string, serialize_sheaf
 from posheaf.linalg import QQ, RR, Matrix, prime_field
 from posheaf.cochain import (
@@ -107,9 +108,19 @@ def test_cellular_triangle_boundary_matches_roos():
 
 
 def test_cellular_rejects_non_simplicial():
-    p = hypergraph_to_poset(["1", "2", "3"], [["1", "2", "3"]])
-    with pytest.raises(NotSimplicialPoset):
-        cellular_complex(constant_sheaf(p, 1, QQ))
+    posets = [
+        hypergraph_to_poset(["1", "2", "3"], [["1", "2", "3"]]),
+        # a repeated vertex, one simplex named twice, and a missing face 2,3
+        build_poset(["1", "1,1"], [("1", "1,1")]),
+        build_poset(["1", "2", "1,2", "2,1"],
+                    [("1", "1,2"), ("2", "1,2"), ("1", "2,1"), ("2", "2,1")]),
+        build_poset(["1", "2", "3", "1,2", "1,3", "1,2,3"],
+                    [("1", "1,2"), ("2", "1,2"), ("1", "1,3"), ("3", "1,3"),
+                     ("1,2", "1,2,3"), ("1,3", "1,2,3")]),
+    ]
+    for p in posets:
+        with pytest.raises(NotSimplicialPoset):
+            cellular_complex(constant_sheaf(p, 1, QQ))
 
 
 def test_cellular_matches_roos_on_random_graph_sheaves():
@@ -212,6 +223,10 @@ def test_minimal_complex_validates_inputs():
     inc = minimal_incidence(other, QQ)
     with pytest.raises(PosetMismatch):
         minimal_complex(constant_sheaf(p, 1, QQ), inc)
+    for field, inc_field in [(QQ, prime_field(3)), (prime_field(3), QQ), (RR, prime_field(3))]:
+        inc = minimal_incidence(p, inc_field)
+        with pytest.raises(FieldMismatch, match="incidence data uses a different field"):
+            minimal_complex(constant_sheaf(p, 1, field), inc)
 
 
 def test_cohomology_mobius_representatives():
@@ -308,6 +323,8 @@ def test_betti_dispatch_examples():
     two = hypergraph_to_poset(["1", "2", "3", "4"], [["1", "2"], ["3", "4"]])
     for method in ("roos", "minimal"):
         assert betti(constant_sheaf(two, 1, QQ), method) == [2, 0]
+    with pytest.raises(FieldMismatch, match="unknown construction 'morse'"):
+        build_complex(constant_sheaf(two, 1, QQ), "morse")
 
 
 def test_betti_zero_in_degrees_above_longest_chain():
@@ -640,6 +657,52 @@ def test_minimal_incidence_computes_each_cycle_down_set_homology_once(monkeypatc
         minimal_incidence(cycle_poset(n), QQ)
         # once for the empty down-set of the vertices, once for an edge's two vertices
         assert [dims for _, dims, _ in calls] == [[1], [2, 1]]
+
+
+def _counting(calls: list, fn):
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    return counted
+
+
+@pytest.mark.parametrize("sheaf", [
+    constant_sheaf(cycle_poset(6), 1, QQ),
+    mobius_sheaf(5, prime_field(3)),
+    constant_sheaf(simplicial_complex_poset([["1", "2", "3"], ["3", "4"]]), 2, QQ),
+], ids=["cycle6", "mobius5-F3", "triangle-and-edge"])
+def test_d_squared_is_checked_once_where_the_blocks_are_built(monkeypatch, sheaf):
+    # minimal_incidence checks each down-set complex it solves, the complex's
+    # constructor checks the assembled one, and cohomology only solves
+    checks, solves = [], []
+    counted_check = _counting(checks, linalg.check_d_squared)
+    monkeypatch.setattr(linalg, "check_d_squared", counted_check)
+    monkeypatch.setattr(cochain, "check_d_squared", counted_check)
+    monkeypatch.setattr(cochain, "homology_basis", _counting(solves, linalg.homology_basis))
+    c = build_complex(sheaf, "minimal")
+    assert len(checks) == len(solves) + 1
+    assert 0 < len(solves) < len(sheaf.poset)  # down-set complexes seen before are not solved
+    checks.clear()
+    solves.clear()
+    cohomology(c)
+    assert (len(checks), len(solves)) == (0, 1)
+
+
+def test_minimal_incidence_refuses_a_representative_that_is_not_a_cycle(monkeypatch):
+    # a homology_basis that keeps one entry of each representative turns the
+    # class a - b below c into a alone, whose boundary is "@", not 0; that
+    # column is stored, and the next element whose down-set holds it, d, fails
+    solve = linalg.homology_basis
+
+    def one_entry(diffs, dims, field):
+        return [[dict([min(vec.items())]) for vec in reps] for reps in solve(diffs, dims, field)]
+
+    monkeypatch.setattr(cochain, "homology_basis", one_entry)
+    covers = [("a", "c"), ("b", "c")]
+    inc = minimal_incidence(build_poset(["a", "b", "c"], covers), QQ)
+    assert len(inc.columns[-1]) == 1
+    with pytest.raises(NotAComplex):
+        minimal_incidence(build_poset(["a", "b", "c", "d"], covers + [("c", "d")]), QQ)
 
 
 def test_planted_betti_of_the_ten_vertex_simplex_2_skeleton():

@@ -739,6 +739,34 @@ def test_cli_bad_params_and_state_files_report_one_schema_error(tmp_path, comman
     assert json.loads(lines[0])["error"]["code"] == "SchemaError"
 
 
+@pytest.mark.parametrize("command, fault, side, code, message", [
+    ("betti", {"covers": {}}, None, "SchemaError",
+     "covers: must be an array of [a, b] string pairs"),
+    ("betti", {"stalks": []}, None, "SchemaError", "stalks: must be an object"),
+    ("betti", {"maps": []}, None, "SchemaError", "maps: must be an object"),
+    ("betti", {"field": "Fp:x"}, None, "SchemaError", "field: bad prime in 'Fp:x'"),
+    ("nsd-forward", {}, {**_GOOD_PARAMS, "W2": [1.0]}, "ShapeMismatch", "W2 must be a matrix"),
+    ("nsd-forward", {}, {**_GOOD_PARAMS, "eta": -0.5}, "DimensionMismatch",
+     "step size must be nonnegative"),
+    ("diffuse", {}, {"x0": [1.0, 2.0]}, "DimensionMismatch",
+     "state has shape (2,), Laplacian is 4"),
+], ids=["covers-object", "stalks-array", "maps-array", "field-Fp-x", "W2-vector",
+        "eta-negative", "x0-length"])
+def test_cli_malformed_documents_and_side_files_report_code_and_message(
+        tmp_path, command, fault, side, code, message):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({**json.loads((GOLDEN / "cycle4_constant.json").read_text()),
+                               **fault}))
+    argv = [command, str(doc)]
+    if side is not None:
+        path = tmp_path / "side.json"
+        path.write_text(json.dumps(side))
+        argv += [str(path)] if command == "nsd-forward" else ["--x0", str(path)]
+    status, report, text = _run(argv)
+    assert status == 1 and len(text.splitlines()) == 1
+    assert report["error"] == {"code": code, "message": message}
+
+
 @pytest.mark.parametrize("command, payload", [
     ("diffuse", {"x0": [1e308, -1e308, 1e308, -1e308]}),
     ("nsd-forward", {**_GOOD_PARAMS, "eta": 1e308}),

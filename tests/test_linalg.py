@@ -226,7 +226,8 @@ def test_dense_rows_round_trip_and_the_data_view_is_a_copy():
     for m in cases:
         assert Matrix(m.rows, m.cols, m.data, m.field) == m
         view = m.data
-        view[0][0] = m.field.coerce(7)
+        # 7 and 8 differ over every field here, so one of them changes the entry
+        view[0][0] = next(x for x in map(m.field.coerce, (7, 8)) if x != view[0][0])
         assert m.data != view and Matrix(m.rows, m.cols, m.data, m.field) == m
 
 
@@ -498,10 +499,17 @@ def test_path_and_isolated_vertex_one_reduced_degree_zero_class():
     assert [len(r) for r in reps] == [0, 1, 0]
 
 
-def test_homology_validates_d_squared():
-    one = Matrix.from_rows([[1]], QQ)
-    with pytest.raises(NotAComplex):
-        homology_basis([one, one], [1, 1, 1], QQ)
+def test_homology_basis_leaves_d_squared_to_its_caller(monkeypatch):
+    # d^2 = 0 is checked where blocks are built: by a complex's constructor and
+    # in minimal_incidence; homology_basis checks the field and shapes, and solves
+    checked = []
+    monkeypatch.setattr(linalg, "check_d_squared", checked.append)
+    rng = seeded_rng(19)
+    for _ in range(20):
+        diffs, dims = _random_graded_complex(rng)
+        reps = homology_basis(diffs, dims, QQ)
+        assert len(reps) == len(dims)
+    assert checked == []
 
 
 def test_rational_d_squared_check_rejects_a_non_complex():

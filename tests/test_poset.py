@@ -357,6 +357,10 @@ def test_hypergraph_to_poset_shapes():
     path = hypergraph_to_poset(["1", "2", "3"], [["1", "2"], ["2", "3"]])
     assert len(path) == 5
     assert len(path.covers) == 4
+    # a hyperedge name never takes a vertex's: h0 is taken, so the edge is _h0
+    named = hypergraph_to_poset(["h0", "h1"], [["h0", "h1"]])
+    assert named.elements == ("h0", "h1", "_h0")
+    assert named.covers == (("h0", "_h0"), ("h1", "_h0"))
 
 
 def test_hypergraph_to_poset_errors():

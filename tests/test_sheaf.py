@@ -43,6 +43,7 @@ from helpers import (
     compositionality_reference,
     dense_compose,
     gauge_connection_sheaf,
+    graph_sheaf_twins,
     seeded_rng,
     random_compositional_sheaf,
     random_dag_poset,
@@ -301,6 +302,21 @@ def test_parallel_transport_homotopic_paths_agree():
     direct = parallel_transport(s, ["1", "1,2,3"]).matrix
     via_edge = parallel_transport(s, ["1", "1,2", "1,2,3"]).matrix
     assert direct == via_edge
+
+
+def test_parallel_transport_steps_across_a_repeated_element_by_the_identity():
+    # 2-dim stalks and invertible maps that are no multiple of the identity
+    s = graph_sheaf_twins(4, "frame", seeded_rng(3))[0]
+    step = parallel_transport(s, ["e0", "e0"]).matrix
+    assert step == Matrix.identity(2, QQ)
+    zigzag = parallel_transport(s, ["v0", "e0", "v1"]).matrix
+    assert zigzag != step
+    assert parallel_transport(s, ["v0", "v0", "e0", "e0", "v1", "v1"]).matrix == zigzag
+
+
+def test_parallel_transport_refuses_an_empty_path():
+    with pytest.raises(NotAPath, match="empty path"):
+        parallel_transport(constant_sheaf(path_poset(2), 1, QQ), [])
 
 
 def test_parallel_transport_errors():

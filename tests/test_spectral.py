@@ -311,6 +311,15 @@ def test_laplacian_degree_out_of_range():
         laplacian(_real_minimal(s), 5, "none")
 
 
+def test_laplacian_and_diffusion_refuse_unknown_names():
+    c = _real_minimal(constant_sheaf(path_poset(2), 1, QQ))
+    with pytest.raises(FieldMismatch, match="unknown normalization 'bogus'"):
+        laplacian(c, 0, "bogus")
+    lap = laplacian(c, 0, "none")
+    with pytest.raises(UnstableStepSize, match="unknown diffusion mode 'fast'"):
+        heat_diffusion(lap, [1.0, 0.0], mode="fast")
+
+
 def test_weak_normalization_uniform_diagonal_is_scaling():
     s = constant_sheaf(cycle_poset(5), 1, QQ)
     rc = _real_minimal(s)
