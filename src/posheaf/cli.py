@@ -241,13 +241,13 @@ SUBCOMMANDS = {
     "classify": ("cmd_classify", True, "gradedness and cell-likeness of the poset", ()),
     "sections": ("cmd_sections", True, "global sections by brute force", ()),
     "betti": ("cmd_betti", True, "Betti numbers of the sheaf", (
-        ("--method", {"choices": ["roos", "cellular", "minimal"], "default": "minimal"}),)),
+        ("--method", {"choices": cochain.CONSTRUCTIONS, "default": cochain.MINIMAL}),)),
     "incidence": ("cmd_incidence", True, "incidence data of the poset", ()),
     "spectrum": ("cmd_spectrum", False, "Laplacian eigendecomposition", _LAPLACIAN_ARGS),
     "diffuse": ("cmd_diffuse", False, "heat diffusion trace", _LAPLACIAN_ARGS + (
         ("--eta", {"type": float, "default": None}),
         ("--steps", {"type": _COUNT, "default": 100}),
-        ("--mode", {"choices": ["discrete", "continuous"], "default": "discrete"}),
+        ("--mode", {"choices": cochain.DIFFUSION_MODES, "default": "discrete"}),
         ("--x0", {"default": None, "help": "JSON file with an initial state"}))),
     "nsd-forward": ("cmd_nsd_forward", False, "neural sheaf diffusion layer", (
         ("params", {"help": "JSON file with X, W1, W2 and optional eta/norm"}),)),
@@ -256,7 +256,7 @@ SUBCOMMANDS = {
         ("--lr", {"type": _POSITIVE_FINITE, "default": 0.2}),
         ("--iters", {"type": _COUNT, "default": 60}),
         ("--d", {"type": _POSITIVE_INT, "default": 1}),
-        ("--seed", {"type": _COUNT, "default": None}))),
+        ("--seed", {"type": _COUNT, "default": 0}))),
 }
 
 

@@ -42,7 +42,9 @@ from .sheaf import Sheaf
 ROOS = "roos"
 CELLULAR = "cellular"
 MINIMAL = "minimal"
+CONSTRUCTIONS = (ROOS, CELLULAR, MINIMAL)  # of build_complex
 NORMALIZATIONS = ("none", "weak", "strong")  # of spectral.laplacian
+DIFFUSION_MODES = ("discrete", "continuous")  # of spectral.heat_diffusion
 
 
 class CochainComplexInstance:
@@ -307,7 +309,6 @@ def betti_numbers(c: CochainComplexInstance) -> list[int]:
 
 
 def build_complex(d: Sheaf, method: str) -> CochainComplexInstance:
-    method = method.lower()
     if method == ROOS:
         return roos_complex(d)
     if method == CELLULAR:

@@ -438,23 +438,30 @@ def check_d_squared(diffs: list[Matrix]):
     j to degree j + 1.
 
     Over Q and F_p the composite must be zero; over Q it is taken on ints,
-    with the rows of d_{j+1} and the columns of d_j scaled to primitive
-    integers, which scales its rows and columns and keeps its zeros.  Over R
-    its largest entry must stay within D2_RESIDUAL_TOL * max|d_{j+1}| *
-    max|d_j|.  Either failure is NotAComplex.
+    with each block times the lcm of its denominators, which scales the
+    composite by a nonzero int and keeps its zeros.  Over R its largest entry
+    must stay within D2_RESIDUAL_TOL * max|d_{j+1}| * max|d_j|.  Either
+    failure is NotAComplex.
     """
+    diffs = [_integral(d) if d.field == QQ else d for d in diffs]
     for j in range(len(diffs) - 1):
         a, b = diffs[j + 1], diffs[j]
-        if a.field == QQ:
-            a = Matrix._of(a.rows, a.cols, [_enter(row, None) for row in a._entries], QQ)
-            columns = [_enter(col, None) for col in _transpose(b._entries, b.cols)]
-            b = Matrix._of(b.rows, b.cols, _transpose(columns, b.rows), QQ)
         residual = (a @ b)._entries
         if a.field.is_exact:
             if any(residual):
                 raise NotAComplex(f"d_{j + 1} . d_{j} != 0")
         elif _max_abs(residual) > D2_RESIDUAL_TOL * (_max_abs(a._entries) * _max_abs(b._entries)):
             raise NotAComplex(f"d_{j + 1} . d_{j} residual exceeds tolerance")
+
+
+def _integral(m: Matrix) -> Matrix:
+    """A Q matrix times the lcm of its denominators; m itself where integral."""
+    d = lcm(*{x.denominator for row in m._entries for x in row.values()})
+    if d == 1:
+        return m
+    entries = [{j: x.numerator * (d // x.denominator) for j, x in row.items()}
+               for row in m._entries]
+    return Matrix._of(m.rows, m.cols, entries, QQ)
 
 
 def _max_abs(entries: list[dict]) -> float:

@@ -10,26 +10,17 @@ hold the loss and gradient to.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptySignalSet,
-    NotTwoLayer,
-    SchemaError,
-    ShapeMismatch,
-    brief,
-)
+from .errors import DimensionMismatch, EmptySignalSet, NotTwoLayer, ShapeMismatch, brief
 from .linalg import RR, Matrix
 from .poset import Poset
 from .sheaf import Sheaf, build_sheaf
 from .spectral import (NORMALIZATIONS, default_eta, eigendecompose, float_array, laplacian,
                        real_sheaf_complex, require_finite)
 
-SEED_ENV = "POSHEAF_SEED"
 MAX_HALVINGS = 20  # learning-rate halvings tried before the learner stops
 FD_STEP = 1e-6  # relative step of finite_difference_gradient
 
@@ -115,7 +106,7 @@ class NsdLayer:
             raise ShapeMismatch(f"W1 must be {self.d}x{self.d}")
         if self.w2.ndim != 2:
             raise ShapeMismatch("W2 must be a matrix")
-        if not isinstance(self.norm, str) or self.norm.lower() not in NORMALIZATIONS:
+        if self.norm not in NORMALIZATIONS:
             raise ShapeMismatch(f"unknown normalization {brief(repr(self.norm))}")
 
 
@@ -150,21 +141,6 @@ def nsd_stack(layers: list[NsdLayer], features: np.ndarray) -> np.ndarray:
 class LearnResult:
     sheaf: Sheaf
     loss_history: list[float] = dc_field(default_factory=list)
-
-
-def _resolve_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    env = os.environ.get(SEED_ENV)
-    if not env:
-        return 0
-    try:
-        value = int(env)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise SchemaError(f"{SEED_ENV}={brief(repr(env))} is not a nonnegative integer")
-    return value
 
 
 def finite_difference_gradient(fn, x: np.ndarray) -> np.ndarray:
@@ -232,14 +208,14 @@ def _project(theta: np.ndarray) -> np.ndarray:
 
 
 def learn_sheaf(p: Poset, signals, *, lr: float = 4.0, iters: int = 100, d: int = 1,
-                seed: int | None = None) -> LearnResult:
+                seed: int = 0) -> LearnResult:
     """Gradient descent on all edge-map entries with the closed-form gradient
     of the smoothness loss sum_s ||d_0 x_s||^2, and a per-edge
     unit-Frobenius-norm projection after each step.
 
     lr scales the trial step loss/||grad||^2 that starts each halving line
     search; iters bounds accepted descent steps; d is the stalk dimension.  The
-    initial maps are drawn from seed, or from POSHEAF_SEED (0 if unset) for None.
+    initial maps are drawn from seed.
 
     The parameters form an (edges, 2, d, d) tensor theta[e] = (F_(u,e),
     F_(v,e)) in the edge order of the graph poset; the sheaf is built once,
@@ -262,7 +238,7 @@ def learn_sheaf(p: Poset, signals, *, lr: float = 4.0, iters: int = 100, d: int 
         raise EmptySignalSet("need at least one signal")
     if d < 1:
         raise DimensionMismatch(f"stalk dimension {d} is below 1")
-    rng = np.random.default_rng(_resolve_seed(seed))
+    rng = np.random.default_rng(seed)
     edges, xu, xv = _endpoint_signals(p, signals, d)
     _, k = np.frexp(max(abs(xu).max(initial=0.0), abs(xv).max(initial=0.0)))
     xu, xv = np.ldexp(xu, -k), np.ldexp(xv, -k)

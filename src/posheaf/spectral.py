@@ -39,7 +39,8 @@ from .errors import (
     UnstableStepSize,
 )
 from .linalg import QQ, Matrix, require_real
-from .cochain import NORMALIZATIONS, CochainComplexInstance, minimal_complex, minimal_incidence
+from .cochain import (DIFFUSION_MODES, NORMALIZATIONS, CochainComplexInstance, minimal_complex,
+                      minimal_incidence)
 from .sheaf import Sheaf, stalk_layout
 
 HARMONIC_TOL = 1e-8  # eigenvalues at most HARMONIC_TOL * the largest count as zero
@@ -80,8 +81,8 @@ def _real_diff(c: CochainComplexInstance, j: int, what: str) -> np.ndarray:
 
 def laplacian(c: CochainComplexInstance, j: int, norm: str = "none") -> np.ndarray:
     """Degree-j Laplacian d_j^T d_j + d_{j-1} d_{j-1}^T of a complex over Q or
-    R, optionally normalized, as a symmetric float64 array; only d_j and
-    d_{j-1} are converted to floats."""
+    R, normalized by norm ("none", "weak" or "strong", spelled exactly), as a
+    symmetric float64 array; only d_j and d_{j-1} are converted to floats."""
     up = _real_diff(c, j, "laplacian")
     if not (0 <= j <= c.top_degree):
         raise DegreeOutOfRange(f"degree {j} outside 0..{c.top_degree}")
@@ -92,7 +93,6 @@ def laplacian(c: CochainComplexInstance, j: int, norm: str = "none") -> np.ndarr
             mat = mat + down @ down.T
         mat = 0.5 * (mat + mat.T)
     require_finite(mat, f"degree-{j} Laplacian has non-finite entries")
-    norm = norm.lower()
     if norm == "none":
         out = mat
     elif norm == "weak":
@@ -278,9 +278,10 @@ def heat_diffusion(l: np.ndarray, x0, *, eta: float | None = None, steps: int = 
                    mode: str = "discrete") -> DiffusionTrace:
     """Gradient flow of the quadratic energy of the Laplacian array l.
 
-    Discrete mode iterates x -> x - 2*eta*L x; continuous-spectral mode
-    evaluates exp(-2 eta L t) x0 at unit-spaced times, with the eigenvalues
-    that rounding leaves below zero taken as zero.  eta multiplies L (or the
+    mode is "discrete" or "continuous", spelled exactly.  Discrete mode
+    iterates x -> x - 2*eta*L x; continuous-spectral mode evaluates
+    exp(-2 eta L t) x0 at unit-spaced times, with the eigenvalues that
+    rounding leaves below zero taken as zero.  eta multiplies L (or the
     eigenvalues) before the exact scaling by 2, so a huge eta against a zero
     Laplacian gives 0, not inf * 0.  eta None is default_eta of the largest
     eigenvalue.  The stored limit is the orthogonal projection of x0 onto the
@@ -292,9 +293,8 @@ def heat_diffusion(l: np.ndarray, x0, *, eta: float | None = None, steps: int = 
     spectrum = eigendecompose(l)
     if eta is None:
         eta = default_eta(spectrum.lam_max)
-    if mode.lower() not in ("discrete", "continuous"):
+    if mode not in DIFFUSION_MODES:
         raise UnstableStepSize(f"unknown diffusion mode {mode!r}")
-    mode = mode.lower()
     if not 0 < eta < math.inf:
         raise UnstableStepSize(f"step size {eta} is not positive and finite")
     if mode == "discrete" and spectrum.lam_max > 0 and eta >= 1.0 / spectrum.lam_max:

@@ -31,7 +31,8 @@ from posheaf.sheaf import Sheaf, build_sheaf, constant_sheaf, cycle_poset
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
-    """Deterministic generator; POSHEAF_SEED shifts every randomized test."""
+    """Deterministic generator; POSHEAF_SEED shifts every randomized test.
+    It shifts the test suite only: the product reads no environment variable."""
     base = int(os.environ.get("POSHEAF_SEED", "0") or "0")
     return np.random.default_rng(seed + base)
 
@@ -866,6 +867,6 @@ def reference_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=_POSITIVE_FINITE, default=0.2)
     p.add_argument("--iters", type=_COUNT, default=60)
     p.add_argument("--d", type=_POSITIVE_INT, default=1)
-    p.add_argument("--seed", type=_COUNT, default=None)
+    p.add_argument("--seed", type=_COUNT, default=0)
 
     return parser

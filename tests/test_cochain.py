@@ -323,8 +323,9 @@ def test_betti_dispatch_examples():
     two = hypergraph_to_poset(["1", "2", "3", "4"], [["1", "2"], ["3", "4"]])
     for method in ("roos", "minimal"):
         assert betti(constant_sheaf(two, 1, QQ), method) == [2, 0]
-    with pytest.raises(FieldMismatch, match="unknown construction 'morse'"):
-        build_complex(constant_sheaf(two, 1, QQ), "morse")
+    for method in ("morse", "Minimal"):
+        with pytest.raises(FieldMismatch, match=f"unknown construction '{method}'"):
+            build_complex(constant_sheaf(two, 1, QQ), method)
 
 
 def test_betti_zero_in_degrees_above_longest_chain():

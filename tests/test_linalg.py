@@ -529,6 +529,10 @@ def test_rational_d_squared_check_rejects_a_non_complex():
     ([[1], [1]], [[1, -1], [3, -3]], True),
     ([[1], [1]], [[1, -1], [3, -2]], False),
     ([[2], [-4]], [[6, 3]], True),
+    # rows with denominators 2, 3 and 6; each block is scaled whole
+    ([[Fraction(1, 2)], [Fraction(1, 3)], [Fraction(1, 6)]], [[1, 1, -5]], True),
+    ([[Fraction(1, 2)], [Fraction(1, 3)], [Fraction(1, 6)]], [[1, 1, -5], [0, 0, Fraction(1, 6)]],
+     False),  # one entry of the product is 1/36
 ])
 def test_rational_d_squared_check_over_int_and_mixed_blocks(d0, d1, ok):
     diffs = [Matrix.from_rows(d0, QQ), Matrix.from_rows(d1, QQ)]

@@ -313,11 +313,14 @@ def test_laplacian_degree_out_of_range():
 
 def test_laplacian_and_diffusion_refuse_unknown_names():
     c = _real_minimal(constant_sheaf(path_poset(2), 1, QQ))
-    with pytest.raises(FieldMismatch, match="unknown normalization 'bogus'"):
-        laplacian(c, 0, "bogus")
+    # names match exactly: another case is another name
+    for norm in ("bogus", "Weak"):
+        with pytest.raises(FieldMismatch, match=f"unknown normalization '{norm}'"):
+            laplacian(c, 0, norm)
     lap = laplacian(c, 0, "none")
-    with pytest.raises(UnstableStepSize, match="unknown diffusion mode 'fast'"):
-        heat_diffusion(lap, [1.0, 0.0], mode="fast")
+    for mode in ("fast", "Discrete"):
+        with pytest.raises(UnstableStepSize, match=f"unknown diffusion mode '{mode}'"):
+            heat_diffusion(lap, [1.0, 0.0], mode=mode)
 
 
 def test_weak_normalization_uniform_diagonal_is_scaling():
