@@ -49,10 +49,6 @@ def _side_document(path: str) -> dict:
     return parse_document(_read(path)[0])
 
 
-def _float_list(values) -> list[float]:
-    return [float(v) for v in values]
-
-
 def _is_finite_number(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
@@ -164,7 +160,7 @@ def cmd_spectrum(sheaf, args) -> dict:
     return {"spectrum": {
         "degree": args.degree,
         "normalization": args.norm,
-        "eigenvalues": _float_list(bundle.eigenvalues),
+        "eigenvalues": bundle.eigenvalues.tolist(),
         "lambda_min": bundle.lam_min,
         "lambda_max": bundle.lam_max,
         "harmonic_dim": bundle.harmonic_dim,
@@ -187,7 +183,7 @@ def cmd_diffuse(sheaf, args) -> dict:
         "energies_last": trace.energies[-1],
         "distance_first": trace.distances[0],
         "distance_last": trace.distances[-1],
-        "limit": _float_list(trace.limit),
+        "limit": trace.limit.tolist(),
     }}
 
 
@@ -211,7 +207,7 @@ def cmd_learn(sheaf, args) -> dict:
                              seed=args.seed)
     return {"learn": {
         "d": args.d,
-        "loss_history": _float_list(result.loss_history),
+        "loss_history": result.loss_history,
         "field": str(result.sheaf.field),
         "maps": map_entries(result.sheaf, float),
     }}

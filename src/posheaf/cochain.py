@@ -297,15 +297,9 @@ def betti_numbers(c: CochainComplexInstance) -> list[int]:
     """Betti vector via rank-nullity, one entry per degree of c, so its length
     follows the construction: over Q on the cone over the six-vertex RP^2,
     Roos gives [1, 0, 0, 0] and minimal [1, 0, 0]."""
-    top = c.top_degree
-    ranks = [rank(diff) for diff in c.diffs]
-    out = []
-    for j in range(top + 1):
-        dim_j = c.degree_dim(j)
-        rank_out = ranks[j] if j < len(ranks) else 0
-        rank_in = ranks[j - 1] if j >= 1 else 0
-        out.append(dim_j - rank_out - rank_in)
-    return out
+    # padded: d_{j-1} is ranks[j] and d_j is ranks[j + 1], zero past either end
+    ranks = [0, *(rank(diff) for diff in c.diffs), 0]
+    return [c.degree_dim(j) - ranks[j] - ranks[j + 1] for j in range(c.top_degree + 1)]
 
 
 def build_complex(d: Sheaf, method: str) -> CochainComplexInstance:

@@ -28,16 +28,15 @@ FD_STEP = 1e-6  # relative step of finite_difference_gradient
 def _graph_structure(p: Poset) -> tuple[list[str], list[tuple[str, str, str]]]:
     """Vertices (topo order) and edges as (edge, u, v) with u before v in topo
     order; raises unless the poset is the cell poset of a simple graph."""
-    vertices = [e for e in p.topo_order if not p.covered_by(e)]
-    vertex_set = set(vertices)
-    edges = []
+    vertices, edges = [], []
     for e in p.topo_order:
-        if e in vertex_set:
-            continue
         ends = p.covered_by(e)
-        if len(ends) != 2 or p.covers_of(e):
+        if not ends:
+            vertices.append(e)
+        elif len(ends) != 2 or p.covers_of(e):
             raise NotTwoLayer(f"element {brief(repr(e))} is not an edge over two vertices")
-        edges.append((e, ends[0], ends[1]))
+        else:
+            edges.append((e, *ends))
     return vertices, edges
 
 

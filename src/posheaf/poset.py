@@ -9,6 +9,7 @@ pairs or follows a hashed set's order, so results ignore the hash seed.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -267,21 +268,15 @@ class PosetClassification:
 
 
 def _grading(p: Poset) -> dict[str, int] | None:
-    """Unique rank function when all maximal descending chains agree, else None."""
-    lengths: dict[int, set[int]] = {}
+    """Unique rank function when all maximal descending chains agree, else
+    None: in topo order, one more than the rank the lower covers share."""
+    rank: dict[str, int] = {}
     for e in p.topo_order:
-        i = p.index(e)
-        preds = p._pred[i]
-        if not preds:
-            lengths[i] = {0}
-        else:
-            acc: set[int] = set()
-            for q in preds:
-                acc |= {l + 1 for l in lengths[q]}
-            lengths[i] = acc
-    if any(len(v) != 1 for v in lengths.values()):
-        return None
-    return {p.elements[i]: next(iter(v)) for i, v in lengths.items()}
+        below = {rank[p.elements[q]] for q in p._pred[p.index(e)]}
+        if len(below) > 1:
+            return None
+        rank[e] = max(below, default=-1) + 1
+    return rank
 
 
 def classify(p: Poset, field: FieldTag) -> PosetClassification:
@@ -348,17 +343,10 @@ def simplicial_complex_poset(simplices) -> Poset:
     by the cellular cochain construction.
     """
     closed: set[tuple[str, ...]] = set()
-
-    def close(simplex: tuple[str, ...]):
-        if simplex in closed or not simplex:
-            return
-        closed.add(simplex)
-        for i in range(len(simplex)):
-            close(simplex[:i] + simplex[i + 1:])
-
     for sx in simplices:
-        vertices = tuple(sorted({str(v) for v in sx}))
-        close(vertices)
+        vertices = sorted({str(v) for v in sx})
+        for k in range(1, len(vertices) + 1):
+            closed.update(itertools.combinations(vertices, k))
     ordered = sorted(closed, key=lambda t: (len(t), t))
     names = {t: ",".join(t) for t in ordered}
     covers = []
@@ -376,16 +364,14 @@ def decode_simplicial_elements(p: Poset) -> dict[str, tuple[str, ...]] | None:
     With all faces present, that holds exactly when the covers are the
     (codimension-one face, simplex) pairs."""
     decoded: dict[str, tuple[str, ...]] = {}
-    sets_seen = set()
     for e in p.elements:
         parts = tuple(sorted(e.split(",")))
         if any(not part for part in parts) or len(set(parts)) != len(parts):
             return None
-        if parts in sets_seen:
-            return None
-        sets_seen.add(parts)
         decoded[e] = parts
     by_set = {v: k for k, v in decoded.items()}
+    if len(by_set) < len(decoded):  # two elements name one vertex set
+        return None
     faces = set()
     for e, parts in decoded.items():
         if len(parts) > 1:

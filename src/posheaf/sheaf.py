@@ -184,58 +184,50 @@ def check_compositionality(d: Sheaf) -> list[CompositionalityViolation]:
     return violations
 
 
-def constant_sheaf(p: Poset, dim: int, field: FieldTag) -> Sheaf:
-    stalks = {e: dim for e in p.elements}
+def _supported_sheaf(p: Poset, support: set[str], dim: int, field: FieldTag) -> Sheaf:
+    """Stalk dim on support and 0 elsewhere; one shared identity on every
+    cover with both ends in support, a zero map on every other cover."""
+    stalks = {e: (dim if e in support else 0) for e in p.elements}
     ident = Matrix.identity(dim, field)
-    maps = {edge: ident for edge in p.hasse_edges()}
+    maps = {(a, b): ident if a in support and b in support
+            else Matrix.zeros(stalks[b], stalks[a], field)
+            for (a, b) in p.hasse_edges()}
     return build_sheaf(p, stalks, maps, field)
+
+
+def constant_sheaf(p: Poset, dim: int, field: FieldTag) -> Sheaf:
+    return _supported_sheaf(p, set(p.elements), dim, field)
 
 
 def skyscraper_cone_sheaf(p: Poset, s: str, dim: int, field: FieldTag) -> Sheaf:
     """Constant stalk on the down-set {t <= s}, zero elsewhere; identity maps
-    inside the cone, zero maps out."""
+    inside the cone, zero maps out.  The cone is down-closed, so it holds a
+    cover's lower end wherever it holds the upper one."""
     p.index(s)
-    cone = {s} | p.strict_lower(s)
-    stalks = {e: (dim if e in cone else 0) for e in p.elements}
-    maps = {}
-    for (a, b) in p.hasse_edges():
-        if b in cone:
-            maps[(a, b)] = Matrix.identity(dim, field)
-        else:
-            maps[(a, b)] = Matrix.zeros(stalks[b], stalks[a], field)
-    return build_sheaf(p, stalks, maps, field)
+    return _supported_sheaf(p, {s} | p.strict_lower(s), dim, field)
 
 
 def dirac_sheaf(p: Poset, s: str, dim: int, field: FieldTag) -> Sheaf:
     p.index(s)
-    stalks = {e: (dim if e == s else 0) for e in p.elements}
-    maps = {
-        (a, b): Matrix.zeros(stalks[b], stalks[a], field)
-        for (a, b) in p.hasse_edges()
-    }
-    return build_sheaf(p, stalks, maps, field)
+    return _supported_sheaf(p, {s}, dim, field)
+
+
+def _graph_poset(n: int, ends: list[tuple[int, int]]) -> Poset:
+    """Cell poset of a graph: vertices v0..v{n-1}, then one edge e{k} over
+    each vertex pair ends[k], covered by its two ends in that order."""
+    edges = [f"e{k}" for k in range(len(ends))]
+    covers = [(f"v{i}", e) for e, pair in zip(edges, ends) for i in pair]
+    return build_poset([f"v{i}" for i in range(n)] + edges, covers)
 
 
 def cycle_poset(n: int) -> Poset:
     """Poset of the cycle graph C_n: vertices v0..v{n-1}, edges e_i over {v_i, v_{i+1}}."""
-    vertices = [f"v{i}" for i in range(n)]
-    edges = [f"e{i}" for i in range(n)]
-    covers = []
-    for i in range(n):
-        covers.append((vertices[i], edges[i]))
-        covers.append((vertices[(i + 1) % n], edges[i]))
-    return build_poset(vertices + edges, covers)
+    return _graph_poset(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path_poset(n: int) -> Poset:
     """Poset of the path graph on n vertices v0..v{n-1} with edges e0..e{n-2}."""
-    vertices = [f"v{i}" for i in range(n)]
-    edges = [f"e{i}" for i in range(n - 1)]
-    covers = []
-    for i in range(n - 1):
-        covers.append((vertices[i], edges[i]))
-        covers.append((vertices[i + 1], edges[i]))
-    return build_poset(vertices + edges, covers)
+    return _graph_poset(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def mobius_sheaf(n: int, field: FieldTag) -> Sheaf:

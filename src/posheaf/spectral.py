@@ -44,7 +44,7 @@ from .cochain import (DIFFUSION_MODES, NORMALIZATIONS, CochainComplexInstance, m
 from .sheaf import Sheaf, stalk_layout
 
 HARMONIC_TOL = 1e-8  # eigenvalues at most HARMONIC_TOL * the largest count as zero
-JACOBI_TOL = 1e-12  # Jacobi stops once the off-diagonal max is below JACOBI_TOL * scale
+JACOBI_TOL = 1e-12  # off-diagonal max below JACOBI_TOL * scale: one more sweep, then stop
 JACOBI_MAX_SWEEPS = 100
 
 
@@ -190,8 +190,7 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
               for r in range(m - 1)]
     rounds = [(p[q < n], q[q < n]) for p, q in rounds]
     for _ in range(JACOBI_MAX_SWEEPS):
-        if np.max(np.abs(work[upper]), initial=0.0) <= JACOBI_TOL * scale:
-            break
+        converged = np.max(np.abs(work[upper]), initial=0.0) <= JACOBI_TOL * scale
         for p, q in rounds:
             live = work[p, q] != 0.0
             p, q = p[live], q[live]
@@ -208,6 +207,8 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             _rotate(work.T, p, q, c, s)
             work[p, q] = work[q, p] = 0.0
             _rotate(vectors, p, q, c, s)
+        if converged:  # quadratic convergence: this last sweep reaches rounding
+            break
     else:
         raise NoConvergence(f"Jacobi sweeps did not converge within {JACOBI_MAX_SWEEPS}")
     eigenvalues = np.diag(work).copy()

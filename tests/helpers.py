@@ -745,7 +745,9 @@ def graph_sheaf_twins(n: int, kind: str, rng: np.random.Generator) -> tuple[Shea
     frames R (b0 = 2, every stalk block of L_0 a multiple of I).  kind
     "frame": F_(v,e) = G_e G_v^-1 for invertible rational frames
     G = R diag(a, b) (b0 = 2, every stalk block of L_0 with two distinct
-    eigenvalues).
+    eigenvalues).  kind "ordered-frame": "frame" with a > b at every vertex
+    and a < b at every edge, so each stalk block's two eigenvalues are
+    distinct with no swap.
     """
     chords = []
     seen = {frozenset((i, (i + 1) % n)) for i in range(n)}
@@ -762,8 +764,11 @@ def graph_sheaf_twins(n: int, kind: str, rng: np.random.Generator) -> tuple[Shea
     frames: dict[str, list[list[Fraction]]] = {}
     if kind == "gauge":
         frames = {x: _rational_rotation(rng) for x in vertices + edges}
-    elif kind == "frame":
+    elif kind in ("frame", "ordered-frame"):
         parts = {x: _rational_frame(rng) for x in vertices + edges}
+        if kind == "ordered-frame":
+            parts = {x: (rotation, *sorted((a, b), reverse=x in vertices))
+                     for x, (rotation, a, b) in parts.items()}
         # the stalk block of L_0 at v is R_v diag(A / a_v^2, B / b_v^2) R_v^T,
         # (A, B) the sum of (a_e^2, b_e^2) over the edges at v; where the two
         # eigenvalues are equal, they differ once a_v and b_v swap, as a_v != b_v

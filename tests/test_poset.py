@@ -30,6 +30,7 @@ from helpers import (
     random_dag_poset,
     random_simplicial_poset,
     reduced_betti_oracle,
+    saturated_paths_reference,
     seeded_rng,
 )
 
@@ -333,7 +334,10 @@ def test_classify_simplicial_posets_are_homology_cell():
 def test_classify_matches_down_set_betti_oracle():
     # The oracle's Betti numbers are rational; these down-sets (at most eight
     # elements) are too small to carry torsion, so F_2 gives the same answer.
+    # The grading's reference: the rank set of e holds the lengths of the
+    # saturated paths from each minimal element to e, {0} for a minimal e.
     rng = seeded_rng(41)
+    graded_seen = 0
     for _ in range(200):
         p = random_dag_poset(rng)
         sphere_dims = {}
@@ -342,10 +346,23 @@ def test_classify_matches_down_set_betti_oracle():
             if list(betti.values()) == [1]:
                 sphere_dims[s] = next(iter(betti)) + 1
         morse = len(sphere_dims) == len(p)
+        paths = saturated_paths_reference(p)
+        minimal = p.minimal_elements()
+        rank_sets = {e: {0} if e in minimal else
+                     {len(path) - 1 for m in minimal for path in paths.get((m, e), [])}
+                     for e in p.topo_order}
+        graded = all(len(ranks) == 1 for ranks in rank_sets.values())
+        graded_seen += graded
         for field in (QQ, prime_field(2)):
             result = classify(p, field)
             assert result.morse_cell == morse
             assert result.cell_dims == (sphere_dims if morse else None)
+            assert result.graded == graded
+            if graded:
+                assert list(result.rank.items()) == [(e, min(r)) for e, r in rank_sets.items()]
+            else:
+                assert result.rank is None
+    assert 0 < graded_seen < 200
 
 
 def test_hypergraph_to_poset_shapes():
@@ -388,6 +405,24 @@ def _one_change_copies(p, rng):
     swap = {p.elements[i]: p.elements[j], p.elements[j]: p.elements[i]}
     copies.append(build_poset(p.elements, [(swap.get(a, a), swap.get(b, b)) for a, b in covers]))
     return copies
+
+
+def test_simplicial_complex_poset_declares_every_face_in_order():
+    # Vertex names of one and two digits, so lexicographic order is not
+    # numeric order, and simplices repeating a vertex or another simplex.
+    rng = seeded_rng(84)
+    for _ in range(100):
+        names = [str(v) for v in rng.choice(12, size=int(rng.integers(1, 7)), replace=False)]
+        simplices = [list(rng.choice(names, size=int(rng.integers(1, 5))))
+                     for _ in range(int(rng.integers(1, 5)))]
+        faces = {face for sx in simplices for k in range(1, len(set(sx)) + 1)
+                 for face in itertools.combinations(sorted(set(sx)), k)}
+        ordered = sorted(faces, key=lambda t: (len(t), t))
+        p = simplicial_complex_poset(simplices)
+        assert p.elements == tuple(",".join(t) for t in ordered)
+        assert sorted(p.covers) == sorted((",".join(t[:i] + t[i + 1:]), ",".join(t))
+                                          for t in ordered if len(t) > 1
+                                          for i in range(len(t)))
 
 
 def test_simplicial_decoding_matches_the_pairwise_reference():

@@ -246,7 +246,7 @@ def _distinct_stalk_block_eigenvalues(lap: np.ndarray, blocks: list[int]) -> boo
 
 @pytest.mark.parametrize("n, kind", [
     (n, kind) for n in (10, 20, 40, 80) for kind in ("gauss", "gauge", "frame")
-])
+] + [(n, "ordered-frame") for n in (10, 20)])
 def test_lapack_eigensolves_match_jacobi_on_graph_sheaves(monkeypatch, n, kind):
     exact, real = graph_sheaf_twins(n, kind, seeded_rng(600 + n))
     b0 = betti(exact, "minimal")[0]
