@@ -195,7 +195,7 @@ def cmd_nsd_forward(sheaf, args) -> dict:
     if eta is not None and not _is_finite_number(eta):
         raise SchemaError(f"eta: {brief(repr(eta))} is not a finite number")
     layer = nsd.NsdLayer(sheaf, w1, w2, eta=eta, norm=params.get("norm", "weak"))
-    return {"output": [[float(v) for v in row] for row in nsd.nsd_forward(layer, x)]}
+    return {"output": nsd.nsd_forward(layer, x).tolist()}
 
 
 def cmd_learn(sheaf, args) -> dict:

@@ -105,8 +105,9 @@ def laplacian(c: CochainComplexInstance, j: int, norm: str = "none") -> np.ndarr
 
 
 def _is_zero(eigenvalues: np.ndarray) -> np.ndarray:
-    """Mask of the ascending eigenvalues at most HARMONIC_TOL times the last."""
-    return eigenvalues <= HARMONIC_TOL * eigenvalues[-1:]
+    """Mask of the ascending eigenvalues at most HARMONIC_TOL times the last,
+    along the last axis, so a stack of spectra is masked spectrum by spectrum."""
+    return eigenvalues <= HARMONIC_TOL * eigenvalues[..., -1:]
 
 
 def _weak_normalize(mat: np.ndarray) -> np.ndarray:
@@ -119,37 +120,40 @@ def _weak_normalize(mat: np.ndarray) -> np.ndarray:
 
 
 def _strong_normalize(mat: np.ndarray, blocks: list[int]) -> np.ndarray:
-    """Blockwise diagonalization then pseudo-inverse scaling, zeros mapped to 1."""
+    """Blockwise diagonalization then pseudo-inverse scaling, zeros mapped to 1.
+    The stalk blocks of one size are solved as one stack by one ``_eigh``."""
     n = mat.shape[0]
     q = np.eye(n)
     scale = np.ones(n)
-    offset = 0
-    for size in blocks:
-        block = mat[offset:offset + size, offset:offset + size]
-        eigenvalues, vectors = _eigh(block)
-        q[offset:offset + size, offset:offset + size] = vectors
+    sizes = np.array(blocks, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    for size in set(blocks) - {0}:
+        idx = starts[sizes == size, None] + np.arange(size)
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        eigenvalues, vectors = _eigh(mat[rows, cols])
+        q[rows, cols] = vectors
         zero = _is_zero(eigenvalues)
         with np.errstate(over="ignore"):
-            scale[offset:offset + size] = np.where(zero, 1.0, 1.0 / np.where(zero, 1.0, eigenvalues))
-        offset += size
+            scale[idx] = np.where(zero, 1.0, 1.0 / np.where(zero, 1.0, eigenvalues))
     half = np.sqrt(require_finite(scale, "strong normalization: 1/lambda beyond the double range"))
     rotated = q.T @ mat @ q
     return rotated * np.outer(half, half)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Eigenvector columns signed so that each one's largest-magnitude entry,
-    the first of any tie, is positive."""
+    """Eigenvector columns of a matrix, or of each matrix of a stack, signed
+    so that each one's largest-magnitude entry, the first of any tie, is
+    positive."""
     if vectors.size:
-        columns = np.arange(vectors.shape[1])
-        lead = np.argmax(np.abs(vectors), axis=0)
-        vectors = vectors * np.where(vectors[lead, columns] < 0, -1.0, 1.0)
+        lead = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+        vectors = vectors * np.where(np.take_along_axis(vectors, lead, axis=-2) < 0, -1.0, 1.0)
     return vectors
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK eigensolve of a real symmetric matrix: ascending eigenvalues and
-    orthonormal eigenvector columns, signed by ``_fix_signs``."""
+    """LAPACK eigensolve of a real symmetric matrix, or of each matrix of a
+    stack in one call: ascending eigenvalues and orthonormal eigenvector
+    columns, signed by ``_fix_signs``."""
     try:
         eigenvalues, vectors = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
@@ -302,27 +306,35 @@ def heat_diffusion(l: np.ndarray, x0, *, eta: float | None = None, steps: int = 
         raise UnstableStepSize(
             f"eta={eta} is not below 1/lambda_max={1.0 / spectrum.lam_max}"
         )
-    states = [x0]
+    states = np.empty((max(steps, 0) + 1, len(l)))
+    states[0] = x0
+    # the stacked products run over blocks of at most len(l) states, so no
+    # scratch array outgrows the Laplacian
+    block = max(len(l), 1)
     # an infinite rate decays to exp(-inf) = 0; any other overflow leaves an
     # inf or nan in an energy or a distance, and the check below rejects it
     with np.errstate(over="ignore", invalid="ignore"):
         limit = spectrum.harmonic_projector() @ x0
         if mode == "discrete":
             operator = np.eye(len(l)) - 2.0 * (eta * l)
-            x = x0
-            for _ in range(steps):
-                x = operator @ x
-                states.append(x)
+            for k in range(1, len(states)):
+                np.matmul(operator, states[k - 1], out=states[k])
         else:
             coords = spectrum.eigenvectors.T @ x0
-            rates = eta * np.maximum(spectrum.eigenvalues, 0.0)
-            for k in range(1, steps + 1):
-                decay = np.exp(-2.0 * rates * float(k))
-                states.append(spectrum.eigenvectors @ (decay * coords))
-        energies = [float(x @ (l @ x)) for x in states]
-        distances = [float(np.linalg.norm(x - limit)) for x in states]
+            log_decay = -2.0 * (eta * np.maximum(spectrum.eigenvalues, 0.0))
+            for start in range(1, len(states), block):
+                times = np.arange(start, min(start + block, len(states)), dtype=float)
+                decay = np.exp(log_decay * times[:, None])
+                states[start:start + len(times)] = np.matmul(
+                    spectrum.eigenvectors, (decay * coords)[..., None])[..., 0]
+        energies, distances = [], []
+        for start in range(0, len(states), block):
+            rows = states[start:start + block]
+            energies += np.matmul(rows[:, None, :], np.matmul(l, rows[..., None])).ravel().tolist()
+            gaps = rows - limit  # sqrt of each gap's dot with itself, as np.linalg.norm takes it
+            distances += np.sqrt(np.matmul(gaps[:, None, :], gaps[..., None])).ravel().tolist()
     require_finite(energies + distances, "diffusion overflowed: non-finite energy or distance")
-    return DiffusionTrace(states, energies, distances, eta, mode, limit)
+    return DiffusionTrace(list(states), energies, distances, eta, mode, limit)
 
 
 def convergence_rate(trace: DiffusionTrace, spectrum: SpectralBundle) -> float:

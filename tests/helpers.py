@@ -797,6 +797,68 @@ def graph_sheaf_twins(n: int, kind: str, rng: np.random.Generator) -> tuple[Shea
 
 
 # ---------------------------------------------------------------------------
+# The real path one stalk block and one state at a time: the loops that
+# spectral's stacked LAPACK and BLAS calls must reproduce bit for bit.
+# ---------------------------------------------------------------------------
+
+def fix_signs_reference(vectors: np.ndarray) -> np.ndarray:
+    """The sign rule on one matrix: each column's largest-magnitude entry,
+    the first of any tie, made positive."""
+    if vectors.size:
+        columns = np.arange(vectors.shape[1])
+        lead = np.argmax(np.abs(vectors), axis=0)
+        vectors = vectors * np.where(vectors[lead, columns] < 0, -1.0, 1.0)
+    return vectors
+
+
+def strong_normalize_reference(mat: np.ndarray, blocks: list[int]) -> np.ndarray:
+    """Strong normalization with one eigensolve per stalk block, in order."""
+    from posheaf import spectral
+    n = mat.shape[0]
+    q = np.eye(n)
+    scale = np.ones(n)
+    offset = 0
+    for size in blocks:
+        block = mat[offset:offset + size, offset:offset + size]
+        eigenvalues, vectors = np.linalg.eigh(block)
+        q[offset:offset + size, offset:offset + size] = fix_signs_reference(vectors)
+        zero = eigenvalues <= spectral.HARMONIC_TOL * eigenvalues[-1:]
+        with np.errstate(over="ignore"):
+            scale[offset:offset + size] = np.where(zero, 1.0, 1.0 / np.where(zero, 1.0, eigenvalues))
+        offset += size
+    half = np.sqrt(scale)
+    rotated = q.T @ mat @ q
+    return rotated * np.outer(half, half)
+
+
+def heat_diffusion_reference(l: np.ndarray, x0, *, eta: float, steps: int,
+                             mode: str) -> tuple[list, list[float], list[float], np.ndarray]:
+    """(states, energies, distances, limit) of heat diffusion with one product
+    per state and one energy and distance per state; eta is given."""
+    from posheaf import spectral
+    x0 = np.asarray(x0, dtype=float)
+    spectrum = spectral.eigendecompose(l)
+    states = [x0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        limit = spectrum.harmonic_projector() @ x0
+        if mode == "discrete":
+            operator = np.eye(len(l)) - 2.0 * (eta * l)
+            x = x0
+            for _ in range(steps):
+                x = operator @ x
+                states.append(x)
+        else:
+            coords = spectrum.eigenvectors.T @ x0
+            rates = eta * np.maximum(spectrum.eigenvalues, 0.0)
+            for k in range(1, steps + 1):
+                decay = np.exp(-2.0 * rates * float(k))
+                states.append(spectrum.eigenvectors @ (decay * coords))
+        energies = [float(x @ (l @ x)) for x in states]
+        distances = [float(np.linalg.norm(x - limit)) for x in states]
+    return states, energies, distances, limit
+
+
+# ---------------------------------------------------------------------------
 # Documents whose cost explodes: a few hundred KB of JSON at most, generated
 # so that no large file is committed.
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 from itertools import accumulate
@@ -24,6 +25,7 @@ from posheaf.io import parse_sheaf
 from posheaf.linalg import Matrix, QQ, RR, prime_field
 from posheaf.cochain import (
     AUGMENTATION,
+    DIFFUSION_MODES,
     betti,
     betti_numbers,
     minimal_complex,
@@ -56,7 +58,9 @@ from posheaf.spectral import (
     real_sheaf_complex,
 )
 
-from helpers import graph_sheaf_twins, random_compositional_sheaf, random_dag_poset, seeded_rng
+from helpers import (fix_signs_reference, graph_sheaf_twins, heat_diffusion_reference,
+                     random_compositional_sheaf, random_dag_poset, seeded_rng,
+                     strong_normalize_reference)
 
 
 def _real_minimal(sheaf):
@@ -261,6 +265,10 @@ def test_lapack_eigensolves_match_jacobi_on_graph_sheaves(monkeypatch, n, kind):
     cache = {}
 
     def jacobi_once(a):
+        # the strong normalization solves its stalk blocks of one size as a stack
+        if a.ndim == 3:
+            solved = [jacobi_once(m) for m in a]
+            return np.stack([v for v, _ in solved]), np.stack([w for _, w in solved])
         # heat_diffusion solves the Laplacian eigendecompose just solved
         key = a.tobytes()
         if key not in cache:
@@ -528,6 +536,99 @@ def test_continuous_mode_matches_matrix_exponential():
     for k, state in enumerate(trace.states):
         expected = vecs @ (np.exp(-2 * 0.1 * vals * k) * (vecs.T @ x0))
         assert np.allclose(state, expected, atol=1e-9)
+
+
+TWIN_KINDS = ("gauss", "gauge", "frame", "ordered-frame")
+
+
+@pytest.mark.parametrize("kind", TWIN_KINDS)
+def test_strong_normalization_stacks_match_the_per_block_reference(kind):
+    # one eigensolve per block size runs LAPACK once per stacked block, as
+    # one call per block does, so every bit agrees
+    for n in (10, 30):
+        rc = real_sheaf_complex(graph_sheaf_twins(n, kind, seeded_rng(800 + n))[1])
+        for j in (0, 1):
+            mat = laplacian(rc, j, "none")
+            assert np.array_equal(spectral._strong_normalize(mat, rc.dims[j]),
+                                  strong_normalize_reference(mat, rc.dims[j]))
+
+
+def test_strong_normalization_stacks_mixed_and_empty_stalks():
+    rng = seeded_rng(801)
+    blocks = [2, 0, 1, 3, 1, 0, 3, 2, 1, 3]
+    a = rng.standard_normal((sum(blocks), 2))  # rank 2: every 3-dim block is singular
+    a[3:6] = 0.0  # and one whole block is zero
+    mat = a @ a.T
+    assert np.array_equal(spectral._strong_normalize(mat, blocks),
+                          strong_normalize_reference(mat, blocks))
+    for empty in ([], [0, 0]):
+        out = spectral._strong_normalize(np.zeros((0, 0)), empty)
+        assert out.shape == (0, 0)
+        assert np.array_equal(out, strong_normalize_reference(np.zeros((0, 0)), empty))
+
+
+def test_sign_rule_on_a_stack_matches_each_matrix():
+    rng = seeded_rng(802)
+    a = rng.standard_normal((5, 4, 4))
+    stack = np.linalg.eigh(a + a.transpose(0, 2, 1))[1]
+    stack[0, :, 1] = [0.0, -0.5, 0.5, 0.0]  # a magnitude tie goes to the first index
+    signed = spectral._fix_signs(stack)
+    for m, s in zip(stack, signed):
+        assert np.array_equal(s, spectral._fix_signs(m))
+        assert np.array_equal(s, fix_signs_reference(m))
+    assert signed[0, 1, 1] == 0.5
+    assert spectral._fix_signs(np.zeros((3, 0, 0))).shape == (3, 0, 0)
+
+
+def _assert_trace_matches_reference(lap, x0, steps, mode):
+    trace = heat_diffusion(lap, x0, steps=steps, mode=mode)
+    states, energies, distances, limit = heat_diffusion_reference(
+        lap, x0, eta=trace.eta, steps=steps, mode=mode)
+    assert isinstance(trace.states, list) and len(trace.states) == len(states)
+    assert all(np.array_equal(s, r) for s, r in zip(trace.states, states))
+    assert all(type(v) is float for v in trace.energies + trace.distances)
+    assert trace.energies == energies and trace.distances == distances
+    assert np.array_equal(trace.limit, limit)
+
+
+@pytest.mark.parametrize("mode", DIFFUSION_MODES)
+@pytest.mark.parametrize("kind", TWIN_KINDS)
+def test_heat_diffusion_stacks_match_the_per_state_reference(kind, mode):
+    # 3 * len(l) + 1 steps run the stacked products over several row blocks;
+    # a negative step count leaves the one-state trace
+    rc = real_sheaf_complex(graph_sheaf_twins(10, kind, seeded_rng(803))[1])
+    x0 = seeded_rng(804).standard_normal(rc.degree_dim(0))
+    for norm in NORMALIZATIONS:
+        lap = laplacian(rc, 0, norm)
+        for steps in (0, 1, 3 * len(lap) + 1, -1):
+            _assert_trace_matches_reference(lap, x0, steps, mode)
+
+
+@pytest.mark.parametrize("mode", DIFFUSION_MODES)
+def test_heat_diffusion_stacks_match_on_an_empty_laplacian(mode):
+    for steps in (0, 1, 4, -1):
+        _assert_trace_matches_reference(np.zeros((0, 0)), [], steps, mode)
+    assert len(heat_diffusion(np.zeros((0, 0)), [], steps=4, mode=mode).states) == 5
+
+
+@pytest.mark.parametrize("mode", DIFFUSION_MODES)
+def test_heat_diffusion_scratch_stays_within_the_laplacian(mode):
+    # the stacked products run over blocks of len(l) states: a long trace
+    # peaks near its own states' bytes (1.43x measured), where stacking every
+    # state at once would add a second states-sized array
+    lap = laplacian(real_sheaf_complex(graph_sheaf_twins(30, "gauss", seeded_rng(805))[1]), 0,
+                    "none")
+    n = len(lap)
+    x0 = np.ones(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = heat_diffusion(lap, x0, steps=50 * n, mode=mode)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(trace.states) == 50 * n + 1
+    assert peak < 1.6 * (50 * n + 1) * n * 8
 
 
 def test_convergence_rate_single_edge_one_shot():
