@@ -100,18 +100,13 @@ def cmd_validate(sheaf, args) -> dict:
 
 def cmd_classify(sheaf, args) -> dict:
     result = classify(sheaf.poset, sheaf.field)
+    # the rank comes in topo order; cell_dims is already in declaration order
     return {"classification": {
         "graded": result.graded,
-        "rank": (
-            {e: result.rank[e] for e in sheaf.poset.elements} if result.rank else None
-        ),
+        "rank": None if result.rank is None else {e: result.rank[e] for e in sheaf.poset.elements},
         "homology_cell": result.homology_cell,
         "morse_cell": result.morse_cell,
-        "cell_dims": (
-            {e: result.cell_dims[e] for e in sheaf.poset.elements}
-            if result.cell_dims
-            else None
-        ),
+        "cell_dims": result.cell_dims,
     }}
 
 

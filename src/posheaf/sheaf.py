@@ -2,9 +2,9 @@
 
 Structure maps are stored on Hasse edges only (``edge_map``), and a cover's map
 is its edge map.  The map for a general relation s < t is composed along the
-canonical path: the first one _saturated_paths yields, which is the
-lexicographically least in topo order.  check_compositionality compares the
-compositions along all saturated paths, from the same enumerator.
+canonical path, the lexicographically least saturated path in topo order: from
+s, step to the first cover below or at t.  check_compositionality walks every
+saturated path from each source once, depth first in the same order.
 Order questions are answered from the covers, in declaration order, and from
 up-sets in topo order, so a missing map or a non-monotone pullback is reported
 at its first cover.
@@ -12,6 +12,7 @@ at its first cover.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -62,7 +63,10 @@ class Sheaf:
         if m is None:
             if not self.poset.lt(s, t):
                 raise NotAPath(f"{brief(repr(s))} is not strictly below {brief(repr(t))}")
-            path = next(_saturated_paths(self.poset, s, t))
+            path = [s]
+            while path[-1] != t:
+                path.append(next(u for u in self.poset.covers_of(path[-1])
+                                 if self.poset.leq(u, t)))
             m = self._path_cache[(s, t)] = self.compose_along(path)
         return m
 
@@ -128,20 +132,13 @@ class CompositionalityViolation:
     deviation_sq: float
 
 
-def _saturated_paths(p: Poset, s: str, t: str):
-    """Every saturated path s = x_0 < x_1 < ... < x_k = t, each step a Hasse
-    cover, depth first with covers in topo order: lexicographically in topo
-    positions, so the first path is the canonical one.  The search keeps its
-    own stack of cover iterators, so no path is too long for it."""
-    stack = [(s, iter(p.covers_of(s)))]
-    while stack:
-        nxt = next(stack[-1][1], None)
-        if nxt is None:
-            stack.pop()
-        elif nxt == t:
-            yield (*(x for x, _ in stack), t)
-        elif p.lt(nxt, t):
-            stack.append((nxt, iter(p.covers_of(nxt))))
+def _unlink(node) -> tuple[str, ...]:
+    """The path of a walk node (end, prefix node), from its source."""
+    path = []
+    while node is not None:
+        path.append(node[0])
+        node = node[1]
+    return tuple(reversed(path))
 
 
 def _frobenius_sq(m: Matrix) -> float:
@@ -160,27 +157,29 @@ def _frobenius_sq(m: Matrix) -> float:
 def check_compositionality(d: Sheaf) -> list[CompositionalityViolation]:
     """Compare all saturated-path compositions pairwise for every s < t.
 
+    Each saturated path from s is a node (end, prefix node) of one walk from
+    s, composed as its last edge map @ its prefix's, as compose_along does.
     An empty list certifies a genuine diagram.  Each violation carries the raw
     squared Frobenius deviation of the two compositions as a diagnostic.
     """
     p = d.poset
+    above = {e: p.covers_of(e)[::-1] for e in p.elements}
     violations = []
     for s in p.topo_order:
-        for t in p.strict_upper(s):
-            paths = list(_saturated_paths(p, s, t))
-            if len(paths) < 2:
+        reached: dict[str, list] = {}
+        stack = [((u, (s, None)), d.edge_map[(s, u)]) for u in above[s]]
+        while stack:
+            node, m = stack.pop()
+            reached.setdefault(node[0], []).append((node, m))
+            stack += [((u, node), d.edge_map[(node[0], u)] @ m) for u in above[node[0]]]
+        for t in sorted(reached, key=p.topo_position):
+            # equality is transitive: when every composite is the first, none differ
+            if all(m == reached[t][0][1] for _, m in reached[t][1:]):
                 continue
-            composed = [(path, d.compose_along(path)) for path in paths]
-            for i in range(len(composed)):
-                for j in range(i + 1, len(composed)):
-                    pa, ma = composed[i]
-                    pb, mb = composed[j]
-                    if ma != mb:
-                        violations.append(
-                            CompositionalityViolation(
-                                s, t, pa, pb, _frobenius_sq(ma - mb)
-                            )
-                        )
+            for (na, ma), (nb, mb) in itertools.combinations(reached[t], 2):
+                if ma != mb:
+                    violations.append(CompositionalityViolation(
+                        s, t, _unlink(na), _unlink(nb), _frobenius_sq(ma - mb)))
     return violations
 
 

@@ -316,6 +316,16 @@ def test_cli_validate_reports_violations(tmp_path):
     assert report["ok"] is True
 
 
+def test_cli_classify_reports_empty_maps_on_an_empty_poset(tmp_path):
+    # an empty poset is graded and a cell poset, with nothing to rank: {} not null
+    path = tmp_path / "empty.json"
+    path.write_text('{"field":"Q","elements":[],"covers":[],"stalks":{},"maps":{}}')
+    code, report, _ = _run(["classify", str(path)])
+    assert code == 0
+    assert report["classification"] == {"graded": True, "rank": {}, "homology_cell": True,
+                                        "morse_cell": True, "cell_dims": {}}
+
+
 def test_cli_exact_commands_reject_real_documents(tmp_path):
     doc = json.loads(serialize_sheaf(constant_sheaf(path_poset(2), 1, QQ)))
     doc["field"] = "R"

@@ -33,6 +33,8 @@ CASES = [
     ("boolean_8", ["betti", "--method", "minimal"]),
     ("boolean_8", ["classify"]),
     ("boolean_8", ["incidence"]),
+    ("boolean_8", ["validate"]),
+    ("deep_chain", ["validate"]),
     ("skeleton_30_2", ["sections"]),
     ("skeleton_30_2", ["betti"]),
 ]

@@ -35,10 +35,10 @@ from posheaf.sheaf import (
     path_poset,
     pullback,
     skyscraper_cone_sheaf,
-    _saturated_paths,
 )
 
 from helpers import (
+    boolean_lattice_sheaf,
     closure_pairs,
     compositionality_reference,
     dense_compose,
@@ -382,15 +382,39 @@ def test_monodromy_has_one_loop_per_independent_cycle_of_the_hasse_diagram():
     assert connected >= 10
 
 
-def test_saturated_paths_past_the_recursion_limit():
+def test_map_past_the_recursion_limit():
     n = 1500
     chain = [f"c{i}" for i in range(n)]
     p = build_poset(chain + ["x", "y"],
                     list(zip(chain, chain[1:] + ["x"])) + [("y", "x")])
     assert n > sys.getrecursionlimit()
-    (path,) = _saturated_paths(p, "c0", "x")
-    assert path == (*chain, "x")
     assert constant_sheaf(p, 1, QQ).map("c0", "x") == Matrix.identity(1, QQ)
+
+
+def test_compositionality_multiplies_once_per_path_past_its_first_edge(monkeypatch):
+    # one walk per source: each saturated path of two or more edges costs one
+    # product, its last edge map times its prefix's composite
+    products = 0
+    matmul = Matrix.__matmul__
+
+    def counting(a, b):
+        nonlocal products
+        products += 1
+        return matmul(a, b)
+
+    rng = seeded_rng(83)
+    posets = [boolean_lattice_sheaf(3).poset, boolean_lattice_sheaf(4).poset]
+    posets += [random_dag_poset(rng, max_elements=8, chain_cap=200, edge_prob=0.5)
+               for _ in range(5)]
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    counts = []
+    for p in posets:
+        products = 0
+        assert check_compositionality(constant_sheaf(p, 1, QQ)) == []
+        paths = [path for found in saturated_paths_reference(p).values() for path in found]
+        assert products == sum(len(path) > 2 for path in paths)
+        counts.append(products)
+    assert counts[:2] == [18, 120]
 
 
 def test_sections_count_equals_components_randomized():
