@@ -24,6 +24,7 @@ from . import cochain, linalg
 from .errors import OverflowOnConvert, ParseError, PosheafError, SchemaError, brief
 from .io import (
     canonical_json,
+    dense_rows,
     inputs_digest,
     map_entries,
     parse_document,
@@ -111,13 +112,13 @@ def cmd_classify(sheaf, args) -> dict:
 
 
 def cmd_sections(sheaf, args) -> dict:
-    space = global_sections_bruteforce(sheaf)
+    space, f = global_sections_bruteforce(sheaf), sheaf.field
     return {"sections": {
         "dim": space.dim,
         "layout": list(space.layout),
-        "basis": [
-            [scalar_to_string(v, sheaf.field) for v in vec] for vec in space.basis
-        ],
+        "basis": dense_rows(
+            ({k: scalar_to_string(v, f) for k, v in enumerate(vec) if v} for vec in space.basis),
+            sum(map(sheaf.stalk, space.layout)), scalar_to_string(f.zero(), f)),
     }}
 
 
@@ -126,21 +127,22 @@ def cmd_betti(sheaf, args) -> dict:
 
 
 def cmd_incidence(sheaf, args) -> dict:
-    inc = cochain.minimal_incidence(sheaf.poset, sheaf.field)
+    f = sheaf.field
+    inc = cochain.minimal_incidence(sheaf.poset, f)
     # dense augmented matrix over ["@"] + generators: entry (h, g) is the
     # coefficient of h in the boundary of g
     n = len(inc.generators) + 1
-    matrix = [[scalar_to_string(sheaf.field.zero(), sheaf.field)] * n for _ in range(n)]
-    for g, column in enumerate(inc.columns):
+    rows: list[dict[int, str]] = [{} for _ in range(n)]
+    for g, column in enumerate(inc.columns, start=1):
         for h, value in column.items():
-            matrix[h + 1][g + 1] = scalar_to_string(value, sheaf.field)
+            rows[h + 1][g] = scalar_to_string(value, f)
     return {"incidence": {
         "generators": [
             {"id": g, "degree": deg, "owner": owner}
             for g, (deg, owner) in enumerate(inc.generators)
         ],
         "labels": ["@"] + [f"g{g}" for g in range(len(inc.generators))],
-        "matrix": matrix,
+        "matrix": dense_rows(rows, n, scalar_to_string(f.zero(), f)),
     }}
 
 

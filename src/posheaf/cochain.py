@@ -218,19 +218,23 @@ def minimal_incidence(p: Poset, field: FieldTag) -> IncidenceData:
     interned: dict[tuple, int] = {}
     owned: list[list[int]] = [[] for _ in p.elements]  # by element index
     memo: dict[tuple, list[list[dict]]] = {}
+    handles = p._index  # element -> its index
     for s in p.topo_order:
-        i = p.index(s)
-        kept = sorted(gid for t in p._down[i] for gid in owned[t])
-        top = max((degrees[gid] for gid in kept), default=-1)
+        i = handles[s]
+        kept = [gid for t in p._down[i] for gid in owned[t]]
+        kept.sort()
+        top = max(map(degrees.__getitem__, kept), default=-1)
         # by_degree[j + 1] lists the kept generators of degree j
         by_degree: list[list[int]] = [[AUGMENTATION]] + [[] for _ in range(top + 1)]
         for gid in kept:
             by_degree[degrees[gid] + 1].append(gid)
-        index = {gid: k for gens in by_degree for k, gid in enumerate(gens)}
+        index = {}
+        for gens in by_degree:
+            index.update(zip(gens, range(len(gens))))
         # boundary blocks degree j -> j - 1 from the top down: the chain
         # complex read as a cochain complex in degree -j
         key = tuple(
-            tuple((value_ids[gid], *[index[row] for row in columns[gid]])
+            tuple((value_ids[gid], *map(index.__getitem__, columns[gid]))
                   for gid in by_degree[j + 1])
             for j in range(top, -1, -1)
         )

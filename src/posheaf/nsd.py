@@ -30,13 +30,14 @@ def _graph_structure(p: Poset) -> tuple[list[str], list[tuple[str, str, str]]]:
     order; raises unless the poset is the cell poset of a simple graph."""
     vertices, edges = [], []
     for e in p.topo_order:
-        ends = p.covered_by(e)
+        i = p._index[e]
+        ends = p._pred[i]
         if not ends:
             vertices.append(e)
-        elif len(ends) != 2 or p.covers_of(e):
+        elif len(ends) != 2 or p._succ[i]:
             raise NotTwoLayer(f"element {brief(repr(e))} is not an edge over two vertices")
         else:
-            edges.append((e, *ends))
+            edges.append((e, *sorted([p.elements[j] for j in ends], key=p._topo_pos.get)))
     return vertices, edges
 
 

@@ -424,15 +424,6 @@ def hypergraph_energy_forms(h: Sheaf, x) -> tuple[float, float]:
     return q_roos, q_pairwise
 
 
-def hyperedge_barycenters(h: Sheaf, x) -> np.ndarray:
-    """Copy of x with every hyperedge value replaced by the barycenter of its
-    incoming images; at this assignment the two energy forms coincide."""
-    out = np.array(x, dtype=float)
-    for b, _, images in _hyperedge_images(h, x, "hyperedge_barycenters"):
-        out[b] = sum(images) / len(images)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The minimal complex of a sheaf over Q or R.
 # ---------------------------------------------------------------------------

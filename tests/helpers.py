@@ -858,6 +858,55 @@ def heat_diffusion_reference(l: np.ndarray, x0, *, eta: float, steps: int,
     return states, energies, distances, limit
 
 
+def hyperedge_barycenters(h: Sheaf, x) -> np.ndarray:
+    """Copy of x with every hyperedge value replaced by the barycenter of its
+    incoming images; at this assignment the two energy forms coincide."""
+    from posheaf.spectral import _hyperedge_images
+    out = np.array(x, dtype=float)
+    for b, _, images in _hyperedge_images(h, x, "hyperedge_barycenters"):
+        out[b] = sum(images) / len(images)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The dense reports as they were built before posheaf.io.dense_rows encoded
+# them a row at a time: every cell a scalar text in a list of lists, which
+# canonical_json quotes one by one.
+# ---------------------------------------------------------------------------
+
+def incidence_report_reference(sheaf: Sheaf) -> dict:
+    """The fields of ``cmd_incidence``'s report, its augmented matrix dense."""
+    from posheaf.io import scalar_to_string
+    inc = cochain.minimal_incidence(sheaf.poset, sheaf.field)
+    n = len(inc.generators) + 1
+    matrix = [[scalar_to_string(sheaf.field.zero(), sheaf.field)] * n for _ in range(n)]
+    for g, column in enumerate(inc.columns):
+        for h, value in column.items():
+            matrix[h + 1][g + 1] = scalar_to_string(value, sheaf.field)
+    return {"incidence": {
+        "generators": [
+            {"id": g, "degree": deg, "owner": owner}
+            for g, (deg, owner) in enumerate(inc.generators)
+        ],
+        "labels": ["@"] + [f"g{g}" for g in range(len(inc.generators))],
+        "matrix": matrix,
+    }}
+
+
+def sections_report_reference(sheaf: Sheaf) -> dict:
+    """The fields of ``cmd_sections``'s report, each basis vector dense."""
+    from posheaf.io import scalar_to_string
+    from posheaf.sheaf import global_sections_bruteforce
+    space = global_sections_bruteforce(sheaf)
+    return {"sections": {
+        "dim": space.dim,
+        "layout": list(space.layout),
+        "basis": [
+            [scalar_to_string(v, sheaf.field) for v in vec] for vec in space.basis
+        ],
+    }}
+
+
 # ---------------------------------------------------------------------------
 # Documents whose cost explodes: a few hundred KB of JSON at most, generated
 # so that no large file is committed.
@@ -884,6 +933,18 @@ def simplex_skeleton_sheaf(vertices: int, top_dim: int) -> Sheaf:
     this many vertices."""
     faces = itertools.combinations(range(vertices), top_dim + 1)
     return constant_sheaf(simplicial_complex_poset(faces), 1, QQ)
+
+
+def fixed_twisted_cycle_sheaf(n: int) -> Sheaf:
+    """``twisted_cycle_sheaf`` over Q with gauges from a generator of seed 0,
+    which POSHEAF_SEED does not shift: the same document on every run."""
+    return twisted_cycle_sheaf(n, np.random.default_rng(0))
+
+
+def single_stalk_sheaf(dim: int) -> Sheaf:
+    """One element with a stalk of dimension dim over Q: its section space is
+    the whole stalk."""
+    return constant_sheaf(build_poset(["x"], []), dim, QQ)
 
 
 # ---------------------------------------------------------------------------

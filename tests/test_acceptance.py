@@ -41,7 +41,6 @@ from posheaf.spectral import (
     eigendecompose,
     harmonic_dim,
     heat_diffusion,
-    hyperedge_barycenters,
     hypergraph_energy_forms,
     laplacian,
 )
@@ -49,6 +48,7 @@ from posheaf.nsd import NsdLayer, finite_difference_gradient, nsd_forward
 
 from helpers import (
     gcn_forward_oracle,
+    hyperedge_barycenters,
     seeded_rng,
     random_compositional_sheaf,
     random_dag_poset,

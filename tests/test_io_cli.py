@@ -15,7 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from helpers import deep_chain_sheaf, random_dag_poset, random_sheaf, seeded_rng
+from helpers import (
+    deep_chain_sheaf,
+    fixed_twisted_cycle_sheaf,
+    incidence_report_reference,
+    random_dag_poset,
+    random_sheaf,
+    sections_report_reference,
+    seeded_rng,
+    single_stalk_sheaf,
+)
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +36,8 @@ from posheaf.cli import cli
 from posheaf.errors import ParseError, SchemaError, brief
 from posheaf.io import (
     canonical_json,
+    dense_rows,
+    inputs_digest,
     map_entries,
     parse_sheaf,
     scalar_from_string,
@@ -123,7 +134,8 @@ def test_canonical_json_names_the_type_it_cannot_serialize(value, name):
         canonical_json({"x": [value]})
 
 
-def test_a_wrapped_canonical_json_is_called_once_per_report(monkeypatch):
+def _canonical_json_calls(monkeypatch, argv) -> tuple[int, int]:
+    """The exit status of argv and its number of canonical_json calls."""
     # as the benchmark's tracer does: wrap every name in io and cli that is
     # the function, so recursion through any of them would count more calls
     calls = []
@@ -137,8 +149,101 @@ def test_a_wrapped_canonical_json_is_called_once_per_report(monkeypatch):
         for attr, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, attr, counted)
-    status, _, _ = _run(["incidence", str(GOLDEN / "triangle_full.json")])
-    assert (status, len(calls)) == (0, 1)
+    status, _, _ = _run(argv)
+    return status, len(calls)
+
+
+def test_a_wrapped_canonical_json_is_called_once_per_report(monkeypatch):
+    argv = ["incidence", str(GOLDEN / "triangle_full.json")]
+    assert _canonical_json_calls(monkeypatch, argv) == (0, 1)
+
+
+def test_a_wrapped_canonical_json_is_called_once_per_sections_report(monkeypatch):
+    argv = ["sections", str(GOLDEN / "triangle_full.json")]
+    assert _canonical_json_calls(monkeypatch, argv) == (0, 1)
+
+
+@pytest.mark.parametrize("width, rows", [
+    (0, []), (0, [{}, {}]), (1, [{}]), (3, []), (3, [{}, {0: "1"}, {}, {2: "-1/2", 0: "7"}]),
+    (4, [{3: 'a"b', 1: "\u00e9\n"}, {}, {0: "x", 1: "y", 2: "z", 3: "w"}]),
+])
+@pytest.mark.parametrize("zero", ["0", 'z"\\'])
+def test_dense_rows_write_the_dense_matrix_that_canonical_json_writes(width, rows, zero):
+    dense = [[row.get(c, zero) for c in range(width)] for row in rows]
+    assert canonical_json({"m": dense_rows(rows, width, zero), "n": [zero]}) == canonical_json(
+        {"m": dense, "n": [zero]})
+
+
+def test_a_str_subclass_is_quoted_not_written_verbatim():
+    class Text(str):
+        pass
+
+    assert canonical_json([Text("[1]")]) == '["[1]"]'
+
+
+def _report_reference(sheaf, command: str, path) -> str:
+    """The report text the dense encoders give for the document at path."""
+    reference = {"incidence": incidence_report_reference,
+                 "sections": sections_report_reference}[command]
+    frame = {"command": command, "inputs_digest": inputs_digest(path.read_bytes())}
+    return canonical_json(frame | reference(sheaf)) + "\n"
+
+
+@pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(2**31 - 1)], ids=str)
+@pytest.mark.parametrize("command", ["incidence", "sections"])
+def test_dense_reports_equal_their_dense_references_on_random_sheaves(tmp_path, field, command):
+    rng = seeded_rng(37)
+    path = tmp_path / "doc.json"
+    signs = set()
+    for _ in range(12):
+        path.write_text(serialize_sheaf(random_sheaf(random_dag_poset(rng), rng, field)))
+        sheaf = parse_sheaf(path.read_text())
+        status, _, text = _run([command, str(path)])
+        assert (status, text) == (0, _report_reference(sheaf, command, path))
+        signs |= {c for c in "-/" if c in text}
+    if field == QQ and command == "sections":
+        assert signs == {"-", "/"}  # negative and fractional entries were printed
+
+
+@pytest.mark.parametrize("command", ["incidence", "sections"])
+@pytest.mark.parametrize("elements, covers, stalks, maps", [
+    ([], [], {}, {}),
+    (["x"], [], {"x": 0}, {}),
+    (["a", "b"], [["a", "b"]], {"a": 0, "b": 2}, {"a<b": []}),
+    (["a", "b", "c"], [["a", "b"], ["c", "b"]], {"a": 1, "b": 0, "c": 2},
+     {"a<b": [], "c<b": []}),
+])
+def test_dense_reports_equal_their_dense_references_at_the_edges(tmp_path, command, elements,
+                                                                 covers, stalks, maps):
+    # an empty poset, and elements with a stalk of dimension 0
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"field": "Q", "elements": elements, "covers": covers,
+                                "stalks": stalks, "maps": maps}))
+    status, _, text = _run([command, str(path)])
+    assert (status, text) == (0, _report_reference(parse_sheaf(path.read_text()), command, path))
+
+
+@pytest.mark.parametrize("command, sheaf", [
+    ("incidence", lambda: fixed_twisted_cycle_sheaf(100)),
+    ("sections", lambda: single_stalk_sheaf(60)),
+], ids=["incidence twisted C100", "sections stalk 60"])
+def test_a_dense_report_quotes_its_zero_cell_once(monkeypatch, tmp_path, command, sheaf):
+    # a dense list of scalar texts had every one of its cells quoted
+    path = tmp_path / "doc.json"
+    path.write_text(serialize_sheaf(sheaf()))
+    quoted = []
+    original = posheaf_io.encode_basestring_ascii
+    monkeypatch.setattr(posheaf_io, "encode_basestring_ascii",
+                        lambda text: quoted.append(text) or original(text))
+    status, report, _ = _run([command, str(path)])
+    matrix = report[command]["matrix" if command == "incidence" else "basis"]
+    cells = [text for row in matrix for text in row]
+    nonzero = len(cells) - cells.count("0")
+    assert status == 0
+    assert quoted.count("0") == 1
+    # the zero cell, each nonzero cell and the report's other strings: fewer
+    # than six a row (a generator's three keys, owner and label)
+    assert len(quoted) < 1 + nonzero + 6 * len(matrix) + 8 < len(cells)
 
 
 def test_parse_serialize_roundtrip_minimal_document():

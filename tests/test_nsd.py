@@ -17,7 +17,7 @@ from posheaf.nsd import (
 )
 from posheaf.spectral import jacobi_eigh, laplacian, real_sheaf_complex
 
-from helpers import gcn_forward_oracle, random_graph_poset, seeded_rng
+from helpers import gcn_forward_oracle, random_dag_poset, random_graph_poset, seeded_rng
 
 
 def _random_graph_with_edges(rng, max_vertices=8):
@@ -148,6 +148,40 @@ def test_nsd_rejects_non_graph_poset():
     s = constant_sheaf(p, 1, QQ)
     with pytest.raises(NotTwoLayer):
         sheaf_diffusion_op(s, 0.1)
+
+
+def _graph_structure_reference(p):
+    """Vertices and (edge, u, v) edges read with the poset's sorted queries,
+    or the NotTwoLayer message of the first element in topo order that is
+    neither a vertex nor an edge over two vertices."""
+    vertices, edges = [], []
+    for e in p.topo_order:
+        ends = p.covered_by(e)
+        if not ends:
+            vertices.append(e)
+        elif len(ends) != 2 or p.covers_of(e):
+            return f"element {e!r} is not an edge over two vertices"
+        else:
+            edges.append((e, *ends))
+    return vertices, edges
+
+
+def test_graph_structure_matches_the_sorted_queries():
+    rng = seeded_rng(44)
+    posets = [random_graph_poset(rng, max_vertices=12)[0] for _ in range(20)]
+    posets += [random_dag_poset(rng) for _ in range(40)]
+    posets.append(hypergraph_to_poset(["1", "2", "3"], [["1", "2", "3"], ["3", "1"]]))
+    refused = 0
+    for p in posets:
+        expected = _graph_structure_reference(p)
+        if isinstance(expected, str):
+            refused += 1
+            with pytest.raises(NotTwoLayer) as caught:
+                nsd._graph_structure(p)
+            assert str(caught.value) == expected
+        else:
+            assert nsd._graph_structure(p) == expected
+    assert 0 < refused < len(posets)
 
 
 def test_nsd_stack_empty_and_single():

@@ -4,7 +4,9 @@ Each case runs ``python -m posheaf.cli`` in its own process, one at a time,
 under an address-space limit set in the child only and a wall-clock timeout,
 and must print one JSON report line with exit 0 and an empty stderr.  The
 limit and the timeout guard against runaway memory and hangs; they are not a
-speed claim, and raising them to make a case pass defeats the test.
+speed claim, and raising them to make a case pass defeats the test.  A report
+can be hundreds of MB (``incidence`` on C_4000 prints 256 MB), so the child
+writes to files rather than pipes, and the test reads one copy of the text.
 """
 
 import json
@@ -16,7 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import boolean_lattice_sheaf, deep_chain_sheaf, simplex_skeleton_sheaf
+from helpers import (
+    boolean_lattice_sheaf,
+    deep_chain_sheaf,
+    fixed_twisted_cycle_sheaf,
+    simplex_skeleton_sheaf,
+    single_stalk_sheaf,
+)
 from posheaf.io import serialize_sheaf
 
 ADDRESS_SPACE_BYTES = 2 * 2**30
@@ -26,6 +34,8 @@ DOCUMENTS = {
     "deep_chain": deep_chain_sheaf,
     "boolean_8": lambda: boolean_lattice_sheaf(8),
     "skeleton_30_2": lambda: simplex_skeleton_sheaf(30, 2),
+    "twisted_cycle_4000": lambda: fixed_twisted_cycle_sheaf(4000),
+    "stalk_3000": lambda: single_stalk_sheaf(3000),
 }
 
 CASES = [
@@ -37,6 +47,8 @@ CASES = [
     ("deep_chain", ["validate"]),
     ("skeleton_30_2", ["sections"]),
     ("skeleton_30_2", ["betti"]),
+    ("twisted_cycle_4000", ["incidence"]),
+    ("stalk_3000", ["sections"]),
 ]
 
 
@@ -55,13 +67,16 @@ def _limit_address_space():
 
 
 @pytest.mark.parametrize("name, argv", CASES, ids=[f"{n} {' '.join(a)}" for n, a in CASES])
-def test_cli_reports_on_an_explosive_document(documents, name, argv):
+def test_cli_reports_on_an_explosive_document(documents, tmp_path, name, argv):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    done = subprocess.run(
-        [sys.executable, "-m", "posheaf.cli", argv[0], str(documents[name]), *argv[1:]],
-        capture_output=True, text=True, env=env, timeout=TIMEOUT_S,
-        preexec_fn=_limit_address_space)
-    assert (done.returncode, done.stderr) == (0, "")
-    lines = done.stdout.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["command"] == argv[0]
+    out_path, err_path = tmp_path / "stdout", tmp_path / "stderr"
+    with open(out_path, "wb") as out, open(err_path, "wb") as err:
+        done = subprocess.run(
+            [sys.executable, "-m", "posheaf.cli", argv[0], str(documents[name]), *argv[1:]],
+            stdout=out, stderr=err, env=env, timeout=TIMEOUT_S,
+            preexec_fn=_limit_address_space)
+    assert (done.returncode, err_path.read_text()) == (0, "")
+    text = out_path.read_text()
+    out_path.unlink()
+    assert len(text.splitlines()) == 1
+    assert json.loads(text)["command"] == argv[0]

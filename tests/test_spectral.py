@@ -50,7 +50,6 @@ from posheaf.spectral import (
     eigendecompose,
     harmonic_dim,
     heat_diffusion,
-    hyperedge_barycenters,
     hypergraph_energy_forms,
     jacobi_eigh,
     laplacian,
@@ -59,6 +58,7 @@ from posheaf.spectral import (
 )
 
 from helpers import (fix_signs_reference, graph_sheaf_twins, heat_diffusion_reference,
+                     hyperedge_barycenters,
                      random_compositional_sheaf, random_dag_poset, seeded_rng,
                      strong_normalize_reference)
 

@@ -45,6 +45,8 @@ DOCUMENTS = {
     "boolean_8": ("boolean_lattice_sheaf", [8]),
     "deep_chain": ("deep_chain_sheaf", []),
     "skeleton_30_2": ("simplex_skeleton_sheaf", [30, 2]),
+    "twisted_cycle_4000": ("fixed_twisted_cycle_sheaf", [4000]),
+    "stalk_3000": ("single_stalk_sheaf", [3000]),
 }
 
 CASES = [
@@ -54,6 +56,10 @@ CASES = [
     ("boolean_8", ["validate"]),
     ("deep_chain", ["validate"]),
     ("skeleton_30_2", ["validate"]),
+    # the dense reports, as in ROADMAP's scaling table
+    ("twisted_cycle_4000", ["incidence"]),
+    ("skeleton_30_2", ["incidence"]),
+    ("stalk_3000", ["sections"]),
     # the rest of tests/test_resource_corpus.py's cases
     ("deep_chain", ["betti", "--method", "minimal"]),
     ("boolean_8", ["betti", "--method", "minimal"]),
