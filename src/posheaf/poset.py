@@ -2,9 +2,9 @@
 order complexes, gradings, and the cell-like classification used by the
 one-shot cohomology machinery.
 
-Order questions are answered from the covers, in their stored declaration
-order, and from strict up-sets listed in topo order: no walk visits all element
-pairs or follows a hashed set's order, so results ignore the hash seed.
+Order questions are answered from the covers, in declaration order, and from
+the strict down-sets, the order's one copy, read by membership or in topo
+order: no walk follows a hashed set's order, so results ignore the hash seed.
 """
 
 from __future__ import annotations
@@ -28,15 +28,12 @@ class RedundantCoversWarning(UserWarning):
     """Input covers contained transitive edges; they were silently reduced."""
 
 
-def _toposort_indices(n: int, succ: list[set[int]]) -> list[int]:
+def _toposort_indices(succ: list[set[int]], pred: list[set[int]]) -> list[int]:
     """Kahn's algorithm, ties broken by declaration index."""
-    indeg = [0] * n
-    for a in range(n):
-        for b in succ[a]:
-            indeg[b] += 1
     from heapq import heapify, heappop, heappush
 
-    ready = [i for i in range(n) if indeg[i] == 0]
+    indeg = list(map(len, pred))
+    ready = [i for i, d in enumerate(indeg) if d == 0]
     heapify(ready)
     order = []
     while ready:
@@ -47,7 +44,7 @@ def _toposort_indices(n: int, succ: list[set[int]]) -> list[int]:
             indeg[b] -= 1
             if indeg[b] == 0:
                 heappush(ready, b)
-    if len(order) != n:
+    if len(order) != len(pred):
         raise CycleDetected("covering relation contains a directed cycle")
     return order
 
@@ -57,24 +54,16 @@ class Poset:
     indexing uses dense integer handles in declaration order.
     """
 
-    __slots__ = ("elements", "covers", "_index", "_succ", "_pred", "_up", "_down",
+    __slots__ = ("elements", "covers", "_index", "_succ", "_pred", "_down",
                  "topo_order", "_topo_pos")
 
     def __init__(self, elements: tuple[str, ...], index: dict[str, int],
                  covers: tuple[tuple[str, str], ...], succ: list[set[int]],
-                 up: list[set[int]], topo_idx: range | list[int]):
+                 pred: list[set[int]], down: list[set[int]], topo_idx: range | list[int]):
         self.elements = elements
         self.covers = covers
         self._index = index
-        self._succ = succ
-        self._up = up
-        self._pred: list[set[int]] = [set() for _ in elements]
-        self._down: list[set[int]] = [set() for _ in elements]
-        for a, (above, covering) in enumerate(zip(up, succ)):
-            for b in covering:
-                self._pred[b].add(a)
-            for b in above:
-                self._down[b].add(a)
+        self._succ, self._pred, self._down = succ, pred, down
         self.topo_order = tuple(elements[i] for i in topo_idx)
         self._topo_pos = dict(zip(self.topo_order, range(len(elements))))
 
@@ -96,7 +85,8 @@ class Poset:
         return self._topo_pos[element]
 
     def lt(self, a: str, b: str) -> bool:
-        return self.index(b) in self._up[self.index(a)]
+        j = self.index(b)
+        return self.index(a) in self._down[j]
 
     def leq(self, a: str, b: str) -> bool:
         return a == b or self.lt(a, b)
@@ -106,7 +96,8 @@ class Poset:
 
     def strict_upper(self, s: str) -> list[str]:
         """Elements strictly above s, in topo order."""
-        return sorted((self.elements[j] for j in self._up[self.index(s)]), key=self._topo_pos.get)
+        i, index, down = self.index(s), self._index, self._down
+        return [e for e in self.topo_order if i in down[index[e]]]
 
     def covers_of(self, s: str) -> list[str]:
         """Elements covering s, in topo order."""
@@ -148,10 +139,10 @@ def build_poset(elements, covers) -> Poset:
     cycle.  When every cover leads to a later-declared element, declaration
     order is the topological order, as it is the order Kahn's algorithm with
     ties broken by least index returns, and that algorithm runs only
-    otherwise.  One reverse topological pass builds the strict up-sets and the
-    Hasse covers: a successor b of a is a cover unless b lies in the up-set of
-    another successor of a.  Redundant (transitive) pairs are dropped with one
-    RedundantCoversWarning; repeated pairs count once and raise nothing.
+    otherwise.  One forward topological pass builds the strict down-sets and
+    the Hasse covers: a predecessor b of a is a cover unless b lies below
+    another predecessor of a.  Redundant (transitive) pairs are dropped with
+    one RedundantCoversWarning; repeated pairs count once and raise nothing.
     """
     elements = tuple(map(str, elements))
     n = len(elements)
@@ -163,6 +154,7 @@ def build_poset(elements, covers) -> Poset:
                 raise DuplicateElement(f"duplicate element {brief(repr(e))}")
             seen.add(e)
     succ: list[set[int]] = [set() for _ in range(n)]
+    pred: list[set[int]] = [set() for _ in range(n)]
     forward = True  # every cover leads to a later-declared element
     for a, b in covers:
         a, b = str(a), str(b)
@@ -175,22 +167,25 @@ def build_poset(elements, covers) -> Poset:
         if i == j:
             raise CycleDetected(f"reflexive cover ({brief(repr(a))}, {brief(repr(b))})")
         succ[i].add(j)
+        pred[j].add(i)
         if j < i:
             forward = False
-    topo = range(n) if forward else _toposort_indices(n, succ)
-    up: list[set[int]] = [set() for _ in range(n)]
+    topo = range(n) if forward else _toposort_indices(succ, pred)
+    down: list[set[int]] = [set() for _ in range(n)]
     redundant = False
-    for a in reversed(topo):
-        # b is never in its own up-set: the order is acyclic
-        above = succ[a]
-        if len(above) == 1:
-            (b,) = above
-            up[a] = up[b] | above
-        elif above:
-            beyond = set().union(*(up[b] for b in above))
-            up[a] = above | beyond
-            if not above.isdisjoint(beyond):
-                succ[a] = above - beyond
+    for a in topo:
+        # b is never in its own down-set: the order is acyclic
+        below = pred[a]
+        if len(below) == 1:
+            (b,) = below
+            down[a] = down[b] | below
+        elif below:
+            beyond = set().union(*(down[b] for b in below))
+            down[a] = below | beyond
+            if not below.isdisjoint(beyond):
+                for b in below & beyond:
+                    succ[b].discard(a)
+                pred[a] = below - beyond
                 redundant = True
     if redundant:
         warnings.warn(
@@ -203,7 +198,7 @@ def build_poset(elements, covers) -> Poset:
         for a in range(n)
         for b in sorted(succ[a])
     )
-    return Poset(elements, index, cover_pairs, succ, up, topo)
+    return Poset(elements, index, cover_pairs, succ, pred, down, topo)
 
 
 def transitive_reduction(pairs) -> set[tuple[str, str]]:
@@ -233,12 +228,16 @@ def order_complex(p: Poset) -> list[list[tuple[str, ...]]]:
     """All nonempty chains s_0 < ... < s_j of p, each a tuple of elements,
     grouped by dimension j.
 
-    Each element's strict up-set is listed once, in topo order, and chains
-    grow from those lists; so within each dimension, chains are listed in
-    lexicographic order of their topo_order positions.
+    The strict down-sets are inverted once into up-lists of topo positions,
+    each filled in topo order, and chains grow from those lists; so within
+    each dimension, chains are in lexicographic order of topo positions.
     """
     topo = p.topo_order
-    above = [[p.topo_position(u) for u in p.strict_upper(e)] for e in topo]
+    position = [p._topo_pos[e] for e in p.elements]  # by declaration index
+    above: list[list[int]] = [[] for _ in topo]
+    for k, e in enumerate(topo):
+        for i in p._down[p._index[e]]:
+            above[position[i]].append(k)
     groups: list[list[tuple[str, ...]]] = []
 
     def extend(chain: list[int]):

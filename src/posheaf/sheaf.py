@@ -5,9 +5,9 @@ is its edge map.  The map for a general relation s < t is composed along the
 canonical path, the lexicographically least saturated path in topo order: from
 s, step to the first cover below or at t.  check_compositionality walks every
 saturated path from each source once, depth first in the same order.
-Order questions are answered from the covers, in declaration order, and from
-up-sets in topo order, so a missing map or a non-monotone pullback is reported
-at its first cover.
+Order questions are answered from the covers, in declaration order, and by
+membership in the strict down-sets, so a missing map or a non-monotone
+pullback is reported at its first cover.
 """
 
 from __future__ import annotations

@@ -79,9 +79,11 @@ def poset_reference(elements: list[str], pairs: list[tuple[str, str]]) -> dict:
         up[start] = seen
     down = {e: {a for a in elements if e in up[a]} for e in elements}
     topo: list[str] = []
+    placed: set[str] = set()
     while len(topo) < len(elements):
-        topo.append(next(e for e in elements if e not in topo
-                         and all(a in topo for a, b in pairs if b == e)))
+        topo.append(next(e for e in elements if e not in placed
+                         and all(a in placed for a, b in pairs if b == e)))
+        placed.add(topo[-1])
     covers = sorted({(a, b) for a, b in pairs if not up[a] & down[b]},
                     key=lambda ab: (position[ab[0]], position[ab[1]]))
     return {"covers": tuple(covers), "topo_order": tuple(topo), "up": up, "down": down,
@@ -89,12 +91,14 @@ def poset_reference(elements: list[str], pairs: list[tuple[str, str]]) -> dict:
 
 
 def brute_force_chains(p: Poset) -> list[tuple[str, ...]]:
-    """Every chain of the poset, found by filtering all element subsets."""
+    """Every chain of the poset, found by filtering all element subsets, with
+    comparability read from the depth-first closure of its covers."""
+    up = poset_reference(list(p.elements), list(p.covers))["up"]
     chains = []
     elements = list(p.topo_order)
     for r in range(1, len(elements) + 1):
         for combo in itertools.combinations(elements, r):
-            if all(p.lt(a, b) for a, b in zip(combo, combo[1:])):
+            if all(b in up[a] for a, b in zip(combo, combo[1:])):
                 chains.append(combo)
     return chains
 

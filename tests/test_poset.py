@@ -10,6 +10,7 @@ from posheaf.errors import CycleDetected, DuplicateElement, EmptyHyperedge, Unkn
 from posheaf import poset as poset_module
 from posheaf.linalg import QQ, prime_field
 from posheaf.poset import (
+    Poset,
     RedundantCoversWarning,
     build_poset,
     classify,
@@ -26,6 +27,7 @@ from helpers import (
     brute_force_chains,
     closure_pairs,
     decode_simplicial_reference,
+    deep_chain_sheaf,
     poset_reference,
     random_dag_poset,
     random_simplicial_poset,
@@ -144,7 +146,7 @@ def test_build_poset_matches_a_dfs_closure_reference(monkeypatch):
     heap_runs = []
     toposort = poset_module._toposort_indices
     monkeypatch.setattr(poset_module, "_toposort_indices",
-                        lambda n, succ: heap_runs.append(n) or toposort(n, succ))
+                        lambda *args: heap_runs.append(args) or toposort(*args))
     rng = seeded_rng(23)
     heap_cases = 0
     for _ in range(60):
@@ -183,7 +185,43 @@ def test_build_poset_matches_a_dfs_closure_reference(monkeypatch):
                 assert p.covers_of(e) == [b for b in p.topo_order if (e, b) in reference["covers"]]
                 assert p.covered_by(e) == [a for a in p.topo_order
                                            if (a, e) in reference["covers"]]
+                for b in declared:
+                    assert p.lt(e, b) == (b in reference["up"][e])
+                    assert p.leq(e, b) == (e == b or b in reference["up"][e])
     assert heap_cases > 20
+
+
+def _stored_order_entries(p: Poset) -> int:
+    """Entries held by the poset's set-valued slots (lists of index sets)."""
+    total = 0
+    for slot in Poset.__slots__:
+        value = getattr(p, slot)
+        if isinstance(value, list) and all(isinstance(v, set) for v in value):
+            total += sum(map(len, value))
+    return total
+
+
+def test_the_order_is_stored_once():
+    """The covers are stored from both ends and each comparable pair once:
+    on a 1,502-element chain-like poset, a second closure would double the
+    1,125,751 comparable pairs."""
+    deep = deep_chain_sheaf().poset
+    cases = [(list(deep.elements), list(deep.covers))]
+    rng = seeded_rng(41)
+    for _ in range(40):
+        n = int(rng.integers(1, 12))
+        # declared in a shuffled order, with transitive pairs in the input
+        elements = [f"e{k}" for k in rng.permutation(n)]
+        cases.append((elements, [(elements[i], elements[j]) for i in range(n) for j in range(n)
+                                 if int(elements[i][1:]) < int(elements[j][1:])
+                                 and rng.random() < 0.35]))
+    for elements, pairs in cases:
+        reference = poset_reference(elements, pairs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RedundantCoversWarning)
+            p = build_poset(elements, pairs)
+        comparable = sum(map(len, reference["up"].values()))
+        assert _stored_order_entries(p) == 2 * len(reference["covers"]) + comparable
 
 
 def test_topological_sort_examples():
@@ -276,19 +314,26 @@ def test_order_complex_path_counts():
 
 def test_order_complex_matches_brute_force_enumeration():
     rng = seeded_rng(5)
+    reordered = 0  # posets whose topo positions differ from declaration indices
     for _ in range(25):
-        p = random_dag_poset(rng, max_elements=7)
-        groups = order_complex(p)
-        found = {c for g in groups for c in g}
-        assert found == set(brute_force_chains(p))
-        # each listed once
-        assert sum(len(g) for g in groups) == len(found)
-        # grouped by dimension, each group lexicographic in topo positions
-        position = {e: k for k, e in enumerate(p.topo_order)}
-        for dim, group in enumerate(groups):
-            keys = [[position[e] for e in c] for c in group]
-            assert all(len(key) == dim + 1 for key in keys)
-            assert keys == sorted(keys)
+        forward = random_dag_poset(rng, max_elements=7)
+        # the same covers declared in a shuffled order
+        shuffled = build_poset([forward.elements[k] for k in rng.permutation(len(forward))],
+                               forward.covers)
+        reordered += shuffled.topo_order != shuffled.elements
+        for p in (forward, shuffled):
+            groups = order_complex(p)
+            found = {c for g in groups for c in g}
+            assert found == set(brute_force_chains(p))
+            # each listed once
+            assert sum(len(g) for g in groups) == len(found)
+            # grouped by dimension, each group lexicographic in topo positions
+            position = {e: k for k, e in enumerate(p.topo_order)}
+            for dim, group in enumerate(groups):
+                keys = [[position[e] for e in c] for c in group]
+                assert all(len(key) == dim + 1 for key in keys)
+                assert keys == sorted(keys)
+    assert reordered > 10
 
 
 def test_classify_triangle_boundary_is_cell_poset():

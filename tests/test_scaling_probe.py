@@ -6,6 +6,7 @@ from pathlib import Path
 
 import helpers
 import test_resource_corpus
+from posheaf.cli import SUBCOMMANDS
 from posheaf.io import serialize_sheaf
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,6 +24,11 @@ def test_table_holds_every_corpus_case_on_the_corpus_documents():
         assert serialize_sheaf(getattr(helpers, generator)(*args)) == serialize_sheaf(make())
     validate = [d for d, argv in scaling_probe.CASES if argv == ["validate"]]
     assert validate == ["boolean_6", "boolean_7", "boolean_8", "deep_chain", "skeleton_30_2"]
+
+
+def test_every_exact_subcommand_has_a_deep_chain_row():
+    exact = {name for name, (_, is_exact, *_) in SUBCOMMANDS.items() if is_exact}
+    assert {argv[0] for d, argv in scaling_probe.CASES if d == "deep_chain"} == exact
 
 
 def test_odd_cases_run_the_parent_first():

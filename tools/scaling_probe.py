@@ -67,6 +67,10 @@ CASES = [
     ("boolean_8", ["incidence"]),
     ("skeleton_30_2", ["sections"]),
     ("skeleton_30_2", ["betti"]),
+    # with these, every exact subcommand has a deep-chain row
+    ("deep_chain", ["classify"]),
+    ("deep_chain", ["sections"]),
+    ("deep_chain", ["incidence"]),
 ]
 
 # run in a child with the tree's tests/ and src/ on its path: writes each
