@@ -8,6 +8,11 @@ document and the side files (``--x0``, the ``nsd-forward`` params and the
 error (with an error report of ``command`` and ``error``), 2 usage error.
 A ``betti`` vector has one entry per degree of the complex that ``--method``
 builds, so its length can differ between methods on the same document.
+``incidence``'s ``matrix`` (a row per label) and ``sections``'s ``basis`` (a
+vector per dimension) are sparse: each row maps a position, as a decimal key,
+to the scalar text there, nonzero cells only, in increasing position.  Row h
+maps generator position g to the coefficient of label h in g's boundary; a
+basis position is a stalk coordinate in ``layout`` order.
 The real subcommands load numpy, ``spectral`` and ``nsd`` when they run, and call
 them through the module objects; the exact ones (marked in ``SUBCOMMANDS``) never do.
 """
@@ -24,7 +29,6 @@ from . import cochain, linalg
 from .errors import OverflowOnConvert, ParseError, PosheafError, SchemaError, brief
 from .io import (
     canonical_json,
-    dense_rows,
     inputs_digest,
     map_entries,
     parse_document,
@@ -116,9 +120,7 @@ def cmd_sections(sheaf, args) -> dict:
     return {"sections": {
         "dim": space.dim,
         "layout": list(space.layout),
-        "basis": dense_rows(
-            ({k: scalar_to_string(v, f) for k, v in enumerate(vec) if v} for vec in space.basis),
-            sum(map(sheaf.stalk, space.layout)), scalar_to_string(f.zero(), f)),
+        "basis": [{k: scalar_to_string(v, f) for k, v in vec.items()} for vec in space.basis],
     }}
 
 
@@ -129,10 +131,9 @@ def cmd_betti(sheaf, args) -> dict:
 def cmd_incidence(sheaf, args) -> dict:
     f = sheaf.field
     inc = cochain.minimal_incidence(sheaf.poset, f)
-    # dense augmented matrix over ["@"] + generators: entry (h, g) is the
-    # coefficient of h in the boundary of g
-    n = len(inc.generators) + 1
-    rows: list[dict[int, str]] = [{} for _ in range(n)]
+    # the augmented matrix over ["@"] + generators, a sparse row per label:
+    # entry (h, g) is the coefficient of h in the boundary of g
+    rows: list[dict[int, str]] = [{} for _ in range(len(inc.generators) + 1)]
     for g, column in enumerate(inc.columns, start=1):
         for h, value in column.items():
             rows[h + 1][g] = scalar_to_string(value, f)
@@ -142,7 +143,7 @@ def cmd_incidence(sheaf, args) -> dict:
             for g, (deg, owner) in enumerate(inc.generators)
         ],
         "labels": ["@"] + [f"g{g}" for g in range(len(inc.generators))],
-        "matrix": dense_rows(rows, n, scalar_to_string(f.zero(), f)),
+        "matrix": rows,
     }}
 
 

@@ -117,8 +117,6 @@ def _encode(obj) -> str:
         return "{" + ",".join(f"{_encode(str(k))}:{_encode(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(map(_encode, obj)) + "]"
-    if type(obj) is Encoded:
-        return obj.text
     raise SchemaError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -126,35 +124,6 @@ def canonical_json(obj) -> str:
     """Canonical text of obj.  _encode recurses under its own name, so a
     tracer that wraps canonical_json sees one call per report."""
     return _encode(obj)
-
-
-class Encoded:
-    """Canonical text made ahead of the report that holds it; _encode writes
-    it out verbatim.  It is no str, so a string is always quoted."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str):
-        self.text = text
-
-
-def dense_rows(rows, width: int, zero: str) -> Encoded:
-    """The canonical text of a dense matrix of scalar texts, given as sparse
-    rows {column: text} over width columns, every absent cell being zero.
-    The zero cell is quoted once and an all-zero row's text is built once;
-    each other row is joined from width zero cells with its own put in."""
-    zero = encode_basestring_ascii(zero)
-    empty = "[" + ",".join([zero] * width) + "]"
-    out = []
-    for row in rows:
-        if row:
-            cells = [zero] * width
-            for c, text in row.items():
-                cells[c] = encode_basestring_ascii(text)
-            out.append("[" + ",".join(cells) + "]")
-        else:
-            out.append(empty)
-    return Encoded("[" + ",".join(out) + "]")
 
 
 def inputs_digest(raw: bytes) -> str:

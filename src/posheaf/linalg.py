@@ -407,12 +407,12 @@ def _kernel_entries(owner: dict[int, dict], n: int, field: FieldTag) -> list[dic
     return list(basis.values())
 
 
-def kernel_basis(m: Matrix) -> list[list]:
-    """Basis of the right null space as dense vectors, one per non-pivot
-    column in increasing order, in RREF free-variable form."""
+def kernel_basis(m: Matrix) -> list[dict]:
+    """Basis of the right null space as sparse vectors {column: value}, each
+    in increasing column order, one per non-pivot column in increasing order,
+    in RREF free-variable form."""
     require_exact(m.field, "kernel_basis")
-    basis = _kernel_entries(_echelon(m), m.cols, m.field)
-    return Matrix._of(len(basis), m.cols, basis, m.field).data
+    return [dict(sorted(vec.items())) for vec in _kernel_entries(_echelon(m), m.cols, m.field)]
 
 
 def invert(m: Matrix) -> Matrix | None:

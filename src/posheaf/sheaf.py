@@ -265,12 +265,16 @@ def pullback(d: Sheaf, f: dict[str, str], source: Poset) -> Sheaf:
 
 @dataclass(frozen=True)
 class SectionSpace:
-    """Basis of the global-section space; vectors concatenate per-element
-    stalk coordinates in topo order."""
+    """Basis of the global-section space as sparse vectors {coordinate:
+    value}, over the per-element stalk coordinates concatenated in topo
+    order."""
 
     layout: tuple[str, ...]
-    basis: list[list]
-    dim: int
+    basis: list[dict]
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
 
 
 def stalk_layout(d: Sheaf) -> tuple[tuple[str, ...], dict[str, int], int]:
@@ -299,8 +303,7 @@ def global_sections_bruteforce(d: Sheaf) -> SectionSpace:
         system.add_block(r, offsets[a], m)
         system.add_block(r, offsets[b], Matrix.identity(m.rows, d.field), -1)
         r += m.rows
-    basis = kernel_basis(system)
-    return SectionSpace(layout, basis, len(basis))
+    return SectionSpace(layout, kernel_basis(system))
 
 
 @dataclass(frozen=True)

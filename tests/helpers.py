@@ -873,10 +873,27 @@ def hyperedge_barycenters(h: Sheaf, x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The dense reports as they were built before posheaf.io.dense_rows encoded
-# them a row at a time: every cell a scalar text in a list of lists, which
-# canonical_json quotes one by one.
+# The dense reports as they were printed before ``incidence`` and ``sections``
+# turned sparse: every cell a scalar text in a list of lists.  densify turns a
+# sparse report's rows back into that form.
 # ---------------------------------------------------------------------------
+
+def densify(rows: list[dict], width: int, zero="0") -> list[list]:
+    """Dense rows of width cells from sparse rows {position: value}, whose
+    positions may be ints or the decimal keys JSON gives; zero fills the rest.
+    Checks that each row lists nonzero cells only, in increasing position."""
+    out = []
+    for row in rows:
+        positions = [int(k) for k in row]
+        assert [str(c) for c in positions] == [str(k) for k in row], row
+        assert positions == sorted(set(positions)) and all(0 <= c < width for c in positions), row
+        assert zero not in row.values(), row
+        dense = [zero] * width
+        for c, value in zip(positions, row.values()):
+            dense[c] = value
+        out.append(dense)
+    return out
+
 
 def incidence_report_reference(sheaf: Sheaf) -> dict:
     """The fields of ``cmd_incidence``'s report, its augmented matrix dense."""
@@ -902,11 +919,13 @@ def sections_report_reference(sheaf: Sheaf) -> dict:
     from posheaf.io import scalar_to_string
     from posheaf.sheaf import global_sections_bruteforce
     space = global_sections_bruteforce(sheaf)
+    width = sum(map(sheaf.stalk, space.layout))
     return {"sections": {
         "dim": space.dim,
         "layout": list(space.layout),
         "basis": [
-            [scalar_to_string(v, sheaf.field) for v in vec] for vec in space.basis
+            [scalar_to_string(v, sheaf.field) for v in vec]
+            for vec in densify(space.basis, width, sheaf.field.zero())
         ],
     }}
 

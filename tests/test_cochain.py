@@ -47,6 +47,7 @@ from helpers import (
     add_block_diffs_reference,
     bareiss_rank,
     dense_diffs_reference,
+    densify,
     gauge_connection_sheaf,
     graph_sheaf_twins,
     incidence_reference,
@@ -303,7 +304,8 @@ def test_incidence_report_obeys_degree_rule_and_squares_to_zero(tmp_path):
             assert report["labels"] == ["@"] + [f"g{g['id']}" for g in gens]
             degree = [-1] + [g["degree"] for g in gens]
             owner = [None] + [g["owner"] for g in gens]
-            m = [[scalar_from_string(x, field) for x in row] for row in report["matrix"]]
+            m = [[scalar_from_string(x, field) for x in row]
+                 for row in densify(report["matrix"], len(report["labels"]))]
             n = len(m)
             for col in range(1, n):
                 below = set(p.strict_lower(owner[col]))

@@ -17,6 +17,7 @@ import numpy as np
 
 from helpers import (
     deep_chain_sheaf,
+    densify,
     fixed_twisted_cycle_sheaf,
     incidence_report_reference,
     random_dag_poset,
@@ -36,7 +37,6 @@ from posheaf.cli import cli
 from posheaf.errors import ParseError, SchemaError, brief
 from posheaf.io import (
     canonical_json,
-    dense_rows,
     inputs_digest,
     map_entries,
     parse_sheaf,
@@ -163,17 +163,6 @@ def test_a_wrapped_canonical_json_is_called_once_per_sections_report(monkeypatch
     assert _canonical_json_calls(monkeypatch, argv) == (0, 1)
 
 
-@pytest.mark.parametrize("width, rows", [
-    (0, []), (0, [{}, {}]), (1, [{}]), (3, []), (3, [{}, {0: "1"}, {}, {2: "-1/2", 0: "7"}]),
-    (4, [{3: 'a"b', 1: "\u00e9\n"}, {}, {0: "x", 1: "y", 2: "z", 3: "w"}]),
-])
-@pytest.mark.parametrize("zero", ["0", 'z"\\'])
-def test_dense_rows_write_the_dense_matrix_that_canonical_json_writes(width, rows, zero):
-    dense = [[row.get(c, zero) for c in range(width)] for row in rows]
-    assert canonical_json({"m": dense_rows(rows, width, zero), "n": [zero]}) == canonical_json(
-        {"m": dense, "n": [zero]})
-
-
 def test_a_str_subclass_is_quoted_not_written_verbatim():
     class Text(str):
         pass
@@ -182,11 +171,22 @@ def test_a_str_subclass_is_quoted_not_written_verbatim():
 
 
 def _report_reference(sheaf, command: str, path) -> str:
-    """The report text the dense encoders give for the document at path."""
+    """The dense report text the reference gives for the document at path."""
     reference = {"incidence": incidence_report_reference,
                  "sections": sections_report_reference}[command]
     frame = {"command": command, "inputs_digest": inputs_digest(path.read_bytes())}
     return canonical_json(frame | reference(sheaf)) + "\n"
+
+
+def _densified(sheaf, command: str, text: str) -> str:
+    """A report's text with its sparse matrix or section basis written dense."""
+    report = json.loads(text)
+    body = report[command]
+    if command == "incidence":
+        body["matrix"] = densify(body["matrix"], len(body["labels"]))
+    else:
+        body["basis"] = densify(body["basis"], sum(map(sheaf.stalk, body["layout"])))
+    return canonical_json(report) + "\n"
 
 
 @pytest.mark.parametrize("field", [QQ, prime_field(7), prime_field(2**31 - 1)], ids=str)
@@ -199,7 +199,8 @@ def test_dense_reports_equal_their_dense_references_on_random_sheaves(tmp_path, 
         path.write_text(serialize_sheaf(random_sheaf(random_dag_poset(rng), rng, field)))
         sheaf = parse_sheaf(path.read_text())
         status, _, text = _run([command, str(path)])
-        assert (status, text) == (0, _report_reference(sheaf, command, path))
+        assert (status, _densified(sheaf, command, text)) == (
+            0, _report_reference(sheaf, command, path))
         signs |= {c for c in "-/" if c in text}
     if field == QQ and command == "sections":
         assert signs == {"-", "/"}  # negative and fractional entries were printed
@@ -219,31 +220,27 @@ def test_dense_reports_equal_their_dense_references_at_the_edges(tmp_path, comma
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"field": "Q", "elements": elements, "covers": covers,
                                 "stalks": stalks, "maps": maps}))
+    sheaf = parse_sheaf(path.read_text())
     status, _, text = _run([command, str(path)])
-    assert (status, text) == (0, _report_reference(parse_sheaf(path.read_text()), command, path))
+    assert (status, _densified(sheaf, command, text)) == (
+        0, _report_reference(sheaf, command, path))
 
 
-@pytest.mark.parametrize("command, sheaf", [
-    ("incidence", lambda: fixed_twisted_cycle_sheaf(100)),
-    ("sections", lambda: single_stalk_sheaf(60)),
+@pytest.mark.parametrize("command, sheaf, size", [
+    ("incidence", fixed_twisted_cycle_sheaf, 100),
+    ("sections", single_stalk_sheaf, 60),
 ], ids=["incidence twisted C100", "sections stalk 60"])
-def test_a_dense_report_quotes_its_zero_cell_once(monkeypatch, tmp_path, command, sheaf):
-    # a dense list of scalar texts had every one of its cells quoted
-    path = tmp_path / "doc.json"
-    path.write_text(serialize_sheaf(sheaf()))
-    quoted = []
-    original = posheaf_io.encode_basestring_ascii
-    monkeypatch.setattr(posheaf_io, "encode_basestring_ascii",
-                        lambda text: quoted.append(text) or original(text))
-    status, report, _ = _run([command, str(path)])
-    matrix = report[command]["matrix" if command == "incidence" else "basis"]
-    cells = [text for row in matrix for text in row]
-    nonzero = len(cells) - cells.count("0")
-    assert status == 0
-    assert quoted.count("0") == 1
-    # the zero cell, each nonzero cell and the report's other strings: fewer
-    # than six a row (a generator's three keys, owner and label)
-    assert len(quoted) < 1 + nonzero + 6 * len(matrix) + 8 < len(cells)
+def test_report_bytes_at_twice_the_size(tmp_path, command, sheaf, size):
+    # the nonzeros double here, while a dense matrix or basis would grow
+    # about fourfold
+    printed = []
+    for n in (size, 2 * size):
+        path = tmp_path / f"doc{n}.json"
+        path.write_text(serialize_sheaf(sheaf(n)))
+        status, _, text = _run([command, str(path)])
+        assert status == 0
+        printed.append(len(text.encode("utf-8")))
+    assert printed[1] < 2.2 * printed[0]
 
 
 def test_parse_serialize_roundtrip_minimal_document():

@@ -16,8 +16,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / "perfbench" / "_work"
 DIGESTS = {
-    "exact-ladder": "cd2ccade065926be101d476f95a7020e08a18abca666919e1b301627d489173e",
-    "exact-many": "7f00f5dab738fdec2d881dd1e9938479e21e2c0a8edea7edace348b3af37e458",
+    "exact-ladder": "622196e7fd95be9a06efa594399a74751f0ec11040765d7f387bc9383fc2dea1",
+    "exact-many": "82030f52eb9a4adf6a059dfaf5a6f5024794b21be6cdd086f936b979bfa9736a",
 }
 
 

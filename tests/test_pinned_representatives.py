@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from helpers import random_compositional_sheaf, random_dag_poset
+from helpers import densify, random_compositional_sheaf, random_dag_poset
 from posheaf.cli import cli
 from posheaf.cochain import build_complex, cohomology, minimal_incidence
 from posheaf.io import serialize_sheaf
@@ -68,7 +68,7 @@ def _sparse(vec):
 
 def _incidence_columns(s, tmp_path):
     """(gid, degree, owner, sparse column) per generator; the column is read
-    off the rendered ``incidence`` report, the "@" row included."""
+    off the rendered ``incidence`` report's sparse rows, the "@" row included."""
     inc = minimal_incidence(s.poset, s.field)
     path = tmp_path / "doc.json"
     path.write_text(serialize_sheaf(s))
@@ -76,7 +76,8 @@ def _incidence_columns(s, tmp_path):
     with redirect_stdout(buffer):
         assert cli(["incidence", str(path)]) == 0
     report = json.loads(buffer.getvalue())["incidence"]
-    labels, matrix = report["labels"], report["matrix"]
+    labels = report["labels"]
+    matrix = densify(report["matrix"], len(labels))
     out = []
     for g, (degree, owner) in enumerate(inc.generators):
         col = g + 1

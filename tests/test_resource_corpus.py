@@ -4,9 +4,10 @@ Each case runs ``python -m posheaf.cli`` in its own process, one at a time,
 under an address-space limit set in the child only and a wall-clock timeout,
 and must print one JSON report line with exit 0 and an empty stderr.  The
 limit and the timeout guard against runaway memory and hangs; they are not a
-speed claim, and raising them to make a case pass defeats the test.  A report
-can be hundreds of MB (``incidence`` on C_4000 prints 256 MB), so the child
-writes to files rather than pipes, and the test reads one copy of the text.
+speed claim, and raising them to make a case pass defeats the test.  Every
+report here is under 1 MB (``incidence`` on C_4000 prints about 0.5 MB); the
+child writes to files rather than pipes, and the test reads one copy of the
+text.
 """
 
 import json

@@ -1,5 +1,6 @@
-"""tools/scaling_probe.py's case table, run order and summary on fixed
-numbers, and one measurement of a small golden; no test runs a heavy case."""
+"""tools/scaling_probe.py's case table, run order, run count and summary on
+fixed numbers, and one measurement of a small golden; no test runs a heavy
+case."""
 
 import importlib.util
 from pathlib import Path
@@ -43,25 +44,46 @@ def _run(case, tree, wall, exit=0, timed_out=False, one_json_line=True, stderr_l
 
 
 def test_summary_of_fixed_runs():
+    # a case is held only where every one of its runs held; wall times and
+    # the ratio come from held cases only, the ratio from the two medians
     runs = [
         _run("a validate", "parent", 2.0), _run("a validate", "change", 0.5),
-        _run("b validate", "change", 3.0), _run("b validate", "parent", 60.0, exit=-9,
-                                                timed_out=True),
+        _run("a validate", "change", 0.7), _run("a validate", "parent", 2.4),
+        _run("a validate", "parent", 1.0), _run("a validate", "change", 0.6),
+        _run("b validate", "change", 3.0), _run("b validate", "parent", 50.0),
+        _run("b validate", "parent", 60.0, exit=-9, timed_out=True),
+        _run("b validate", "change", 3.2), _run("b validate", "change", 2.9),
+        _run("b validate", "parent", 55.0),
+        _run("c betti", "parent", 1.0), _run("c betti", "change", 1.0),
+        _run("c betti", "change", 1.0, stderr_last="a warning"),
         _run("c betti", "parent", 1.0, exit=1, one_json_line=False,
              stderr_last="RecursionError: maximum recursion depth exceeded"),
-        _run("c betti", "change", 1.0, stderr_last="a warning"),
+        _run("c betti", "parent", 1.0), _run("c betti", "change", 1.0),
     ]
     assert scaling_probe.summarize(runs) == {
-        "parent": {"held": ["a validate"], "timed_out": ["b validate"], "broken": ["c betti"]},
-        "change": {"held": ["a validate", "b validate"], "timed_out": [], "broken": ["c betti"]},
-        "change_wall_over_parent": {"a validate": 0.25},
+        "parent": {"held": ["a validate"], "timed_out": ["b validate"], "broken": ["c betti"],
+                   "wall_s": {"a validate": {"median": 2.0, "min": 1.0, "max": 2.4}}},
+        "change": {"held": ["a validate", "b validate"], "timed_out": [], "broken": ["c betti"],
+                   "wall_s": {"a validate": {"median": 0.6, "min": 0.5, "max": 0.7},
+                              "b validate": {"median": 3.0, "min": 2.9, "max": 3.2}}},
+        "change_wall_over_parent": {"a validate": 0.3},
     }
 
 
 def test_summary_of_one_tree_has_no_ratios():
-    summary = scaling_probe.summarize([_run("a validate", "change", 0.5)])
-    assert summary == {"change": {"held": ["a validate"], "timed_out": [], "broken": []},
+    summary = scaling_probe.summarize([_run("a validate", "change", 0.5)] * scaling_probe.RUNS)
+    assert summary == {"change": {"held": ["a validate"], "timed_out": [], "broken": [],
+                                  "wall_s": {"a validate": {"median": 0.5, "min": 0.5,
+                                                            "max": 0.5}}},
                        "change_wall_over_parent": {}}
+
+
+def test_a_case_runs_a_fixed_three_times_a_tree_and_rounds_alternate():
+    # rounds number on across cases, so each tree runs first in turn
+    assert scaling_probe.RUNS == 3
+    assert [(k, run, order[0]) for k, run, order in scaling_probe.schedule(2)] == [
+        (0, 1, "parent"), (0, 2, "change"), (0, 3, "parent"),
+        (1, 1, "change"), (1, 2, "parent"), (1, 3, "change")]
 
 
 def test_measure_reports_a_report_and_a_timeout(tmp_path):

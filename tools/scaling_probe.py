@@ -11,9 +11,10 @@ change tree's generators, into a temporary directory, which is also where each
 case's stdout and stderr go; nothing is written into either tree but the
 deletion of its ``src/posheaf/__pycache__`` before each run.  Every case runs
 in its own child, one at a time, under ``ADDRESS_SPACE_BYTES`` of address
-space and a ``TIMEOUT_S`` wall-clock timeout.  With ``--parent`` each case
-runs in both trees, the parent first in odd cases and the change first in
-even ones.  ``--subcommand`` keeps the cases of one subcommand.
+space and a ``TIMEOUT_S`` wall-clock timeout, ``RUNS`` times in each tree.
+With ``--parent`` each case runs in rounds of one run per tree, numbered on
+across cases; odd rounds run the parent first and even ones the change.
+``--subcommand`` keeps the cases of one subcommand.
 
 Stdout is one JSON object: the limits, each run's wall seconds, peak RSS (the
 child's own, from ``os.wait4``), exit status, stdout bytes, whether stdout is
@@ -27,6 +28,7 @@ import json
 import os
 import resource
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -36,6 +38,7 @@ from pathlib import Path
 
 ADDRESS_SPACE_BYTES = 4 * 2**30
 TIMEOUT_S = 60
+RUNS = 3
 TREES = ("parent", "change")
 
 # document name -> (generator in tests/helpers.py, its arguments)
@@ -87,9 +90,17 @@ for name, (generator, args) in table.items():
 """
 
 
-def run_order(case: int) -> tuple[str, str]:
-    """The trees of case number case (from 1) in the order they run."""
-    return TREES if case % 2 else TREES[::-1]
+def run_order(round_: int) -> tuple[str, str]:
+    """The trees of round number round_ (from 1) in the order they run."""
+    return TREES if round_ % 2 else TREES[::-1]
+
+
+def schedule(cases: int):
+    """(case index from 0, run from 1, trees in order) for each round of
+    cases cases, in the order the rounds run."""
+    for k in range(cases):
+        for run in range(1, RUNS + 1):
+            yield k, run, run_order(k * RUNS + run)
 
 
 def write_documents(tree: Path, folder: Path, names) -> None:
@@ -148,20 +159,32 @@ def held(run: dict) -> bool:
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Per tree, the cases held, timed out and otherwise broken; per case held
-    in both trees, the change's wall time as a fraction of the parent's."""
+    """Per tree, the cases held (in every run), those with a run timed out and
+    those with a run otherwise broken, and the median, min and max wall time
+    of each case held; per case held in both trees, the change's median wall
+    time as a fraction of the parent's."""
     out: dict = {}
     for tree in TREES:
-        mine = [r for r in runs if r["tree"] == tree]
-        if mine:
-            out[tree] = {"held": [r["case"] for r in mine if held(r)],
-                         "timed_out": [r["case"] for r in mine if r["timed_out"]],
-                         "broken": [r["case"] for r in mine
-                                    if not held(r) and not r["timed_out"]]}
-    wall = {(r["case"], r["tree"]): r["wall_s"] for r in runs if held(r)}
+        cases: dict[str, list[dict]] = {}
+        for r in runs:
+            if r["tree"] == tree:
+                cases.setdefault(r["case"], []).append(r)
+        if not cases:
+            continue
+        kept = [case for case, mine in cases.items() if all(map(held, mine))]
+        walls = {case: [r["wall_s"] for r in cases[case]] for case in kept}
+        out[tree] = {
+            "held": kept,
+            "timed_out": [case for case, mine in cases.items()
+                          if any(r["timed_out"] for r in mine)],
+            "broken": [case for case, mine in cases.items()
+                       if any(not held(r) and not r["timed_out"] for r in mine)],
+            "wall_s": {case: {"median": round(statistics.median(w), 3), "min": min(w),
+                              "max": max(w)} for case, w in walls.items()}}
+    parent, change = (out.get(tree, {}).get("wall_s", {}) for tree in TREES)
     out["change_wall_over_parent"] = {
-        case: round(wall[(case, "change")] / wall[(case, "parent")], 3)
-        for case, tree in wall if tree == "parent" and (case, "change") in wall}
+        case: round(change[case]["median"] / parent[case]["median"], 3)
+        for case in parent if case in change}
     return out
 
 
@@ -179,16 +202,19 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         folder = Path(work)
         write_documents(trees["change"], folder, sorted({d for d, _ in cases}))
-        for k, (document, case_argv) in enumerate(cases, start=1):
+        for k, run, order in schedule(len(cases)):
+            document, case_argv = cases[k]
             argv = [case_argv[0], str(folder / f"{document}.json"), *case_argv[1:]]
-            for tree in run_order(k):
+            for tree in order:
                 if tree in trees:
                     runs.append({"case": " ".join([document, *case_argv]), "tree": tree,
-                                 **measure(trees[tree], argv, folder)})
+                                 "run": run, **measure(trees[tree], argv, folder)})
     print(json.dumps({
         "command": "python -m posheaf.cli SUBCOMMAND DOCUMENT [ARGS], one cold child a run",
         "limits": {"address_space_bytes": ADDRESS_SPACE_BYTES, "timeout_s": TIMEOUT_S},
-        "order": "odd cases run the parent first, even cases the change first",
+        "runs_per_tree": RUNS,
+        "order": "rounds of one run per tree, numbered on across cases; odd rounds run the "
+                 "parent first, even rounds the change first",
         "summary": summarize(runs),
         "runs": runs,
     }))
