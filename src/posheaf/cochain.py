@@ -104,27 +104,28 @@ def _assemble(kind: str, d: Sheaf, degrees: list[list[str]],
     chain but the one that drops its top.
     """
     p = d.field.p
-    dims = [[d.stalk(e) for e in owners] for owners in degrees]
+    dims = [list(map(d.stalk_dim.__getitem__, owners)) for owners in degrees]
     offsets = [list(accumulate(dims_j, initial=0)) for dims_j in dims]
     diffs = [Matrix.zeros(offsets[j + 1][-1], offsets[j][-1], d.field)
              for j in range(len(degrees) - 1)]
     for j, r, c, scalar in faces:
         source, target = degrees[j][c], degrees[j + 1][r]
         r0, c0 = offsets[j + 1][r], offsets[j][c]
+        rows = diffs[j]._entries[r0:r0 + dims[j + 1][r]]
         if source == target:
             if v := scalar % p if p else scalar:
-                for k, row in enumerate(diffs[j]._entries[r0:r0 + dims[j][c]]):
+                for k, row in enumerate(rows):
                     row[c0 + k] = v
-            continue
-        block = d.map(source, target)._entries
-        for brow, row in zip(block, diffs[j]._entries[r0:r0 + len(block)]):
-            if scalar == 1:
+        elif scalar == 1:
+            for brow, row in zip(d.map(source, target)._entries, rows):
                 for k, x in brow.items():
                     row[c0 + k] = x
-            elif scalar == -1:
+        elif scalar == -1:
+            for brow, row in zip(d.map(source, target)._entries, rows):
                 for k, x in brow.items():
                     row[c0 + k] = -x % p if p else -x
-            else:
+        else:
+            for brow, row in zip(d.map(source, target)._entries, rows):
                 for k, x in brow.items():
                     if v := scalar * x % p if p else scalar * x:
                         row[c0 + k] = v
@@ -139,7 +140,7 @@ def _alternating_faces(simplices: list[list[tuple]]):
     for j, sigmas in enumerate(simplices[1:]):
         for r, sigma in enumerate(sigmas):
             for i in range(len(sigma)):
-                yield j, r, position[sigma[:i] + sigma[i + 1:]], (-1) ** i
+                yield j, r, position[sigma[:i] + sigma[i + 1:]], -1 if i % 2 else 1
 
 
 def roos_complex(d: Sheaf) -> CochainComplexInstance:
@@ -196,65 +197,81 @@ def minimal_incidence(p: Poset, field: FieldTag) -> IncidenceData:
     augmented chain complex spanned by "@" and the generators owned by its
     strict down-set, as boundary blocks per degree read off the sparse
     columns; compute a homology basis; and create one new generator per class,
-    one degree up, whose boundary column is the representative chain.
+    one degree up, whose boundary column is the representative chain.  An
+    element with an empty down-set (a minimal one: each vertex of a graph,
+    cycle or simplex) is not solved: "@" alone has one class, so it owns one
+    degree-0 generator whose boundary is "@" with coefficient 1.
 
     Many elements share one down-set complex (every edge of a graph, every
     face of a simplex of one dimension).  ``homology_basis`` is a function of
     its blocks alone, so within one call its representatives are kept in a
     local dict, and an element whose complex was seen reuses them; the dict is
-    dropped when the call returns.  The key holds, per degree from the top
-    down and per generator of that degree, its column's rows relabelled to
-    positions in the down-set's degrees, in the column's insertion order, and
-    the id of the column's tuple of values.  Each new column's values are
-    interned once, when its generator is made, so a scalar is hashed once
-    per generator and not at every use of its column; equal ids mean equal
-    values, so two elements share an entry exactly when their blocks are equal.
+    dropped when the call returns.  The key holds the number of generators
+    of each degree and, per degree from the top down and per generator of
+    that degree, the id of its column's tuple of values and the column's rows
+    relabelled to positions in the down-set's degrees, in the column's
+    insertion order.  The values of each class are interned once, when its
+    complex is solved (id 0 is the minimal elements' (1,)), so a scalar is
+    hashed once per class and not at every use of its column; equal ids mean
+    equal values, so two elements share an entry exactly when their blocks
+    are equal.
     """
     require_exact(field, "minimal_incidence")
     degrees: list[int] = []
     owners: list[str] = []
     columns: list[dict[int, object]] = []
     value_ids: list[int] = []  # per generator, the id of its column's values
-    interned: dict[tuple, int] = {}
+    interned: dict[tuple, int] = {(1,): 0}
     owned: list[list[int]] = [[] for _ in p.elements]  # by element index
-    memo: dict[tuple, list[list[dict]]] = {}
+    # per down-set complex, (degree, local column, value id) of each new generator
+    memo: dict[tuple, list[tuple[int, dict, int]]] = {}
     handles = p._index  # element -> its index
     for s in p.topo_order:
         i = handles[s]
-        kept = [gid for t in p._down[i] for gid in owned[t]]
+        down = p._down[i]
+        if not down:
+            owned[i].append(len(degrees))
+            degrees.append(0)
+            owners.append(s)
+            columns.append({AUGMENTATION: 1})
+            value_ids.append(0)
+            continue
+        kept = [gid for t in down for gid in owned[t]]
         kept.sort()
-        top = max(map(degrees.__getitem__, kept), default=-1)
-        # by_degree[j + 1] lists the kept generators of degree j
+        # a nonempty down-set holds a minimal element, which owns a generator
+        top = max(map(degrees.__getitem__, kept))
+        # by_degree[j + 1] lists the kept generators of degree j, and index
+        # gives each its position there
         by_degree: list[list[int]] = [[AUGMENTATION]] + [[] for _ in range(top + 1)]
+        index = {AUGMENTATION: 0}
         for gid in kept:
-            by_degree[degrees[gid] + 1].append(gid)
-        index = {}
-        for gens in by_degree:
-            index.update(zip(gens, range(len(gens))))
+            gens = by_degree[degrees[gid] + 1]
+            index[gid] = len(gens)
+            gens.append(gid)
         # boundary blocks degree j -> j - 1 from the top down: the chain
         # complex read as a cochain complex in degree -j
-        key = tuple(
-            tuple((value_ids[gid], *map(index.__getitem__, columns[gid]))
-                  for gid in by_degree[j + 1])
-            for j in range(top, -1, -1)
-        )
-        reps = memo.get(key)
-        if reps is None:
+        position = index.__getitem__
+        key = (tuple(map(len, by_degree)),
+               tuple([(value_ids[gid], *map(position, columns[gid]))
+                      for gens in by_degree[:0:-1] for gid in gens]))
+        new = memo.get(key)
+        if new is None:
             blocks = [Matrix.from_columns(len(by_degree[j]), [
                 {index[row]: x for row, x in columns[gid].items()}
                 for gid in by_degree[j + 1]], field) for j in range(top, -1, -1)]
             check_d_squared(blocks)
-            reps = memo[key] = homology_basis(
-                blocks, [len(gens) for gens in reversed(by_degree)], field)
-        for j, gens in enumerate(by_degree):
+            reps = homology_basis(blocks, [len(gens) for gens in reversed(by_degree)], field)
             # classes in degree j - 1 become generators of degree j
-            for vec in reps[top + 1 - j]:
-                owned[i].append(len(degrees))
-                degrees.append(j)
-                owners.append(s)
-                column = {gens[k]: x for k, x in vec.items()}
-                columns.append(column)
-                value_ids.append(interned.setdefault(tuple(column.values()), len(interned)))
+            new = memo[key] = [
+                (j, vec, interned.setdefault(tuple(vec.values()), len(interned)))
+                for j in range(top + 2) for vec in reps[top + 1 - j]]
+        for j, vec, value_id in new:
+            gens = by_degree[j]
+            owned[i].append(len(degrees))
+            degrees.append(j)
+            owners.append(s)
+            columns.append({gens[k]: x for k, x in vec.items()})
+            value_ids.append(value_id)
     return IncidenceData(p, field, list(zip(degrees, owners)), columns)
 
 

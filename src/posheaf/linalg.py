@@ -443,6 +443,8 @@ def check_d_squared(diffs: list[Matrix]):
     must stay within D2_RESIDUAL_TOL * max|d_{j+1}| * max|d_j|.  Either
     failure is NotAComplex.
     """
+    if len(diffs) < 2:  # no pair to compose
+        return
     diffs = [_integral(d) if d.field == QQ else d for d in diffs]
     for j in range(len(diffs) - 1):
         a, b = diffs[j + 1], diffs[j]

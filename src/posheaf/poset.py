@@ -132,7 +132,8 @@ class Poset:
 
 
 def build_poset(elements, covers) -> Poset:
-    """Validate and build a poset from element identifiers and cover pairs.
+    """Validate and build a poset from element identifiers and cover pairs,
+    each made a string.
 
     Faults are reported in input order: the first repeated identifier, then
     the first cover with an undeclared endpoint or equal endpoints, then a
@@ -143,6 +144,8 @@ def build_poset(elements, covers) -> Poset:
     the Hasse covers: a predecessor b of a is a cover unless b lies below
     another predecessor of a.  Redundant (transitive) pairs are dropped with
     one RedundantCoversWarning; repeated pairs count once and raise nothing.
+    An endpoint is made a string only where it is not one of the declared
+    strings, so the strings of a parsed document are looked up as they are.
     """
     elements = tuple(map(str, elements))
     n = len(elements)
@@ -157,13 +160,15 @@ def build_poset(elements, covers) -> Poset:
     pred: list[set[int]] = [set() for _ in range(n)]
     forward = True  # every cover leads to a later-declared element
     for a, b in covers:
-        a, b = str(a), str(b)
         try:
             i, j = index[a], index[b]
-        except KeyError:
-            missing = b if a in index else a
-            raise UnknownElement(
-                f"cover endpoint {brief(repr(missing))} is not a declared element") from None
+        except (KeyError, TypeError):  # an endpoint that is not a declared string
+            a, b = str(a), str(b)
+            if a not in index or b not in index:
+                missing = b if a in index else a
+                raise UnknownElement(
+                    f"cover endpoint {brief(repr(missing))} is not a declared element") from None
+            i, j = index[a], index[b]
         if i == j:
             raise CycleDetected(f"reflexive cover ({brief(repr(a))}, {brief(repr(b))})")
         succ[i].add(j)
@@ -174,30 +179,25 @@ def build_poset(elements, covers) -> Poset:
     down: list[set[int]] = [set() for _ in range(n)]
     redundant = False
     for a in topo:
-        # b is never in its own down-set: the order is acyclic
         below = pred[a]
-        if len(below) == 1:
-            (b,) = below
-            down[a] = down[b] | below
-        elif below:
-            beyond = set().union(*(down[b] for b in below))
-            down[a] = below | beyond
+        if below:
+            # b is never in its own down-set: the order is acyclic
+            beyond = set().union(*map(down.__getitem__, below))
             if not below.isdisjoint(beyond):
                 for b in below & beyond:
                     succ[b].discard(a)
                 pred[a] = below - beyond
                 redundant = True
+            beyond |= below
+            down[a] = beyond
     if redundant:
         warnings.warn(
             "input covers contained transitive edges; stored their reduction",
             RedundantCoversWarning,
             stacklevel=2,
         )
-    cover_pairs = tuple(
-        (elements[a], elements[b])
-        for a in range(n)
-        for b in sorted(succ[a])
-    )
+    cover_pairs = tuple([(elements[a], elements[b])
+                         for a, above in enumerate(succ) if above for b in sorted(above)])
     return Poset(elements, index, cover_pairs, succ, pred, down, topo)
 
 

@@ -221,6 +221,24 @@ def dense_rref_oracle(m: Matrix) -> tuple[Matrix, list[int], int]:
     return Matrix(nrows, ncols, a, f), pivots, len(pivots)
 
 
+def dense_kernel_oracle(m: Matrix) -> list[list]:
+    """Dense basis of the right null space of m in RREF free-variable form,
+    read off ``dense_rref_oracle``: one vector per non-pivot column f, in
+    increasing f, with 1 at f and minus row r's entry in column f at the
+    pivot column of row r."""
+    _, sub, _, _ = scalar_ops(m.field)
+    zero, one = m.field.zero(), m.field.one()
+    red, pivots, _ = dense_rref_oracle(m)
+    kernel = []
+    for free in (c for c in range(m.cols) if c not in pivots):
+        vec = [zero] * m.cols
+        vec[free] = one
+        for pc, row in zip(pivots, red.data):
+            vec[pc] = sub(zero, row[free])
+        kernel.append(vec)
+    return kernel
+
+
 def homology_basis_reference(diffs: list[Matrix], dims: list[int], field) -> list[list[list]]:
     """Dense homology representatives by the rule ``linalg.homology_basis``
     states, built on ``dense_rref_oracle``: per degree, the kernel of the
@@ -228,20 +246,9 @@ def homology_basis_reference(diffs: list[Matrix], dims: list[int], field) -> lis
     modulo the RREF of the incoming image, and kept when it makes the rank of
     the vectors kept so far grow."""
     _, sub, mul, _ = scalar_ops(field)
-    zero, one = field.zero(), field.one()
     out = []
     for i, n in enumerate(dims):
-        pivots, rows = [], []
-        if i < len(diffs):
-            red, pivots, _ = dense_rref_oracle(diffs[i])
-            rows = red.data
-        kernel = []
-        for free in (c for c in range(n) if c not in pivots):
-            vec = [zero] * n
-            vec[free] = one
-            for pc, row in zip(pivots, rows):
-                vec[pc] = sub(zero, row[free])
-            kernel.append(vec)
+        kernel = dense_kernel_oracle(diffs[i] if i < len(diffs) else Matrix.zeros(0, n, field))
         image = []
         if i > 0:
             d = diffs[i - 1]

@@ -648,18 +648,33 @@ def test_minimal_incidence_keys_its_memo_on_column_values(monkeypatch):
         assert _typed_columns(inc.columns) == _typed_columns(columns)
 
 
-def test_minimal_incidence_computes_each_cycle_down_set_homology_once(monkeypatch):
-    import posheaf.cochain as cochain_module
-
+def _solved_dims(monkeypatch, p, field=QQ) -> list[list[int]]:
+    """The degree dimensions of each down-set complex that
+    minimal_incidence(p, field) hands to homology_basis."""
     calls = []
-    homology_basis = cochain_module.homology_basis
-    monkeypatch.setattr(cochain_module, "homology_basis",
-                        lambda *args: calls.append(args) or homology_basis(*args))
+    monkeypatch.setattr(cochain, "homology_basis", _counting(calls, linalg.homology_basis))
+    minimal_incidence(p, field)
+    return [dims for _, dims, _ in calls]
+
+
+def test_minimal_incidence_computes_each_cycle_down_set_homology_once(monkeypatch):
+    # a vertex's empty down-set is not solved: "@" alone has one class; the
+    # two vertices below an edge are solved once for every edge
     for n in range(3, 13):
-        calls.clear()
-        minimal_incidence(cycle_poset(n), QQ)
-        # once for the empty down-set of the vertices, once for an edge's two vertices
-        assert [dims for _, dims, _ in calls] == [[1], [2, 1]]
+        assert _solved_dims(monkeypatch, cycle_poset(n)) == [[2, 1]]
+
+
+def test_minimal_incidence_solves_each_graph_down_set_once(monkeypatch):
+    for n in range(2, 7):
+        complete = hypergraph_to_poset(range(n), itertools.combinations(range(n), 2))
+        assert _solved_dims(monkeypatch, complete, prime_field(3)) == [[2, 1]]
+
+
+def test_minimal_incidence_solves_each_simplex_boundary_once(monkeypatch):
+    # the boundary of the k-simplex for k = 1, 2, 3: its faces by dimension
+    # from the top down, then "@"
+    tetrahedron = simplicial_complex_poset([["1", "2", "3", "4"]])
+    assert _solved_dims(monkeypatch, tetrahedron) == [[2, 1], [3, 3, 1], [4, 6, 4, 1]]
 
 
 def _counting(calls: list, fn):

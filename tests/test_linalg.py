@@ -7,8 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import (bareiss_rank, dense_rref_oracle, densify, gauge_connection_sheaf,
-                     homology_basis_reference, integer_rows, matrix_apply,
+from helpers import (bareiss_rank, dense_kernel_oracle, dense_rref_oracle, densify,
+                     gauge_connection_sheaf, homology_basis_reference, integer_rows, matrix_apply,
                      random_compositional_sheaf, random_dag_poset, scalar_ops, seeded_rng,
                      trial_division_is_prime, twisted_cycle_sheaf)
 import pytest
@@ -116,6 +116,13 @@ def _oracle_cases() -> list[Matrix]:
     return cases
 
 
+def _assert_kernel_matches_the_dense_oracle(m: Matrix):
+    """kernel_basis(m) is the dense oracle's kernel, each vector's nonzero
+    entries in increasing column order."""
+    want = [[(j, x) for j, x in enumerate(vec) if x] for vec in dense_kernel_oracle(m)]
+    assert [list(vec.items()) for vec in kernel_basis(m)] == want
+
+
 def test_rref_kernel_and_inverse_match_the_dense_oracle(monkeypatch):
     cases = _oracle_cases()
     assert len(cases) >= 500
@@ -124,9 +131,10 @@ def test_rref_kernel_and_inverse_match_the_dense_oracle(monkeypatch):
         want_red, want_pivots, want_rk = dense_rref_oracle(m)
         assert red == want_red
         assert (pivots, rk) == (want_pivots, want_rk)
-    got = [(kernel_basis(m), invert(m)) for m in cases]
+        _assert_kernel_matches_the_dense_oracle(m)
+    got = [invert(m) for m in cases]
     monkeypatch.setattr(linalg, "rref", dense_rref_oracle)
-    assert got == [(kernel_basis(m), invert(m)) for m in cases]
+    assert got == [invert(m) for m in cases]
 
 
 def test_rank_matches_the_dense_oracle_and_leaves_its_input_alone():
@@ -164,9 +172,10 @@ def test_large_rational_entries_and_row_scalings_keep_every_result(monkeypatch):
     for m in cases:
         want = dense_rref_oracle(m)
         assert rref(m) == want and rank(m) == want[2]
-    got = [(kernel_basis(m), invert(m)) for m in cases]
+        _assert_kernel_matches_the_dense_oracle(m)
+    got = [invert(m) for m in cases]
     monkeypatch.setattr(linalg, "rref", dense_rref_oracle)
-    assert got == [(kernel_basis(m), invert(m)) for m in cases]
+    assert got == [invert(m) for m in cases]
 
 
 def test_rank_of_roos_simplex_differentials_matches_bareiss():
@@ -519,6 +528,23 @@ def test_rational_d_squared_check_rejects_a_non_complex():
     with pytest.raises(NotAComplex):
         check_d_squared([Matrix.from_rows([[Fraction(1, 2)], [-1]], QQ), d1])
     check_d_squared([Matrix.from_rows([[Fraction(1, 2)], [Fraction(-1, 2)]], QQ), d1])
+
+
+def test_d_squared_check_scales_no_block_of_a_one_differential_complex(monkeypatch):
+    # with no pair to compose there is nothing to check: no block is scaled
+    # to integers, in a bare check or in building a minimal complex whose
+    # down-set complexes and assembled complex each have one differential
+    scaled = []
+    integral = linalg._integral
+    monkeypatch.setattr(linalg, "_integral", lambda m: scaled.append(m) or integral(m))
+    d0 = Matrix.from_rows([[Fraction(1, 2)], [-1]], QQ)
+    check_d_squared([d0])
+    c = build_complex(twisted_cycle_sheaf(6, seeded_rng(5)), "minimal")
+    assert len(c.diffs) == 1 and scaled == []
+    # two blocks that do not compose to zero are still refused
+    with pytest.raises(NotAComplex, match="d_1 . d_0"):
+        check_d_squared([d0, Matrix.from_rows([[1, 1]], QQ)])
+    assert len(scaled) == 2
 
 
 @pytest.mark.parametrize("d0, d1, ok", [

@@ -12,8 +12,17 @@ checkout's ``src/posheaf/__pycache__`` is deleted before every run, since a
 stale cache slows the set-up.  Stdout is one JSON object: every run's result
 line, and a summary that, for each end-to-end metric ``BENCHMARK.json`` lists,
 gives the first quartile, median and third quartile of each side, the change
-in the median as a fraction of the parent's median, and the number of pairs
-in which the change did better.
+in the median as a fraction of the parent's median, the number of pairs in
+which the change did better, and two verdicts:
+
+- ``gain``: ``met`` where the change did better in at least 9 of 10 pairs
+  and its median beats the parent's by more than the parent's interquartile
+  range, else ``not_met``: the rule a claimed gain must pass;
+- ``regression``: ``unresolved`` where the parent's interquartile range,
+  as a fraction of its median, exceeds the metric's ``bound`` and some run
+  of the change is no better than some run of the parent, else ``worse``
+  where the change's median is worse than the parent's by more than that
+  fraction, else ``within_bound``.
 """
 
 from __future__ import annotations
@@ -40,10 +49,27 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4) if len(values) > 1 else list(values) * 3
 
 
+def gain_verdict(parent: list[float], change: list[float], wins: int, pairs: int,
+                 sign: float) -> str:
+    """``met`` or ``not_met``: the claimed-gain rule on each side's quartiles;
+    sign is 1 where lower is better and -1 where higher is."""
+    beaten = sign * (parent[1] - change[1]) > parent[2] - parent[0]
+    return "met" if 10 * wins >= 9 * pairs and beaten else "not_met"
+
+
+def regression_verdict(parent: list[float], change: list[float], bound: float,
+                       sign: float, every_run_better: bool) -> str:
+    """``unresolved``, ``worse`` or ``within_bound``: the regression rule on
+    each side's quartiles and the metric's relative bound."""
+    if parent[2] - parent[0] > bound * abs(parent[1]) and not every_run_better:
+        return "unresolved"
+    return "worse" if sign * (change[1] - parent[1]) > bound * abs(parent[1]) else "within_bound"
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     """The summary of alternating runs: each run has "pair", "tree",
     "correct", "failed" and a "metrics" object; each metric is a
-    ``BENCHMARK.json`` entry with "name" and "better"."""
+    ``BENCHMARK.json`` entry with "name", "better" and "bound"."""
     side = {tree: sorted((r for r in runs if r["tree"] == tree), key=lambda r: r["pair"])
             for tree in TREES}
     out = {"pairs": len(side["change"]),
@@ -54,11 +80,16 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         values = {tree: [r["metrics"][name]["value"] for r in side[tree]] for tree in TREES}
         parent, change = (quartiles(values[tree]) for tree in TREES)
         sign = 1.0 if metric["better"] == "lower" else -1.0
+        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
         out[name] = {
             "parent_q1_median_q3": parent,
             "change_q1_median_q3": change,
             "median_change_frac": change[1] / parent[1] - 1.0,
-            "change_wins": sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"])),
+            "change_wins": wins,
+            "gain": gain_verdict(parent, change, wins, out["pairs"], sign),
+            "regression": regression_verdict(
+                parent, change, metric["bound"], sign,
+                all(sign * (c - p) < 0 for p in values["parent"] for c in values["change"])),
         }
     return out
 

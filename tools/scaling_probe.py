@@ -48,6 +48,7 @@ DOCUMENTS = {
     "boolean_8": ("boolean_lattice_sheaf", [8]),
     "deep_chain": ("deep_chain_sheaf", []),
     "skeleton_30_2": ("simplex_skeleton_sheaf", [30, 2]),
+    "twisted_cycle_1000": ("fixed_twisted_cycle_sheaf", [1000]),
     "twisted_cycle_4000": ("fixed_twisted_cycle_sheaf", [4000]),
     "stalk_3000": ("single_stalk_sheaf", [3000]),
 }
@@ -74,6 +75,10 @@ CASES = [
     ("deep_chain", ["classify"]),
     ("deep_chain", ["sections"]),
     ("deep_chain", ["incidence"]),
+    # parse, incidence and assembly at scale, and a dense real spectrum
+    ("twisted_cycle_4000", ["betti"]),
+    ("twisted_cycle_4000", ["classify"]),
+    ("twisted_cycle_1000", ["spectrum", "--degree", "0"]),
 ]
 
 # run in a child with the tree's tests/ and src/ on its path: writes each
