@@ -3,13 +3,17 @@ forward pass, and a small smooth-signal sheaf learner.
 
 The learner descends the smoothness loss sum_s ||d_0 x_s||^2 with its
 closed-form gradient, evaluated as einsums on an (edges, 2, d, d) tensor of
-edge maps over vertex index arrays fixed once per run.  ``graph_coboundary``
+edge maps over vertex index arrays fixed once per run, as in Hansen and
+Ghrist, "Learning sheaf Laplacians from smooth signals" (ICASSP 2019).  Its
+trial steps are two-point (Barzilai and Borwein, "Two-point step size
+gradient methods", 1988) behind a halving line search.  ``graph_coboundary``
 and ``finite_difference_gradient`` are the independent references its tests
 hold the loss and gradient to.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -207,15 +211,52 @@ def _project(theta: np.ndarray) -> np.ndarray:
     return out
 
 
+def _trial_steps(theta: np.ndarray, grad: np.ndarray,
+                 last: tuple[np.ndarray, np.ndarray] | None, lr_step: float) -> list[float]:
+    """The trial steps a line search starts from, in order: the two-point
+    length <s, s>/<s, y>, for s = theta - last[0] and y = grad - last[1] with
+    last the previous accepted parameters and their gradient, where last is
+    given, <s, y> > 0 and the length is finite; then lr_step."""
+    if last is not None:
+        s, y = theta - last[0], grad - last[1]
+        sy = float(np.sum(s * y))
+        two_point = float(np.sum(s * s)) / sy if sy > 0 else math.inf
+        if math.isfinite(two_point):
+            return [two_point, lr_step]
+    return [lr_step]
+
+
+def _halving_search(theta: np.ndarray, grad: np.ndarray, step: float, current: float,
+                    xu: np.ndarray, xv: np.ndarray) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """The first of the trial steps step, step/2, ..., step/2^MAX_HALVINGS
+    along -grad whose projected parameters lower the loss below current, as
+    (parameters, residuals, loss); None where every one is rejected."""
+    for _ in range(MAX_HALVINGS + 1):
+        candidate = _project(theta - step * grad)
+        r = _residuals(candidate, xu, xv)
+        loss = float(np.sum(r * r))
+        if loss < current:
+            return candidate, r, loss
+        step *= 0.5
+    return None
+
+
 def learn_sheaf(p: Poset, signals, *, lr: float = 4.0, iters: int = 100, d: int = 1,
                 seed: int = 0) -> LearnResult:
     """Gradient descent on all edge-map entries with the closed-form gradient
     of the smoothness loss sum_s ||d_0 x_s||^2, and a per-edge
     unit-Frobenius-norm projection after each step.
 
-    lr scales the trial step loss/||grad||^2 that starts each halving line
-    search; iters bounds accepted descent steps; d is the stalk dimension.  The
-    initial maps are drawn from seed.
+    From the second step on, the trial step that starts each halving line
+    search is the two-point length <s, s>/<s, y> of Barzilai and Borwein
+    ("Two-point step size gradient methods", 1988), with s and y the
+    differences of the last two accepted parameters and of their gradients.
+    lr scales the trial step lr * loss/||grad||^2 taken instead for the first
+    step, wherever <s, y> <= 0 or the two-point length is not finite, and
+    once more wherever every halving of a two-point trial is rejected, so the
+    learner stops only where that rule finds no step either.  iters bounds
+    accepted descent steps; d is the stalk dimension.  The initial maps are
+    drawn from seed.
 
     The parameters form an (edges, 2, d, d) tensor theta[e] = (F_(u,e),
     F_(v,e)) in the edge order of the graph poset; the sheaf is built once,
@@ -249,6 +290,7 @@ def learn_sheaf(p: Poset, signals, *, lr: float = 4.0, iters: int = 100, d: int 
     with np.errstate(over="ignore", invalid="ignore"):
         current = float(np.sum(_residuals(_project(theta), xu, xv) ** 2))
         history = [current]
+        last = None  # the previous accepted iterate and the gradient there
         for _ in range(iters):
             if np.ldexp(current, 2 * k) <= 1e-18:
                 break
@@ -256,18 +298,15 @@ def learn_sheaf(p: Poset, signals, *, lr: float = 4.0, iters: int = 100, d: int 
             grad_sq = float(np.sum(grad * grad))
             if np.ldexp(grad_sq, 4 * k) <= 1e-30:
                 break
-            step = lr * float(np.sum(r * r)) / grad_sq
-            for _ in range(MAX_HALVINGS + 1):
-                candidate = _project(theta - step * grad)
-                r_candidate = _residuals(candidate, xu, xv)
-                new_loss = float(np.sum(r_candidate * r_candidate))
-                if new_loss < current:
-                    theta, r, current = candidate, r_candidate, new_loss
-                    history.append(current)
+            for step in _trial_steps(theta, grad, last, lr * float(np.sum(r * r)) / grad_sq):
+                found = _halving_search(theta, grad, step, current, xu, xv)
+                if found is not None:
                     break
-                step *= 0.5
             else:
                 break
+            last = theta, grad
+            theta, r, current = found
+            history.append(current)
         history = require_finite(np.ldexp(history, 2 * k), "the loss overflows").tolist()
     if len(history) == 1:
         theta = _project(theta)

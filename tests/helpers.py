@@ -30,11 +30,16 @@ from posheaf.poset import (
 from posheaf.sheaf import Sheaf, build_sheaf, constant_sheaf, cycle_poset
 
 
+def seed_shift() -> int:
+    """POSHEAF_SEED, the shift every randomized test adds to its seeds (0
+    where unset).  It shifts the test suite only: the product reads no
+    environment variable."""
+    return int(os.environ.get("POSHEAF_SEED", "0") or "0")
+
+
 def seeded_rng(seed: int) -> np.random.Generator:
-    """Deterministic generator; POSHEAF_SEED shifts every randomized test.
-    It shifts the test suite only: the product reads no environment variable."""
-    base = int(os.environ.get("POSHEAF_SEED", "0") or "0")
-    return np.random.default_rng(seed + base)
+    """Deterministic generator from seed shifted by ``seed_shift()``."""
+    return np.random.default_rng(seed + seed_shift())
 
 
 # ---------------------------------------------------------------------------
