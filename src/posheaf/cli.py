@@ -6,6 +6,8 @@ deterministic JSON run report on stdout: ``command``, then ``inputs_digest``
 document and the side files (``--x0``, the ``nsd-forward`` params and the
 ``learn`` signals) are all read as UTF-8.  Exit codes: 0 success, 1 domain
 error (with an error report of ``command`` and ``error``), 2 usage error.
+Help and usage text are formatted at a fixed width of 78 columns, what
+argparse gives an 80-column terminal, whatever the terminal.
 A ``betti`` vector has one entry per degree of the complex that ``--method``
 builds, so its length can differ between methods on the same document.
 ``incidence``'s ``matrix`` (a row per label) and ``sections``'s ``basis`` (a
@@ -20,6 +22,7 @@ them through the module objects; the exact ones (marked in ``SUBCOMMANDS``) neve
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -254,12 +257,18 @@ SUBCOMMANDS = {
 }
 
 
+# argparse's width on an 80-column terminal (80 - 2), given so that no
+# formatter asks the terminal its size
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="posheaf", description="Sheaves on finite posets: cohomology, Laplacians, diffusion.")
+        prog="posheaf", description="Sheaves on finite posets: cohomology, Laplacians, diffusion.",
+        formatter_class=_FORMATTER)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, _, help_text, arguments) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=_FORMATTER)
         p.add_argument("document", help="sheaf document (JSON)")
         for flag, options in arguments:
             p.add_argument(flag, **options)

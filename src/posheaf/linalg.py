@@ -249,29 +249,34 @@ class Matrix:
         return Matrix._of(self.rows, self.cols, entries, self.field)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Row i of the product accumulates a_ik * (row k of other) in
-        increasing k, the order in which a dense loop sums them."""
-        f = self.field
-        if f != other.field:
-            raise FieldMismatch("matrix product across different fields")
-        if self.cols != other.rows:
-            raise FieldMismatch(
-                f"shape mismatch in product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-            )
-        inner = other._entries
-        entries = []
-        for arow in self._entries:
-            row: dict = {}
-            for k in sorted(arow):
-                _add_multiple(row, arow[k], inner[k], f.p)
-            entries.append(row)
-        return Matrix._of(self.rows, other.cols, entries, f)
+        """Row i of the product is ``_product_row`` of row i of self."""
+        _composable(self, other)
+        p = self.field.p
+        entries = [_product_row(arow, other._entries, p) for arow in self._entries]
+        return Matrix._of(self.rows, other.cols, entries, self.field)
 
     def add_block(self, r0: int, c0: int, block: "Matrix", scalar=1):
         """Add scalar * block in place, with the block's top left corner at
         (r0, c0); the scalar is one of the field's or a plain int."""
         for brow, row in zip(block._entries, self._entries[r0:r0 + block.rows]):
             _add_multiple(row, scalar, {c0 + j: x for j, x in brow.items()}, self.field.p)
+
+
+def _composable(a: Matrix, b: Matrix):
+    """Refuse the product a . b across fields or shapes."""
+    if a.field != b.field:
+        raise FieldMismatch("matrix product across different fields")
+    if a.cols != b.rows:
+        raise FieldMismatch(f"shape mismatch in product: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+
+
+def _product_row(arow: dict, inner: list[dict], p: int | None) -> dict:
+    """A row of a product: arow's a_k * (row k of inner), summed in increasing
+    k, the order in which a dense loop sums them."""
+    row: dict = {}
+    for k in sorted(arow):
+        _add_multiple(row, arow[k], inner[k], p)
+    return row
 
 
 def _transpose(entries: list[dict], n: int) -> list[dict]:
@@ -437,23 +442,30 @@ def check_d_squared(diffs: list[Matrix]):
     """Check that each composite d_{j+1} . d_j vanishes; diffs[j] maps degree
     j to degree j + 1.
 
-    Over Q and F_p the composite must be zero; over Q it is taken on ints,
-    with each block times the lcm of its denominators, which scales the
-    composite by a nonzero int and keeps its zeros.  Over R its largest entry
-    must stay within D2_RESIDUAL_TOL * max|d_{j+1}| * max|d_j|.  Either
-    failure is NotAComplex.
+    No composite matrix is built: each row of d_{j+1} . d_j is formed in one
+    scratch dict, as ``Matrix.__matmul__`` forms it, and the check stops at
+    the first row that fails.  Over Q and F_p every row must be zero; over Q
+    it is taken on ints, with each block holding a Fraction times the lcm of
+    its denominators, which scales the composite by a nonzero int and keeps
+    its zeros.  Over R every entry must stay within
+    D2_RESIDUAL_TOL * max|d_{j+1}| * max|d_j|.  Either failure is NotAComplex.
     """
     if len(diffs) < 2:  # no pair to compose
         return
     diffs = [_integral(d) if d.field == QQ else d for d in diffs]
     for j in range(len(diffs) - 1):
         a, b = diffs[j + 1], diffs[j]
-        residual = (a @ b)._entries
+        _composable(a, b)
+        p, inner = a.field.p, b._entries
         if a.field.is_exact:
-            if any(residual):
-                raise NotAComplex(f"d_{j + 1} . d_{j} != 0")
-        elif _max_abs(residual) > D2_RESIDUAL_TOL * (_max_abs(a._entries) * _max_abs(b._entries)):
-            raise NotAComplex(f"d_{j + 1} . d_{j} residual exceeds tolerance")
+            for arow in a._entries:
+                if _product_row(arow, inner, p):
+                    raise NotAComplex(f"d_{j + 1} . d_{j} != 0")
+            continue
+        tol = D2_RESIDUAL_TOL * (_max_abs(a._entries) * _max_abs(b._entries))
+        for arow in a._entries:
+            if _max_abs([_product_row(arow, inner, p)]) > tol:
+                raise NotAComplex(f"d_{j + 1} . d_{j} residual exceeds tolerance")
 
 
 def _integral(m: Matrix) -> Matrix:

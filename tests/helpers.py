@@ -15,9 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from posheaf import cochain
+from posheaf import cochain, linalg
 from posheaf.cli import _COUNT, _POSITIVE_FINITE, _POSITIVE_INT
-from posheaf.errors import NotTwoLayer, ShapeMismatch
+from posheaf.errors import NotAComplex, NotTwoLayer, ShapeMismatch
 from posheaf.linalg import PRIME, Matrix, QQ, RR
 from posheaf.poset import (
     Poset,
@@ -270,6 +270,36 @@ def homology_basis_reference(diffs: list[Matrix], dims: list[int], field) -> lis
                 kept.append(vec)
         out.append(kept)
     return out
+
+
+def d_squared_product_reference(diffs: list[Matrix]):
+    """``linalg.check_d_squared`` by whole composites: each d_{j+1} . d_j is
+    formed by ``Matrix.__matmul__`` (over Q on each block times the lcm of its
+    denominators) and refused where it has a nonzero entry over Q or F_p, or
+    where its largest entry exceeds D2_RESIDUAL_TOL * max|d_{j+1}| * max|d_j|
+    over R, with the check's messages."""
+    diffs = [linalg._integral(d) if d.field == QQ else d for d in diffs]
+    for j in range(len(diffs) - 1):
+        a, b = diffs[j + 1], diffs[j]
+        residual = (a @ b)._entries
+        if a.field.is_exact:
+            if any(residual):
+                raise NotAComplex(f"d_{j + 1} . d_{j} != 0")
+        elif linalg._max_abs(residual) > linalg.D2_RESIDUAL_TOL * (
+                linalg._max_abs(a._entries) * linalg._max_abs(b._entries)):
+            raise NotAComplex(f"d_{j + 1} . d_{j} residual exceeds tolerance")
+
+
+def unchecked_diffs(build, *args) -> list[Matrix]:
+    """The differentials of the complex build(*args), assembled with cochain's
+    d^2 checks switched off, so a sheaf that does not compose gives blocks
+    whose composites need not vanish."""
+    check = cochain.check_d_squared
+    cochain.check_d_squared = lambda diffs: None
+    try:
+        return build(*args).diffs
+    finally:
+        cochain.check_d_squared = check
 
 
 def _write_block(target: list[list], r0: int, c0: int, block: Matrix, scalar, field,
@@ -612,8 +642,9 @@ _SCALAR_POOL = [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3]
 
 def random_sheaf(p: Poset, rng: np.random.Generator, field=QQ) -> Sheaf:
     """Stalk dimensions 0 to 2 (mostly nonzero) and edge maps with entries
-    from the scalar pool and zero: in general not compositional."""
-    pool = [0] + _SCALAR_POOL
+    from the scalar pool and zero (over F_2, 0 and 1): in general not
+    compositional."""
+    pool = [0, 1] if field.p == 2 else [0] + _SCALAR_POOL
     stalks = {e: (0, 1, 2, 2)[int(rng.integers(0, 4))] for e in p.elements}
     maps = {
         (a, b): Matrix(stalks[b], stalks[a], [

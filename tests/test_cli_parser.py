@@ -3,7 +3,9 @@ tests/helpers.py: the same stdout, stderr and exit status on help, usage
 errors and abbreviations, and the same namespace wherever argv parses."""
 
 import io
+import shutil
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -53,3 +55,48 @@ def _parse(parser, argv) -> tuple:
 def test_parser_matches_the_reference(argv, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert _parse(cli_module.build_parser(), argv) == _parse(reference_parser(), argv)
+
+
+@pytest.mark.parametrize("columns", ["20", "200", None], ids=["20", "200", "unset"])
+def test_help_and_usage_do_not_follow_the_terminal_width(columns, monkeypatch):
+    # the parser formats at a fixed 78 columns, which argparse computes at
+    # COLUMNS=80: every output of the corpus is the reference's there
+    monkeypatch.setenv("COLUMNS", "80")
+    expected = [_parse(reference_parser(), argv) for argv in CORPUS]
+    if columns is None:
+        monkeypatch.delenv("COLUMNS")
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert [_parse(cli_module.build_parser(), argv) for argv in CORPUS] == expected
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _run_cli(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = cli_module.cli(argv)
+    return out.getvalue(), err.getvalue(), status
+
+
+def test_a_job_never_asks_the_terminal_its_size(monkeypatch):
+    # a job, help and a usage error each print what they print at COLUMNS=80,
+    # with every terminal-size query raising; a parser built without the
+    # fixed width would ask once per formatter
+    monkeypatch.setenv("COLUMNS", "80")
+    document = str(GOLDEN / "mobius_c4.json")
+    reference = (GOLDEN / "mobius_c4.report.json").read_text(encoding="utf-8")
+    usage = [["--help"], ["betti", "--help"], ["betti", document, "--method", "nope"]]
+    expected = [_parse(reference_parser(), argv)[:3] for argv in usage]
+    queries = []
+
+    def refuse(*args):
+        queries.append(args)
+        raise OSError("no terminal")
+
+    monkeypatch.setattr(shutil, "get_terminal_size", refuse)
+    assert _run_cli(["betti", "--method", "minimal", document]) == (reference, "", 0)
+    for argv, want in zip(usage, expected):
+        assert _run_cli(argv) == want
+    assert queries == []

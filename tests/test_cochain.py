@@ -46,6 +46,7 @@ from posheaf.sheaf import (
 from helpers import (
     add_block_diffs_reference,
     bareiss_rank,
+    d_squared_product_reference,
     dense_diffs_reference,
     densify,
     gauge_connection_sheaf,
@@ -57,10 +58,12 @@ from helpers import (
     random_compositional_sheaf,
     random_dag_poset,
     random_graph_poset,
+    random_sheaf,
     random_simplicial_poset,
     reduced_betti_oracle,
     same_betti,
     twisted_cycle_sheaf,
+    unchecked_diffs,
 )
 
 MORSE_POSET = build_poset(
@@ -763,3 +766,52 @@ def test_projective_plane_answers_depend_on_the_field_through_torsion(
     cone = constant_sheaf(_RP2_CONE, 1, field)
     assert betti(cone, "roos") == [1, 0, 0, 0]
     assert betti(cone, "minimal") == cone_minimal_betti
+
+
+def _roos_outcome(sheaf):
+    try:
+        roos_complex(sheaf)
+    except NotAComplex as exc:
+        return str(exc)
+    return None
+
+
+def test_roos_first_pair_check_refuses_exactly_what_the_full_check_refuses():
+    # random sheaves over Q, F_2 and F_3, composing and not: checking
+    # d_1 . d_0 alone refuses a Roos complex iff some composite is nonzero,
+    # with the full check's message
+    rng = seeded_rng(4200)
+    seen = set()
+    for field in (QQ, prime_field(2), prime_field(3)):
+        for trial in range(80):
+            p = random_dag_poset(rng, max_elements=8, chain_cap=150, edge_prob=0.8)
+            if trial % 4 == 3 and field.p != 2:
+                sheaf = random_compositional_sheaf(p, rng, field)
+            else:
+                sheaf = random_sheaf(p, rng, field)
+            diffs = unchecked_diffs(roos_complex, sheaf)
+            try:
+                d_squared_product_reference(diffs)
+                expected = None
+            except NotAComplex as exc:
+                expected = str(exc)
+            assert _roos_outcome(sheaf) == expected
+            seen.add((field.p, len(diffs) > 2, expected is None))
+    for prime in (None, 2, 3):
+        assert {(prime, True, True), (prime, True, False)} <= seen
+
+
+def test_roos_check_composes_one_pair(monkeypatch):
+    # the Roos complex of the 3-simplex has three blocks, and its check
+    # composes d_1 . d_0 alone; cellular composes both pairs
+    products = []
+    composable = linalg._composable
+    monkeypatch.setattr(linalg, "_composable",
+                        lambda a, b: products.append((a, b)) or composable(a, b))
+    sheaf = constant_sheaf(simplicial_complex_poset([["1", "2", "3", "4"]]), 1, QQ)
+    for build, composed in ((roos_complex, [1]), (cellular_complex, [1, 2])):
+        products.clear()
+        diffs = build(sheaf).diffs
+        assert len(diffs) == 3
+        assert [j for a, b in products for j in range(1, 3)
+                if a is diffs[j] and b is diffs[j - 1]] == composed

@@ -7,17 +7,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from helpers import (bareiss_rank, dense_kernel_oracle, dense_rref_oracle, densify,
-                     gauge_connection_sheaf, homology_basis_reference, integer_rows, matrix_apply,
-                     random_compositional_sheaf, random_dag_poset, scalar_ops, seeded_rng,
-                     trial_division_is_prime, twisted_cycle_sheaf)
+from helpers import (bareiss_rank, d_squared_product_reference, dense_kernel_oracle,
+                     dense_rref_oracle, densify, gauge_connection_sheaf, homology_basis_reference,
+                     integer_rows, matrix_apply, random_compositional_sheaf, random_dag_poset,
+                     random_sheaf, random_simplicial_poset, scalar_ops, seeded_rng,
+                     trial_division_is_prime, twisted_cycle_sheaf, unchecked_diffs)
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posheaf import linalg
 from posheaf.cli import cli
-from posheaf.cochain import build_complex, cellular_complex, minimal_incidence, roos_complex
+from posheaf.cochain import (build_complex, cellular_complex, minimal_complex, minimal_incidence,
+                             roos_complex)
 from posheaf.errors import FieldMismatch, NotAComplex, OverflowOnConvert
 from posheaf.io import serialize_sheaf
 from posheaf.linalg import (
@@ -622,3 +624,91 @@ def test_representatives_are_exact_cycles():
         for i, d in enumerate(diffs):
             for rep in reps[i]:
                 assert all(not x for x in matrix_apply(d, rep))
+
+
+def _d_squared_outcome(check, diffs):
+    """None where check accepts diffs, else the error's type and message."""
+    try:
+        check(diffs)
+    except (NotAComplex, FieldMismatch) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def _real_copy(m: Matrix, rng, scale: float) -> Matrix:
+    """m as floats, each entry moved by up to scale times itself."""
+    entries = [{j: float(x) * (1 + scale * float(rng.uniform(-1, 1))) for j, x in row.items()}
+               for row in m._entries]
+    return Matrix._of(m.rows, m.cols, entries, RR)
+
+
+def _random_blocks(rng, field, count):
+    """count composable blocks, most entries zero, the rest from a small pool
+    of the field's scalars: a few compose to zero, most do not."""
+    pool = [1] if field.p == 2 else [1, -1, 2, Fraction(1, 2), Fraction(-1, 2)]
+    dims = [int(rng.integers(0, 4)) for _ in range(count + 1)]
+    return [Matrix(dims[j + 1], dims[j], [
+        [field.coerce(pool[int(rng.integers(0, len(pool)))]) if rng.random() < 0.3 else
+         field.zero() for _ in range(dims[j])] for _ in range(dims[j + 1])], field)
+        for j in range(count)]
+
+
+def _d_squared_corpus():
+    """Block lists over Q, F_2, F_3 and R: the Roos, minimal and cellular
+    complexes of random sheaves that compose and that do not, assembled
+    unchecked; random sparse blocks; over R the float copies of the rational
+    lists, moved by relative amounts on both sides of the tolerance; and pairs
+    whose shapes or fields do not match."""
+    rng = seeded_rng(4100)
+    for field in (QQ, prime_field(2), prime_field(3)):
+        for trial in range(30):
+            p = (random_simplicial_poset(rng) if trial % 3 == 0 else
+                 random_dag_poset(rng, max_elements=7, edge_prob=0.5))
+            if trial % 2 and field.p != 2:
+                sheaf = random_compositional_sheaf(p, rng, field)
+            else:
+                sheaf = random_sheaf(p, rng, field)
+            roos = unchecked_diffs(roos_complex, sheaf)
+            yield roos
+            if trial % 3 == 0:
+                yield unchecked_diffs(cellular_complex, sheaf)
+            yield unchecked_diffs(minimal_complex, sheaf, minimal_incidence(p, field))
+            yield _random_blocks(rng, field, int(rng.integers(2, 5)))
+            if field == QQ:
+                for scale in (0.0, 1e-13, 1e-11, 1e-9, 1e-7):
+                    yield [_real_copy(d, rng, scale) for d in roos]
+    d0, d1 = Matrix.from_rows([[1], [1]], QQ), Matrix.from_rows([[1, -1]], QQ)
+    yield [d0, Matrix.from_rows([[1, -1, 0]], QQ)]  # shapes that do not compose
+    yield [d0, Matrix.from_rows([[1, -1]], prime_field(3))]  # two fields
+    yield [d0, d1, Matrix.zeros(2, 2, QQ)]
+
+
+def test_d_squared_check_decides_as_the_whole_composite_does():
+    # the row-at-a-time check against the old full-product check: the same
+    # decision and message on every list, with lists refused and accepted
+    # over every field
+    seen = {}
+    for diffs in _d_squared_corpus():
+        outcome = _d_squared_outcome(d_squared_product_reference, diffs)
+        assert _d_squared_outcome(check_d_squared, diffs) == outcome, diffs
+        if len(diffs) > 1 and diffs[0].field == diffs[1].field:
+            seen.setdefault(str(diffs[0].field), set()).add(outcome is None)
+    assert seen == {str(f): {True, False} for f in (QQ, RR, prime_field(2), prime_field(3))}
+
+
+def test_d_squared_check_builds_no_composite_and_no_integer_copy_of_int_blocks(monkeypatch):
+    # no Matrix.__matmul__, and Matrix._of only for the integer copy of a
+    # rational block that holds a Fraction
+    corpus = list(_d_squared_corpus())
+    products, made = [], []
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append((a, b)))
+    of = Matrix._of
+    monkeypatch.setattr(Matrix, "_of", lambda *args: made.append(args) or of(*args))
+    fractional = 0
+    for diffs in corpus:
+        if len(diffs) > 1:
+            fractional += sum(d.field == QQ and any(isinstance(x, Fraction) for _, _, x in
+                                                     d.nonzeros()) for d in diffs)
+        _d_squared_outcome(check_d_squared, diffs)
+    assert products == [] and fractional > 0
+    assert len(made) == fractional

@@ -79,6 +79,9 @@ CASES = [
     ("twisted_cycle_4000", ["betti"]),
     ("twisted_cycle_4000", ["classify"]),
     ("twisted_cycle_1000", ["spectrum", "--degree", "0"]),
+    # the Roos construction at scale: the 189,171 chains of B_7, a third of
+    # the time in its d^2 check when that check composed every pair
+    ("boolean_7", ["betti", "--method", "roos"]),
 ]
 
 # run in a child with the tree's tests/ and src/ on its path: writes each
