@@ -7,11 +7,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import itertools
 import math
 import os
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +30,9 @@ from posheaf.poset import (
     simplicial_complex_poset,
 )
 from posheaf.sheaf import Sheaf, build_sheaf, constant_sheaf, cycle_poset
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def seed_shift() -> int:
@@ -1011,6 +1016,14 @@ def single_stalk_sheaf(dim: int) -> Sheaf:
     """One element with a stalk of dimension dim over Q: its section space is
     the whole stalk."""
     return constant_sheaf(build_poset(["x"], []), dim, QQ)
+
+
+# tools/scaling_probe.py: the one table of these documents and their cases,
+# and the runner that the probe's tests and the resource corpus share
+_spec = importlib.util.spec_from_file_location("scaling_probe",
+                                               ROOT / "tools" / "scaling_probe.py")
+scaling_probe = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(scaling_probe)
 
 
 # ---------------------------------------------------------------------------

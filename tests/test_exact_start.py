@@ -71,6 +71,23 @@ def test_import_posheaf_loads_no_real_layer():
     assert _fresh([]) == (0, "", [])
 
 
+def test_the_real_layers_load_on_first_access_in_a_fresh_interpreter():
+    # in this process an earlier import has set the attributes already
+    probe = """
+import json, sys
+import posheaf
+seen = ["numpy" in sys.modules]
+for name in ("spectral", "nsd"):
+    seen.append(getattr(posheaf, name) is sys.modules["posheaf." + name])
+print(json.dumps(seen + ["numpy" in sys.modules]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == [False, True, True, True]
+
+
 @pytest.mark.parametrize("case", EXACT, ids=lambda case: " ".join(case[:1] + case[2:]))
 def test_exact_subcommand_loads_no_real_layer(case):
     argv = _argv(case)

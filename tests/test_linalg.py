@@ -23,6 +23,7 @@ from posheaf.cochain import (build_complex, cellular_complex, minimal_complex, m
 from posheaf.errors import FieldMismatch, NotAComplex, OverflowOnConvert
 from posheaf.io import serialize_sheaf
 from posheaf.linalg import (
+    FieldTag,
     Matrix,
     QQ,
     RR,
@@ -413,6 +414,20 @@ def test_a_modulus_that_is_not_an_int_is_a_field_mismatch(p):
     # 7.0 used to pass as Fp:7.0, equal to Fp:7, and break every coerce
     with pytest.raises(FieldMismatch):
         prime_field(p)
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: Matrix.from_rows([[1, 2], [3]], QQ), "ragged rows"),
+    (lambda: FieldTag("X"), "unknown field kind 'X'"),
+    (lambda: FieldTag("Q", 3), "modulus only makes sense for prime fields"),
+    (lambda: Matrix.from_rows([[1, 2]], QQ) - Matrix.from_rows([[1], [2]], QQ),
+     "difference of matrices with different fields or shapes"),
+    (lambda: Matrix.from_rows([[1]], QQ) - Matrix.from_rows([[1]], prime_field(7)),
+     "difference of matrices with different fields or shapes"),
+], ids=["ragged", "kind", "modulus", "difference-shapes", "difference-fields"])
+def test_malformed_fields_and_matrices_are_field_mismatches(run, message):
+    with pytest.raises(FieldMismatch, match=f"^{re.escape(message)}$"):
+        run()
 
 
 def _path(field):

@@ -243,6 +243,20 @@ def test_learn_single_edge_analytic_minimum():
         assert abs(abs(f1) - 1.0) <= 1e-9
 
 
+def test_learn_stops_at_the_gradient_floor_above_the_loss_floor(monkeypatch):
+    # d = 1 maps project to +-1; seed 0 draws maps of opposite signs, and one
+    # step lands on equal signs, where the loss (x_u - x_v)^2 = 4e-18 is above
+    # the 1e-18 loss floor but the squared gradient 4 (x_u - x_v)^2 (x_u^2 +
+    # x_v^2), about 3e-31, is below the 1e-30 gradient floor
+    searches = []
+    trial_steps = nsd._trial_steps
+    monkeypatch.setattr(nsd, "_trial_steps",
+                        lambda *args: searches.append(args) or trial_steps(*args))
+    res = learn_sheaf(path_poset(2), [np.array([1e-7, 0.98e-7])], seed=0)
+    assert len(res.loss_history) == 2 and res.loss_history[-1] > 1e-18
+    assert len(searches) == 1  # the second pass stopped before its line search
+
+
 @pytest.mark.parametrize("k", [200, 270])
 def test_learn_is_invariant_under_scaling_the_signals_by_a_power_of_two(k):
     # at 2^270 the raw gradient's squared norm is beyond the floats

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -67,6 +68,23 @@ def test_redundant_covers_are_reduced_with_warning():
         p = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
     assert p.covers == (("a", "b"), ("b", "c"))
     assert p.lt("a", "c")
+
+
+def test_non_string_identifiers_and_endpoints_are_made_strings():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        p = build_poset([1, 2, 3], [(1, 2), (2, 3), (1, 3)])
+    assert [w.category for w in caught] == [RedundantCoversWarning]
+    assert p.elements == ("1", "2", "3")
+    assert p.covers == (("1", "2"), ("2", "3"))
+    assert "1" in p
+    strings = build_poset(["1", "2", "3"], [("1", "2"), ("2", "3")])
+    assert p == strings and hash(p) == hash(strings)
+    for endpoint, text in [(5, "'5'"), (["a"], "\"['a']\"")]:
+        with pytest.raises(UnknownElement, match=f"^cover endpoint {re.escape(text)} is not"):
+            build_poset([1, 2, 3], [(1, endpoint)])
+    with pytest.raises(CycleDetected, match=re.escape("reflexive cover ('1', '1')")):
+        build_poset([1, 2, 3], [(1, "1")])
 
 
 def test_transitive_reduction_chain():

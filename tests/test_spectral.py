@@ -152,6 +152,8 @@ def test_jacobi_on_diagonal_and_zero():
     assert np.allclose(vecs @ vecs.T, np.eye(3), atol=1e-12)
     vals, vecs = jacobi_eigh(np.zeros((2, 2)))
     assert np.allclose(vals, 0.0)
+    vals, vecs = jacobi_eigh(np.zeros((0, 0)))
+    assert (vals.shape, vecs.shape) == ((0,), (0, 0))
 
 
 def test_jacobi_matches_numpy_on_random_symmetric():
@@ -665,6 +667,12 @@ def test_convergence_rate_errors():
     harmonic = heat_diffusion(lap, np.ones(4), steps=20)
     with pytest.raises(DegenerateInitialState):
         convergence_rate(harmonic, bundle)
+    # lam_min = 2, and [1, -1, 1, -1] spans the eigenvalue-4 space: the start is
+    # not harmonic, yet no component of it decays at the slowest rate
+    fastest = heat_diffusion(lap, np.array([1.0, -1.0, 1.0, -1.0]), steps=20)
+    with pytest.raises(DegenerateInitialState,
+                       match="^initial state has no component on the slowest mode$"):
+        convergence_rate(fastest, bundle)
 
 
 def _hypergraph_sheaf(rng, n_vertices=4, n_edges=2, dim=2):

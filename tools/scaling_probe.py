@@ -5,13 +5,16 @@ Usage:
 
     python3 tools/scaling_probe.py --change DIR [--parent DIR] [--subcommand NAME]
 
-Each case is a document made by a generator in ``tests/helpers.py`` and an
-argv for ``python -m posheaf.cli``.  The documents are written once, by the
-change tree's generators, into a temporary directory, which is also where each
-case's stdout and stderr go; nothing is written into either tree but the
-deletion of its ``src/posheaf/__pycache__`` before each run.  Every case runs
-in its own child, one at a time, under ``ADDRESS_SPACE_BYTES`` of address
-space and a ``TIMEOUT_S`` wall-clock timeout, ``RUNS`` times in each tree.
+Each case is a document made by a generator in ``tests/helpers.py``, an argv
+for ``python -m posheaf.cli``, and whether tier-1's resource corpus
+(``tests/test_resource_corpus.py``) runs it too, through ``measure`` under its
+own tighter limits; so a case joins the corpus by its mark here.  The
+documents are written once, by the change tree's generators, into a temporary
+directory, which is also where each case's stdout and stderr go; nothing is
+written into either tree but the deletion of its ``src/posheaf/__pycache__``
+before each run.  Every case runs in its own child, one at a time, under
+``ADDRESS_SPACE_BYTES`` of address space and a ``TIMEOUT_S`` wall-clock
+timeout, ``RUNS`` times in each tree.
 With ``--parent`` each case runs in rounds of one run per tree, numbered on
 across cases; odd rounds run the parent first and even ones the change.
 ``--subcommand`` keeps the cases of one subcommand.
@@ -53,35 +56,36 @@ DOCUMENTS = {
     "stalk_3000": ("single_stalk_sheaf", [3000]),
 }
 
+# (document, argv, whether tests/test_resource_corpus.py runs it)
 CASES = [
     # validate, as in ROADMAP's scaling table
-    ("boolean_6", ["validate"]),
-    ("boolean_7", ["validate"]),
-    ("boolean_8", ["validate"]),
-    ("deep_chain", ["validate"]),
-    ("skeleton_30_2", ["validate"]),
+    ("boolean_6", ["validate"], False),
+    ("boolean_7", ["validate"], False),
+    ("boolean_8", ["validate"], True),
+    ("deep_chain", ["validate"], True),
+    ("skeleton_30_2", ["validate"], False),
     # the dense reports, as in ROADMAP's scaling table
-    ("twisted_cycle_4000", ["incidence"]),
-    ("skeleton_30_2", ["incidence"]),
-    ("stalk_3000", ["sections"]),
-    # the rest of tests/test_resource_corpus.py's cases
-    ("deep_chain", ["betti", "--method", "minimal"]),
-    ("boolean_8", ["betti", "--method", "minimal"]),
-    ("boolean_8", ["classify"]),
-    ("boolean_8", ["incidence"]),
-    ("skeleton_30_2", ["sections"]),
-    ("skeleton_30_2", ["betti"]),
+    ("twisted_cycle_4000", ["incidence"], True),
+    ("skeleton_30_2", ["incidence"], False),
+    ("stalk_3000", ["sections"], True),
+    # the rest of the resource corpus's cases
+    ("deep_chain", ["betti", "--method", "minimal"], True),
+    ("boolean_8", ["betti", "--method", "minimal"], True),
+    ("boolean_8", ["classify"], True),
+    ("boolean_8", ["incidence"], True),
+    ("skeleton_30_2", ["sections"], True),
+    ("skeleton_30_2", ["betti"], True),
     # with these, every exact subcommand has a deep-chain row
-    ("deep_chain", ["classify"]),
-    ("deep_chain", ["sections"]),
-    ("deep_chain", ["incidence"]),
+    ("deep_chain", ["classify"], False),
+    ("deep_chain", ["sections"], False),
+    ("deep_chain", ["incidence"], False),
     # parse, incidence and assembly at scale, and a dense real spectrum
-    ("twisted_cycle_4000", ["betti"]),
-    ("twisted_cycle_4000", ["classify"]),
-    ("twisted_cycle_1000", ["spectrum", "--degree", "0"]),
+    ("twisted_cycle_4000", ["betti"], False),
+    ("twisted_cycle_4000", ["classify"], False),
+    ("twisted_cycle_1000", ["spectrum", "--degree", "0"], False),
     # the Roos construction at scale: the 189,171 chains of B_7, a third of
     # the time in its d^2 check when that check composed every pair
-    ("boolean_7", ["betti", "--method", "roos"]),
+    ("boolean_7", ["betti", "--method", "roos"], False),
 ]
 
 # run in a child with the tree's tests/ and src/ on its path: writes each
@@ -119,12 +123,10 @@ def write_documents(tree: Path, folder: Path, names) -> None:
                    env=env, cwd=folder, check=True)
 
 
-def _limit_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_BYTES, ADDRESS_SPACE_BYTES))
-
-
-def measure(tree: Path, argv: list[str], folder: Path, timeout_s: float = TIMEOUT_S) -> dict:
-    """One cold run of ``python -m posheaf.cli`` with argv, in tree's source."""
+def measure(tree: Path, argv: list[str], folder: Path, timeout_s: float = TIMEOUT_S,
+            address_space_bytes: int = ADDRESS_SPACE_BYTES) -> dict:
+    """One cold run of ``python -m posheaf.cli`` with argv, in tree's source;
+    its stdout and stderr stay in folder's files of those names."""
     shutil.rmtree(tree / "src" / "posheaf" / "__pycache__", ignore_errors=True)
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(tree / "src")}
     out_path, err_path = folder / "stdout", folder / "stderr"
@@ -133,7 +135,8 @@ def measure(tree: Path, argv: list[str], folder: Path, timeout_s: float = TIMEOU
         start = time.perf_counter()
         child = subprocess.Popen([sys.executable, "-m", "posheaf.cli", *argv], stdout=out,
                                  stderr=err, env=env, cwd=folder,
-                                 preexec_fn=_limit_address_space)
+                                 preexec_fn=lambda: resource.setrlimit(
+                                     resource.RLIMIT_AS, (address_space_bytes,) * 2))
 
         def kill():
             timed_out.set()
@@ -205,7 +208,7 @@ def main(argv=None) -> int:
     trees = {"change": args.change.resolve()}
     if args.parent:
         trees["parent"] = args.parent.resolve()
-    cases = [(d, a) for d, a in CASES if args.subcommand in (None, a[0])]
+    cases = [(d, a) for d, a, _ in CASES if args.subcommand in (None, a[0])]
     runs = []
     with tempfile.TemporaryDirectory() as work:
         folder = Path(work)
