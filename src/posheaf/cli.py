@@ -26,7 +26,6 @@ import functools
 import math
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import cochain, linalg
 from .errors import OverflowOnConvert, ParseError, PosheafError, SchemaError, brief
@@ -41,8 +40,6 @@ from .io import (
 from .poset import classify
 from .sheaf import check_compositionality, global_sections_bruteforce
 
-if TYPE_CHECKING:
-    import numpy as np
 
 def _read(path: str) -> tuple[str, bytes]:
     """A file's text, decoded as UTF-8, and its bytes."""
@@ -66,7 +63,7 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _numeric_array(doc: dict, key: str) -> np.ndarray:
+def _numeric_array(doc: dict, key: str):
     """doc[key] as a float array: nested lists of one shape holding finite
     numbers, or a SchemaError naming the key."""
     import numpy as np
@@ -150,7 +147,7 @@ def cmd_incidence(sheaf, args) -> dict:
     }}
 
 
-def _laplacian(sheaf, args) -> np.ndarray:
+def _laplacian(sheaf, args):
     from . import spectral
     return spectral.laplacian(spectral.real_sheaf_complex(sheaf), args.degree, args.norm)
 

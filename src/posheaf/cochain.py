@@ -17,8 +17,7 @@ incidence algorithm then solve with ``linalg.homology_basis``.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import accumulate
 
 from .errors import (
@@ -186,8 +185,7 @@ def cellular_complex(d: Sheaf) -> CochainComplexInstance:
 AUGMENTATION = -1  # key of the augmentation generator "@" in boundary columns
 
 
-@dataclass
-class IncidenceData:
+class IncidenceData(namedtuple("IncidenceData", "poset field generators columns")):
     """Output of the incidence-matrix algorithm: generators stitched to poset
     elements, each with its sparse boundary column.
 
@@ -198,10 +196,7 @@ class IncidenceData:
     only on the poset and field, and is reusable across sheaves.
     """
 
-    poset: Poset
-    field: FieldTag
-    generators: list[tuple[int, str]]
-    columns: list[dict[int, object]]
+    __slots__ = ()
 
 
 def minimal_incidence(p: Poset, field: FieldTag) -> IncidenceData:

@@ -51,7 +51,6 @@ they alone raise a field requirement, naming the stage and the field given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, inf, isnan, isqrt, lcm, nan
@@ -76,21 +75,43 @@ def _is_prime(n: int) -> bool:
     return n > 1 and (n < 4 or n % 2 == 1 and all(n % q for q in range(3, isqrt(n) + 1, 2)))
 
 
-@dataclass(frozen=True)
 class FieldTag:
-    """Ground field marker: rationals, a prime field F_p (p < 2^31), or floats."""
+    """Ground field marker: rationals, a prime field F_p (p < 2^31), or floats.
 
-    kind: str
-    p: int | None = None
+    Immutable, and equal and hashed by (kind, p)."""
 
-    def __post_init__(self):
-        if self.kind not in (RATIONALS, PRIME, REALS):
-            raise FieldMismatch(f"unknown field kind {self.kind!r}")
-        if self.kind == PRIME:
-            if type(self.p) is not int or not 2 <= self.p < 2**31 or not _is_prime(self.p):
-                raise FieldMismatch(f"modulus {brief(repr(self.p))} is not a prime below 2^31")
-        elif self.p is not None:
+    __slots__ = ("kind", "p")
+
+    def __init__(self, kind: str, p: int | None = None):
+        if kind not in (RATIONALS, PRIME, REALS):
+            raise FieldMismatch(f"unknown field kind {kind!r}")
+        if kind == PRIME:
+            if type(p) is not int or not 2 <= p < 2**31 or not _is_prime(p):
+                raise FieldMismatch(f"modulus {brief(repr(p))} is not a prime below 2^31")
+        elif p is not None:
             raise FieldMismatch("modulus only makes sense for prime fields")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to FieldTag.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete FieldTag.{name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldTag:
+            return NotImplemented
+        return self.kind == other.kind and self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.p))
+
+    def __repr__(self) -> str:
+        return f"FieldTag(kind={self.kind!r}, p={self.p!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through the checks above
+        return FieldTag, (self.kind, self.p)
 
     @property
     def is_exact(self) -> bool:

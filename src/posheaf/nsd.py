@@ -14,7 +14,7 @@ hold the loss and gradient to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 import numpy as np
 
@@ -86,22 +86,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-z))
 
 
-@dataclass
 class NsdLayer:
     """One neural-sheaf-diffusion layer over a graph sheaf with uniform vertex
     stalk dimension d: channel features are mixed by W2, stalks by W1."""
 
-    sheaf: Sheaf
-    w1: np.ndarray
-    w2: np.ndarray
-    eta: float | None = None
-    norm: str = "weak"
+    __slots__ = ("sheaf", "w1", "w2", "eta", "norm", "d", "n")
 
-    def __post_init__(self):
-        self.w1 = np.asarray(self.w1, dtype=float)
-        self.w2 = np.asarray(self.w2, dtype=float)
-        vertices, _ = _graph_structure(self.sheaf.poset)
-        dims = {self.sheaf.stalk(v) for v in vertices}
+    def __init__(self, sheaf: Sheaf, w1, w2, eta: float | None = None, norm: str = "weak"):
+        self.sheaf, self.eta, self.norm = sheaf, eta, norm
+        self.w1 = np.asarray(w1, dtype=float)
+        self.w2 = np.asarray(w2, dtype=float)
+        vertices, _ = _graph_structure(sheaf.poset)
+        dims = {sheaf.stalk(v) for v in vertices}
         if len(dims) != 1:
             raise ShapeMismatch("vertex stalk dimensions are not uniform")
         self.d = dims.pop()
@@ -110,8 +106,8 @@ class NsdLayer:
             raise ShapeMismatch(f"W1 must be {self.d}x{self.d}")
         if self.w2.ndim != 2:
             raise ShapeMismatch("W2 must be a matrix")
-        if self.norm not in NORMALIZATIONS:
-            raise ShapeMismatch(f"unknown normalization {brief(repr(self.norm))}")
+        if norm not in NORMALIZATIONS:
+            raise ShapeMismatch(f"unknown normalization {brief(repr(norm))}")
 
 
 def nsd_forward(layer: NsdLayer, features: np.ndarray) -> np.ndarray:
@@ -141,10 +137,10 @@ def nsd_stack(layers: list[NsdLayer], features: np.ndarray) -> np.ndarray:
 # Sheaf learning from smooth signals.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class LearnResult:
-    sheaf: Sheaf
-    loss_history: list[float] = dc_field(default_factory=list)
+class LearnResult(namedtuple("LearnResult", "sheaf loss_history")):
+    """The learned sheaf and the list of losses, the initial one first."""
+
+    __slots__ = ()
 
 
 def finite_difference_gradient(fn, x: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     CycleDetected,
@@ -93,11 +93,6 @@ class Poset:
 
     def strict_lower(self, s: str) -> set[str]:
         return {self.elements[i] for i in self._down[self.index(s)]}
-
-    def strict_upper(self, s: str) -> list[str]:
-        """Elements strictly above s, in topo order."""
-        i, index, down = self.index(s), self._index, self._down
-        return [e for e in self.topo_order if i in down[index[e]]]
 
     def covers_of(self, s: str) -> list[str]:
         """Elements covering s, in topo order."""
@@ -255,15 +250,13 @@ def order_complex(p: Poset) -> list[list[tuple[str, ...]]]:
     return groups
 
 
-@dataclass(frozen=True)
-class PosetClassification:
-    """Gradedness plus the homology-sphere structure of every strict down-set."""
+class PosetClassification(namedtuple("PosetClassification",
+                                      "graded rank homology_cell morse_cell cell_dims")):
+    """Gradedness plus the homology-sphere structure of every strict down-set:
+    graded (bool), rank ({element: int} or None), homology_cell and
+    morse_cell (bool), cell_dims ({element: int} or None)."""
 
-    graded: bool
-    rank: dict[str, int] | None
-    homology_cell: bool
-    morse_cell: bool
-    cell_dims: dict[str, int] | None
+    __slots__ = ()
 
 
 def _grading(p: Poset) -> dict[str, int] | None:

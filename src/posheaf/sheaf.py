@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from numbers import Integral
 
 from .errors import (
@@ -123,13 +123,13 @@ def build_sheaf(p: Poset, stalks: dict[str, int],
     return Sheaf(p, field, stalk_dim, edge_map)
 
 
-@dataclass(frozen=True)
-class CompositionalityViolation:
-    source: str
-    target: str
-    path_a: tuple[str, ...]
-    path_b: tuple[str, ...]
-    deviation_sq: float
+class CompositionalityViolation(namedtuple("CompositionalityViolation",
+                                            "source target path_a path_b deviation_sq")):
+    """Two saturated paths from source to target (tuples of elements) whose
+    composed maps differ; deviation_sq is the squared Frobenius norm of the
+    difference."""
+
+    __slots__ = ()
 
 
 def _unlink(node) -> tuple[str, ...]:
@@ -263,14 +263,12 @@ def pullback(d: Sheaf, f: dict[str, str], source: Poset) -> Sheaf:
     return build_sheaf(source, stalks, maps, d.field)
 
 
-@dataclass(frozen=True)
-class SectionSpace:
+class SectionSpace(namedtuple("SectionSpace", "layout basis")):
     """Basis of the global-section space as sparse vectors {coordinate:
     value}, over the per-element stalk coordinates concatenated in topo
-    order."""
+    order: layout is that order as a tuple, basis the list of vectors."""
 
-    layout: tuple[str, ...]
-    basis: list[dict]
+    __slots__ = ()
 
     @property
     def dim(self) -> int:
@@ -306,10 +304,10 @@ def global_sections_bruteforce(d: Sheaf) -> SectionSpace:
     return SectionSpace(layout, kernel_basis(system))
 
 
-@dataclass(frozen=True)
-class TransportResult:
-    path: tuple[str, ...]
-    matrix: Matrix
+class TransportResult(namedtuple("TransportResult", "path matrix")):
+    """The zig-zag path as a tuple and the Matrix transported along it."""
+
+    __slots__ = ()
 
 
 def _step_matrix(d: Sheaf, a: str, b: str) -> Matrix:

@@ -21,8 +21,8 @@ HARMONIC_TOL times the largest in view: the Laplacian's or the stalk block's.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -220,16 +220,14 @@ def jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues[order], _fix_signs(vectors[:, order])
 
 
-@dataclass
-class SpectralBundle:
+class SpectralBundle(namedtuple("SpectralBundle",
+                                 "eigenvalues eigenvectors lam_min lam_max harmonic_dim")):
     """Full symmetric spectrum: ascending eigenvalues, orthonormal eigenvector
-    columns, and the harmonic bookkeeping of ``_is_zero``."""
+    columns, and the harmonic bookkeeping of ``_is_zero``: harmonic_dim zero
+    eigenvalues, the least nonzero one lam_min (None when there is none) and
+    the largest lam_max."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    lam_min: float | None
-    lam_max: float
-    harmonic_dim: int
+    __slots__ = ()
 
     def harmonic_projector(self) -> np.ndarray:
         h = self.eigenvectors[:, : self.harmonic_dim]
@@ -263,14 +261,12 @@ def dirichlet_energy(c: CochainComplexInstance, x) -> float:
     return float(image @ image)
 
 
-@dataclass
-class DiffusionTrace:
-    states: list[np.ndarray]
-    energies: list[float]
-    distances: list[float]
-    eta: float
-    mode: str
-    limit: np.ndarray
+class DiffusionTrace(namedtuple("DiffusionTrace", "states energies distances eta mode limit")):
+    """A run of ``heat_diffusion``: the list of states, their energies and
+    distances to limit, the step size eta, the mode, and limit, the harmonic
+    projection of the first state."""
+
+    __slots__ = ()
 
 
 def default_eta(lam_max: float) -> float:

@@ -64,9 +64,16 @@ def scalar_ops(field):
             lambda a, b: a * b % p, lambda a, b: a * pow(b, p - 2, p) % p)
 
 
+def strict_upper(p: Poset, s: str) -> list[str]:
+    """Elements strictly above s in p, in topo order, read from the strict
+    down-sets."""
+    i = p.index(s)
+    return [e for e in p.topo_order if i in p._down[p.index(e)]]
+
+
 def closure_pairs(p: Poset) -> set[tuple[str, str]]:
     """Every comparable pair (a, b) with a < b in p."""
-    return {(a, b) for a in p.elements for b in p.strict_upper(a)}
+    return {(a, b) for a in p.elements for b in strict_upper(p, a)}
 
 
 def poset_reference(elements: list[str], pairs: list[tuple[str, str]]) -> dict:

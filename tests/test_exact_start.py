@@ -3,8 +3,10 @@
 A bare ``import posheaf`` and every exact subcommand load no numpy, no
 ``posheaf.spectral`` and no ``posheaf.nsd``; the real subcommands load them
 when they run and call them through the module objects, so a wrapper set on
-``spectral.f`` or ``nsd.f`` sees the call.  Each start-up case runs in a fresh
-interpreter and checks which modules it loaded, not how long it took.
+``spectral.f`` or ``nsd.f`` sees the call.  No subcommand adds ``dataclasses``,
+and neither ``import posheaf`` nor an exact subcommand adds ``inspect`` or
+``typing`` either; numpy loads ``inspect`` itself.  Each start-up case runs in
+a fresh interpreter and checks which modules it loaded, not how long it took.
 """
 
 import io
@@ -16,6 +18,7 @@ import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy
 import pytest
 
 from posheaf import nsd, spectral
@@ -24,18 +27,26 @@ from posheaf.cli import SUBCOMMANDS, cli
 ROOT = Path(__file__).parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 REAL = ("numpy", "posheaf.spectral", "posheaf.nsd")
+# the directory numpy is installed in
+NUMPY_DIR = Path(numpy.__file__).parents[1]
+# stdlib modules that take long to import and that posheaf's records do not need
+HEAVY = ("dataclasses", "inspect", "typing")
 
 # Runs the CLI on argv, or only imports posheaf when argv is empty, then
-# writes the loaded modules among REAL to stderr as a JSON list.
+# writes to stderr as JSON the loaded modules among REAL and those among HEAVY
+# that the import and the run added to sys.modules, so a module that site
+# loaded before them does not count.
 _PROBE = f"""
 import json, sys
+before = set(sys.modules)
 if sys.argv[1:]:
     from posheaf.cli import cli
     status = cli(sys.argv[1:])
 else:
     import posheaf
     status = 0
-sys.stderr.write(json.dumps([m for m in {REAL!r} if m in sys.modules]))
+sys.stderr.write(json.dumps([[m for m in {REAL!r} if m in sys.modules],
+                             [m for m in {HEAVY!r} if m in set(sys.modules) - before]]))
 sys.exit(status)
 """
 
@@ -58,17 +69,20 @@ def _in_process(argv: list[str]) -> tuple[int, str]:
     return status, out.getvalue()
 
 
-def _fresh(argv: list[str]) -> tuple[int, str, list[str]]:
-    """Exit status, stdout and the loaded modules among REAL of a fresh
-    interpreter running _PROBE on argv."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    done = subprocess.run([sys.executable, "-c", _PROBE, *argv],
+def _fresh(argv: list[str]) -> tuple[int, str, list[str], list[str]]:
+    """Exit status, stdout, the loaded modules among REAL and the added ones
+    among HEAVY of a fresh interpreter running _PROBE on argv.  It runs
+    without the site module, which may load typing before the probe and so
+    hide it; numpy's directory is put on its path, so numpy stays importable
+    and a stray import of it still shows among REAL."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(NUMPY_DIR)])}
+    done = subprocess.run([sys.executable, "-S", "-c", _PROBE, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
-    return done.returncode, done.stdout, json.loads(done.stderr)
+    return done.returncode, done.stdout, *json.loads(done.stderr)
 
 
 def test_import_posheaf_loads_no_real_layer():
-    assert _fresh([]) == (0, "", [])
+    assert _fresh([]) == (0, "", [], [])
 
 
 def test_the_real_layers_load_on_first_access_in_a_fresh_interpreter():
@@ -93,13 +107,16 @@ def test_exact_subcommand_loads_no_real_layer(case):
     argv = _argv(case)
     status, stdout = _in_process(argv)
     assert status == 0
-    assert _fresh(argv) == (0, stdout, [])
+    assert _fresh(argv) == (0, stdout, [], [])
 
 
 def test_real_subcommand_loads_what_it_runs_on():
-    # the probe sees these modules where they are loaded; spectrum needs no nsd
+    # the probe sees these modules where they are loaded; spectrum needs no
+    # nsd, and numpy loads inspect and typing itself
     argv = _argv(["spectrum", "cycle4_constant.json", "--norm", "weak"])
-    assert _fresh(argv) == (0, _in_process(argv)[1], ["numpy", "posheaf.spectral"])
+    status, stdout, real, heavy = _fresh(argv)
+    assert (status, stdout, real) == (0, _in_process(argv)[1], ["numpy", "posheaf.spectral"])
+    assert "dataclasses" not in heavy
 
 
 def _counting(monkeypatch, module, name: str) -> list:

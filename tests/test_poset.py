@@ -35,6 +35,7 @@ from helpers import (
     reduced_betti_oracle,
     saturated_paths_reference,
     seeded_rng,
+    strict_upper,
 )
 
 
@@ -198,7 +199,7 @@ def test_build_poset_matches_a_dfs_closure_reference(monkeypatch):
             assert p.covers == reference["covers"]
             assert p.topo_order == reference["topo_order"]
             for e in declared:
-                assert p.strict_upper(e) == [u for u in p.topo_order if u in reference["up"][e]]
+                assert strict_upper(p, e) == [u for u in p.topo_order if u in reference["up"][e]]
                 assert p.strict_lower(e) == reference["down"][e]
                 assert p.covers_of(e) == [b for b in p.topo_order if (e, b) in reference["covers"]]
                 assert p.covered_by(e) == [a for a in p.topo_order

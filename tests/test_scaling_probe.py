@@ -22,10 +22,14 @@ def test_odd_cases_run_the_parent_first():
         ("parent", "change"), ("change", "parent"), ("parent", "change")]
 
 
-def _run(case, tree, wall, exit=0, timed_out=False, one_json_line=True, stderr_last=""):
+def _run(case, tree, wall, exit=0, timed_out=False, one_json_line=True, stderr_last="",
+         stderr_bytes=None):
+    # unless stderr_bytes says otherwise, stderr is its last line alone
+    if stderr_bytes is None:
+        stderr_bytes = len(stderr_last)
     return {"case": case, "tree": tree, "wall_s": wall, "peak_rss_mb": 20.0, "exit": exit,
             "timed_out": timed_out, "stdout_bytes": 100, "one_json_line": one_json_line,
-            "stderr_last": stderr_last}
+            "stderr_bytes": stderr_bytes, "stderr_last": stderr_last}
 
 
 def test_summary_of_fixed_runs():
@@ -55,6 +59,14 @@ def test_summary_of_fixed_runs():
     }
 
 
+def test_a_run_with_any_stderr_is_broken_though_its_last_line_is_empty():
+    # a lone newline, or a warning followed by a blank line, ends in ""
+    lone = [_run("a betti", "change", 1.0, stderr_bytes=1)] * scaling_probe.RUNS
+    assert not scaling_probe.held(lone[0])
+    assert scaling_probe.summarize(lone)["change"] == {
+        "held": [], "timed_out": [], "broken": ["a betti"], "wall_s": {}}
+
+
 def test_summary_of_one_tree_has_no_ratios():
     summary = scaling_probe.summarize([_run("a validate", "change", 0.5)] * scaling_probe.RUNS)
     assert summary == {"change": {"held": ["a validate"], "timed_out": [], "broken": [],
@@ -76,5 +88,6 @@ def test_measure_reports_a_report_and_a_timeout(tmp_path):
     run = scaling_probe.measure(ROOT, ["validate", doc], tmp_path)
     assert scaling_probe.held(run)
     assert run["stdout_bytes"] > 0 and run["peak_rss_mb"] > 0
+    assert (run["stderr_bytes"], run["stderr_last"]) == (0, "")
     run = scaling_probe.measure(ROOT, ["validate", doc], tmp_path, timeout_s=0.001)
     assert (run["exit"], run["timed_out"], scaling_probe.held(run)) == (-9, True, False)

@@ -21,7 +21,7 @@ across cases; odd rounds run the parent first and even ones the change.
 
 Stdout is one JSON object: the limits, each run's wall seconds, peak RSS (the
 child's own, from ``os.wait4``), exit status, stdout bytes, whether stdout is
-one JSON line, and stderr's last line, and a summary.
+one JSON line, stderr's bytes and its last line, and a summary.
 """
 
 from __future__ import annotations
@@ -154,18 +154,19 @@ def measure(tree: Path, argv: list[str], folder: Path, timeout_s: float = TIMEOU
         report = json.loads(text) if text.count(b"\n") == 1 and text.endswith(b"\n") else None
     except ValueError:
         report = None
-    errors = err_path.read_text(encoding="utf-8", errors="replace").splitlines()
+    errors = err_path.read_bytes()
+    lines = errors.decode("utf-8", errors="replace").splitlines()
     return {"wall_s": round(wall, 3), "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),
             # a kill that lands after the child ended does not count as a timeout
             "exit": child.returncode, "timed_out": timed_out.is_set() and child.returncode < 0,
             "stdout_bytes": len(text), "one_json_line": isinstance(report, dict),
-            "stderr_last": errors[-1] if errors else ""}
+            "stderr_bytes": len(errors), "stderr_last": lines[-1] if lines else ""}
 
 
 def held(run: dict) -> bool:
     """Whether a run kept the CLI contract of the resource corpus: exit 0,
     one JSON report line and an empty stderr, within the timeout."""
-    return (run["exit"] == 0 and run["one_json_line"] and run["stderr_last"] == ""
+    return (run["exit"] == 0 and run["one_json_line"] and run["stderr_bytes"] == 0
             and not run["timed_out"])
 
 
