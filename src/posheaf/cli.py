@@ -25,7 +25,6 @@ import argparse
 import functools
 import math
 import sys
-from pathlib import Path
 
 from . import cochain, linalg
 from .errors import OverflowOnConvert, ParseError, PosheafError, SchemaError, brief
@@ -43,7 +42,8 @@ from .sheaf import check_compositionality, global_sections_bruteforce
 
 def _read(path: str) -> tuple[str, bytes]:
     """A file's text, decoded as UTF-8, and its bytes."""
-    raw = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        raw = f.read()
     try:
         return raw.decode("utf-8"), raw
     except UnicodeDecodeError as exc:
@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="posheaf", description="Sheaves on finite posets: cohomology, Laplacians, diffusion.",
         formatter_class=_FORMATTER)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    # given its prog, argparse formats no usage line to derive it
+    sub = parser.add_subparsers(dest="subcommand", required=True, prog=parser.prog)
     for name, (_, _, help_text, arguments) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text, formatter_class=_FORMATTER)
         p.add_argument("document", help="sheaf document (JSON)")

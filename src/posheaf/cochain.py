@@ -206,39 +206,55 @@ def minimal_incidence(p: Poset, field: FieldTag) -> IncidenceData:
     augmented chain complex spanned by "@" and the generators owned by its
     strict down-set, as boundary blocks per degree read off the sparse
     columns; compute a homology basis; and create one new generator per class,
-    one degree up, whose boundary column is the representative chain.  An
-    element with an empty down-set (a minimal one: each vertex of a graph,
-    cycle or simplex) is not solved: "@" alone has one class, so it owns one
-    degree-0 generator whose boundary is "@" with coefficient 1.
+    one degree up, whose boundary column is the representative chain.
 
-    Many elements share one down-set complex (every edge of a graph, every
-    face of a simplex of one dimension).  ``homology_basis`` is a function of
-    its blocks alone, so within one call its representatives are kept in a
-    local dict, and an element whose complex was seen reuses them; the dict is
-    dropped when the call returns.  The key holds the number of generators
-    of each degree and, per degree from the top down and per generator of
-    that degree, the id of its column's tuple of values and the column's rows
+    An element whose strict down-set owns no generator above degree 0 (each
+    vertex and each edge of a graph or cycle) is not solved.  Only minimal
+    elements own degree-0 generators, as a nonempty down-set holds a minimal
+    element and so has no class in degree -1; each has the boundary "@", and
+    the down-set's other elements own nothing.  Its complex is then "@" and
+    k points, one 1 x k block of ones, and the element gets what
+    ``homology_basis`` returns on that block.  For k = 0 (a minimal element)
+    "@" alone has one class: one degree-0 generator whose boundary is "@"
+    with coefficient 1.  For k >= 1 the classes are the block's kernel
+    vectors in RREF free-variable form, g_j - g_0 for the kept points
+    g_0 < g_1 < ... from j = 1 up, and no image reduces them, as no
+    generator has degree 1: k - 1 degree-1 generators with columns
+    {g_j: 1, g_0: -1}, -1 being p - 1 over F_p.  So the columns, their
+    insertion order and their int values are the solver's.  On a graph these
+    are the signed incidence columns of the coboundary of Hansen and Ghrist
+    ("Toward a spectral theory of cellular sheaves", 2019).
+
+    Many elements share one down-set complex (every face of a simplex of one
+    dimension above 1).  ``homology_basis`` is a function of its blocks
+    alone, so within one call its representatives are kept in a local dict,
+    and an element whose complex was seen reuses them; the dict is dropped
+    when the call returns.  The key holds the number of generators of each
+    degree and, per degree from the top down and per generator of that
+    degree, the id of its column's tuple of values and the column's rows
     relabelled to positions in the down-set's degrees, in the column's
     insertion order.  The values of each class are interned once, when its
-    complex is solved (id 0 is the minimal elements' (1,)), so a scalar is
-    hashed once per class and not at every use of its column; equal ids mean
-    equal values, so two elements share an entry exactly when their blocks
-    are equal.
+    complex is solved (id 0 is the minimal elements' (1,) and id 1 the
+    points' (1, -1)), so a scalar is hashed once per class and not at every
+    use of its column; equal ids mean equal values, so two elements share an
+    entry exactly when their blocks are equal.
     """
     require_exact(field, "minimal_incidence")
+    minus_one = -1 % field.p if field.p else -1
     degrees: list[int] = []
     owners: list[str] = []
     columns: list[dict[int, object]] = []
     value_ids: list[int] = []  # per generator, the id of its column's values
-    interned: dict[tuple, int] = {(1,): 0}
+    interned: dict[tuple, int] = {(1,): 0, (1, minus_one): 1}
     owned: list[list[int]] = [[] for _ in p.elements]  # by element index
     # per down-set complex, (degree, local column, value id) of each new generator
     memo: dict[tuple, list[tuple[int, dict, int]]] = {}
     handles = p._index  # element -> its index
+    down_sets = p._down
     for s in p.topo_order:
         i = handles[s]
-        down = p._down[i]
-        if not down:
+        down = down_sets[i]
+        if not down:  # "@" alone
             owned[i].append(len(degrees))
             degrees.append(0)
             owners.append(s)
@@ -249,6 +265,15 @@ def minimal_incidence(p: Poset, field: FieldTag) -> IncidenceData:
         kept.sort()
         # a nonempty down-set holds a minimal element, which owns a generator
         top = max(map(degrees.__getitem__, kept))
+        if not top:  # "@" and len(kept) points
+            mine, first = owned[i], kept[0]
+            for gid in kept[1:]:
+                mine.append(len(degrees))
+                degrees.append(1)
+                owners.append(s)
+                columns.append({gid: 1, first: minus_one})
+                value_ids.append(1)
+            continue
         # by_degree[j + 1] lists the kept generators of degree j, and index
         # gives each its position there
         by_degree: list[list[int]] = [[AUGMENTATION]] + [[] for _ in range(top + 1)]

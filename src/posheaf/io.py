@@ -103,16 +103,18 @@ def scalar_from_string(text: str, field: FieldTag):
 # ---------------------------------------------------------------------------
 
 def _encode(obj) -> str:
+    if type(obj) is float:  # as scalar_to_string(obj, RR) writes it
+        if not math.isfinite(obj):
+            raise SchemaError("reports cannot contain non-finite floats")
+        return format(obj, ".17g")
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or obj is True or obj is False:
         return {None: "null", True: "true", False: "false"}[obj]
     if isinstance(obj, int):
         return str(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise SchemaError("reports cannot contain non-finite floats")
-        return scalar_to_string(obj, RR)
+    if isinstance(obj, float):  # a subclass, such as a numpy scalar
+        return _encode(float(obj))
     if isinstance(obj, dict):
         return "{" + ",".join(f"{_encode(str(k))}:{_encode(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):

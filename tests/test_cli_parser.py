@@ -2,6 +2,7 @@
 tests/helpers.py: the same stdout, stderr and exit status on help, usage
 errors and abbreviations, and the same namespace wherever argv parses."""
 
+import argparse
 import io
 import shutil
 from contextlib import redirect_stderr, redirect_stdout
@@ -78,6 +79,22 @@ def _run_cli(argv) -> tuple:
     with redirect_stdout(out), redirect_stderr(err):
         status = cli_module.cli(argv)
     return out.getvalue(), err.getvalue(), status
+
+
+def test_building_the_parser_formats_no_text(monkeypatch):
+    # add_subparsers is given its prog, so no usage line is formatted to
+    # derive it; help and usage are formatted only when printed
+    formatted = []
+    original = argparse.HelpFormatter.format_help
+
+    def counted(self):
+        formatted.append(self)
+        return original(self)
+
+    monkeypatch.setattr(argparse.HelpFormatter, "format_help", counted)
+    parser = cli_module.build_parser()
+    assert formatted == []
+    assert parser.format_usage() == reference_parser().format_usage()
 
 
 def test_a_job_never_asks_the_terminal_its_size(monkeypatch):

@@ -593,18 +593,32 @@ def _typed_columns(columns):
     return [[(gid, type(x), x) for gid, x in col.items()] for col in columns]
 
 
+# s over a < b and c, u over a < b < d, c and e, and h over a < b alone:
+# down-sets of points that hold elements with acyclic down-sets, which own
+# nothing
+POINTS_BELOW_ACYCLIC = build_poset(
+    ["a", "b", "c", "d", "e", "s", "u", "h"],
+    [("a", "b"), ("b", "s"), ("c", "s"), ("b", "d"), ("d", "u"), ("c", "u"), ("e", "u"),
+     ("b", "h")])
+
+
 def test_minimal_incidence_matches_the_reference_without_a_memo():
     # generators, columns and each column's insertion order, against one
-    # homology_basis call per element
+    # homology_basis call per element, over Q, F_2 and F_3: the reference
+    # solves the down-sets of points on graphs, cycles and POINTS_BELOW_ACYCLIC
+    # that minimal_incidence writes in closed form
+    fields = (QQ, prime_field(2), prime_field(3))
     cases = []
     for seed in range(50):
         p = random_dag_poset(np.random.default_rng(2000 + seed), max_elements=8)
-        cases += [(p, QQ), (p, prime_field(3))]
-    cases += [(cycle_poset(n), QQ) for n in range(3, 13)]
+        cases += [(p, field) for field in fields]
+    cases += [(cycle_poset(n), field) for n in range(3, 13) for field in fields]
     cases += [(simplicial_complex_poset([list(c) for k in (1, 2, 3)
-                                         for c in itertools.combinations(range(n), k)]), QQ)
-              for n in range(4, 8)]
-    cases += [(graph_sheaf_twins(n, "gauss", seeded_rng(n))[0].poset, QQ) for n in (10, 20, 30)]
+                                         for c in itertools.combinations(range(n), k)]), field)
+              for n in range(4, 8) for field in (QQ, prime_field(2))]
+    cases += [(graph_sheaf_twins(n, "gauss", seeded_rng(n))[0].poset, field)
+              for n in (10, 20, 30) for field in fields]
+    cases += [(POINTS_BELOW_ACYCLIC, field) for field in fields]
     # t1 over a triangle and t2 over a digon with a tail: their down-sets have
     # the same sizes per degree and different boundaries
     edges = {"ab": "ab", "bc": "bc", "ac": "ac", "de": "de", "de2": "de", "ef": "ef"}
@@ -619,12 +633,22 @@ def test_minimal_incidence_matches_the_reference_without_a_memo():
 
 
 def test_minimal_incidence_keys_its_memo_on_column_values(monkeypatch):
-    # homology_basis returns the classes of the hyperedge t over a, b, c
-    # doubled: still a basis, but now y1's down-set complex (t's two
-    # generators and the edge bc) has the supports of y2's (three edges over
-    # a2, b2, c2) and other values, so the two must not share an entry
+    # t lies over the edge e0 on a, b and over c: a down-set that is still
+    # solved, into the class c - b, which has the values of an edge's
+    # closed-form column; so y1's down-set complex (the edges e0, e1 and t's
+    # generator) equals y2's (three edges over A, B, C) and one solve serves
+    # both.  A homology_basis that returns t's class doubled still gives a
+    # basis, but then y1's complex has y2's supports and other values, so the
+    # two must not share an entry
     import posheaf.cochain as cochain_module
     import posheaf.linalg as linalg_module
+
+    ends = {"e0": "ab", "t": "c", "e1": "ac", "f1": "AB", "f2": "BC", "f3": "AC"}
+    covers = [(v, e) for e, vertices in ends.items() for v in vertices] + [("e0", "t")]
+    covers += [(e, "y1") for e in ("t", "e1")] + [(e, "y2") for e in ("f1", "f2", "f3")]
+    p = build_poset(list("abcABC") + list(ends) + ["y1", "y2"], covers)
+    for field in (QQ, prime_field(5)):
+        assert _solved_dims(monkeypatch, p, field) == [[1, 3, 1], [3, 3, 1]]
 
     homology_basis = linalg_module.homology_basis
     calls = []
@@ -632,19 +656,16 @@ def test_minimal_incidence_keys_its_memo_on_column_values(monkeypatch):
     def doubled_on_t(diffs, dims, field):
         calls.append(dims)
         reps = homology_basis(diffs, dims, field)
-        if dims == [3, 1]:
+        if dims == [1, 3, 1]:
             reps = [[{k: 2 * x for k, x in vec.items()} for vec in vecs] for vecs in reps]
         return reps
 
     monkeypatch.setattr(cochain_module, "homology_basis", doubled_on_t)
     monkeypatch.setattr(linalg_module, "homology_basis", doubled_on_t)
-    ends = {"t": "abc", "e1": "bc", "f1": "AB", "f2": "AC", "e2": "BC"}
-    covers = [(v, e) for e, vertices in ends.items() for v in vertices]
-    covers += [(e, "y1") for e in ("t", "e1")] + [(e, "y2") for e in ("f1", "f2", "e2")]
-    p = build_poset(list("abcABC") + list(ends) + ["y1", "y2"], covers)
     for field in (QQ, prime_field(5)):
         calls.clear()
         inc = minimal_incidence(p, field)
+        assert calls.count([1, 3, 1]) == 1  # t
         assert calls.count([3, 3, 1]) == 2  # y1 and y2
         generators, columns = incidence_reference(p, field)
         assert inc.generators == generators
@@ -661,23 +682,33 @@ def _solved_dims(monkeypatch, p, field=QQ) -> list[list[int]]:
 
 
 def test_minimal_incidence_computes_each_cycle_down_set_homology_once(monkeypatch):
-    # a vertex's empty down-set is not solved: "@" alone has one class; the
-    # two vertices below an edge are solved once for every edge
+    # a vertex's empty down-set and the two vertices below an edge are
+    # points, whose homology has a closed form: nothing is solved
     for n in range(3, 13):
-        assert _solved_dims(monkeypatch, cycle_poset(n)) == [[2, 1]]
+        assert _solved_dims(monkeypatch, cycle_poset(n)) == []
 
 
 def test_minimal_incidence_solves_each_graph_down_set_once(monkeypatch):
     for n in range(2, 7):
         complete = hypergraph_to_poset(range(n), itertools.combinations(range(n), 2))
-        assert _solved_dims(monkeypatch, complete, prime_field(3)) == [[2, 1]]
+        assert _solved_dims(monkeypatch, complete, prime_field(3)) == []
+
+
+def test_minimal_incidence_solves_no_down_set_of_points(monkeypatch):
+    # hyperedges over three and four vertices, the benchmark's graphs, and
+    # points below elements whose own down-sets are acyclic, over each field
+    hypergraph = hypergraph_to_poset(range(6), [(0, 1, 2), (2, 3, 4, 5), (0, 5), (1,)])
+    graphs = [graph_sheaf_twins(n, "gauss", seeded_rng(n))[0].poset for n in (10, 30)]
+    for p in [hypergraph, POINTS_BELOW_ACYCLIC, *graphs]:
+        for field in (QQ, prime_field(2), prime_field(3)):
+            assert _solved_dims(monkeypatch, p, field) == []
 
 
 def test_minimal_incidence_solves_each_simplex_boundary_once(monkeypatch):
-    # the boundary of the k-simplex for k = 1, 2, 3: its faces by dimension
-    # from the top down, then "@"
+    # the boundary of the k-simplex for k = 2, 3: its faces by dimension
+    # from the top down, then "@"; an edge's two vertices are not solved
     tetrahedron = simplicial_complex_poset([["1", "2", "3", "4"]])
-    assert _solved_dims(monkeypatch, tetrahedron) == [[2, 1], [3, 3, 1], [4, 6, 4, 1]]
+    assert _solved_dims(monkeypatch, tetrahedron) == [[3, 3, 1], [4, 6, 4, 1]]
 
 
 def _counting(calls: list, fn):
@@ -687,14 +718,15 @@ def _counting(calls: list, fn):
     return counted
 
 
-@pytest.mark.parametrize("sheaf", [
-    constant_sheaf(cycle_poset(6), 1, QQ),
-    mobius_sheaf(5, prime_field(3)),
-    constant_sheaf(simplicial_complex_poset([["1", "2", "3"], ["3", "4"]]), 2, QQ),
+@pytest.mark.parametrize("sheaf, solved", [
+    (constant_sheaf(cycle_poset(6), 1, QQ), 0),
+    (mobius_sheaf(5, prime_field(3)), 0),
+    (constant_sheaf(simplicial_complex_poset([["1", "2", "3"], ["3", "4"]]), 2, QQ), 1),
 ], ids=["cycle6", "mobius5-F3", "triangle-and-edge"])
-def test_d_squared_is_checked_once_where_the_blocks_are_built(monkeypatch, sheaf):
-    # minimal_incidence checks each down-set complex it solves, the complex's
-    # constructor checks the assembled one, and cohomology only solves
+def test_d_squared_is_checked_once_where_the_blocks_are_built(monkeypatch, sheaf, solved):
+    # minimal_incidence checks each down-set complex it solves (of these, the
+    # triangle's boundary alone: down-sets of points are not solved), the
+    # complex's constructor checks the assembled one, and cohomology only solves
     checks, solves = [], []
     counted_check = _counting(checks, linalg.check_d_squared)
     monkeypatch.setattr(linalg, "check_d_squared", counted_check)
@@ -702,7 +734,7 @@ def test_d_squared_is_checked_once_where_the_blocks_are_built(monkeypatch, sheaf
     monkeypatch.setattr(cochain, "homology_basis", _counting(solves, linalg.homology_basis))
     c = build_complex(sheaf, "minimal")
     assert len(checks) == len(solves) + 1
-    assert 0 < len(solves) < len(sheaf.poset)  # down-set complexes seen before are not solved
+    assert len(solves) == solved
     checks.clear()
     solves.clear()
     cohomology(c)
@@ -710,8 +742,9 @@ def test_d_squared_is_checked_once_where_the_blocks_are_built(monkeypatch, sheaf
 
 
 def test_minimal_incidence_refuses_a_representative_that_is_not_a_cycle(monkeypatch):
-    # a homology_basis that keeps one entry of each representative turns the
-    # class a - b below c into a alone, whose boundary is "@", not 0; that
+    # c lies over a, b, x and the edge e over a, x, a down-set that is still
+    # solved; a homology_basis that keeps one entry of each representative
+    # turns its class b - x into b alone, whose boundary is "@", not 0; that
     # column is stored, and the next element whose down-set holds it, d, fails
     solve = linalg.homology_basis
 
@@ -719,11 +752,11 @@ def test_minimal_incidence_refuses_a_representative_that_is_not_a_cycle(monkeypa
         return [[dict([min(vec.items())]) for vec in reps] for reps in solve(diffs, dims, field)]
 
     monkeypatch.setattr(cochain, "homology_basis", one_entry)
-    covers = [("a", "c"), ("b", "c")]
-    inc = minimal_incidence(build_poset(["a", "b", "c"], covers), QQ)
-    assert len(inc.columns[-1]) == 1
+    covers = [("a", "e"), ("x", "e"), ("b", "c"), ("e", "c")]
+    inc = minimal_incidence(build_poset(["a", "b", "x", "e", "c"], covers), QQ)
+    assert inc.generators[-1] == (1, "c") and inc.columns[-1] == {1: 1}
     with pytest.raises(NotAComplex):
-        minimal_incidence(build_poset(["a", "b", "c", "d"], covers + [("c", "d")]), QQ)
+        minimal_incidence(build_poset(["a", "b", "x", "e", "c", "d"], covers + [("c", "d")]), QQ)
 
 
 def test_planted_betti_of_the_ten_vertex_simplex_2_skeleton():

@@ -4,9 +4,10 @@ A bare ``import posheaf`` and every exact subcommand load no numpy, no
 ``posheaf.spectral`` and no ``posheaf.nsd``; the real subcommands load them
 when they run and call them through the module objects, so a wrapper set on
 ``spectral.f`` or ``nsd.f`` sees the call.  No subcommand adds ``dataclasses``,
-and neither ``import posheaf`` nor an exact subcommand adds ``inspect`` or
-``typing`` either; numpy loads ``inspect`` itself.  Each start-up case runs in
-a fresh interpreter and checks which modules it loaded, not how long it took.
+and neither ``import posheaf`` nor an exact subcommand adds ``inspect``,
+``typing`` or ``pathlib`` either; numpy loads ``inspect`` itself.  Each
+start-up case runs in a fresh interpreter and checks which modules it loaded,
+not how long it took.
 """
 
 import io
@@ -29,8 +30,9 @@ GOLDEN = Path(__file__).parent / "golden"
 REAL = ("numpy", "posheaf.spectral", "posheaf.nsd")
 # the directory numpy is installed in
 NUMPY_DIR = Path(numpy.__file__).parents[1]
-# stdlib modules that take long to import and that posheaf's records do not need
-HEAVY = ("dataclasses", "inspect", "typing")
+# stdlib modules that take long to import and that posheaf's records and file
+# reads do not need
+HEAVY = ("dataclasses", "inspect", "typing", "pathlib")
 
 # Runs the CLI on argv, or only imports posheaf when argv is empty, then
 # writes to stderr as JSON the loaded modules among REAL and those among HEAVY

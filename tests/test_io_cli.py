@@ -81,6 +81,21 @@ def test_canonical_json_floats_17g():
         "[-0,4.9406564584124654e-324,1,0.10000000000000001]")
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_canonical_json_writes_a_float_as_scalar_to_string_does(x):
+    # a float takes the encoder's first test and a numpy scalar, a float
+    # subclass, the general one: both give scalar_to_string's text
+    text = scalar_to_string(x, RR)
+    assert canonical_json([x]) == canonical_json([np.float64(x)]) == f"[{text}]"
+
+
+def test_canonical_json_rejects_non_finite_numpy_floats():
+    for value in (np.float64("nan"), np.float64("inf"), np.float64("-inf")):
+        with pytest.raises(SchemaError, match="non-finite"):
+            canonical_json({"a": [value]})
+
+
 # every code point, lone surrogates included, and the characters JSON escapes
 _STRINGS = st.text(st.characters(exclude_categories=()) | st.sampled_from(
     '\x00\x1f\x7f"\\/\u00e9\u2028\ud800\udfff\U0001f600'))
@@ -376,9 +391,14 @@ def test_cli_usage_errors_exit_two():
 
 
 def test_cli_domain_error_reports_code():
-    code, report, _ = _run(["betti", str(GOLDEN / "missing-file.json")])
+    missing = GOLDEN / "missing-file.json"
+    code, report, _ = _run(["betti", str(missing)])
     assert code == 1
     assert report["error"]["code"] == "IOError"
+    # the OSError's own text, as pathlib's read of the file gives it too
+    with pytest.raises(OSError) as refused:
+        missing.read_bytes()
+    assert report["error"]["message"] == str(refused.value)
 
 
 def test_cli_sections_and_betti(tmp_path):
