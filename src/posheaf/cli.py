@@ -6,6 +6,9 @@ deterministic JSON run report on stdout: ``command``, then ``inputs_digest``
 document and the side files (``--x0``, the ``nsd-forward`` params and the
 ``learn`` signals) are all read as UTF-8.  Exit codes: 0 success, 1 domain
 error (with an error report of ``command`` and ``error``), 2 usage error.
+A domain error includes a refused size: ``betti --method roos`` reports
+``TooLarge``, before building anything, on a document whose Roos complex
+would pass ``cochain.ROOS_CAP`` chains or summed stalk dimensions.
 Help and usage text are formatted at a fixed width of 78 columns, what
 argparse gives an 80-column terminal, whatever the terminal.
 A ``betti`` vector has one entry per degree of the complex that ``--method``

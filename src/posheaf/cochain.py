@@ -19,11 +19,13 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from itertools import accumulate
+from operator import mul
 
 from .errors import (
     FieldMismatch,
     NotSimplicialPoset,
     PosetMismatch,
+    TooLarge,
 )
 from .linalg import (
     FieldTag,
@@ -44,6 +46,9 @@ MINIMAL = "minimal"
 CONSTRUCTIONS = (ROOS, CELLULAR, MINIMAL)  # of build_complex
 NORMALIZATIONS = ("none", "weak", "strong")  # of spectral.laplacian
 DIFFUSION_MODES = ("discrete", "continuous")  # of spectral.heat_diffusion
+# chains, and summed stalk dimensions, past which roos_complex refuses: over
+# five times B_7's 189,171, under B_8's 2,183,339
+ROOS_CAP = 10**6
 
 
 class CochainComplexInstance:
@@ -144,9 +149,37 @@ def _alternating_faces(simplices: list[list[tuple]]):
                 yield j, r, position[sigma[:i] + sigma[i + 1:]], -1 if i % 2 else 1
 
 
+def roos_size(d: Sheaf) -> tuple[int, int]:
+    """The number of chains of d's poset and the summed stalk dimension of
+    its Roos complex, by ``roos_complex``'s recurrence in one topo-order pass
+    over the strict down-sets.  TooLarge if either passes ROOS_CAP: the pass
+    stops as soon as the chains topped by one element do, so each count stays
+    a small integer however deep the poset.  The chains are capped too, as
+    ``order_complex`` lists a chain whatever its top's stalk."""
+    p = d.poset
+    down, ending = p._down, [0] * len(p)  # E by declaration index
+    below = ending.__getitem__
+    for i in map(p._index.__getitem__, p.topo_order):
+        ending[i] = e = 1 + sum(map(below, down[i]))
+        if e > ROOS_CAP:
+            break
+    chains = sum(ending)
+    total = sum(map(mul, ending, map(d.stalk_dim.__getitem__, p.elements)))
+    if chains > ROOS_CAP or total > ROOS_CAP:
+        what = "chains" if chains > ROOS_CAP else "summed stalk dimensions"
+        raise TooLarge(f"the Roos complex has more than {ROOS_CAP} {what}")
+    return chains, total
+
+
 def roos_complex(d: Sheaf) -> CochainComplexInstance:
     """Chain-indexed honest complex: C^j = sum over j-chains t of D(t_max),
     with alternating face signs and structure maps between chain maxima.
+
+    Its size, sum(c.degree_dim(j)), is sum over x of E(x) . dim D(x), where
+    E(x) = 1 + sum over y < x of E(y) counts the chains whose top is x.
+    ``roos_size`` counts it, and the chains, before ``order_complex`` lists
+    any chain, and refuses either past ROOS_CAP with TooLarge: a poset with a
+    chain of n elements has at least 2^n - 1 chains.
 
     Its constructor checks d_1 . d_0 alone.  Summand t copies the stalk of
     t's top, so a face map is the identity unless the face drops the top.
@@ -160,6 +193,7 @@ def roos_complex(d: Sheaf) -> CochainComplexInstance:
     D(a <= c) - D(b <= c) . D(a <= b), tests every triple.
     """
     require_exact(d.field, "roos_complex")
+    roos_size(d)
     chains = order_complex(d.poset)
     degrees = [[chain[-1] for chain in group] for group in chains]
     return _assemble(ROOS, d, degrees, _alternating_faces(chains))

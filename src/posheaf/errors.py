@@ -91,6 +91,11 @@ class PosetMismatch(PosheafError):
     pass
 
 
+class TooLarge(PosheafError):
+    """A Roos complex with more chains, or more summed stalk dimensions, than
+    ``cochain.ROOS_CAP``, refused before any chain is built."""
+
+
 # spectral
 class DegreeOutOfRange(PosheafError):
     pass

@@ -223,30 +223,24 @@ def order_complex(p: Poset) -> list[list[tuple[str, ...]]]:
     """All nonempty chains s_0 < ... < s_j of p, each a tuple of elements,
     grouped by dimension j.
 
-    The strict down-sets are inverted once into up-lists of topo positions,
-    each filled in topo order, and chains grow from those lists; so within
-    each dimension, chains are in lexicographic order of topo positions.
+    The strict down-sets are inverted once into up-lists, each filled in topo
+    order, and the chains are built level by level: those of dimension j + 1
+    extend each chain of dimension j by an element of its top's up-list.  So
+    within each dimension, chains are in lexicographic order of topo
+    positions, and no call recurses.  The output is exponential in the
+    poset's depth (a chain of n elements has 2^n - 1 chains);
+    ``cochain.roos_complex`` sizes it before calling this.
     """
-    topo = p.topo_order
-    position = [p._topo_pos[e] for e in p.elements]  # by declaration index
-    above: list[list[int]] = [[] for _ in topo]
-    for k, e in enumerate(topo):
-        for i in p._down[p._index[e]]:
-            above[position[i]].append(k)
+    topo, elements, down, index = p.topo_order, p.elements, p._down, p._index
+    above: dict[str, list[str]] = {e: [] for e in topo}
+    for e in topo:
+        for i in down[index[e]]:
+            above[elements[i]].append(e)
     groups: list[list[tuple[str, ...]]] = []
-
-    def extend(chain: list[int]):
-        dim = len(chain) - 1
-        if len(groups) == dim:
-            groups.append([])
-        groups[dim].append(tuple(topo[k] for k in chain))
-        for k in above[chain[-1]]:
-            chain.append(k)
-            extend(chain)
-            chain.pop()
-
-    for k in range(len(topo)):
-        extend([k])
+    level = [(e,) for e in topo]
+    while level:
+        groups.append(level)
+        level = [chain + (t,) for chain in level for t in above[chain[-1]]]
     return groups
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from posheaf import cochain, linalg
 from posheaf.cli import _COUNT, _POSITIVE_FINITE, _POSITIVE_INT
 from posheaf.errors import NotAComplex, NotTwoLayer, ShapeMismatch
-from posheaf.linalg import PRIME, Matrix, QQ, RR
+from posheaf.linalg import PRIME, Matrix, QQ, RR, prime_field
 from posheaf.poset import (
     Poset,
     RedundantCoversWarning,
@@ -1017,6 +1017,16 @@ def fixed_twisted_cycle_sheaf(n: int) -> Sheaf:
     """``twisted_cycle_sheaf`` over Q with gauges from a generator of seed 0,
     which POSHEAF_SEED does not shift: the same document on every run."""
     return twisted_cycle_sheaf(n, np.random.default_rng(0))
+
+
+def layered_sheaf(layers: int) -> Sheaf:
+    """The constant sheaf over F_3 with 1-dim stalks on layers antichains of
+    four elements, l<i>_<k> for layer i, each element covered by the whole
+    next layer: 5^layers - 1 chains."""
+    names = [[f"l{i}_{k}" for k in range(4)] for i in range(layers)]
+    covers = [(a, b) for low, high in zip(names, names[1:]) for a in low for b in high]
+    return constant_sheaf(build_poset([e for layer in names for e in layer], covers), 1,
+                          prime_field(3))
 
 
 def single_stalk_sheaf(dim: int) -> Sheaf:

@@ -9,7 +9,13 @@ import pytest
 
 from posheaf import cochain, linalg
 from posheaf.cli import cli
-from posheaf.errors import FieldMismatch, NotAComplex, NotSimplicialPoset, PosetMismatch
+from posheaf.errors import (
+    FieldMismatch,
+    NotAComplex,
+    NotSimplicialPoset,
+    PosetMismatch,
+    TooLarge,
+)
 from posheaf.io import scalar_from_string, serialize_sheaf
 from posheaf.linalg import QQ, RR, Matrix, prime_field
 from posheaf.cochain import (
@@ -23,6 +29,7 @@ from posheaf.cochain import (
     minimal_incidence,
     multiplicities,
     roos_complex,
+    roos_size,
 )
 from posheaf.poset import (
     build_poset,
@@ -46,13 +53,16 @@ from posheaf.sheaf import (
 from helpers import (
     add_block_diffs_reference,
     bareiss_rank,
+    boolean_lattice_sheaf,
     d_squared_product_reference,
+    deep_chain_sheaf,
     dense_diffs_reference,
     densify,
     gauge_connection_sheaf,
     graph_sheaf_twins,
     incidence_reference,
     integer_rows,
+    layered_sheaf,
     matrix_apply,
     seeded_rng,
     random_compositional_sheaf,
@@ -848,3 +858,76 @@ def test_roos_check_composes_one_pair(monkeypatch):
         assert len(diffs) == 3
         assert [j for a, b in products for j in range(1, 3)
                 if a is diffs[j] and b is diffs[j - 1]] == composed
+
+
+# ---------------------------------------------------------------------------
+# roos_size: the Roos complex counted before it is built.
+# ---------------------------------------------------------------------------
+
+def _zero_map_sheaf(p, rng):
+    # stalk dimensions 0 to 3 and zero maps, so compositional
+    stalks = {e: int(rng.integers(0, 4)) for e in p.elements}
+    maps = {(a, b): Matrix.zeros(stalks[b], stalks[a], QQ) for a, b in p.hasse_edges()}
+    return build_sheaf(p, stalks, maps, QQ)
+
+
+def test_roos_size_counts_the_chains_and_summands_the_complex_has():
+    rng = seeded_rng(46)
+    zero_stalks = 0
+    for k in range(40):
+        p = random_dag_poset(rng, max_elements=8)
+        d = _zero_map_sheaf(p, rng) if k % 2 else random_compositional_sheaf(p, rng)
+        groups = order_complex(p)
+        summands = sum(d.stalk_dim[chain[-1]] for group in groups for chain in group)
+        assert roos_size(d) == (sum(map(len, groups)), summands)
+        c = roos_complex(d)
+        assert sum(c.degree_dim(j) for j in range(c.top_degree + 1)) == summands
+        zero_stalks += 0 in d.stalk_dim.values()
+    assert zero_stalks >= 10
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_roos_size_of_a_boolean_lattice_follows_the_recurrence(n):
+    # E(x) = 1 + sum of E(y) over y < x counts the chains whose top is x; the
+    # totals are the chain counts of the subsets of an n-set, 3, 11, 51, ...
+    d = boolean_lattice_sheaf(n)
+    ending = {}
+    for x in d.poset.topo_order:
+        ending[x] = 1 + sum(ending[y] for y in d.poset.strict_lower(x))
+    total = sum(ending.values())
+    assert total == (3, 11, 51, 299, 2163, 18731)[n - 1]
+    assert roos_size(d) == (total, total)
+
+
+def test_roos_size_refuses_past_the_cap_on_chains_or_on_summands(monkeypatch):
+    # the chain a < b < c has 7 chains; with 2-dim stalks, 14 summands
+    p = build_poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    wide, empty = constant_sheaf(p, 2, QQ), constant_sheaf(p, 0, QQ)
+    monkeypatch.setattr(cochain, "ROOS_CAP", 14)
+    assert roos_size(wide) == (7, 14)
+    assert roos_complex(wide).dims == [[2, 2, 2], [2, 2, 2], [2]]
+    monkeypatch.setattr(cochain, "ROOS_CAP", 13)
+    with pytest.raises(TooLarge, match="more than 13 summed stalk dimensions"):
+        roos_size(wide)
+    monkeypatch.setattr(cochain, "ROOS_CAP", 6)
+    with pytest.raises(TooLarge, match="more than 6 chains"):
+        roos_complex(empty)
+
+
+def test_an_over_cap_roos_complex_is_refused_before_any_chain_is_listed(monkeypatch, tmp_path):
+    def unreachable(p):
+        raise AssertionError("order_complex ran")
+
+    monkeypatch.setattr(cochain, "order_complex", unreachable)
+    for name, d in (("deep", deep_chain_sheaf()), ("layered", layered_sheaf(15))):
+        with pytest.raises(TooLarge) as err:
+            roos_complex(d)
+        assert err.value.code == "TooLarge"
+        doc = tmp_path / f"{name}.json"
+        doc.write_text(serialize_sheaf(d), encoding="utf-8")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli(["betti", str(doc), "--method", "roos"]) == 1
+        assert json.loads(out.getvalue())["error"] == {
+            "code": "TooLarge",
+            "message": f"the Roos complex has more than {cochain.ROOS_CAP} chains"}

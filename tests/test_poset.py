@@ -1,5 +1,7 @@
 import itertools
+import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -353,6 +355,33 @@ def test_order_complex_matches_brute_force_enumeration():
                 assert all(len(key) == dim + 1 for key in keys)
                 assert keys == sorted(keys)
     assert reordered > 10
+
+
+def _least_recursion_limit() -> int:
+    """The least recursion limit the interpreter accepts at this depth."""
+    limit = sys.getrecursionlimit()
+    for least in itertools.count(1):
+        try:
+            sys.setrecursionlimit(least)
+        except RecursionError:  # at or under the current depth
+            continue
+        sys.setrecursionlimit(limit)
+        return least
+
+
+def test_order_complex_does_not_recurse_per_chain_element():
+    # a 12-element chain has 2^12 - 1 chains, the longest of 12 elements; a
+    # frame per element would pass a limit a few frames above this one
+    names = [f"c{i}" for i in range(12)]
+    p = build_poset(names, list(zip(names, names[1:])))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_least_recursion_limit() + 5)
+    try:
+        groups = order_complex(p)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [len(g) for g in groups] == [math.comb(12, k) for k in range(1, 13)]
+    assert groups[-1] == [tuple(names)]
 
 
 def test_classify_triangle_boundary_is_cell_poset():
